@@ -1,17 +1,10 @@
-"""``repro bench`` — the perf-trajectory harness.
+"""``repro bench`` — explain where *simulated* time goes.
 
-The simulator's *simulated* numbers (cycles, messages, bytes, events) are
-deterministic; its *wall-clock* cost is the thing every optimization PR
-changes.  This package pins a versioned benchmark suite
-(:mod:`repro.bench.suite`), runs it with warmup and repetitions
-(:mod:`repro.bench.runner`) into a ``BENCH_<git_rev>.json`` document —
-one point on the repo's perf trajectory — and compares two such points
-(:mod:`repro.bench.compare`): sim-side numbers must be bit-identical,
-wall-clock regressions beyond a threshold fail the gate.
-
-:mod:`repro.bench.attribution` explains where *simulated* time goes per
-node (from spans, cross-checked against the Figure-4 breakdown) and
-:mod:`repro.bench.flame` exports collapsed stacks for flamegraph tools.
+:mod:`repro.bench.attribution` attributes each node's simulated time to
+span kinds (cross-checked against the Figure-4 breakdown) and
+:mod:`repro.bench.flame` exports the same spans as collapsed stacks for
+flamegraph tools.  Host speed is measured by ``perf/run.py`` (see
+``BENCHMARK.json``), not here.
 """
 from __future__ import annotations
 
@@ -19,20 +12,10 @@ from repro.bench.attribution import (ATTRIBUTION_KINDS,
                                      ATTRIBUTION_TOLERANCE,
                                      AttributionReport, attribute_result,
                                      attribute_spans)
-from repro.bench.compare import (CellComparison, ComparisonReport,
-                                 compare_docs, load_bench)
-from repro.bench.flame import (profile_collapsed, spans_collapsed,
-                               write_collapsed)
-from repro.bench.runner import (BENCH_FORMAT, BenchError, bench_path,
-                                run_case, run_suite, write_bench)
-from repro.bench.suite import SUITES, BenchCase, suite_cases
+from repro.bench.flame import spans_collapsed, write_collapsed
 
 __all__ = [
     "ATTRIBUTION_KINDS", "ATTRIBUTION_TOLERANCE", "AttributionReport",
     "attribute_result", "attribute_spans",
-    "CellComparison", "ComparisonReport", "compare_docs", "load_bench",
-    "profile_collapsed", "spans_collapsed", "write_collapsed",
-    "BENCH_FORMAT", "BenchError", "bench_path", "run_case", "run_suite",
-    "write_bench",
-    "SUITES", "BenchCase", "suite_cases",
+    "spans_collapsed", "write_collapsed",
 ]

@@ -2,16 +2,12 @@
 
 The folded format — one ``frame;frame;frame value`` line per unique
 stack — is what ``flamegraph.pl``, inferno and https://www.speedscope.app
-consume.  Two sources:
-
-* :func:`spans_collapsed` — *simulated* time.  Each node is a root frame;
-  nested/overlapping spans become stacks via the same innermost-wins
-  sweep line the attribution uses, except the whole active stack is kept
-  (values are exclusive cycles, so the graph's widths add up correctly).
-  Time covered by no span lands on the bare node frame (compute).
-* :func:`profile_collapsed` — *host* wall time from the accumulation
-  profiler; dotted section names (``event.arrival``,
-  ``handler.aec.lock_req``) split into frames, values in microseconds.
+consume.  :func:`spans_collapsed` folds *simulated* time: each node is a
+root frame; nested/overlapping spans become stacks via the same
+innermost-wins sweep line the attribution uses, except the whole active
+stack is kept (values are exclusive cycles, so the graph's widths add up
+correctly).  Time covered by no span lands on the bare node frame
+(compute).
 """
 from __future__ import annotations
 
@@ -78,24 +74,6 @@ def spans_collapsed(spans: Iterable[Span], num_nodes: int,
             rest = int(round(execution_time - covered))
             if rest > 0:
                 folded[root] = folded.get(root, 0) + rest
-    return folded
-
-
-def profile_collapsed(sections: Dict[str, Dict[str, float]]) -> Folded:
-    """Fold wall-clock profiler sections (values in microseconds).
-
-    Accepts :meth:`repro.obs.profile.Profiler.as_dict` output; the
-    ``"@host"`` metadata entry and empty sections are skipped.
-    """
-    folded: Folded = {}
-    for name, cell in sections.items():
-        if name.startswith("@") or not isinstance(cell, dict):
-            continue
-        usec = int(round(cell.get("seconds", 0.0) * 1e6))
-        if usec <= 0:
-            continue
-        stack = ";".join(name.split("."))
-        folded[stack] = folded.get(stack, 0) + usec
     return folded
 
 

@@ -211,12 +211,6 @@ class SimConfig:
     track_lap_stats: bool = True
     #: collect per-category execution-time breakdown
     track_breakdown: bool = True
-    #: record protocol-level events (lock transfers, faults, diffs) into a
-    #: queryable Trace — off by default (costs memory and time)
-    trace: bool = False
-    #: cap on retained trace events (ring buffer keeps the most recent N;
-    #: None = unbounded)
-    trace_capacity: int = 2_000_000
     #: collect labeled metrics (LAP telemetry, faults, episode stats) into
     #: an ``obs.MetricsRegistry`` — off by default
     obs_metrics: bool = False
@@ -229,9 +223,6 @@ class SimConfig:
     #: (keeps memory O(1) on bench-scale runs); implies nothing about the
     #: in-memory ring, which still serves queries
     obs_spans_jsonl: str = ""
-    #: profile the simulator's own wall-clock hot loop (host time, not
-    #: simulated time); report lands in ``RunResult.profile``
-    profile: bool = False
     #: run the happens-before sanitizer / consistency oracle alongside the
     #: simulation (``repro.check``): shadow memory tracks the last writer of
     #: every shared word and flags data races and entry-consistency stale
@@ -308,7 +299,14 @@ def config_from_dict(doc: Dict[str, Any]) -> SimConfig:
     files store that form): nested machine parameters, fault plans and
     workload specs are reconstructed into their dataclasses, so
     ``config_digest(config_from_dict(d)) == config_digest(original)``.
+    Keys that are not ``SimConfig`` fields (e.g. options recorded by an
+    older build) raise a ``ValueError`` naming them.
     """
+    known = {f.name for f in dataclasses.fields(SimConfig)}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"config has unknown keys {', '.join(unknown)} "
+                         f"(recorded by an older build?)")
     doc = dict(doc)
     machine = doc.pop("machine", None)
     faults = doc.pop("faults", None)

@@ -62,8 +62,7 @@ class AECNode(ProtocolNode):
             self.bar_mgr = AECBarrierManager(self.machine.num_procs,
                                              self.layout.total_pages)
             if world.lap_stats is None and cfg.track_lap_stats:
-                world.lap_stats = LapStats(self.sync.num_locks,
-                                           metrics=world.obs.metrics)
+                world.lap_stats = LapStats(self.sync.num_locks)
         else:
             self.bar_mgr = None
 
@@ -560,8 +559,6 @@ class AECNode(ProtocolNode):
         wait_start = self.now()
         wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
                                     lock=lock_id)
-        self.world.trace.record(self.now(), self.node_id, "lock.request",
-                                lock=lock_id)
         yield Send(mgr, Message("aec.lock_req",
                                 {"lock": lock_id, "requester": self.node_id}, 4),
                    "synch")
@@ -726,8 +723,6 @@ class AECNode(ProtocolNode):
         stats = self.sim.net_stats
         if stats is not None:
             stats.lap_fallbacks += 1
-        self.world.trace.record(self.now(), self.node_id, "lap.fallback",
-                                lock=lock_id, pages=len(grant.covered))
         stale = self.pending_updates.pop(lock_id, None)
         if stale is not None:
             self._discard_update(stale, "unused")
@@ -796,10 +791,6 @@ class AECNode(ProtocolNode):
                 self._m_lap_pushed_bytes.inc(nbytes, lock=lock_id)
             yield Send(q, Message("aec.upset_diffs", payload, nbytes),
                        "synch")
-        self.world.trace.record(self.now(), self.node_id, "lock.release",
-                                lock=lock_id,
-                                pushed_to=list(sess.update_set),
-                                pages=len(pushed))
         # 3. tell the manager we are giving up ownership
         covered = sorted(pushed)
         modified = sorted(sess.step_mods)
@@ -855,8 +846,6 @@ class AECNode(ProtocolNode):
         self.gained_valid.clear()
         self.lost_valid.clear()
         yield self._list_delay(info.element_count, "synch")
-        self.world.trace.record(self.now(), self.node_id, "barrier.arrive",
-                                step=self.step)
         bar_start = self.now()
         bar_span = self.span_begin("barrier", f"barrier.step{self.step}",
                                    step=self.step)
@@ -876,8 +865,6 @@ class AECNode(ProtocolNode):
         self.span_end(bar_span, step=payload["step"])
         if self._metrics_on:
             self._m_barrier_wait.observe(self.now() - bar_start)
-        self.world.trace.record(self.now(), self.node_id, "barrier.complete",
-                                step=payload["step"])
         yield from self._post_barrier_cleanup(payload)
 
     def _post_barrier_cleanup(self, payload: dict) -> Generator:
@@ -950,11 +937,6 @@ class AECNode(ProtocolNode):
 
     def _send_grant(self, dst: int, grant: GrantInfo, predictions) -> Generator:
         self.world.count_acquire(grant.lock_id)
-        self.world.trace.record(self.now(), dst, "lock.grant",
-                                lock=grant.lock_id,
-                                last_owner=grant.last_owner,
-                                in_upset=grant.in_update_set,
-                                update_set=list(grant.update_set))
         if self.world.lap_stats is not None:
             self.world.lap_stats.record_grant(
                 grant.lock_id, dst, grant.last_owner, predictions)

@@ -13,17 +13,17 @@ same lock reveals the true next acquirer.  Shadow predictions for the
 low-level technique variants are recorded at the same instant, so the four
 Table 3 columns are measured on identical event streams.
 
-When a run enables the observability layer (``SimConfig(obs_metrics=True)``)
-the same scoring events are additionally published to the metrics registry
-as labeled counters (``lap.acquires``, ``lap.scored``, ``lap.same_owner``,
-``lap.hits{variant=...}``, each labeled with the lock id), so Table 3 hit
-rates can be read straight out of a metrics snapshot — and cross-checked
-against this class, which stays the reference scorer.
+This class is the only LAP scorer.  When a run enables the observability
+layer (``SimConfig(obs_metrics=True)``) the harness publishes its per-lock
+tallies once, at run end, as labeled counters (``lap.acquires``,
+``lap.scored``, ``lap.same_owner``, ``lap.hits{variant=...}``, each
+labeled with the lock id), so Table 3 hit rates can be read straight out
+of a metrics snapshot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 VARIANTS = ("lap", "waitq", "waitq_affinity", "waitq_virtualq")
 
@@ -49,26 +49,10 @@ class LockVarStats:
 
 
 class LapStats:
-    def __init__(self, num_locks: int, metrics: Optional[Any] = None) -> None:
+    def __init__(self, num_locks: int) -> None:
         self.per_lock: List[LockVarStats] = [
             LockVarStats(lid) for lid in range(num_locks)
         ]
-        # metrics publication (None or a disabled registry -> no-op)
-        if metrics is not None and getattr(metrics, "enabled", False):
-            self._c_acquires = metrics.counter(
-                "lap.acquires", "lock acquires seen by LAP scoring")
-            self._c_same = metrics.counter(
-                "lap.same_owner", "grants back to the previous owner "
-                "(excluded from scoring)")
-            self._c_scored = metrics.counter(
-                "lap.scored", "scored ownership-transfer events")
-            self._c_hits = metrics.counter(
-                "lap.hits", "prediction hits per technique variant")
-        else:
-            self._c_acquires = None
-            self._c_same = None
-            self._c_scored = None
-            self._c_hits = None
 
     def record_grant(self, lock_id: int, acquirer: int,
                      last_owner: Optional[int],
@@ -76,24 +60,15 @@ class LapStats:
         """Score the previous grant's predictions and stash the new ones."""
         s = self.per_lock[lock_id]
         s.acquires += 1
-        publish = self._c_acquires is not None
-        if publish:
-            self._c_acquires.inc(1, lock=lock_id)
         if last_owner is not None:
             if last_owner == acquirer:
                 s.same_owner += 1
-                if publish:
-                    self._c_same.inc(1, lock=lock_id)
             else:
                 s.scored += 1
-                if publish:
-                    self._c_scored.inc(1, lock=lock_id)
                 pending = s._pending or {}
                 for variant in VARIANTS:
                     if acquirer in pending.get(variant, ()):  # hit
                         s.hits[variant] += 1
-                        if publish:
-                            self._c_hits.inc(1, lock=lock_id, variant=variant)
         s._pending = predictions
 
     # ---- reporting ---------------------------------------------------------

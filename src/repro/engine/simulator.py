@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.config import MachineParams, SimConfig
@@ -42,16 +41,12 @@ from repro.faults.injector import make_injector
 from repro.faults.stats import NetFaultStats
 from repro.network.message import Message
 from repro.network.network import Network
-from repro.obs.profile import Profiler
 
 #: interned event kinds: heap/ready entries carry one of these integers
 EV_DELAY_END = 0
 EV_ARRIVAL = 1
 EV_WAKE = 2
 EV_CALL = 3
-
-#: profiler labels per interned kind (index == kind)
-_EV_NAMES = ("event.delay_end", "event.arrival", "event.wake", "event.call")
 
 
 class SimulationError(RuntimeError):
@@ -133,8 +128,6 @@ class Simulator:
         self._seq = 0
         self.now = 0.0
         self.events_processed = 0
-        #: wall-clock seconds spent inside :meth:`run` (set when it returns)
-        self.run_wall_seconds = 0.0
         self._started = False
         # hoisted machine costs (attribute lookups kept off the event loop)
         m = self.machine
@@ -159,10 +152,6 @@ class Simulator:
         self.crash_mode = False
         #: the controller's ``RecoveryStats`` (shared by reference)
         self.crash_stats: Any = None
-        #: wall-clock hot-loop profiler; None (the default) costs one
-        #: ``is not None`` check per dispatched event
-        self.profiler: Optional[Profiler] = (
-            Profiler() if config.profile else None)
 
     # ------------------------------------------------------------------ API
 
@@ -180,7 +169,6 @@ class Simulator:
         if self._started:
             raise SimulationError("simulator already ran")
         self._started = True
-        run_t0 = perf_counter()
         for node in self.nodes:
             if node.gen is None:
                 node.state = "done"
@@ -194,7 +182,6 @@ class Simulator:
             if node.gen is not None:
                 self._step_program(node, None)
         limit = self.config.max_events
-        prof = self.profiler
         # everything the dispatch loop touches every iteration is a local
         heap = self._heap
         ready = self._ready
@@ -204,7 +191,6 @@ class Simulator:
         step_program = self._step_program
         deliver = self._deliver
         wake = self._wake
-        timer = perf_counter
         now = self.now
         events = self.events_processed
         while heap or ready:
@@ -224,7 +210,6 @@ class Simulator:
                 self.events_processed = events
                 raise SimulationError(f"exceeded max_events={limit}")
             kind = event[2]
-            t0 = timer() if prof is not None else 0.0
             if kind == EV_DELAY_END:
                 node_id, seq = event[3]
                 node = nodes[node_id]
@@ -242,10 +227,7 @@ class Simulator:
                 event[3]()
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {kind!r}")
-            if prof is not None:
-                prof.add(_EV_NAMES[kind], timer() - t0)
         self.events_processed = events
-        self.run_wall_seconds = perf_counter() - run_t0
         for node in self.nodes:
             if node.state not in ("done", "dead"):
                 raise SimulationError(
@@ -253,25 +235,6 @@ class Simulator:
                     f"(waiting on {getattr(node, 'wait_category', '?')})"
                 )
         return self.execution_time
-
-    def counters(self) -> Dict[str, float]:
-        """Engine-level throughput counters for the benchmark harness.
-
-        ``events_per_second`` and ``cycles_per_second`` relate the
-        simulated workload to the host wall clock of the event loop; the
-        message totals aggregate the per-node counts (loopback messages
-        included, NIC-level ack frames excluded — see ``_deliver``).
-        """
-        wall = self.run_wall_seconds
-        return {
-            "events_processed": float(self.events_processed),
-            "run_wall_seconds": wall,
-            "events_per_second": self.events_processed / wall if wall else 0.0,
-            "cycles_per_second": self.execution_time / wall if wall else 0.0,
-            "messages_sent": float(sum(n.messages_sent for n in self.nodes)),
-            "messages_received": float(
-                sum(n.messages_received for n in self.nodes)),
-        }
 
     @property
     def execution_time(self) -> float:
@@ -505,8 +468,6 @@ class Simulator:
             recv_io = self._recv_io_cost(msg.payload_bytes)
             breakdown["ipc"] += recv_io
             vtime += entry + recv_io
-        prof = self.profiler
-        h0 = perf_counter() if prof is not None else 0.0
         gen = handler(msg)
         if gen is not None:
             for op in gen:
@@ -528,8 +489,6 @@ class Simulator:
                     )
                 else:
                     raise SimulationError(f"handler yielded unknown op {op!r}")
-        if prof is not None:
-            prof.add("handler." + msg.kind, perf_counter() - h0)
         service = vtime - vstart
         node.isr_cycles_total += service
         node.isr_busy_until = vstart + service

@@ -3,7 +3,7 @@
 Examples::
 
     repro run --app is --protocol aec --scale test
-    repro run --app is --protocol aec --trace-out /tmp/is.json --profile
+    repro run --app is --protocol aec --trace-out /tmp/is.json
     repro run --app is --protocol aec --check-consistency
     repro run --app fuzz:17 --protocol aec --check-consistency
     repro check is water-ns --protocols aec tmk --json report.json
@@ -26,8 +26,6 @@ Examples::
     repro faults list
     repro faults explain jitter
     repro faults run dup-heavy --app is --protocol aec
-    repro bench run --suite smoke --reps 3 --out BENCH_new.json -v
-    repro bench compare BENCH_old.json BENCH_new.json --threshold 25
     repro bench attr --app is --protocol aec --scale test
     repro bench flame /tmp/is.folded --app is --protocol aec
 """
@@ -53,8 +51,6 @@ EXPERIMENTS = ("table1", "table2", "table3", "table4",
 def _make_config(args, **overrides) -> SimConfig:
     """Build a SimConfig from the shared CLI arguments."""
     kwargs = dict(update_set_size=args.update_set_size, seed=args.seed)
-    if getattr(args, "profile", False):
-        kwargs["profile"] = True
     if getattr(args, "trace", False) or getattr(args, "trace_out", None):
         kwargs["obs_spans"] = True
     if getattr(args, "check_consistency", False):
@@ -113,13 +109,6 @@ def _write_trace(result, path: str) -> bool:
     return True
 
 
-def _print_profile(result, top: int = 25) -> None:
-    prof = result.extra.get("profiler")
-    if prof is not None:
-        print()
-        print(prof.render(top=top))
-
-
 def _print_check_report(rep, verbose: bool, limit: int = 10) -> None:
     print(f"  {rep.summary()}")
     shown = rep.violations[:limit] if not verbose else rep.violations
@@ -173,8 +162,6 @@ def _cmd_run(args) -> int:
         rc = 1
     if args.trace_out and not _write_trace(result, args.trace_out):
         rc = 1
-    if args.profile:
-        _print_profile(result, top=args.profile_top)
     return rc
 
 
@@ -258,8 +245,6 @@ def _cmd_compare(args) -> int:
             spans = result.extra.get("spans")
             if spans is not None:
                 print("  " + spans.summary().replace("\n", "\n  "))
-        if args.profile:
-            _print_profile(result)
     return 0
 
 
@@ -295,7 +280,12 @@ def _cmd_trace(args) -> int:
     protocol = args.protocol or app.recorded_protocol
     # replay under the recorded config, but never re-record over the
     # input file
-    config = config_from_dict(app.header["config"]).replace(record_trace="")
+    try:
+        config = config_from_dict(app.header["config"])
+    except ValueError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
+    config = config.replace(record_trace="")
     result = run_app(app, protocol, config=config)
     print(result.summary())
     if not args.verify:
@@ -489,26 +479,23 @@ def _cmd_analyze(args) -> int:
     from repro.tools import (lock_report, message_matrix, render_matrix,
                              render_timeline)
     config = SimConfig(update_set_size=args.update_set_size, seed=args.seed,
-                       trace=True)
+                       obs_spans=True, obs_spans_jsonl=args.trace_out or "")
     result = run_app(make_app(args.app, args.scale), args.protocol,
                      config=config)
-    trace = result.extra["trace"]
+    spans = result.extra["spans"]
     print(result.summary())
     print()
-    print(trace.summary())
+    print(spans.summary())
     print()
-    print(lock_report(trace))
+    print(lock_report(spans))
     print()
-    print(render_timeline(trace,
-                          kinds=["fault.read", "fault.write", "diff.create",
-                                 "lock.grant"]))
+    print(render_timeline(spans, kinds=["page.fetch", "diff.create",
+                                        "lock.hold"]))
     print()
     print(render_matrix(message_matrix(result)))
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write(trace.to_jsonl())
-        print(f"\ntrace written to {args.trace_out} "
-              f"({len(trace)} events)")
+        print(f"\nspans written to {args.trace_out} "
+              f"({spans.completed} spans)")
     return 0
 
 
@@ -708,65 +695,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_bench(args) -> int:
     from repro import bench
 
-    if args.bench_cmd == "list":
-        for case in bench.suite_cases(args.suite, args.scale):
-            extra = ""
-            if case.kind == "sweep":
-                extra = (f" [{len(case.sweep_apps) * len(case.sweep_protocols)}"
-                         f" cells, jobs={case.jobs}]")
-            print(f"{case.cell_id:<32} {case.kind}{extra}")
-        return 0
-
-    if args.bench_cmd == "run":
-        def _to_stderr(msg):
-            print(msg, file=sys.stderr)
-        try:
-            doc = bench.run_suite(
-                args.suite, args.scale, repetitions=args.reps,
-                warmup=args.warmup,
-                progress=_to_stderr if args.verbose else None)
-        except bench.BenchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        path = bench.write_bench(doc, args.out)
-        cells = doc["cells"]
-        total = sum(c["wall"]["seconds_min"] for c in cells.values())
-        print(f"bench: {len(cells)} cells, {args.reps} reps + "
-              f"{args.warmup} warmup, {doc['total_wall_seconds']:.1f}s wall "
-              f"({total:.1f}s of best-rep cell time)")
-        for cell_id in sorted(cells):
-            wall = cells[cell_id]["wall"]
-            rate = wall.get("events_per_second")
-            rate_txt = (f" {rate / 1e3:8.1f}k evt/s"
-                        if rate is not None
-                        else f" {wall['cells_per_second']:8.2f} cells/s")
-            print(f"  {cell_id:<32} {wall['seconds_min']:7.3f}s min "
-                  f"{wall['seconds_median']:7.3f}s median{rate_txt}")
-        print(f"baseline written to {path}")
-        return 0
-
-    if args.bench_cmd == "compare":
-        try:
-            old = bench.load_bench(args.old)
-            new = bench.load_bench(args.new)
-        except (OSError, ValueError, bench.BenchError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = bench.compare_docs(old, new, threshold_pct=args.threshold,
-                                    strict=args.strict)
-        if args.verbose:
-            print(report.render())
-        else:
-            print(report.summary())
-            for cell in report.cells:
-                if cell.status in ("sim-mismatch", "regression", "missing"):
-                    print("  " + cell.describe())
-        return report.exit_code
-
+    config = _make_config(args, obs_spans=True)
+    result = run_app(make_app(args.app, args.scale), args.protocol,
+                     config=config)
     if args.bench_cmd == "attr":
-        config = _make_config(args, obs_spans=True)
-        result = run_app(make_app(args.app, args.scale), args.protocol,
-                         config=config)
         report = bench.attribute_result(result)
         print(result.summary())
         print()
@@ -785,23 +717,11 @@ def _cmd_bench(args) -> int:
         return 0
 
     # bench_cmd == "flame"
-    if args.wall:
-        config = _make_config(args, profile=True)
-        result = run_app(make_app(args.app, args.scale), args.protocol,
-                         config=config)
-        folded = bench.profile_collapsed(result.profile)
-        unit = "us of host wall time"
-    else:
-        config = _make_config(args, obs_spans=True)
-        result = run_app(make_app(args.app, args.scale), args.protocol,
-                         config=config)
-        folded = bench.spans_collapsed(result.extra["spans"].spans,
-                                       result.num_procs,
-                                       result.execution_time)
-        unit = "simulated cycles"
+    folded = bench.spans_collapsed(result.extra["spans"].spans,
+                                   result.num_procs, result.execution_time)
     print(result.summary())
     n = bench.write_collapsed(folded, args.out)
-    print(f"{n} collapsed stacks ({unit}) written to {args.out} — "
+    print(f"{n} collapsed stacks (simulated cycles) written to {args.out} — "
           f"feed to flamegraph.pl or speedscope.app")
     return 0
 
@@ -827,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-out", metavar="FILE",
                      help="write spans as a Chrome/Perfetto trace "
                           "(implies --trace)")
-    run.add_argument("--profile", action="store_true",
-                     help="wall-clock profile of the simulator hot loop")
-    run.add_argument("--profile-top", type=int, default=25, metavar="N",
-                     help="show only the N hottest profile sections "
-                          "(default 25)")
     run.add_argument("--check-consistency", action="store_true",
                      help="run the happens-before sanitizer alongside the "
                           "simulation (nonzero exit on violations)")
@@ -877,8 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=int, default=42)
     cmp_.add_argument("--trace", action="store_true",
                       help="record spans and print a per-protocol summary")
-    cmp_.add_argument("--profile", action="store_true",
-                      help="wall-clock profile of the simulator hot loop")
     cmp_.set_defaults(fn=_cmd_compare)
 
     trc = sub.add_parser(
@@ -1015,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.set_defaults(fn=_cmd_metrics)
 
     ana = sub.add_parser("analyze",
-                         help="run with tracing and print lock/traffic "
+                         help="run with spans and print lock/traffic "
                               "reports")
     ana.add_argument("--app", choices=APP_NAMES, required=True)
     ana.add_argument("--protocol", choices=sorted(PROTOCOLS), default="aec")
@@ -1023,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--update-set-size", type=int, default=2)
     ana.add_argument("--seed", type=int, default=42)
     ana.add_argument("--trace-out", metavar="FILE",
-                     help="also dump the event trace as JSON lines")
+                     help="also stream every span to FILE as JSON lines")
     ana.set_defaults(fn=_cmd_analyze)
 
     exp = sub.add_parser("experiment", help="reproduce a table or figure")
@@ -1084,8 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser(
         "bench",
-        help="perf-trajectory harness: run/compare BENCH_*.json baselines, "
-             "attribute simulated time, export flamegraphs")
+        help="explain simulated time: per-node attribution and "
+             "flamegraphs from spans")
     bsub = ben.add_subparsers(dest="bench_cmd", required=True)
 
     def _bench_run_args(sp):
@@ -1095,43 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scale", choices=SCALES, default="test")
         sp.add_argument("--update-set-size", type=int, default=2)
         sp.add_argument("--seed", type=int, default=42)
-
-    brun = bsub.add_parser(
-        "run", help="run a suite and write BENCH_<git_rev>.json")
-    brun.add_argument("--suite", choices=sorted(bench_suites()),
-                      default="default")
-    brun.add_argument("--scale", choices=SCALES, default="test")
-    brun.add_argument("--reps", type=int, default=3, metavar="N",
-                      help="timed repetitions per cell (default 3)")
-    brun.add_argument("--warmup", type=int, default=1, metavar="N",
-                      help="discarded warmup repetitions per cell "
-                           "(default 1)")
-    brun.add_argument("--out", metavar="FILE",
-                      help="output path (default BENCH_<git_rev>.json)")
-    brun.add_argument("--verbose", "-v", action="store_true",
-                      help="print per-cell progress to stderr")
-    brun.set_defaults(fn=_cmd_bench)
-
-    blist = bsub.add_parser("list", help="list a suite's cells")
-    blist.add_argument("--suite", choices=sorted(bench_suites()),
-                       default="default")
-    blist.add_argument("--scale", choices=SCALES, default="test")
-    blist.set_defaults(fn=_cmd_bench)
-
-    bcmp = bsub.add_parser(
-        "compare",
-        help="gate NEW against OLD: sim numbers bit-identical, wall "
-             "regressions beyond the threshold exit nonzero")
-    bcmp.add_argument("old", metavar="OLD.json")
-    bcmp.add_argument("new", metavar="NEW.json")
-    bcmp.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                      help="wall-clock regression threshold in percent "
-                           "(default 10)")
-    bcmp.add_argument("--strict", action="store_true",
-                      help="cells missing from NEW also fail the gate")
-    bcmp.add_argument("--verbose", "-v", action="store_true",
-                      help="print every cell, not just problems")
-    bcmp.set_defaults(fn=_cmd_bench)
 
     battr = bsub.add_parser(
         "attr",
@@ -1147,16 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     bflame.add_argument("out", metavar="OUT.folded",
                         help="output path for the collapsed stacks")
     _bench_run_args(bflame)
-    bflame.add_argument("--wall", action="store_true",
-                        help="fold the wall-clock profiler instead of "
-                             "simulated-time spans")
     bflame.set_defaults(fn=_cmd_bench)
     return p
-
-
-def bench_suites():
-    from repro.bench.suite import SUITES
-    return SUITES
 
 
 def main(argv: Optional[List[str]] = None) -> int:

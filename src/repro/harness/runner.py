@@ -8,7 +8,6 @@ from repro.apps.api import Application, AppContext
 from repro.config import SimConfig
 from repro.core.aec.protocol import AECNode
 from repro.memory.layout import Layout
-from repro.obs.host import host_metadata
 from repro.protocols.base import ProtocolNode, World
 from repro.protocols.sc import SCNode
 from repro.stats.breakdown import Breakdown
@@ -81,7 +80,6 @@ def run_app(app: Application, protocol: str = "aec",
     machine = config.machine
     layout = Layout(machine.words_per_page)
     sync = SyncRegistry(machine.num_procs)
-    setup0 = time.perf_counter()
     app.declare(layout, sync)
     world = World(config, layout, sync)
 
@@ -91,16 +89,10 @@ def run_app(app: Application, protocol: str = "aec",
         ctx = AppContext(node, config.seed)
         world.sim.add_program(i, _driver(app.program(ctx), results, i))
 
-    profiler = world.sim.profiler
     wall0 = time.perf_counter()
-    if profiler is not None:
-        profiler.add("harness.setup", wall0 - setup0)
     execution_time = world.sim.run()
     wall = time.perf_counter() - wall0
-    if profiler is not None:
-        profiler.add("harness.sim_run", wall)
 
-    fin0 = time.perf_counter()
     for node in nodes:
         node.finalize()
     check_report = world.checker.finish()
@@ -117,8 +109,6 @@ def run_app(app: Application, protocol: str = "aec",
     if check:
         app.check(results)
     world.obs.finish(execution_time)
-    if profiler is not None:
-        profiler.add("harness.finalize", time.perf_counter() - fin0)
 
     node_breakdowns = [Breakdown.from_dict(b) for b in world.sim.breakdowns()]
     fault_total = FaultStats()
@@ -129,14 +119,6 @@ def run_app(app: Application, protocol: str = "aec",
     if world.obs.metrics.enabled:
         _publish_summary_metrics(world, execution_time)
         metrics_snapshot = world.obs.metrics.snapshot()
-
-    profile = None
-    if profiler is not None:
-        # every profiled run records where/what it ran on: peak RSS, CPU
-        # count, interpreter, git revision ("@" keeps the entry from ever
-        # colliding with a timed section name)
-        profile = profiler.as_dict()
-        profile["@host"] = host_metadata()
 
     return RunResult(
         app=app.name,
@@ -156,7 +138,6 @@ def run_app(app: Application, protocol: str = "aec",
         events_processed=world.sim.events_processed,
         wall_seconds=wall,
         metrics=metrics_snapshot,
-        profile=profile,
         check_report=check_report,
         net_faults=world.sim.net_stats,
         recovery=(world.recovery.stats if world.recovery is not None
@@ -168,9 +149,7 @@ def run_app(app: Application, protocol: str = "aec",
             "app_params": app.describe(),
             "pair_messages": world.sim.network.pair_messages.copy(),
             "pair_bytes": world.sim.network.pair_bytes.copy(),
-            "trace": world.trace,
             "spans": world.obs.spans if world.obs.spans.enabled else None,
-            "profiler": profiler,
         },
     )
 
@@ -191,6 +170,21 @@ def _publish_summary_metrics(world: World, execution_time: float) -> None:
     for lock_id, count in world.lock_acquires.items():
         acquires.inc(count, lock=lock_id)
     if world.lap_stats is not None:
+        lap_acquires = m.counter("lap.acquires",
+                                 "lock acquires seen by LAP scoring")
+        same_owner = m.counter("lap.same_owner", "grants back to the "
+                               "previous owner (excluded from scoring)")
+        scored = m.counter("lap.scored", "scored ownership-transfer events")
+        hits = m.counter("lap.hits", "prediction hits per technique variant")
+        for s in world.lap_stats.per_lock:
+            for counter, count in ((lap_acquires, s.acquires),
+                                   (same_owner, s.same_owner),
+                                   (scored, s.scored)):
+                if count:
+                    counter.inc(count, lock=s.lock_id)
+            for variant, count in s.hits.items():
+                if count:
+                    hits.inc(count, lock=s.lock_id, variant=variant)
         rate = m.gauge("lap.hit_rate",
                        "per-predictor LAP success rate (Table 3)")
         for variant, value in world.lap_stats.overall_rates().items():

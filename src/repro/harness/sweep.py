@@ -42,7 +42,7 @@ from repro.stats.run_result import RunResult
 #: bump when the RunResult layout or key composition changes incompatibly;
 #: part of every cache key, so old entries miss instead of deserializing
 #: into garbage.
-CACHE_FORMAT_VERSION = 4  # v4: crash plans + recovery fields in RunResult
+CACHE_FORMAT_VERSION = 5  # v5: RunResult.profile removed
 
 
 @lru_cache(maxsize=1)

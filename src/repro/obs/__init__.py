@@ -1,4 +1,4 @@
-"""Unified observability: metrics, simulated-time spans, wall-clock profile.
+"""Unified observability: metrics and simulated-time spans.
 
 One :class:`Observability` object per simulation run (``World.obs``)
 bundles the two simulated-time instruments:
@@ -7,13 +7,14 @@ bundles the two simulated-time instruments:
   labeled counters/gauges/histograms (LAP prediction telemetry, faults,
   lock/barrier episode statistics);
 * ``obs.spans`` — a :class:`~repro.obs.spans.SpanRecorder` of protocol
-  episodes exportable to Perfetto (:mod:`repro.obs.export`).
+  episodes: the run's one event stream, exportable to Perfetto
+  (:mod:`repro.obs.export`) and queried by :mod:`repro.tools` and
+  :mod:`repro.bench`.
 
 Both default to shared null implementations whose update methods are
 no-ops, so instrumentation points cost one method call when observability
-is off (and hot paths additionally guard on ``.enabled``).  The wall-clock
-:class:`~repro.obs.profile.Profiler` lives on the engine (it measures the
-host, not the simulation) and is enabled by ``SimConfig(profile=True)``.
+is off (and hot paths additionally guard on ``.enabled``).  Host time is
+not measured here: use ``perf/run.py`` or the stdlib ``cProfile``.
 """
 from __future__ import annotations
 
@@ -22,14 +23,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs.export import JsonlSink
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NullMetricsRegistry, Snapshot)
-from repro.obs.profile import NullProfiler, Profiler
 from repro.obs.spans import (SPAN_KINDS, NullSpanRecorder, Span,
                              SpanRecorder)
 
 __all__ = [
     "Observability", "MetricsRegistry", "NullMetricsRegistry", "Snapshot",
     "Counter", "Gauge", "Histogram", "SpanRecorder", "NullSpanRecorder",
-    "Span", "SPAN_KINDS", "Profiler", "NullProfiler", "JsonlSink",
+    "Span", "SPAN_KINDS", "JsonlSink",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

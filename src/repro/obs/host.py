@@ -1,8 +1,8 @@
 """Host environment capture: where and on what a measurement ran.
 
-Wall-clock numbers (``RunResult.wall_seconds``, the profiler, every
-``BENCH_*.json`` cell) are only comparable when the host that produced
-them is recorded next to them.  This module captures the minimum context
+Wall-clock numbers (``RunResult.wall_seconds``, the ``perf/`` benchmark)
+are only comparable when the host that produced them is recorded next to
+them.  This module captures the minimum context
 that makes a measurement reproducible: interpreter, platform, CPU count,
 the git revision of the code, and the process's peak resident set size.
 

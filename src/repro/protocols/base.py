@@ -293,9 +293,6 @@ class World:
         self.sync = sync
         self.sim = Simulator(config)
         self.nodes: List["ProtocolNode"] = []
-        from repro.stats.trace import NullTrace, Trace
-        self.trace = (Trace(capacity=config.trace_capacity)
-                      if config.trace else NullTrace())
         from repro.obs import Observability
         self.obs = Observability.from_config(config)
         self.recovery: Optional[Any] = None
@@ -376,7 +373,6 @@ class ProtocolNode:
         #: cached obs flags — checked on every fault/diff, so the dispatch
         #: must be a single attribute load, not a chain through world.obs
         self._metrics_on = world.obs.metrics.enabled
-        self._trace = world.trace
         self.store = PageStore(self.machine.words_per_page)
         self.hw = NodeHardware(self.machine)
         self.pages: Dict[int, PageMeta] = {}
@@ -497,10 +493,6 @@ class ProtocolNode:
         diff = create_diff(pn, meta.twin, self.store.page(pn), origin=self.node_id)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_create(diff.size_bytes, cycles, hidden)
-        trace = self._trace
-        if trace.enabled:
-            trace.record(end, self.node_id, "diff.create",
-                         page=pn, bytes=diff.size_bytes, hidden=hidden > 0)
         spans = self.obs.spans
         if spans.enabled:
             sid = spans.begin(self.node_id, "diff.create",
@@ -601,11 +593,6 @@ class ProtocolNode:
         meta = self.page(pn)
         t0 = self.now()
         in_cs = self.in_critical_section()
-        trace = self._trace
-        if trace.enabled:
-            trace.record(t0, self.node_id,
-                         "fault.write" if is_write else "fault.read",
-                         page=pn, cold=not meta.ever_valid, in_cs=in_cs)
         if not meta.ever_valid:
             self.fault_stats.cold_faults += 1
         if in_cs:

@@ -56,8 +56,9 @@ class MuninNode(ProtocolNode):
             if self.directory_of(pn) == node_id:
                 self.store.ensure(pn)  # every page starts zeroed
         if node_id == 0 and cfg.track_lap_stats and world.lap_stats is None:
-            world.lap_stats = LapStats(self.sync.num_locks,
-                                       metrics=world.obs.metrics)
+            world.lap_stats = LapStats(self.sync.num_locks)
+        #: open lock-hold span handles
+        self._hold_spans: Dict[int, int] = {}
         #: pages modified (twinned) since our last flush
         self._dirty: Set[int] = set()
         #: pages whose current dirtiness began inside a CS (per lock)
@@ -342,8 +343,8 @@ class MuninNode(ProtocolNode):
                                  "requester": self.node_id}, 4), "synch")
         grant = yield Wait(fut, "synch")
         self._grant_futs.pop(lock_id, None)
-        self.world.trace.record(self.now(), self.node_id, "lock.grant",
-                                lock=lock_id)
+        self._hold_spans[lock_id] = self.span_begin(
+            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
         self._update_sets[lock_id] = grant["update_set"]
         self.lock_stack.append(lock_id)
         self.locks_held.add(lock_id)
@@ -355,6 +356,7 @@ class MuninNode(ProtocolNode):
         # delayed update queue flushes at release)
         yield from self._flush_updates(
             "synch", restrict_to=self._update_sets.get(lock_id))
+        self.span_end(self._hold_spans.pop(lock_id, 0))
         self.lock_stack.pop()
         self.locks_held.discard(lock_id)
         yield Send(self.sync.lock_manager(lock_id),

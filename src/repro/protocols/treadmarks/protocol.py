@@ -71,8 +71,7 @@ class TreadMarksNode(ProtocolNode):
         self._lap_predictor = LapPredictor(cfg.update_set_size,
                                            cfg.affinity_threshold)
         if node_id == 0 and cfg.track_lap_stats and world.lap_stats is None:
-            world.lap_stats = LapStats(self.sync.num_locks,
-                                       metrics=world.obs.metrics)
+            world.lap_stats = LapStats(self.sync.num_locks)
         # ---- request/reply plumbing
         self._replies: Dict[Tuple[int, int], Future] = {}
         self._req_seq = 0
@@ -343,8 +342,6 @@ class TreadMarksNode(ProtocolNode):
         self._grant_futs[lock_id] = fut
         wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
                                     lock=lock_id)
-        self.world.trace.record(self.now(), self.node_id, "lock.request",
-                                lock=lock_id)
         yield Send(mgr, Message("tmk.lock_req",
                                 {"lock": lock_id, "requester": self.node_id,
                                  "vc": list(self.vc)}, 4 + 4 * len(self.vc)),
@@ -386,8 +383,6 @@ class TreadMarksNode(ProtocolNode):
         self.span_end(wait_span, lock=lock_id)
         self._hold_spans[lock_id] = self.span_begin(
             "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
-        self.world.trace.record(self.now(), self.node_id, "lock.grant",
-                                lock=lock_id)
         self.tm_holding.add(lock_id)
         self.tm_owned.add(lock_id)
         self.locks_held.add(lock_id)
@@ -395,8 +390,6 @@ class TreadMarksNode(ProtocolNode):
     def release(self, lock_id: int) -> Generator:
         if lock_id not in self.tm_holding:
             raise RuntimeError(f"node {self.node_id}: release of unheld lock")
-        self.world.trace.record(self.now(), self.node_id, "lock.release",
-                                lock=lock_id)
         self.span_end(self._hold_spans.pop(lock_id, 0))
         self.tm_holding.discard(lock_id)
         self.locks_held.discard(lock_id)

@@ -35,10 +35,6 @@ class RunResult:
     wall_seconds: float = 0.0
     #: metrics snapshot (``obs.Snapshot``; None when obs_metrics is off)
     metrics: Optional[Any] = None
-    #: wall-clock profiler report, name -> {calls, seconds}, plus an
-    #: ``"@host"`` entry recording the environment (peak RSS, CPU count,
-    #: interpreter, git revision); None when profiling is off
-    profile: Optional[Dict[str, Any]] = None
     #: consistency checker outcome (``check.CheckReport``; None when
     #: ``check_consistency`` is off)
     check_report: Optional[Any] = None
@@ -52,10 +48,10 @@ class RunResult:
     clock_hz: float = 100e6
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    #: ``extra`` keys holding live in-process objects (event rings, span
-    #: buffers, the profiler).  They are dropped when a result is serialized
-    #: for the disk cache or shipped across a process boundary.
-    LIVE_EXTRA_KEYS = ("trace", "spans", "profiler")
+    #: ``extra`` keys holding live in-process objects (the span recorder).
+    #: They are dropped when a result is serialized for the disk cache or
+    #: shipped across a process boundary.
+    LIVE_EXTRA_KEYS = ("spans",)
 
     def sanitized(self) -> "RunResult":
         """A copy safe to pickle for the cache and cross-process transport.

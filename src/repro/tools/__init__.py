@@ -1,4 +1,4 @@
-"""Post-run analysis tools: traffic matrices, trace timelines, lock reports."""
+"""Post-run analysis tools: traffic matrices, span timelines, lock reports."""
 from repro.tools.analysis import (lock_report, message_matrix,
                                   render_matrix, render_timeline)
 

@@ -1,9 +1,10 @@
-"""Run-analysis helpers: who-talks-to-whom matrices, ASCII trace timelines
+"""Run-analysis helpers: who-talks-to-whom matrices, ASCII span timelines
 and lock-behaviour reports.
 
 These operate on a finished run: either a :class:`~repro.stats.run_result.
-RunResult` (for network matrices, carried in ``extra``) or a
-:class:`~repro.stats.trace.Trace` recorded with ``SimConfig(trace=True)``.
+RunResult` (for network matrices, carried in ``extra``) or the
+:class:`~repro.obs.spans.SpanRecorder` a run records with
+``SimConfig(obs_spans=True)`` (``result.extra["spans"]``).
 
 Example::
 
@@ -11,10 +12,10 @@ Example::
     from repro.apps.registry import make_app
     from repro.tools import render_matrix, render_timeline, lock_report
 
-    cfg = SimConfig(trace=True)
+    cfg = SimConfig(obs_spans=True)
     result = run_app(make_app("is", "test"), "aec", config=cfg)
     print(render_matrix(result.extra["pair_messages"]))
-    print(lock_report(result.extra["trace"]))
+    print(lock_report(result.extra["spans"]))
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.stats.trace import Trace, TraceEvent
+from repro.obs.spans import Span, SpanRecorder
 
 #: shading ramp for the ASCII heatmap, light to heavy
 _RAMP = " .:-=+*#%@"
@@ -60,27 +61,28 @@ def render_matrix(matrix: np.ndarray, label: str = "messages") -> str:
     return "\n".join(out)
 
 
-def render_timeline(trace: Trace, node: Optional[int] = None,
+def render_timeline(spans: SpanRecorder, node: Optional[int] = None,
                     kinds: Optional[Sequence[str]] = None,
-                    buckets: int = 60, width: int = 60) -> str:
-    """An ASCII activity timeline: event density over simulated time."""
-    events = trace.events
+                    buckets: int = 60) -> str:
+    """An ASCII activity timeline: span starts per bucket of simulated
+    time, one row per span kind."""
+    events: List[Span] = list(spans.spans)
     if node is not None:
-        events = [e for e in events if e.node == node]
+        events = [s for s in events if s.track == node]
     if kinds is not None:
         want = set(kinds)
-        events = [e for e in events if e.kind in want]
+        events = [s for s in events if s.kind in want]
     if not events:
         return "(no events)"
-    t0 = events[0].time
-    t1 = max(e.time for e in events)
-    span = max(t1 - t0, 1.0)
+    t0 = min(s.start for s in events)
+    t1 = max(s.start for s in events)
+    width = max(t1 - t0, 1.0)
     per_kind: Dict[str, List[int]] = defaultdict(lambda: [0] * buckets)
-    for e in events:
-        idx = min(int((e.time - t0) / span * buckets), buckets - 1)
-        per_kind[e.kind][idx] += 1
-    out = [f"timeline: {len(events)} events over "
-           f"{span / 1e6:.2f}M cycles"
+    for s in events:
+        idx = min(int((s.start - t0) / width * buckets), buckets - 1)
+        per_kind[s.kind][idx] += 1
+    out = [f"timeline: {len(events)} spans over "
+           f"{width / 1e6:.2f}M cycles"
            + (f" (node {node})" if node is not None else "")]
     for kind, hist in sorted(per_kind.items()):
         peak = max(hist) or 1
@@ -91,22 +93,23 @@ def render_timeline(trace: Trace, node: Optional[int] = None,
     return "\n".join(out)
 
 
-def lock_report(trace: Trace, top: int = 10) -> str:
-    """Per-lock behaviour: acquires, owner diversity, CS durations."""
-    grants: Dict[int, List[TraceEvent]] = defaultdict(list)
-    for e in trace.of_kind("lock.grant"):
-        lock = e.detail.get("lock")
+def lock_report(spans: SpanRecorder, top: int = 10) -> str:
+    """Per-lock behaviour from ``lock.hold`` spans: acquires, owner
+    diversity, ownership transfers and mean critical-section length."""
+    holds: Dict[int, List[Span]] = defaultdict(list)
+    for s in spans.of_kind("lock.hold"):
+        lock = s.args.get("lock")
         if lock is not None:
-            grants[lock].append(e)
-    if not grants:
+            holds[lock].append(s)
+    if not holds:
         return "(no lock activity traced)"
     rows = []
-    for lock, evs in grants.items():
-        owners = [e.node for e in evs]
+    for lock, hs in holds.items():
+        hs.sort(key=lambda s: s.start)
+        owners = [s.track for s in hs]
         transfers = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
-        cs = trace.critical_section_times(lock)
-        avg_cs = sum(cs) / len(cs) if cs else 0.0
-        rows.append((len(evs), lock, len(set(owners)), transfers, avg_cs))
+        avg_cs = sum(s.duration for s in hs) / len(hs)
+        rows.append((len(hs), lock, len(set(owners)), transfers, avg_cs))
     rows.sort(reverse=True)
     out = [f"{'lock':>6} {'acquires':>9} {'owners':>7} {'transfers':>10} "
            f"{'avg CS (cy)':>12}"]

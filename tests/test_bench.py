@@ -1,198 +1,13 @@
-"""Tests for the perf-trajectory harness (repro.bench)."""
-import json
-
+"""Tests for the simulated-time explainers (repro.bench)."""
 import pytest
 
 from repro.apps.registry import APP_NAMES, make_app
-from repro.bench import (ATTRIBUTION_KINDS, BENCH_FORMAT, BenchError,
-                         attribute_result, attribute_spans, bench_path,
-                         compare_docs, load_bench, profile_collapsed,
-                         run_case, run_suite, spans_collapsed, suite_cases,
-                         write_bench, write_collapsed)
-from repro.bench.suite import SUITES, BenchCase
+from repro.bench import (ATTRIBUTION_KINDS, attribute_result,
+                         attribute_spans, spans_collapsed, write_collapsed)
 from repro.config import SimConfig
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
 from repro.obs.spans import Span
-
-
-# ------------------------------------------------------------------ suite
-
-class TestSuite:
-    def test_smoke_suite_shape(self):
-        cases = suite_cases("smoke", "test")
-        ids = [c.cell_id for c in cases]
-        assert len(ids) == len(set(ids)), "duplicate cell ids"
-        # single-run protocol cells for two apps
-        for app in ("is", "ocean"):
-            for protocol in ("aec", "tmk", "sc"):
-                assert f"{app}/test/{protocol}" in ids
-        # overhead cells and the parallel sweep
-        assert "ocean/test/aec+check" in ids
-        assert any("+faults:" in i for i in ids)
-        assert any(c.kind == "sweep" for c in cases)
-
-    def test_default_suite_covers_all_apps(self):
-        cases = suite_cases("default", "test")
-        apps = {c.app for c in cases if c.kind == "run"}
-        assert apps == set(APP_NAMES)
-
-    def test_unknown_suite_raises(self):
-        with pytest.raises(ValueError, match="unknown bench suite"):
-            suite_cases("nope", "test")
-
-    def test_case_validation(self):
-        with pytest.raises(ValueError):
-            BenchCase(cell_id="x", kind="bogus")
-        with pytest.raises(ValueError):
-            BenchCase(cell_id="x", kind="run", app="")
-        with pytest.raises(ValueError):
-            BenchCase(cell_id="x", kind="sweep", jobs=0,
-                      sweep_apps=("is",), sweep_protocols=("aec",))
-
-    def test_suites_registry(self):
-        assert set(SUITES) == {"smoke", "default"}
-
-
-# ----------------------------------------------------------------- runner
-
-@pytest.fixture(scope="module")
-def bench_doc():
-    """One tiny suite run shared by the runner/compare tests."""
-    cases = [
-        BenchCase(cell_id="is/test/aec", kind="run", app="is",
-                  protocol="aec"),
-        BenchCase(cell_id="is/test/sc", kind="run", app="is",
-                  protocol="sc"),
-    ]
-    return run_suite("smoke", "test", repetitions=2, warmup=0, cases=cases)
-
-
-class TestRunner:
-    def test_document_shape(self, bench_doc):
-        assert bench_doc["bench_format"] == BENCH_FORMAT
-        assert bench_doc["repetitions"] == 2
-        host = bench_doc["host"]
-        for key in ("python", "platform", "cpu_count", "peak_rss_bytes",
-                    "repro_version"):
-            assert key in host, key
-        cell = bench_doc["cells"]["is/test/aec"]
-        for key in ("execution_time", "messages", "bytes", "events",
-                    "barriers", "lock_acquires"):
-            assert cell["sim"][key] > 0, key
-        wall = cell["wall"]
-        assert len(wall["seconds"]) == 2
-        assert wall["seconds_min"] <= wall["seconds_median"]
-        assert wall["events_per_second"] > 0
-        assert wall["cycles_per_second"] > 0
-        assert cell["peak_rss_bytes"] is None or cell["peak_rss_bytes"] > 0
-
-    def test_repetitions_are_deterministic(self, bench_doc):
-        # run_suite would have raised BenchError if sim numbers drifted
-        # between the two repetitions; re-running the cell reproduces them
-        case = BenchCase(cell_id="is/test/aec", kind="run", app="is",
-                         protocol="aec")
-        record = run_case(case, repetitions=1, warmup=0)
-        assert record["sim"] == bench_doc["cells"]["is/test/aec"]["sim"]
-
-    def test_check_identical_guard(self):
-        from repro.bench.runner import _check_identical
-        ref = {"messages": 10.0, "bytes": 100.0}
-        _check_identical("x", ref, dict(ref))  # no raise
-        with pytest.raises(BenchError, match="non-deterministic"):
-            _check_identical("x", ref, {"messages": 11.0, "bytes": 100.0})
-
-    def test_sweep_cell_executes_every_run(self):
-        case = BenchCase(cell_id="sweep/test/jobs1", kind="sweep", jobs=1,
-                         sweep_apps=("is",), sweep_protocols=("aec", "sc"))
-        record = run_case(case, repetitions=2, warmup=0)
-        # two repetitions succeeded => the memo/disk cache was bypassed
-        # (run_case raises BenchError when a cache layer leaks in)
-        assert record["cells"] == 2
-        assert record["sim"]["messages"] > 0
-        assert record["wall"]["cells_per_second"] > 0
-
-    def test_write_and_load_roundtrip(self, bench_doc, tmp_path):
-        path = write_bench(bench_doc, str(tmp_path / "BENCH_test.json"))
-        assert load_bench(path) == json.loads(json.dumps(bench_doc))
-
-    def test_bench_path_uses_git_rev(self):
-        assert bench_path("abc1234") == "BENCH_abc1234.json"
-        assert bench_path().startswith("BENCH_")
-
-    def test_load_rejects_foreign_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"bench_format": 999, "cells": {}}')
-        with pytest.raises(BenchError, match="bench_format"):
-            load_bench(str(path))
-
-
-# ---------------------------------------------------------------- compare
-
-class TestCompare:
-    def _docs(self, bench_doc):
-        old = json.loads(json.dumps(bench_doc))
-        new = json.loads(json.dumps(bench_doc))
-        return old, new
-
-    def test_identical_docs_pass(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        report = compare_docs(old, new, threshold_pct=10.0)
-        assert not report.failed and report.exit_code == 0
-        assert all(c.status == "ok" for c in report.cells)
-
-    def test_slowed_cell_fails_gate(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        wall = new["cells"]["is/test/aec"]["wall"]
-        wall["seconds_min"] = wall["seconds_min"] * 5
-        report = compare_docs(old, new, threshold_pct=10.0)
-        assert report.failed and report.exit_code == 1
-        (bad,) = report.of_status("regression")
-        assert bad.cell_id == "is/test/aec" and bad.delta_pct > 10.0
-
-    def test_speedup_reported_but_passes(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        new["cells"]["is/test/aec"]["wall"]["seconds_min"] *= 0.1
-        report = compare_docs(old, new, threshold_pct=10.0)
-        assert not report.failed
-        assert report.of_status("improvement")
-
-    def test_sim_mismatch_always_fails(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        new["cells"]["is/test/aec"]["sim"]["messages"] += 1
-        # even a generous wall threshold cannot excuse a sim drift
-        report = compare_docs(old, new, threshold_pct=1000.0)
-        assert report.failed
-        (bad,) = report.of_status("sim-mismatch")
-        assert "messages" in bad.mismatches[0]
-
-    def test_missing_cells_need_strict(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        del new["cells"]["is/test/sc"]
-        assert not compare_docs(old, new).failed
-        assert compare_docs(old, new, strict=True).failed
-        # new cells never fail (suite growth is backward compatible)
-        old2, new2 = self._docs(bench_doc)
-        del old2["cells"]["is/test/sc"]
-        assert not compare_docs(old2, new2, strict=True).failed
-
-    def test_render_mentions_verdict(self, bench_doc):
-        old, new = self._docs(bench_doc)
-        report = compare_docs(old, new)
-        assert "ok" in report.summary()
-        assert report.render().startswith(report.summary())
-
-    def test_cli_compare_exit_codes(self, bench_doc, tmp_path):
-        old = str(tmp_path / "old.json")
-        new = str(tmp_path / "new.json")
-        write_bench(bench_doc, old)
-        slowed = json.loads(json.dumps(bench_doc))
-        slowed["cells"]["is/test/aec"]["wall"]["seconds_min"] *= 5
-        write_bench(slowed, new)
-        assert cli_main(["bench", "compare", old, old]) == 0
-        assert cli_main(["bench", "compare", old, new,
-                         "--threshold", "10"]) == 1
-        assert cli_main(["bench", "compare", old, "/nonexistent.json"]) == 2
 
 
 # ------------------------------------------------------------ attribution
@@ -282,13 +97,6 @@ class TestFlame:
                         if k == node or k.startswith(node + ";"))
             assert total == 200
 
-    def test_profile_collapsed_skips_metadata(self):
-        folded = profile_collapsed({
-            "event.arrival": {"calls": 2, "seconds": 0.5},
-            "@host": {"python": "3.11"},
-        })
-        assert folded == {"event;arrival": 500000}
-
     def test_write_collapsed_roundtrip(self, tmp_path):
         path = tmp_path / "out.folded"
         n = write_collapsed({"a;b": 10, "a": 5}, str(path))
@@ -303,10 +111,3 @@ class TestFlame:
         # values are integer cycles, stacks rooted at nodes
         assert all(ln.rsplit(" ", 1)[1].isdigit() for ln in lines)
         assert any(ln.startswith("node0;") for ln in lines)
-
-    def test_cli_flame_wall(self, tmp_path):
-        out = str(tmp_path / "is_wall.folded")
-        assert cli_main(["bench", "flame", "--app", "is", "--wall",
-                         out]) == 0
-        assert any(ln.startswith("event;")
-                   for ln in open(out).read().splitlines())

@@ -371,30 +371,3 @@ class TestDeterminism:
         r2, b2 = build()
         assert r1 == r2
         assert b1 == b2
-
-
-class TestEngineCounters:
-    def test_counters_after_run(self):
-        sim = make_sim()
-
-        def prog():
-            yield Delay(100, "busy")
-
-        sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
-        sim.run()
-        c = sim.counters()
-        assert c["events_processed"] >= 1
-        assert c["run_wall_seconds"] > 0
-        assert c["events_per_second"] == pytest.approx(
-            c["events_processed"] / c["run_wall_seconds"])
-        assert c["cycles_per_second"] == pytest.approx(
-            sim.execution_time / c["run_wall_seconds"])
-
-    def test_counters_before_run_are_zero_rates(self):
-        sim = make_sim()
-        c = sim.counters()
-        assert c["run_wall_seconds"] == 0.0
-        assert c["events_per_second"] == 0.0
-        assert c["messages_sent"] == 0.0

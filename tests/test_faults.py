@@ -281,6 +281,16 @@ FAULT_FREE_GOLDEN = {
     ("water-sp", "sc"): (38802.0, 0, 0),
 }
 
+#: (app, protocol, plan) -> (execution_time, messages_total, network_bytes)
+#: at seed 42 / test scale under a fault plan: pins the reliable transport,
+#: the injector's seeded draws and crash recovery.
+FAULTED_GOLDEN = {
+    ("ocean", "aec", "lossy-1pct"): (8974062.0, 14486, 1262672),
+    ("ocean", "tmk", "lossy-1pct"): (17865995.0, 13813, 1343608),
+    ("ocean", "aec", "crash-one-node"): (9121583.135972215, 16959, 1352916),
+    ("ocean", "tmk", "crash-one-node"): (17007188.135972217, 18800, 1549988),
+}
+
 
 class TestFaultFreeBitIdentical:
     @pytest.mark.parametrize("app_name", APP_NAMES)
@@ -295,6 +305,15 @@ class TestFaultFreeBitIdentical:
                 f"pre-fault-subsystem baseline {got} != "
                 f"{FAULT_FREE_GOLDEN[(app_name, protocol)]}")
             assert result.net_faults is None
+
+    @pytest.mark.parametrize("cell", sorted(FAULTED_GOLDEN))
+    def test_faulted_cells_match_golden(self, cell):
+        app_name, protocol, plan = cell
+        result = run_app(make_app(app_name, "test"), protocol,
+                         SimConfig(seed=42, faults=get_plan(plan)))
+        got = (result.execution_time, result.messages_total,
+               result.network_bytes)
+        assert got == FAULTED_GOLDEN[cell], f"{cell}: {got}"
 
     def test_no_fault_machinery_without_plan(self):
         sim = Simulator(SimConfig())

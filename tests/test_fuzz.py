@@ -433,6 +433,21 @@ class TestFuzzCli:
         assert cli_main(["trace", "replay", path, "--verify"]) == 0
         assert "bit-identical" in capsys.readouterr().out
 
+    def test_trace_replay_rejects_stale_config(self, tmp_path, capsys):
+        # headers written by older builds carry since-removed SimConfig keys
+        path = tmp_path / "t.jsonl"
+        assert cli_main(["trace", "record", str(path), "--app", "is",
+                         "--scale", "test"]) == 0
+        header, *body = path.read_text().splitlines()
+        doc = json.loads(header)
+        doc["config"].update(trace=False, profile=False)
+        with pytest.raises(ValueError, match="unknown keys profile, trace"):
+            config_from_dict(doc["config"])
+        path.write_text("\n".join([json.dumps(doc)] + body) + "\n")
+        capsys.readouterr()
+        assert cli_main(["trace", "replay", str(path)]) == 2
+        assert "unknown keys profile, trace" in capsys.readouterr().err
+
     def test_run_record_trace_flag(self, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")
         rc = cli_main(["run", "--app", "is", "--scale", "test",

@@ -1,6 +1,5 @@
-"""Tests for the observability layer: metrics, spans, export, profiling."""
+"""Tests for the observability layer: metrics, spans, export."""
 import json
-import math
 import random
 
 import pytest
@@ -14,11 +13,10 @@ from repro.obs.export import (DEFAULT_CYCLE_NS, JsonlSink, chrome_trace,
                               jsonl_to_chrome_trace, read_spans_jsonl,
                               span_from_json, span_to_json,
                               write_chrome_trace)
+from repro.obs.host import host_metadata
 from repro.obs.metrics import (MetricsRegistry, NullMetricsRegistry,
                                P2Quantile, Snapshot)
-from repro.obs.profile import Profiler
 from repro.obs.spans import SPAN_KINDS, NullSpanRecorder, Span, SpanRecorder
-from repro.stats.trace import Trace
 
 
 # --------------------------------------------------------------- metrics
@@ -266,41 +264,6 @@ class TestExport:
         assert json.loads(out.read_text())["traceEvents"]
 
 
-# -------------------------------------------------------------- profiler
-
-class TestProfiler:
-    def test_sections_accumulate(self):
-        p = Profiler()
-        p.add("event.arrival", 0.5)
-        p.add("event.arrival", 0.25)
-        p.add("harness.setup", 1.0)
-        d = p.as_dict()
-        assert d["event.arrival"] == {"calls": 2, "seconds": 0.75}
-        assert p.total_seconds("event.") == 0.75
-        assert "event.arrival" in p.render()
-
-    def test_section_context_manager(self):
-        p = Profiler()
-        with p.section("work"):
-            math.sqrt(2)
-        assert p.as_dict()["work"]["calls"] == 1
-        assert p.as_dict()["work"]["seconds"] >= 0.0
-
-
-# ------------------------------------------------- trace ring (satellite)
-
-class TestTraceRing:
-    def test_keeps_most_recent(self):
-        tr = Trace(capacity=3)
-        for i in range(8):
-            tr.record(float(i), 0, "msg.send" if i < 6 else "fault.read")
-        assert len(tr) == 3
-        assert [e.time for e in tr.events] == [5.0, 6.0, 7.0]
-        assert tr.dropped == 5
-        assert tr.dropped_by_kind == {"msg.send": 5}
-        assert "dropped" in tr.summary()
-
-
 # ------------------------------------------- end-to-end simulator runs
 
 @pytest.fixture(scope="module")
@@ -368,18 +331,9 @@ class TestRunWithObs:
         assert plain.execution_time == obs_result.execution_time
         assert plain.messages_total == obs_result.messages_total
 
-    def test_profile_in_result(self):
-        cfg = SimConfig(profile=True)
-        r = run_app(make_app("is", "test"), "aec", cfg)
-        assert r.profile is not None
-        assert any(k.startswith("event.") for k in r.profile)
-        assert any(k.startswith("handler.") for k in r.profile)
-        assert "harness.sim_run" in r.profile
-
     def test_disabled_by_default(self):
         r = run_app(make_app("is", "test"), "aec", SimConfig())
         assert r.metrics is None
-        assert r.profile is None
         assert r.extra["spans"] is None
 
     def test_jsonl_streaming_run(self, tmp_path):
@@ -438,11 +392,6 @@ class TestCli:
         text = capsys.readouterr().out
         assert "lap.hit_rate" in text
         assert "variant=lap" in text
-
-    def test_run_profile_flag(self, capsys):
-        rc = cli_main(["run", "--app", "is", "--scale", "test", "--profile"])
-        assert rc == 0
-        assert "harness.sim_run" in capsys.readouterr().out
 
     def test_verbose_uses_machine_clock(self, capsys):
         rc = cli_main(["run", "--app", "is", "--scale", "test", "-v"])
@@ -522,48 +471,12 @@ class TestTraceExportContract:
         assert other["spans_completed"] > 0
 
 
-# ------------------------------------------ profiler report (satellite)
+# ------------------------------------------------------ host metadata
 
-class TestProfilerReport:
-    def _profiler(self):
-        p = Profiler()
-        p.add("big", 3.0)
-        p.add("tie.b", 0.5)
-        p.add("tie.a", 0.5)
-        p.add("small", 1.0)
-        return p
-
-    def test_share_and_cumulative_columns(self):
-        text = self._profiler().render()
-        lines = text.splitlines()
-        assert "share" in lines[0] and "cum" in lines[0]
-        assert "60.0%" in lines[1]            # big = 3.0 / 5.0
-        assert lines[-1].rstrip().endswith("100.0%")
-
-    def test_sort_is_stable_on_ties(self):
-        lines = self._profiler().render().splitlines()
-        names = [ln.split()[0] for ln in lines[1:]]
-        assert names == ["big", "small", "tie.a", "tie.b"]
-        # equal-timing runs must render identically (diffable)
-        assert self._profiler().render() == self._profiler().render()
-
-    def test_top_truncates_with_remainder_share(self):
-        text = self._profiler().render(top=1)
-        lines = text.splitlines()
-        assert len(lines) == 3  # header, big, "... 3 more"
-        assert "3 more" in lines[-1]
-        assert "40.0%" in lines[-1]  # 2.0 of 5.0 hidden
-
-    def test_cli_profile_top(self, capsys):
-        rc = cli_main(["run", "--app", "is", "--scale", "test",
-                       "--profile", "--profile-top", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "more" in out and "share" in out
-
-    def test_host_metadata_attached_to_profile(self):
-        r = run_app(make_app("is", "test"), "aec", SimConfig(profile=True))
-        host = r.profile["@host"]
+class TestHostMetadata:
+    def test_host_metadata_fields(self):
+        host = host_metadata()
+        assert json.loads(json.dumps(host)) == host
         assert host["cpu_count"] >= 1
         assert host["peak_rss_bytes"] is None or \
             host["peak_rss_bytes"] > 10 * 1024 * 1024

@@ -1,4 +1,4 @@
-"""Tests for the event-trace subsystem and the analysis tools."""
+"""Tests for the analysis tools over the span stream."""
 import json
 
 import numpy as np
@@ -6,90 +6,57 @@ import pytest
 
 from repro import SimConfig, run_app
 from repro.apps.registry import make_app
-from repro.stats.trace import NullTrace, Trace
+from repro.obs.spans import SpanRecorder
 from repro.tools import (lock_report, message_matrix, render_matrix,
                          render_timeline)
 
 
+@pytest.fixture(scope="module")
+def traced():
+    return run_app(make_app("is", "test"), "aec",
+                   config=SimConfig(obs_spans=True))
+
+
+def _hold(rec, node, lock, start, end):
+    sid = rec.begin(node, "lock.hold", f"lock{lock}.hold", start, lock=lock)
+    rec.end(sid, end)
+
+
 class TestTraceContainer:
-    def test_record_and_query(self):
-        tr = Trace()
-        tr.record(10.0, 1, "lock.grant", lock=3)
-        tr.record(20.0, 1, "lock.release", lock=3)
-        tr.record(15.0, 2, "fault.read", page=7)
-        assert len(tr) == 3
-        assert [e.kind for e in tr.of_kind("lock.grant")] == ["lock.grant"]
-        assert len(tr.by_node(1)) == 2
-        assert len(tr.between(12, 18)) == 1
-        assert tr.counts()["fault.read"] == 1
-
-    def test_capacity_drops(self):
-        tr = Trace(capacity=2)
-        for i in range(5):
-            tr.record(float(i), 0, "msg.send")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert "dropped" in tr.summary()
-
     def test_lock_chain_and_cs_times(self):
-        tr = Trace()
-        tr.record(0.0, 1, "lock.grant", lock=0)
-        tr.record(100.0, 1, "lock.release", lock=0)
-        tr.record(150.0, 2, "lock.grant", lock=0)
-        tr.record(400.0, 2, "lock.release", lock=0)
-        tr.record(50.0, 3, "lock.grant", lock=9)  # other lock: ignored
-        assert tr.lock_transfer_chain(0) == [1, 2]
-        assert tr.critical_section_times(0) == [100.0, 250.0]
-
-    def test_jsonl_export(self):
-        tr = Trace()
-        tr.record(1.5, 4, "diff.create", page=2, bytes=64)
-        lines = tr.to_jsonl().splitlines()
-        rec = json.loads(lines[0])
-        assert rec == {"t": 1.5, "node": 4, "kind": "diff.create",
-                       "page": 2, "bytes": 64}
-
-    def test_null_trace_records_nothing(self):
-        tr = NullTrace()
-        tr.record(0.0, 0, "lock.grant")
-        assert len(tr) == 0
+        rec = SpanRecorder()
+        _hold(rec, 1, 0, 0.0, 100.0)
+        _hold(rec, 2, 0, 150.0, 400.0)
+        _hold(rec, 2, 0, 500.0, 600.0)
+        _hold(rec, 3, 9, 50.0, 60.0)  # other lock: its own row
+        rows = {int(ln.split()[0]): ln.split()
+                for ln in lock_report(rec).splitlines()[1:]}
+        # lock 0: 3 acquires by 2 owners (1 -> 2 -> 2: one transfer),
+        # mean critical section (100 + 250 + 100) / 3
+        assert rows[0] == ["0", "3", "2", "1", "150"]
+        assert rows[9] == ["9", "1", "1", "0", "10"]
 
 
 class TestTracedRuns:
-    @pytest.fixture(scope="class")
-    def traced(self):
-        cfg = SimConfig(trace=True)
-        return run_app(make_app("is", "test"), "aec", config=cfg)
-
     def test_run_produces_events(self, traced):
-        tr = traced.extra["trace"]
-        counts = tr.counts()
-        assert counts["lock.grant"] == traced.total_lock_acquires
-        assert counts["lock.release"] == counts["lock.grant"]
-        assert counts["barrier.arrive"] == 16 * traced.barrier_events
-        assert counts["barrier.complete"] == counts["barrier.arrive"]
+        counts = traced.extra["spans"].counts()
+        assert counts["lock.hold"] == traced.total_lock_acquires
+        assert counts["barrier"] == 16 * traced.barrier_events
         assert counts["diff.create"] == traced.diff_stats.diffs_created
-        assert (counts["fault.read"] + counts["fault.write"]
-                <= traced.fault_stats.total_faults)
+        assert counts["page.fetch"] <= traced.fault_stats.total_faults
 
     def test_lock_chain_is_serialized(self, traced):
-        """A mutex's grant/release events must strictly alternate."""
-        tr = traced.extra["trace"]
-        holder = None
-        for e in tr.of_kind("lock.grant", "lock.release"):
-            if e.detail.get("lock") != 0:
-                continue
-            if e.kind == "lock.grant":
-                assert holder is None, "grant while held"
-                holder = e.node
-            else:
-                assert holder == e.node, "release by non-holder"
-                holder = None
-        assert holder is None
+        """A mutex's holds never overlap, so ownership strictly
+        alternates between grant and release."""
+        holds = sorted((s for s in traced.extra["spans"].of_kind("lock.hold")
+                        if s.args["lock"] == 0), key=lambda s: s.start)
+        assert holds
+        for prev, nxt in zip(holds, holds[1:]):
+            assert prev.end <= nxt.start, "grant while held"
 
     def test_tracing_off_by_default(self):
         r = run_app(make_app("fft", "test"), "aec")
-        assert len(r.extra["trace"]) == 0
+        assert r.extra["spans"] is None
 
     def test_tracing_does_not_change_timing(self, traced):
         plain = run_app(make_app("is", "test"), "aec")
@@ -97,11 +64,6 @@ class TestTracedRuns:
 
 
 class TestTools:
-    @pytest.fixture(scope="class")
-    def traced(self):
-        cfg = SimConfig(trace=True)
-        return run_app(make_app("is", "test"), "aec", config=cfg)
-
     def test_message_matrix_consistent(self, traced):
         m = message_matrix(traced)
         assert m.shape == (16, 16)
@@ -114,20 +76,20 @@ class TestTools:
         assert "top:" in text
 
     def test_render_timeline(self, traced):
-        tr = traced.extra["trace"]
-        text = render_timeline(tr, kinds=["fault.read", "fault.write"])
-        assert "timeline" in text and "fault.read" in text
-        assert render_timeline(tr, node=3)
-        assert render_timeline(Trace()) == "(no events)"
+        spans = traced.extra["spans"]
+        text = render_timeline(spans, kinds=["diff.create", "lock.hold"])
+        assert "timeline" in text and "diff.create" in text
+        assert render_timeline(spans, node=3)
+        assert render_timeline(SpanRecorder()) == "(no events)"
 
     def test_lock_report(self, traced):
-        text = lock_report(traced.extra["trace"])
+        text = lock_report(traced.extra["spans"])
         assert "acquires" in text
         # IS has one lock acquired 32 times at test scale (2 reps)
-        assert " 32 " in text or "32" in text
+        assert text.splitlines()[1].split()[1] == "32"
 
     def test_lock_report_empty(self):
-        assert "(no lock activity" in lock_report(Trace())
+        assert "(no lock activity" in lock_report(SpanRecorder())
 
 
 class TestAnalyzeCLI:
