@@ -7,7 +7,7 @@ margin is smallest for the most barrier-intensive application (Ocean in
 the paper's testbed).
 """
 from repro.harness import experiments as ex
-from repro.harness.cache import cached_run
+from repro.harness.sweep import get_result, make_spec
 from repro.harness.tables import render_compare
 
 
@@ -24,6 +24,6 @@ def test_fig5_tm_vs_aec(benchmark, scale):
     # AEC's eager barrier traffic: more messages than TM for FFT, as the
     # paper reports ("it requires more messages than TreadMarks at barrier
     # events")
-    tm = cached_run("fft", scale, "tmk")
-    aec = cached_run("fft", scale, "aec")
+    tm = get_result(make_spec("fft", scale, "tmk"))
+    aec = get_result(make_spec("fft", scale, "aec"))
     assert aec.messages_total > tm.messages_total

@@ -84,6 +84,12 @@ def run_app(app: Application, protocol: str = "aec",
     world = World(config, layout, sync)
 
     nodes = [factory(world, i) for i in range(machine.num_procs)]
+    if world.recovery is not None:
+        # refuse a permanent crash the protocol cannot reconfigure around
+        # now, not at the coordinator's first death verdict mid-run
+        world.recovery.require_reconfiguration(
+            protocol,
+            type(nodes[0]).on_peer_dead is not ProtocolNode.on_peer_dead)
     results: List[Any] = [None] * machine.num_procs
     for i, node in enumerate(nodes):
         ctx = AppContext(node, config.seed)

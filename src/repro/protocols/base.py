@@ -443,8 +443,9 @@ class ProtocolNode:
         Runs as an ISR on every live node: first on node 0 straight from
         the coordinator (``payload["origin"] == "coordinator"``), then on
         the others via node 0's reconfig broadcast.  Protocols that can
-        reconfigure around a death override this; the default refuses —
-        better a loud failure than a silent hang on a dead peer.
+        reconfigure around a death override this.  A permanent crash under
+        one that does not is rejected by ``run_app`` before the run starts,
+        so the default raise is only a backstop against a silent hang.
         """
         raise SimulationError(
             f"{self.name} node {self.node_id}: peer {dead} declared dead "

@@ -1,10 +1,10 @@
 """Interval records and the per-node interval log (TreadMarks bookkeeping)."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-from bisect import insort
+from operator import attrgetter
+from typing import List, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,19 +21,24 @@ class IntervalRecord:
         return 3 + len(self.pages)
 
 
+_INDEX = attrgetter("index")
+#: delivery order of a record batch: Lamport stamp, ties broken by writer
+_ORDER = attrgetter("stamp", "writer", "index")
+
+
 class IntervalLog:
     """All interval records a node knows, indexed by writer.
 
-    Per-writer lists stay sorted by interval index.  Records almost always
-    arrive in index order, so ``add`` appends in O(1); the rare
-    out-of-order record is placed with a bisect insertion instead of
-    re-sorting the whole list.
+    Per-writer lists stay sorted by interval index (``add`` keeps them so),
+    which makes ``newer_than`` a per-writer suffix lookup: its cost follows
+    the number of records returned, not the length of the history.
+    Records almost always arrive in index order, so ``add`` appends in
+    O(1); the rare out-of-order record is placed with a bisect insertion.
     """
 
     def __init__(self, num_procs: int) -> None:
-        self._by_writer: Dict[int, List[IntervalRecord]] = {
-            w: [] for w in range(num_procs)
-        }
+        self._by_writer: List[List[IntervalRecord]] = [
+            [] for _ in range(num_procs)]
 
     def add(self, rec: IntervalRecord) -> bool:
         """Insert a record; returns False if already known."""
@@ -41,24 +46,22 @@ class IntervalLog:
         if not lst or lst[-1].index < rec.index:
             lst.append(rec)
             return True
-        for existing in reversed(lst):
-            if existing.index == rec.index:
-                return False
-            if existing.index < rec.index:
-                break
-        insort(lst, rec, key=lambda r: r.index)
+        pos = bisect_left(lst, rec.index, key=_INDEX)
+        if pos < len(lst) and lst[pos].index == rec.index:
+            return False
+        lst.insert(pos, rec)
         return True
 
     def newer_than(self, vc: List[int]) -> List[IntervalRecord]:
-        """Records the holder of vector clock ``vc`` has not seen."""
+        """Records the holder of vector clock ``vc`` has not seen, in
+        ``(stamp, writer, index)`` order."""
         out: List[IntervalRecord] = []
-        for writer, lst in self._by_writer.items():
+        for writer, lst in enumerate(self._by_writer):
             threshold = vc[writer]
-            for rec in lst:
-                if rec.index >= threshold:
-                    out.append(rec)
-        out.sort(key=lambda r: (r.stamp, r.writer, r.index))
+            if lst and lst[-1].index >= threshold:
+                out.extend(lst[bisect_left(lst, threshold, key=_INDEX):])
+        out.sort(key=_ORDER)
         return out
 
     def count(self) -> int:
-        return sum(len(v) for v in self._by_writer.values())
+        return sum(len(v) for v in self._by_writer)

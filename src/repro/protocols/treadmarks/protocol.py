@@ -1,8 +1,10 @@
 """The TreadMarks (lazy release consistency) protocol engine."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.network.message import Message
 from repro.protocols.base import PageMeta, ProtocolNode, World
 from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
 
+_COUNTER = attrgetter("acquire_counter")
+
 
 @dataclass
 class TMPageMeta(PageMeta):
@@ -26,7 +30,8 @@ class TMPageMeta(PageMeta):
     pending: List[Tuple[int, int, int]] = field(default_factory=list)
     #: newest diff stamp applied, per writer (skip re-fetch/re-apply)
     applied: Dict[int, int] = field(default_factory=dict)
-    #: frozen (lazily created) diffs we serve for this page, oldest first
+    #: frozen (lazily created) diffs we serve for this page, sorted by
+    #: acquire_counter; read-only and served by reference, never copied
     frozen: List[Diff] = field(default_factory=list)
     #: twin has modifications not yet frozen into a diff
     dirty: bool = False
@@ -245,20 +250,39 @@ class TreadMarksNode(ProtocolNode):
         """Apply a diff with per-word max-stamp-wins semantics."""
         meta: TMPageMeta = self.page(pn)
         page = self.store.page(pn)
-        cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
+        offsets = diff.offsets
+        cycles = self.machine.diff_apply_cycles(max(len(offsets), 1))
         yield Delay(cycles, "data")
         stamps = self._word_stamps(meta)
-        mask = diff.acquire_counter > stamps[diff.offsets]
-        if meta.twin is not None and meta.dirty:
-            # never clobber unfrozen local writes: they were never served to
-            # anyone, so no remote diff can legitimately supersede them
-            mask &= page[diff.offsets] == meta.twin[diff.offsets]
-        offs = diff.offsets[mask]
-        if len(offs):
-            page[offs] = diff.values[mask]
-            stamps[offs] = diff.acquire_counter
-            if meta.twin is not None:
-                meta.twin[offs] = diff.values[mask]
+        counter = diff.acquire_counter
+        twin = meta.twin
+        # never clobber unfrozen local writes: they were never served to
+        # anyone, so no remote diff can legitimately supersede them
+        guard = twin is not None and meta.dirty
+        if len(offsets) == 1:
+            # scalar path: most diffs are a single word
+            off = offsets[0]
+            updated = counter > stamps[off] and (
+                not guard or page[off] == twin[off])
+            if updated:
+                value = diff.values[0]
+                page[off] = value
+                stamps[off] = counter
+                if twin is not None:
+                    twin[off] = value
+        else:
+            mask = counter > stamps[offsets]
+            if guard:
+                mask &= page[offsets] == twin[offsets]
+            offs = offsets[mask]
+            updated = len(offs) > 0
+            if updated:
+                values = diff.values[mask]
+                page[offs] = values
+                stamps[offs] = counter
+                if twin is not None:
+                    twin[offs] = values
+        if updated:
             self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
         if checker.enabled:
@@ -269,7 +293,15 @@ class TreadMarksNode(ProtocolNode):
     # ------------------------------------------------------- diff servicing
 
     def _freeze_page_diff(self, pn: int, category: str) -> Generator:
-        """Lazily create the diff for our unfrozen modifications of ``pn``."""
+        """Lazily create the diff for our unfrozen modifications of ``pn``.
+
+        The diff is encoded once, before the creation ``Delay``: only this
+        node's application writes the page, and it cannot run during the
+        delay (either it is the one paying it, or it waits while an ISR
+        runs), so the page cannot change in between.  A frozen diff is
+        immutable — its arrays are made read-only — because replies and
+        lazy-hybrid grants share it by reference instead of copying it.
+        """
         meta: TMPageMeta = self.page(pn)
         if not meta.dirty or meta.twin is None:
             return
@@ -277,13 +309,18 @@ class TreadMarksNode(ProtocolNode):
                            origin=self.node_id)
         cycles = self.machine.diff_create_cycles(diff.nwords)
         yield Delay(cycles, category)
+        if meta.twin is None:
+            # a diff request's ISR froze the page during our delay
+            return
         self.lamport += 1
-        diff = create_diff(pn, meta.twin, self.store.page(pn),
-                           origin=self.node_id)
         diff.acquire_counter = self.lamport
+        diff.offsets.flags.writeable = False
+        diff.values.flags.writeable = False
         # TreadMarks exposes diff creation: nothing is hidden
         self.world.diff_stats.record_create(diff.size_bytes, cycles, 0.0)
         if not diff.empty:
+            # stamps come from a fresh ++lamport and Lamport time never
+            # decreases, so ``frozen`` stays sorted by acquire_counter
             meta.frozen.append(diff)
             # stamp our own words: a stale remote diff arriving later must
             # not overwrite what we just froze
@@ -303,7 +340,8 @@ class TreadMarksNode(ProtocolNode):
         floor = msg.payload["floor"]
         meta: TMPageMeta = self.page(pn)
         yield from self._freeze_page_diff(pn, "ipc")
-        diffs = [d.copy() for d in meta.frozen if d.acquire_counter > floor]
+        frozen = meta.frozen
+        diffs = frozen[bisect_right(frozen, floor, key=_COUNTER):]
         nbytes = sum(d.size_bytes + 8 for d in diffs) or 4
         yield Delay(self.machine.list_cycles(max(len(diffs), 1)), "ipc")
         yield Send(msg.payload["requester"],
@@ -422,7 +460,7 @@ class TreadMarksNode(ProtocolNode):
                 meta = self.page(pn)
                 if meta.dirty:
                     yield from self._freeze_page_diff(pn, category)
-                piggyback.extend(d.copy() for d in meta.frozen)
+                piggyback.extend(meta.frozen)
             nbytes += sum(d.size_bytes + 8 for d in piggyback)
         yield Send(requester, Message("tmk.lock_grant", {
             "lock": lock_id,

@@ -260,24 +260,32 @@ class TestReliableTransport:
 #: (per-page last-writer resolution + stale-copy tracking): raytrace is
 #: the one built-in app whose barrier exchange pattern those fixes
 #: change; it stays checker-clean and SC-word-identical (test_check).
+#: tmk-lh rows were recorded later, before its lazy-hybrid piggyback
+#: started sharing frozen diffs by reference instead of copying them.
 FAULT_FREE_GOLDEN = {
     ("is", "aec"): (3773422.5, 2192, 336496),
     ("is", "tmk"): (5766226.0, 2372, 648024),
+    ("is", "tmk-lh"): (5800630.0, 2370, 671632),
     ("is", "sc"): (80076.0, 0, 0),
     ("raytrace", "aec"): (9007830.5, 3940, 1416416),
     ("raytrace", "tmk"): (43717016.25, 13839, 2382068),
+    ("raytrace", "tmk-lh"): (43769978.5, 13817, 2476904),
     ("raytrace", "sc"): (553543.0, 0, 0),
     ("water-ns", "aec"): (6730548.25, 8416, 1208516),
     ("water-ns", "tmk"): (9588226.5, 12985, 1834340),
+    ("water-ns", "tmk-lh"): (9168162.75, 12009, 2026936),
     ("water-ns", "sc"): (104217.0, 0, 0),
     ("fft", "aec"): (5150450.75, 5626, 639348),
     ("fft", "tmk"): (5346767.5, 3958, 610536),
+    ("fft", "tmk-lh"): (5346967.5, 3958, 610776),
     ("fft", "sc"): (8160.0, 0, 0),
     ("ocean", "aec"): (8746677.5, 7096, 956684),
     ("ocean", "tmk"): (16787172.25, 6787, 1043304),
+    ("ocean", "tmk-lh"): (16853596.75, 6769, 1122176),
     ("ocean", "sc"): (35698.0, 0, 0),
     ("water-sp", "aec"): (6077735.0, 3231, 381336),
     ("water-sp", "tmk"): (16894259.0, 5002, 577828),
+    ("water-sp", "tmk-lh"): (16986506.25, 5010, 605424),
     ("water-sp", "sc"): (38802.0, 0, 0),
 }
 
@@ -295,7 +303,7 @@ FAULTED_GOLDEN = {
 class TestFaultFreeBitIdentical:
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_matches_pre_fault_subsystem_build(self, app_name):
-        for protocol in ("aec", "tmk", "sc"):
+        for protocol in ("aec", "tmk", "tmk-lh", "sc"):
             result = run_app(make_app(app_name, "test"), protocol,
                              SimConfig(seed=42))
             got = (result.execution_time, result.messages_total,

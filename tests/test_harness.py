@@ -3,8 +3,8 @@ import pytest
 
 from repro.config import MachineParams, SimConfig
 from repro.harness import experiments as ex
+from repro.harness import sweep
 from repro.harness import tables
-from repro.harness.cache import cache_size, cached_run, clear_cache
 from repro.harness.cli import build_parser, main
 from repro.harness.runner import run_app
 from repro.apps.registry import make_app
@@ -57,17 +57,18 @@ class TestRunner:
 
 class TestCache:
     def test_hit_returns_same_object(self):
-        clear_cache()
-        a = cached_run("fft", "test", "aec")
-        b = cached_run("fft", "test", "aec")
+        sweep.clear_memory()
+        a = sweep.get_result(sweep.make_spec("fft", "test", "aec"))
+        b = sweep.get_result(sweep.make_spec("fft", "test", "aec"))
         assert a is b
-        assert cache_size() == 1
+        assert sweep.memory_size() == 1
 
     def test_distinct_keys_distinct_runs(self):
-        clear_cache()
-        cached_run("fft", "test", "aec")
-        cached_run("fft", "test", "aec", update_set_size=3)
-        assert cache_size() == 2
+        sweep.clear_memory()
+        sweep.get_result(sweep.make_spec("fft", "test", "aec"))
+        sweep.get_result(sweep.make_spec("fft", "test", "aec",
+                                         update_set_size=3))
+        assert sweep.memory_size() == 2
 
     def test_check_flag_is_part_of_the_key(self, monkeypatch):
         """Regression: the memo key used to omit ``check``, so a
@@ -79,17 +80,17 @@ class TestCache:
         monkeypatch.setattr(
             FFTApp, "check",
             lambda self, results: (calls.append(1), orig(self, results)))
-        clear_cache()
-        cached_run("fft", "test", "aec", check=False)
+        sweep.clear_memory()
+        sweep.get_result(sweep.make_spec("fft", "test", "aec", check=False))
         assert calls == []
-        cached_run("fft", "test", "aec", check=True)
+        sweep.get_result(sweep.make_spec("fft", "test", "aec", check=True))
         assert calls == [1]
 
 
 class TestExperiments:
     @classmethod
     def setup_class(cls):
-        clear_cache()
+        sweep.clear_memory()
 
     def test_table2_rows(self):
         rows = ex.table2("test")

@@ -254,6 +254,28 @@ class TestRecoveryDisabledFailsLoudly:
         assert {"observer", "kind", "seq", "time"} <= set(err)
 
 
+class TestPermanentCrashNeedsReconfiguration:
+    PLAN = FaultPlan(name="perm", seed=1, crashes=(
+        NodeCrash(node=2, at=200_000.0, restart=False),))
+
+    @pytest.mark.parametrize("protocol", ["tmk", "tmk-lh", "munin", "sc"])
+    def test_rejected_when_the_plan_is_resolved(self, protocol):
+        # no on_peer_dead override: refused before the run starts, not
+        # with a SimulationError at the coordinator's death verdict
+        config = SimConfig(seed=42, faults=self.PLAN)
+        with pytest.raises(ValueError,
+                           match=f"'{protocol}' has no crash recovery"):
+            run_app(make_app("ocean", "test"), protocol, config)
+
+    def test_restarting_crash_still_accepted(self):
+        plan = FaultPlan(name="restart", seed=1, crashes=(
+            NodeCrash(node=2, at=200_000.0),))
+        result = run_app(make_app("is", "test"), "tmk",
+                         SimConfig(seed=42, faults=plan))
+        assert result.recovery.crashes == 1
+        assert result.recovery.revivals == 1
+
+
 # ========================================== restart path: spans + counters
 
 
