@@ -25,8 +25,8 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.apps.api import Application, AppContext
-from repro.config import SimConfig
-from repro.memory.layout import Layout, Segment
+from repro.config import SimConfig, config_digest
+from repro.memory.layout import Layout
 from repro.stats.run_result import RunResult
 from repro.sync.objects import SyncRegistry
 
@@ -39,6 +39,8 @@ class MemoryImageApp(Application):
     and node 0 reads every declared segment through the protocol.  Each
     node's result becomes ``(inner_result, image_or_None)``; the image is a
     ``{segment_name: np.ndarray}`` dict on node 0, ``None`` elsewhere.
+    After ``declare``, :attr:`layout` is the run's address map, so callers
+    can diff images without declaring the app again.
     """
 
     def __init__(self, inner: Application) -> None:
@@ -48,7 +50,7 @@ class MemoryImageApp(Application):
 
     def declare(self, layout: Layout, sync: SyncRegistry) -> None:
         self.inner.declare(layout, sync)
-        self._segments: List[Segment] = layout.all_segments()
+        self.layout = layout
         self._image_bar = sync.new_barrier("check.image")
 
     def program(self, ctx: AppContext) -> Generator:
@@ -57,7 +59,7 @@ class MemoryImageApp(Application):
         image: Optional[Dict[str, np.ndarray]] = None
         if ctx.proc == 0:
             image = {}
-            for seg in self._segments:
+            for seg in self.layout.all_segments():
                 data = yield from ctx.read(seg, 0, seg.nwords)
                 image[seg.name] = np.asarray(data, dtype=np.float64).copy()
         return result, image
@@ -140,16 +142,21 @@ class DivergenceReport:
         }
 
 
-def run_with_image(app: Application, protocol: str,
-                   config: Optional[SimConfig] = None,
-                   check: bool = True) -> Tuple[RunResult, Dict[str, np.ndarray]]:
-    """Run ``app`` under ``protocol`` and capture its final memory image."""
+def _run_image(wrapped: MemoryImageApp, protocol: str,
+               config: Optional[SimConfig],
+               check: bool) -> Tuple[RunResult, Dict[str, np.ndarray]]:
     from repro.harness.runner import run_app
-    wrapped = MemoryImageApp(app)
     result = run_app(wrapped, protocol, config=config, check=check)
     _inner, image = result.app_results[0]
     assert image is not None, "node 0 must produce the memory image"
     return result, image
+
+
+def run_with_image(app: Application, protocol: str,
+                   config: Optional[SimConfig] = None,
+                   check: bool = True) -> Tuple[RunResult, Dict[str, np.ndarray]]:
+    """Run ``app`` under ``protocol`` and capture its final memory image."""
+    return _run_image(MemoryImageApp(app), protocol, config, check)
 
 
 def compare_images(image: Dict[str, np.ndarray],
@@ -179,33 +186,38 @@ def compare_images(image: Dict[str, np.ndarray],
     return report
 
 
-def run_divergence_oracle(app_name: str, protocol: str, scale: str = "test",
-                          config: Optional[SimConfig] = None,
-                          oracle_protocol: str = "sc",
-                          oracle_image: Optional[Dict[str, np.ndarray]] = None,
-                          ) -> DivergenceReport:
-    """Replay ``app_name``+seed under ``protocol`` and under the SC oracle,
-    and diff the final shared memory.
+def run_divergence_oracle(app_id: str, protocol: str, config: SimConfig, *,
+                          scale: str = "test", check: bool = True,
+                          oracle_protocol: Optional[str] = "sc",
+                          images: Optional[Dict[tuple, Any]] = None,
+                          ) -> Tuple[RunResult, Optional[DivergenceReport]]:
+    """Certify one run: ``app_id`` under ``protocol`` with ``config``, its
+    final memory diffed word-by-word against the same app+seed under
+    ``oracle_protocol``.
 
-    ``oracle_image`` lets callers amortize the oracle run when checking
-    several protocols against the same app+seed.
+    ``check`` runs the app's own result check on the certified run (the
+    oracle run always checks).  The oracle run is fault-free and
+    checker-off; its image is looked up in, and stored into, ``images``,
+    so certifying several protocols or fault plans against one app+seed
+    runs the oracle once.  ``oracle_protocol=None`` skips the oracle and
+    returns ``(result, None)``.
     """
     from repro.apps.registry import make_app
 
-    cfg = config if config is not None else SimConfig()
-    app = make_app(app_name, scale)
-    _result, image = run_with_image(app, protocol, config=cfg)
-    if oracle_image is None:
-        oracle_app = make_app(app_name, scale)
-        # the oracle run only needs the image; keep it cheap
-        oracle_cfg = cfg.replace(check_consistency=False)
-        _oresult, oracle_image = run_with_image(oracle_app, oracle_protocol,
-                                                config=oracle_cfg)
-    # layouts are identical across protocols: rebuild one for addressing
-    layout = Layout(cfg.machine.words_per_page)
-    sync = SyncRegistry(cfg.machine.num_procs)
-    make_app(app_name, scale).declare(layout, sync)
-    report = DivergenceReport(app=app_name, protocol=protocol,
-                              oracle_protocol=oracle_protocol, seed=cfg.seed)
-    return compare_images(image, oracle_image, layout, report,
-                          volatile=tuple(app.volatile_segments))
+    wrapped = MemoryImageApp(make_app(app_id, scale, config=config))
+    result, image = _run_image(wrapped, protocol, config, check)
+    if oracle_protocol is None:
+        return result, None
+    oracle_cfg = config.replace(check_consistency=False, faults=None)
+    key = (app_id, scale, oracle_protocol, config_digest(oracle_cfg))
+    images = images if images is not None else {}
+    if key not in images:
+        _o, images[key] = run_with_image(
+            make_app(app_id, scale, config=oracle_cfg), oracle_protocol,
+            config=oracle_cfg)
+    report = DivergenceReport(app=app_id, protocol=protocol,
+                              oracle_protocol=oracle_protocol,
+                              seed=config.seed)
+    compare_images(image, images[key], wrapped.layout, report,
+                   volatile=tuple(wrapped.volatile_segments))
+    return result, report

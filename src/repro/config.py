@@ -207,10 +207,6 @@ class SimConfig:
     tm_lazy_hybrid: bool = False
     #: deterministic seed for applications that randomize (task stealing etc.)
     seed: int = 42
-    #: run shadow LAP predictors for Table 3 statistics
-    track_lap_stats: bool = True
-    #: collect per-category execution-time breakdown
-    track_breakdown: bool = True
     #: collect labeled metrics (LAP telemetry, faults, episode stats) into
     #: an ``obs.MetricsRegistry`` — off by default
     obs_metrics: bool = False

@@ -61,7 +61,7 @@ class AECNode(ProtocolNode):
         if node_id == 0:
             self.bar_mgr = AECBarrierManager(self.machine.num_procs,
                                              self.layout.total_pages)
-            if world.lap_stats is None and cfg.track_lap_stats:
+            if world.lap_stats is None:
                 world.lap_stats = LapStats(self.sync.num_locks)
         else:
             self.bar_mgr = None

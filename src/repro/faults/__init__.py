@@ -19,10 +19,12 @@ init must only pull in the pure-data modules to stay cycle-free.
 """
 from repro.faults.plan import (  # noqa: F401
     BUILTIN_PLANS,
+    NO_FAULTS,
     FaultPlan,
     FaultRule,
     NodeCrash,
     NodeStall,
     get_plan,
+    resolve_plan,
 )
 from repro.faults.stats import NetFaultStats  # noqa: F401

@@ -281,3 +281,14 @@ def get_plan(spec: str) -> FaultPlan:
     if seed:
         plan = plan.with_seed(int(seed))
     return plan
+
+
+#: plan name meaning "no fault plan attached" (bit-identical fault-free mode)
+NO_FAULTS = "none"
+
+
+def resolve_plan(spec: Optional[str]) -> Optional[FaultPlan]:
+    """Like :func:`get_plan`, but ``None`` and ``"none"`` mean fault-free:
+    no plan at all, not an empty one (which would still engage the
+    reliable transport)."""
+    return None if spec in (None, NO_FAULTS) else get_plan(spec)

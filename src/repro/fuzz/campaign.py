@@ -24,18 +24,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import SimConfig
-from repro.faults.plan import FaultPlan, get_plan
+from repro.faults.plan import NO_FAULTS, resolve_plan
 from repro.fuzz.generator import (GeneratedApp, WorkloadSpec, config_for_spec,
                                   generate_spec, spec_to_dict)
 from repro.fuzz.shrink import shrink_spec
-
-#: plan name meaning "no fault plan attached" (bit-identical fault-free mode)
-NO_FAULTS = "none"
-
-
-def _resolve_plan(name: str) -> Optional[FaultPlan]:
-    return None if name == NO_FAULTS else get_plan(name)
-
 
 @dataclass
 class CampaignCell:
@@ -179,7 +171,7 @@ def run_campaign(seeds: Sequence[int],
         if progress is not None:
             progress(msg)
 
-    plan_objs = {name: _resolve_plan(name) for name in plans}
+    plan_objs = {name: resolve_plan(name) for name in plans}
     specs = {int(seed): generate_spec(int(seed), scale) for seed in seeds}
 
     run_specs = []

@@ -55,7 +55,7 @@ class MuninNode(ProtocolNode):
         for pn in range(self.layout.total_pages):
             if self.directory_of(pn) == node_id:
                 self.store.ensure(pn)  # every page starts zeroed
-        if node_id == 0 and cfg.track_lap_stats and world.lap_stats is None:
+        if node_id == 0 and world.lap_stats is None:
             world.lap_stats = LapStats(self.sync.num_locks)
         #: open lock-hold span handles
         self._hold_spans: Dict[int, int] = {}

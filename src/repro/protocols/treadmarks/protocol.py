@@ -75,7 +75,7 @@ class TreadMarksNode(ProtocolNode):
         self._lap_shadow: Dict[int, LockPredictionState] = {}
         self._lap_predictor = LapPredictor(cfg.update_set_size,
                                            cfg.affinity_threshold)
-        if node_id == 0 and cfg.track_lap_stats and world.lap_stats is None:
+        if node_id == 0 and world.lap_stats is None:
             world.lap_stats = LapStats(self.sync.num_locks)
         # ---- request/reply plumbing
         self._replies: Dict[Tuple[int, int], Future] = {}

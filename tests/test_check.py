@@ -18,18 +18,17 @@ import numpy as np
 import pytest
 
 from repro.apps.api import Application
-from repro.apps.registry import APP_NAMES, make_app
+from repro.apps import registry
+from repro.apps.registry import APP_NAMES, SCALES, make_app
 from repro.check import (CheckReport, ConsistencyChecker, NullChecker,
                          make_checker)
-from repro.check.oracle import (DivergenceReport, compare_images,
-                                run_with_image)
+from repro.check.oracle import run_divergence_oracle
 from repro.config import MachineParams, SimConfig, canonical_config_dict, \
     config_digest
 from repro.harness import sweep as sw
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import PROTOCOLS, run_app
 from repro.memory.layout import Layout
-from repro.sync.objects import SyncRegistry
 
 
 def _checker(num_procs=4, segments=(("data", 2048),)):
@@ -204,26 +203,16 @@ class TestAppsAreClean:
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_app_clean_and_matches_sc_oracle(self, app_name):
+        images = {}
         for seed in CERT_SEEDS:
             config = SimConfig(seed=seed, check_consistency=True)
-            _r, sc_image = run_with_image(
-                make_app(app_name, "test"), "sc",
-                config=SimConfig(seed=seed))
-            layout = Layout(config.machine.words_per_page)
-            sync = SyncRegistry(config.machine.num_procs)
-            app = make_app(app_name, "test")
-            app.declare(layout, sync)
             for protocol in CERT_PROTOCOLS:
-                result, image = run_with_image(
-                    make_app(app_name, "test"), protocol, config=config)
+                result, div = run_divergence_oracle(app_name, protocol,
+                                                    config, images=images)
                 rep = result.check_report
                 assert rep is not None and rep.clean, (
                     f"{app_name}/{protocol}/seed={seed}: {rep.summary()}\n"
                     + "\n".join(v.describe() for v in rep.violations[:10]))
-                div = DivergenceReport(app=app_name, protocol=protocol,
-                                       oracle_protocol="sc", seed=seed)
-                compare_images(image, sc_image, layout, div,
-                               volatile=tuple(app.volatile_segments))
                 assert div.clean, (
                     f"{app_name}/{protocol}/seed={seed}:\n{div.summary()}")
                 assert div.words_compared > 0
@@ -267,6 +256,20 @@ class CounterApp(Application):
 
 
 @pytest.fixture
+def counter_app(monkeypatch):
+    """Register ``counter`` as an app id; yields the instances it builds."""
+    built = []
+
+    def factory():
+        built.append(CounterApp())
+        return built[-1]
+
+    monkeypatch.setitem(registry._PRESETS, "counter",
+                        {scale: factory for scale in SCALES})
+    return built
+
+
+@pytest.fixture
 def broken_aec_protocol():
     PROTOCOLS["aec-broken"] = (lambda w, n: BrokenAECNode(w, n),
                                {"use_lap": True})
@@ -299,19 +302,11 @@ class TestBrokenProtocolDetected:
         expected = float(app.increments * r.num_procs)
         assert any(res != expected for res in r.app_results)
 
-    def test_broken_protocol_also_diverges_from_sc(self, broken_aec_protocol):
-        app = CounterApp()
-        config = SimConfig()
-        _r, image = run_with_image(CounterApp(), broken_aec_protocol,
-                                   config=config, check=False)
-        _o, sc_image = run_with_image(CounterApp(), "sc", config=config)
-        layout = Layout(config.machine.words_per_page)
-        sync = SyncRegistry(config.machine.num_procs)
-        app.declare(layout, sync)
-        div = compare_images(image, sc_image, layout,
-                             DivergenceReport(app="counter",
-                                              protocol="aec-broken",
-                                              oracle_protocol="sc", seed=42))
+    def test_broken_protocol_also_diverges_from_sc(self, broken_aec_protocol,
+                                                   counter_app):
+        _r, div = run_divergence_oracle("counter", broken_aec_protocol,
+                                        SimConfig(), check=False)
+        app = counter_app[0]  # the certified run's app, declared by it
         assert not div.clean
         assert div.first_divergent_page == app.seg.base // \
             app.seg.words_per_page
@@ -369,13 +364,12 @@ class TestCheckCli:
         assert cli_main(["check", "no-such-app"]) == 2
 
     def test_check_subcommand_fails_on_violations(
-            self, broken_aec_protocol, tmp_path, capsys, monkeypatch):
+            self, broken_aec_protocol, counter_app, tmp_path, capsys,
+            monkeypatch):
         # certify the counter app through the CLI path against the broken
         # protocol: nonzero exit and the JSON report names the stale read
         import repro.harness.cli as cli
         monkeypatch.setattr(cli, "APP_NAMES", ("counter",))
-        monkeypatch.setattr(
-            cli, "make_app", lambda name, scale: CounterApp())
         out = tmp_path / "report.json"
         rc = cli_main(["check", "counter", "--protocols", broken_aec_protocol,
                        "--no-oracle", "--json", str(out)])
@@ -385,6 +379,24 @@ class TestCheckCli:
         kinds = {v["kind"] for run in doc["runs"]
                  for v in run["check"]["violations"]}
         assert kinds == {"stale-read"}
+
+    def test_check_prefixed_id_runs_on_the_specs_machine(self, monkeypatch,
+                                                         capsys):
+        # fuzz:N fixes the machine size; both the certified run and its SC
+        # oracle run must use it, exactly as 'repro run --app fuzz:N' does
+        from repro.fuzz.generator import generate_spec
+        import repro.harness.runner as runner
+        sizes = []
+        real_run_app = runner.run_app
+
+        def spy(app, protocol="aec", config=None, check=True):
+            result = real_run_app(app, protocol, config, check)
+            sizes.append(result.num_procs)
+            return result
+
+        monkeypatch.setattr(runner, "run_app", spy)
+        assert cli_main(["check", "fuzz:3", "--protocols", "aec"]) == 0
+        assert sizes == [generate_spec(3, "test").num_procs] * 2
 
     def test_run_subcommand_check_flag(self, capsys):
         rc = cli_main(["run", "--app", "is", "--protocol", "aec",

@@ -74,7 +74,6 @@ class TestSimConfig:
         cfg = SimConfig()
         assert cfg.update_set_size == 2
         assert cfg.affinity_threshold == 0.60
-        assert cfg.track_lap_stats
 
     def test_rejects_bad_update_set(self):
         with pytest.raises(ValueError):

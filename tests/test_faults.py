@@ -18,8 +18,7 @@ import pickle
 import pytest
 
 from repro.apps.registry import APP_NAMES, make_app
-from repro.check.oracle import (DivergenceReport, compare_images,
-                                run_with_image)
+from repro.check.oracle import run_divergence_oracle
 from repro.config import MachineParams, SimConfig, config_digest
 from repro.engine.simulator import Simulator
 from repro.faults import (BUILTIN_PLANS, FaultPlan, FaultRule, NodeStall,
@@ -27,11 +26,9 @@ from repro.faults import (BUILTIN_PLANS, FaultPlan, FaultRule, NodeStall,
 from repro.faults.injector import FaultInjector, NullInjector, make_injector
 from repro.harness import sweep as sw
 from repro.harness.runner import run_app
-from repro.memory.layout import Layout
 from repro.network.message import Message
 from repro.protocols.base import (ACK_KIND, BEST_EFFORT_KINDS,
                                   ReliableTransport, TransportTimeoutError)
-from repro.sync.objects import SyncRegistry
 
 BUILTIN_NAMES = ("lossy-1pct", "dup-heavy", "jitter", "stall-one-node",
                  "crash-one-node", "crash-restart")
@@ -340,27 +337,17 @@ class TestSurvivesBuiltinPlans:
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_checker_clean_and_sc_word_identical(self, app_name):
-        _r, sc_image = run_with_image(make_app(app_name, "test"), "sc",
-                                      SimConfig(seed=42))
-        machine = MachineParams()
-        layout = Layout(machine.words_per_page)
-        sync = SyncRegistry(machine.num_procs)
-        app = make_app(app_name, "test")
-        app.declare(layout, sync)
+        images = {}
         for protocol in ("aec", "tmk"):
             for plan_name in BUILTIN_NAMES:
                 config = SimConfig(seed=42, check_consistency=True,
                                    faults=get_plan(plan_name))
-                result, image = run_with_image(
-                    make_app(app_name, "test"), protocol, config)
+                result, div = run_divergence_oracle(app_name, protocol,
+                                                    config, images=images)
                 rep = result.check_report
                 assert rep is not None and rep.clean, (
                     f"{app_name}/{protocol}/{plan_name}: {rep.summary()}\n"
                     + "\n".join(v.describe() for v in rep.violations[:10]))
-                div = DivergenceReport(app=app_name, protocol=protocol,
-                                       oracle_protocol="sc", seed=42)
-                compare_images(image, sc_image, layout, div,
-                               volatile=tuple(app.volatile_segments))
                 assert div.clean, (f"{app_name}/{protocol}/{plan_name}:\n"
                                    f"{div.summary()}")
                 assert div.words_compared > 0
