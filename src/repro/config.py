@@ -207,14 +207,9 @@ class SimConfig:
     tm_lazy_hybrid: bool = False
     #: deterministic seed for applications that randomize (task stealing etc.)
     seed: int = 42
-    #: collect labeled metrics (LAP telemetry, faults, episode stats) into
-    #: an ``obs.MetricsRegistry`` — off by default
-    obs_metrics: bool = False
     #: record protocol episodes as simulated-time spans (lock wait/hold,
     #: barriers, diffs, page fetches, LAP windows) for Perfetto export
     obs_spans: bool = False
-    #: ring-buffer cap on retained spans (most recent N; None = unbounded)
-    obs_span_capacity: int = 1_000_000
     #: stream every finished span to this JSON-lines file as it completes
     #: (keeps memory O(1) on bench-scale runs); implies nothing about the
     #: in-memory ring, which still serves queries

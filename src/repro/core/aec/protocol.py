@@ -108,23 +108,8 @@ class AECNode(ProtocolNode):
         self._lockrep_deferred: List[Tuple[str, Dict[str, Any]]] = []
         self._req_seq = 0
         self._freeze_seq = 0
-        # ---- observability: open lock-hold spans and episode metrics
+        # ---- observability: open lock-hold span handles
         self._hold_spans: Dict[int, int] = {}
-        self._hold_start: Dict[int, float] = {}
-        m = world.obs.metrics
-        self._m_lock_wait = m.histogram(
-            "lock.wait_cycles", "cycles from lock request to grant")
-        self._m_lock_hold = m.histogram(
-            "lock.hold_cycles", "cycles from grant to release")
-        self._m_barrier_wait = m.histogram(
-            "barrier.wait_cycles", "cycles from arrival to completion")
-        self._m_lap_pushes = m.counter(
-            "lap.pushes", "eager update-set diff pushes sent")
-        self._m_lap_pushed_bytes = m.counter(
-            "lap.pushed_bytes", "bytes of eagerly pushed merged diffs")
-        self._m_lap_wasted_bytes = m.counter(
-            "lap.wasted_bytes", "pushed diff bytes discarded unused, "
-            "by discard reason")
 
         self._handlers = {
             "aec.lock_req": self._on_lock_req,
@@ -171,14 +156,14 @@ class AECNode(ProtocolNode):
 
     def _discard_update(self, pu: PendingUpdate, reason: str) -> None:
         """Account a buffered eager push that is (partly) thrown away."""
-        self.world.diff_stats.diffs_wasted += len(pu.diffs) - len(pu.applied)
+        stats = self.world.diff_stats
+        stats.diffs_wasted += len(pu.diffs) - len(pu.applied)
         unused = pu.unused_bytes
-        if unused and self._metrics_on:
-            self._m_lap_wasted_bytes.inc(unused, lock=pu.lock_id,
-                                         reason=reason)
+        if unused:
+            stats.record_waste(reason, unused)
         if pu.span:
             # may run in ISR context: stamp with the global simulated time
-            self.obs.spans.end(pu.span, self.sim.now, outcome=reason)
+            self.spans.end(pu.span, self.sim.now, outcome=reason)
             pu.span = 0
 
     def _request(self, dst: int, kind: str, payload: dict, nbytes: int,
@@ -556,7 +541,6 @@ class AECNode(ProtocolNode):
         mgr = self._lock_home(lock_id)
         fut = self.new_future(f"grant{lock_id}")
         self._grant_futs[lock_id] = fut
-        wait_start = self.now()
         wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
                                     lock=lock_id)
         yield Send(mgr, Message("aec.lock_req",
@@ -592,9 +576,6 @@ class AECNode(ProtocolNode):
         grant: GrantInfo = yield Wait(fut, "synch")
         self._grant_futs.pop(lock_id, None)
         self.span_end(wait_span, lock=lock_id, in_upset=grant.in_update_set)
-        if self._metrics_on:
-            self._m_lock_wait.observe(self.now() - wait_start, lock=lock_id)
-        self._hold_start[lock_id] = self.now()
         self._hold_spans[lock_id] = self.span_begin(
             "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
         sess = self.session(lock_id)
@@ -786,9 +767,7 @@ class AECNode(ProtocolNode):
                 "sender": self.node_id,
                 "diffs": diffs,
             }
-            if self._metrics_on:
-                self._m_lap_pushes.inc(1, lock=lock_id)
-                self._m_lap_pushed_bytes.inc(nbytes, lock=lock_id)
+            self.world.diff_stats.record_push(nbytes)
             yield Send(q, Message("aec.upset_diffs", payload, nbytes),
                        "synch")
         # 3. tell the manager we are giving up ownership
@@ -811,9 +790,6 @@ class AECNode(ProtocolNode):
         self.locks_held.discard(lock_id)
         self.span_end(self._hold_spans.pop(lock_id, 0),
                       pushed_to=len(sess.update_set))
-        start = self._hold_start.pop(lock_id, None)
-        if start is not None and self._metrics_on:
-            self._m_lock_hold.observe(self.now() - start, lock=lock_id)
 
     # ===================================================== barriers (program)
 
@@ -846,7 +822,6 @@ class AECNode(ProtocolNode):
         self.gained_valid.clear()
         self.lost_valid.clear()
         yield self._list_delay(info.element_count, "synch")
-        bar_start = self.now()
         bar_span = self.span_begin("barrier", f"barrier.step{self.step}",
                                    step=self.step)
         yield Send(mgr, Message("aec.bar_arrive", info,
@@ -863,8 +838,6 @@ class AECNode(ProtocolNode):
         payload = yield Wait(complete_fut, "synch")
         self._bar_complete_fut = None
         self.span_end(bar_span, step=payload["step"])
-        if self._metrics_on:
-            self._m_barrier_wait.observe(self.now() - bar_start)
         yield from self._post_barrier_cleanup(payload)
 
     def _post_barrier_cleanup(self, payload: dict) -> Generator:
@@ -965,11 +938,11 @@ class AECNode(ProtocolNode):
         old = self.pending_updates.get(lock_id)
         if old is not None and old.acquire_counter >= counter:
             # outdated set: discard (the acquire-counter stamp decides)
-            self.world.diff_stats.diffs_wasted += len(p["diffs"])
+            stats = self.world.diff_stats
+            stats.diffs_wasted += len(p["diffs"])
             wasted = sum(d.size_bytes for d in p["diffs"].values())
-            if wasted and self._metrics_on:
-                self._m_lap_wasted_bytes.inc(wasted, lock=lock_id,
-                                             reason="outdated")
+            if wasted:
+                stats.record_waste("outdated", wasted)
             yield Delay(self.machine.list_cycles(len(p["diffs"])), "ipc")
             return
         if old is not None:
@@ -977,10 +950,10 @@ class AECNode(ProtocolNode):
         pu = PendingUpdate(
             lock_id=lock_id, acquire_counter=counter, sender=sender,
             diffs=p["diffs"])
-        if self.obs.spans.enabled:
+        if self.spans.enabled:
             # ISR context: stamp with the global simulated time (the node's
             # program clock does not advance inside interrupt handlers)
-            pu.span = self.obs.spans.begin(
+            pu.span = self.spans.begin(
                 self.node_id, "lap.window", f"lock{lock_id}.upset",
                 self.sim.now, lock=lock_id, sender=sender,
                 pages=len(p["diffs"]))

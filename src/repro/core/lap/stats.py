@@ -13,12 +13,8 @@ same lock reveals the true next acquirer.  Shadow predictions for the
 low-level technique variants are recorded at the same instant, so the four
 Table 3 columns are measured on identical event streams.
 
-This class is the only LAP scorer.  When a run enables the observability
-layer (``SimConfig(obs_metrics=True)``) the harness publishes its per-lock
-tallies once, at run end, as labeled counters (``lap.acquires``,
-``lap.scored``, ``lap.same_owner``, ``lap.hits{variant=...}``, each
-labeled with the lock id), so Table 3 hit rates can be read straight out
-of a metrics snapshot.
+This class is the only LAP scorer: Table 3, ``repro metrics`` and the
+sweep aggregates all read its per-lock tallies from ``RunResult.lap_stats``.
 """
 from __future__ import annotations
 

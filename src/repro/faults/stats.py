@@ -1,8 +1,8 @@
 """Counters for injected network faults and transport recovery work.
 
-Named ``NetFaultStats`` to stay distinct from the page-fault counters in
-:mod:`repro.stats.fault_stats` (``FaultStats``), which count protocol page
-faults, not network failures.
+Named ``NetFaultStats`` to stay distinct from the page-access fault
+counters in :mod:`repro.stats.fault_stats` (``AccessFaultStats``), which
+count protocol page faults, not network failures.
 """
 from __future__ import annotations
 

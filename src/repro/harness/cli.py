@@ -188,9 +188,18 @@ def _cmd_check(args) -> int:
             # the sanitizer + oracle ARE the validation here: the app's own
             # coarse check() would abort a broken run with a stack trace
             # instead of letting the violation report localize the bug
-            result, div = run_divergence_oracle(
-                app_id, protocol, config, scale=args.scale, check=False,
-                oracle_protocol="sc" if args.oracle else None, images=images)
+            try:
+                result, div = run_divergence_oracle(
+                    app_id, protocol, config, scale=args.scale, check=False,
+                    oracle_protocol="sc" if args.oracle else None,
+                    images=images)
+            except Exception as exc:  # noqa: BLE001 - a failed cell
+                error = f"{type(exc).__name__}: {exc}"
+                doc["runs"].append({"app": app_id, "protocol": protocol,
+                                    "error": error})
+                failed += 1
+                print(f"FAIL {app_id:<10} {protocol:<9} {error}")
+                continue
             rep = result.check_report
             entry = {"app": app_id, "protocol": protocol,
                      "check": rep.to_dict()}
@@ -397,10 +406,11 @@ def _cmd_fuzz_corpus(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    result = _run(args, args.protocol, obs_metrics=True)
+    from repro.tools import metrics_report
+    result = _run(args, args.protocol, obs_spans=True)
     print(result.summary())
     print()
-    print(result.metrics.render())
+    print(metrics_report(result))
     return 0
 
 
@@ -428,16 +438,14 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(exc) from None
     # each flag is a first-class SimConfig field, so the rebuilt specs get
-    # their own cache keys: checker-on, per-plan (name, seed, rules) and
-    # metrics-on cells never alias plain ones.  Metrics-on cells snapshot
-    # the registry into each RunResult so the report can merge them.
+    # their own cache keys: checker-on and per-plan (name, seed, rules)
+    # cells never alias plain ones.  --metrics changes no cell: its
+    # aggregates are sums over the cached results.
     overrides: Dict[str, Any] = {}
     if args.check_consistency:
         overrides["check_consistency"] = True
     if args.faults:
         overrides["faults"] = resolve_plan(args.faults)
-    if args.metrics:
-        overrides["obs_metrics"] = True
     if overrides:
         specs = [sw.RunSpec(s.app, s.scale, s.protocol,
                             s.config.replace(**overrides), s.check)
@@ -445,10 +453,8 @@ def _cmd_sweep(args) -> int:
     report = sw.run_sweep(specs, jobs=args.jobs, cache_dir=args.cache_dir,
                           progress=_to_stderr if args.verbose else None)
     print(report.summary())
-    if args.verbose:
-        aggregates = report.metrics_summary()
-        if aggregates is not None:
-            print(aggregates)
+    if args.metrics:
+        print(report.metrics_summary())
     dirty = 0
     if args.check_consistency:
         for spec in report.specs:
@@ -768,7 +774,8 @@ COMMANDS: Dict[str, tuple] = {
                   "(default: aec tmk)"),
         "--scale",
     ]),
-    "metrics": ("run once and dump the metrics registry", _cmd_metrics,
+    "metrics": ("run once and report its episodes, faults and LAP stats",
+                _cmd_metrics,
                 _RUN),
     "analyze": ("run with spans and print lock/traffic reports",
                 _cmd_analyze, [
@@ -800,9 +807,8 @@ COMMANDS: Dict[str, tuple] = {
                               "(distinct cache keys per plan and fault "
                               "seed)"),
         _arg("--metrics", action="store_true",
-             help="run every cell with the metrics registry on and "
-                  "report sweep-level aggregates with -v "
-                  "(distinct cache keys)"),
+             help="print sweep-level aggregates summed over the cells' "
+                  "results (same cache keys)"),
     ]),
     "faults": ("list/explain built-in fault plans, or run an app under one",
                _cmd_faults, [

@@ -11,7 +11,7 @@ from repro.memory.layout import Layout
 from repro.protocols.base import ProtocolNode, World
 from repro.protocols.sc import SCNode
 from repro.stats.breakdown import Breakdown
-from repro.stats.fault_stats import FaultStats
+from repro.stats.fault_stats import AccessFaultStats
 from repro.stats.run_result import RunResult
 from repro.sync.objects import SyncRegistry
 
@@ -114,17 +114,12 @@ def run_app(app: Application, protocol: str = "aec",
                       "events_processed": world.sim.events_processed})
     if check:
         app.check(results)
-    world.obs.finish(execution_time)
+    world.spans.finish(execution_time)
 
     node_breakdowns = [Breakdown.from_dict(b) for b in world.sim.breakdowns()]
-    fault_total = FaultStats()
+    fault_total = AccessFaultStats()
     for node in nodes:
         fault_total = fault_total.merge(node.fault_stats)
-
-    metrics_snapshot = None
-    if world.obs.metrics.enabled:
-        _publish_summary_metrics(world, execution_time)
-        metrics_snapshot = world.obs.metrics.snapshot()
 
     return RunResult(
         app=app.name,
@@ -143,7 +138,6 @@ def run_app(app: Application, protocol: str = "aec",
         network_bytes=world.sim.network.bytes,
         events_processed=world.sim.events_processed,
         wall_seconds=wall,
-        metrics=metrics_snapshot,
         check_report=check_report,
         net_faults=world.sim.net_stats,
         recovery=(world.recovery.stats if world.recovery is not None
@@ -155,79 +149,7 @@ def run_app(app: Application, protocol: str = "aec",
             "app_params": app.describe(),
             "pair_messages": world.sim.network.pair_messages.copy(),
             "pair_bytes": world.sim.network.pair_bytes.copy(),
-            "spans": world.obs.spans if world.obs.spans.enabled else None,
+            "spans": world.spans if world.spans.enabled else None,
         },
     )
 
-
-def _publish_summary_metrics(world: World, execution_time: float) -> None:
-    """Fold end-of-run aggregates into the metrics registry.
-
-    Derived LAP success rates are published as gauges so a plain snapshot
-    dump (``repro metrics``) shows Table 3's per-predictor numbers without
-    post-processing; the raw counters stay available for exact arithmetic.
-    """
-    m = world.obs.metrics
-    m.gauge("run.execution_cycles",
-            "simulated execution time").set(execution_time)
-    m.gauge("run.barrier_episodes",
-            "completed global barriers").set(world.barrier_events)
-    acquires = m.counter("lock.acquires", "granted lock acquires")
-    for lock_id, count in world.lock_acquires.items():
-        acquires.inc(count, lock=lock_id)
-    if world.lap_stats is not None:
-        lap_acquires = m.counter("lap.acquires",
-                                 "lock acquires seen by LAP scoring")
-        same_owner = m.counter("lap.same_owner", "grants back to the "
-                               "previous owner (excluded from scoring)")
-        scored = m.counter("lap.scored", "scored ownership-transfer events")
-        hits = m.counter("lap.hits", "prediction hits per technique variant")
-        for s in world.lap_stats.per_lock:
-            for counter, count in ((lap_acquires, s.acquires),
-                                   (same_owner, s.same_owner),
-                                   (scored, s.scored)):
-                if count:
-                    counter.inc(count, lock=s.lock_id)
-            for variant, count in s.hits.items():
-                if count:
-                    hits.inc(count, lock=s.lock_id, variant=variant)
-        rate = m.gauge("lap.hit_rate",
-                       "per-predictor LAP success rate (Table 3)")
-        for variant, value in world.lap_stats.overall_rates().items():
-            if variant == "events" or value is None:
-                continue
-            rate.set(value, variant=variant)
-    net = world.sim.net_stats
-    if net is not None:
-        injected = m.counter("net.faults.injected",
-                             "injected network faults by effect")
-        injected.inc(net.dropped, effect="drop")
-        injected.inc(net.duplicated, effect="dup")
-        injected.inc(net.jittered, effect="jitter")
-        injected.inc(net.stalls, effect="stall")
-        recovery = m.counter("net.transport",
-                             "reliable-transport recovery events")
-        recovery.inc(net.retries, event="retry")
-        recovery.inc(net.timeouts, event="timeout")
-        recovery.inc(net.dup_suppressed, event="dup_suppressed")
-        recovery.inc(net.acks_sent, event="ack_sent")
-        recovery.inc(net.lap_fallbacks, event="lap_fallback")
-    rec = world.recovery
-    if rec is not None:
-        rs = rec.stats
-        events = m.counter("recovery.events",
-                           "crash / recovery protocol events")
-        events.inc(rs.crashes, event="crash")
-        events.inc(rs.revivals, event="restart")
-        events.inc(rs.checkpoints, event="checkpoint")
-        events.inc(rs.heartbeats_sent, event="heartbeat")
-        events.inc(rs.leases_expired, event="lease_expired")
-        events.inc(rs.peers_declared_dead, event="declared_dead")
-        events.inc(rs.frames_blackholed, event="frame_blackholed")
-        events.inc(rs.sends_suppressed, event="send_suppressed")
-        events.inc(rs.parked_probes, event="parked_probe")
-        events.inc(rs.tokens_regenerated, event="token_regenerated")
-        events.inc(rs.waiters_purged, event="waiter_purged")
-        events.inc(rs.barrier_reconfigs, event="barrier_reconfig")
-        events.inc(rs.orphan_pages_restored, event="orphan_restored")
-        events.inc(rs.rerouted_requests, event="request_rerouted")

@@ -41,8 +41,9 @@ from repro.stats.run_result import RunResult
 
 #: bump when the RunResult layout or key composition changes incompatibly;
 #: part of every cache key, so old entries miss instead of deserializing
-#: into garbage.
-CACHE_FORMAT_VERSION = 5  # v5: RunResult.profile removed
+#: into garbage.  v6: ``RunResult.metrics`` removed, ``DiffStats`` gained
+#: the LAP push counters, ``FaultStats`` renamed ``AccessFaultStats``.
+CACHE_FORMAT_VERSION = 6
 
 
 @lru_cache(maxsize=1)
@@ -326,61 +327,64 @@ class SweepReport:
     def result_for(self, spec: RunSpec) -> RunResult:
         return self.results[spec.key]
 
-    def merged_metrics(self):
-        """Sweep-level metrics: every cell's snapshot merged into one.
+    def aggregates(self) -> Dict[str, int]:
+        """Fleet totals summed over every cell's :class:`RunResult`.
 
-        Uses :meth:`repro.obs.Snapshot.merge` (counters and histogram
-        buckets add), so fleet totals — wasted-update bytes, LAP scoring
-        counts, retransmissions — come out of the same registry the cells
-        wrote.  Returns ``None`` when no cell ran with ``obs_metrics``.
+        The fleet LAP hit rate is recomputed from the summed hits and
+        scored transfers, so cells weigh in by their scored events.
         """
-        merged = None
+        agg = dict.fromkeys((
+            "lock_acquires", "lap_hits", "lap_scored", "lap_pushed_bytes",
+            "lap_wasted_bytes", "retransmissions", "injected_faults",
+            "crashes", "restarts", "declared_dead"), 0)
         for spec in self.specs:
-            result = self.results.get(spec.key)
-            snap = result.metrics if result is not None else None
-            if snap is None:
+            r = self.results.get(spec.key)
+            if r is None:
                 continue
-            merged = snap if merged is None else merged.merge(snap)
-        return merged
+            agg["lock_acquires"] += r.total_lock_acquires
+            if r.lap_stats is not None:
+                for s in r.lap_stats.per_lock:
+                    agg["lap_hits"] += s.hits["lap"]
+                    agg["lap_scored"] += s.scored
+            agg["lap_pushed_bytes"] += r.diff_stats.lap_pushed_bytes
+            agg["lap_wasted_bytes"] += r.diff_stats.lap_wasted_total
+            net = r.net_faults
+            if net is not None:
+                agg["retransmissions"] += net.retries
+                agg["injected_faults"] += (net.dropped + net.duplicated
+                                           + net.jittered + net.stalls)
+            rec = r.recovery
+            if rec is not None:
+                agg["crashes"] += rec.crashes
+                agg["restarts"] += rec.revivals
+                agg["declared_dead"] += rec.peers_declared_dead
+        return agg
 
-    def metrics_summary(self) -> Optional[str]:
-        """Fleet-level aggregates rendered from the merged snapshots.
-
-        Per-cell gauges (hit *rates*, execution cycles) do not merge
-        meaningfully, so every derived quantity here is recomputed from
-        the merged raw counters.
-        """
-        snap = self.merged_metrics()
-        if snap is None:
-            return None
-        lines = ["sweep aggregates (merged per-cell metrics):"]
-        acquires = snap.total("lock.acquires")
-        lines.append(f"  lock acquires        {acquires:>14,.0f}")
-        scored = snap.total("lap.scored")
+    def metrics_summary(self) -> str:
+        """The :meth:`aggregates`, rendered (zero-valued lines omitted)."""
+        agg = self.aggregates()
+        lines = ["sweep aggregates (summed over cells):",
+                 f"  lock acquires        {agg['lock_acquires']:>14,}"]
+        hits, scored = agg["lap_hits"], agg["lap_scored"]
         if scored:
-            hits = snap.total("lap.hits", variant="lap")
             lines.append(f"  fleet LAP hit rate   {hits / scored:>14.3f} "
-                         f"({hits:,.0f}/{scored:,.0f} scored transfers)")
-        pushed = snap.total("lap.pushed_bytes")
-        wasted = snap.total("lap.wasted_bytes")
+                         f"({hits:,}/{scored:,} scored transfers)")
+        pushed, wasted = agg["lap_pushed_bytes"], agg["lap_wasted_bytes"]
         if pushed or wasted:
-            lines.append(f"  pushed update bytes  {pushed:>14,.0f}")
-            lines.append(f"  wasted update bytes  {wasted:>14,.0f}"
+            lines.append(f"  pushed update bytes  {pushed:>14,}")
+            lines.append(f"  wasted update bytes  {wasted:>14,}"
                          + (f" ({100.0 * wasted / pushed:.1f}% of pushed)"
                             if pushed else ""))
-        retries = snap.total("net.transport", event="retry")
-        if snap.values.get("net.transport"):
-            lines.append(f"  retransmissions      {retries:>14,.0f}")
-        injected = snap.total("net.faults.injected")
-        if injected:
-            lines.append(f"  injected faults      {injected:>14,.0f}")
-        crashes = snap.total("recovery.events", event="crash")
-        if crashes:
-            restarts = snap.total("recovery.events", event="restart")
-            declared = snap.total("recovery.events", event="declared_dead")
-            lines.append(f"  node crashes         {crashes:>14,.0f}"
-                         f" ({restarts:,.0f} restarted, "
-                         f"{declared:,.0f} declared dead)")
+        if agg["retransmissions"]:
+            lines.append(f"  retransmissions      "
+                         f"{agg['retransmissions']:>14,}")
+        if agg["injected_faults"]:
+            lines.append(f"  injected faults      "
+                         f"{agg['injected_faults']:>14,}")
+        if agg["crashes"]:
+            lines.append(f"  node crashes         {agg['crashes']:>14,}"
+                         f" ({agg['restarts']:,} restarted, "
+                         f"{agg['declared_dead']:,} declared dead)")
         return "\n".join(lines)
 
     def summary(self) -> str:

@@ -57,7 +57,7 @@ class SpanRecorder:
 
     enabled = True
 
-    def __init__(self, capacity: Optional[int] = None,
+    def __init__(self, capacity: Optional[int] = 1_000_000,
                  sink: Optional[Any] = None) -> None:
         self.spans: Deque[Span] = deque(maxlen=capacity)
         self.capacity = capacity
@@ -101,7 +101,8 @@ class SpanRecorder:
         self.completed += 1
 
     def finish(self, at: float) -> int:
-        """Close every still-open span at time ``at`` (marked truncated)."""
+        """End-of-run hook: close every still-open span at time ``at``
+        (marked truncated), then flush and close the streaming sink."""
         n = 0
         for sid in sorted(self._open):
             span = self._open.pop(sid)
@@ -109,6 +110,9 @@ class SpanRecorder:
             span.args["truncated"] = True
             self._store(span)
             n += 1
+        if self.sink is not None:
+            self.sink.close()
+            self.sink = None
         return n
 
     # ---- queries ---------------------------------------------------------
@@ -178,3 +182,7 @@ class NullSpanRecorder(SpanRecorder):
 
     def finish(self, at: float) -> int:
         return 0
+
+
+#: the shared recorder of every run without ``SimConfig.obs_spans``
+NULL_SPANS = NullSpanRecorder()

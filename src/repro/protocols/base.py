@@ -22,9 +22,11 @@ from repro.memory.diff import Diff, create_diff
 from repro.memory.layout import Layout
 from repro.memory.pagestore import PageStore
 from repro.network.message import Message
+from repro.obs.export import JsonlSink
+from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.recovery.detector import HEARTBEAT_KIND
 from repro.stats.diff_stats import DiffStats
-from repro.stats.fault_stats import FaultStats
+from repro.stats.fault_stats import AccessFaultStats
 from repro.sync.objects import SyncRegistry
 
 #: NIC-level acknowledgement frames of the reliable transport
@@ -293,15 +295,19 @@ class World:
         self.sync = sync
         self.sim = Simulator(config)
         self.nodes: List["ProtocolNode"] = []
-        from repro.obs import Observability
-        self.obs = Observability.from_config(config)
+        #: the run's span recorder (the shared null recorder when off)
+        self.spans: SpanRecorder = NULL_SPANS
+        if config.obs_spans:
+            sink = (JsonlSink(config.obs_spans_jsonl)
+                    if config.obs_spans_jsonl else None)
+            self.spans = SpanRecorder(sink=sink)
         self.recovery: Optional[Any] = None
         if config.faults is not None:
             # faulty network: engage the reliable transport and let the
             # injector land fault events on the span timeline
             self.sim.transport = ReliableTransport(self.sim)
-            if self.obs.spans.enabled:
-                self.sim.injector.spans = self.obs.spans
+            if self.spans.enabled:
+                self.sim.injector.spans = self.spans
             if config.faults.crashes:
                 from repro.recovery import install_recovery
                 self.recovery = install_recovery(self)
@@ -365,18 +371,11 @@ class ProtocolNode:
         self.layout = world.layout
         self.sync = world.sync
         self.sim = world.sim
-        self.obs = world.obs
-        self._m_faults = world.obs.metrics.counter(
-            "faults", "page faults by kind")
-        self._m_fault_cycles = world.obs.metrics.histogram(
-            "fault.cycles", "cycles spent resolving one page fault")
-        #: cached obs flags — checked on every fault/diff, so the dispatch
-        #: must be a single attribute load, not a chain through world.obs
-        self._metrics_on = world.obs.metrics.enabled
+        self.spans = world.spans
         self.store = PageStore(self.machine.words_per_page)
         self.hw = NodeHardware(self.machine)
         self.pages: Dict[int, PageMeta] = {}
-        self.fault_stats = FaultStats()
+        self.fault_stats = AccessFaultStats()
         self.locks_held: Set[int] = set()
         self._futures = 0
         self._handlers: Dict[str, Callable[[Message], Optional[Generator]]] = {}
@@ -412,14 +411,14 @@ class ProtocolNode:
     # ---- observability helpers (no-ops when spans are disabled) ----------
 
     def span_begin(self, kind: str, name: str, **args: Any) -> int:
-        spans = self.obs.spans
+        spans = self.spans
         if not spans.enabled:
             return 0
         return spans.begin(self.node_id, kind, name, self.now(), **args)
 
     def span_end(self, span_id: int, **args: Any) -> None:
         if span_id:
-            self.obs.spans.end(span_id, self.now(), **args)
+            self.spans.end(span_id, self.now(), **args)
 
     def handler(self, kind: str):
         """Decorator-free handler registration helper."""
@@ -494,7 +493,7 @@ class ProtocolNode:
         diff = create_diff(pn, meta.twin, self.store.page(pn), origin=self.node_id)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_create(diff.size_bytes, cycles, hidden)
-        spans = self.obs.spans
+        spans = self.spans
         if spans.enabled:
             sid = spans.begin(self.node_id, "diff.create",
                               f"diff.create p{pn}", start, page=pn)
@@ -518,7 +517,7 @@ class ProtocolNode:
                                   origin=diff.origin, time=end)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_apply(cycles, hidden)
-        spans = self.obs.spans
+        spans = self.spans
         if spans.enabled:
             sid = spans.begin(self.node_id, "diff.apply",
                               f"diff.apply p{pn}", start, page=pn)
@@ -605,9 +604,6 @@ class ProtocolNode:
                 self.fault_stats.write_faults += 1
         else:
             self.fault_stats.read_faults += 1
-        if self._metrics_on:
-            self._m_faults.inc(1, kind="write" if is_write else "read",
-                               cold="yes" if not meta.ever_valid else "no")
         # page-fault trap entry
         yield Delay(self.machine.interrupt_cycles, "data")
         if is_write:
@@ -617,8 +613,6 @@ class ProtocolNode:
         meta.ever_valid = meta.ever_valid or meta.valid
         cycles = self.now() - t0
         self.fault_stats.fault_cycles += cycles
-        if self._metrics_on:
-            self._m_fault_cycles.observe(cycles)
 
     # --------------------------------------------- protocol-specific pieces
 

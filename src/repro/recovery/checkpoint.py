@@ -3,7 +3,7 @@
 Barrier completion is a natural consistent cut of the DSM: every node has
 applied every diff and write notice of the step, and no protocol message
 of the old step is still in flight (the manager only broadcasts
-``bar_complete`` once every node reported done).  Snapshotting each node's
+``bar_complete`` once every node reported done).  Copying each node's
 page store at that moment therefore yields a recovery line that needs no
 message logging across the cut.
 
@@ -30,7 +30,7 @@ class CheckpointStore:
         self._images: Dict[int, Dict[int, np.ndarray]] = {}
 
     def take(self, world, epoch: int, now: float) -> int:
-        """Snapshot every node's held pages; returns pages captured."""
+        """Copy every node's held pages; returns pages captured."""
         self.epoch = epoch
         self.taken_at = now
         self._images = {}

@@ -155,7 +155,7 @@ class CrashController:
         self._active_restart[c.node] = c.restart
         self.stats.crashes += 1
         self.stats.down_cycles += c.down_cycles
-        spans = self.world.obs.spans
+        spans = self.world.spans
         if c.restart:
             restore_pages = self.checkpoints.pages_for(c.node)
             restore = restore_pages * \
@@ -226,7 +226,7 @@ class CrashController:
         if node.done_time is None:
             node.done_time = self._dead_since.get(p, sim.now)
         self.stats.cancelled_sends += sim.transport.cancel_peer(p)
-        spans = self.world.obs.spans
+        spans = self.world.spans
         if spans.enabled:
             sid = spans.begin(0, "fault", f"fault.declare-dead n{p}",
                               sim.now)

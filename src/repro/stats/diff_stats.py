@@ -3,11 +3,13 @@
 Tracks, per run: average diff size (bytes), average *merged* diff size,
 percentage of diffs that result from merges, total diff-creation cycles per
 processor, and the share of creation/application cycles that the protocol
-hid behind synchronization delays.
+hid behind synchronization delays.  Also counts AEC's LAP eager pushes:
+messages, bytes, and the bytes discarded unused by discard reason.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict
 
 
 @dataclass
@@ -29,6 +31,13 @@ class DiffStats:
     diffs_applied: int = 0
     diffs_wasted: int = 0  # pushed to a mispredicted acquirer and discarded
 
+    #: LAP eager pushes: update-set messages sent and their bytes
+    lap_pushes: int = 0
+    lap_pushed_bytes: int = 0
+    #: pushed diff bytes discarded unused, by discard reason (``stale``,
+    #: ``unused``, ``superseded``, ``barrier``, ``outdated``, ``peer_dead``)
+    lap_wasted_bytes: Dict[str, int] = field(default_factory=dict)
+
     def record_create(self, size_bytes: int, cycles: float,
                       hidden_cycles: float) -> None:
         if hidden_cycles > cycles + 1e-9:
@@ -42,12 +51,24 @@ class DiffStats:
         self.merged_diffs += 1
         self.merged_bytes_total += merged_size_bytes
 
+    def record_push(self, nbytes: int) -> None:
+        self.lap_pushes += 1
+        self.lap_pushed_bytes += nbytes
+
+    def record_waste(self, reason: str, nbytes: int) -> None:
+        self.lap_wasted_bytes[reason] = \
+            self.lap_wasted_bytes.get(reason, 0) + nbytes
+
     def record_apply(self, cycles: float, hidden_cycles: float) -> None:
         if hidden_cycles > cycles + 1e-9:
             raise ValueError("hidden cycles exceed application cycles")
         self.diffs_applied += 1
         self.apply_cycles_total += cycles
         self.apply_cycles_hidden += hidden_cycles
+
+    @property
+    def lap_wasted_total(self) -> int:
+        return sum(self.lap_wasted_bytes.values())
 
     # ---- Table 4 columns ---------------------------------------------------
 

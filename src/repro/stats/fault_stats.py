@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 
 @dataclass
-class FaultStats:
+class AccessFaultStats:
     read_faults: int = 0
     write_faults: int = 0
     #: write faults that only needed a protection upgrade + twin
@@ -29,8 +29,8 @@ class FaultStats:
     def total_faults(self) -> int:
         return self.read_faults + self.write_faults + self.protection_faults
 
-    def merge(self, other: "FaultStats") -> "FaultStats":
-        out = FaultStats()
+    def merge(self, other: "AccessFaultStats") -> "AccessFaultStats":
+        out = AccessFaultStats()
         for f in out.__dataclass_fields__:
             setattr(out, f, getattr(self, f) + getattr(other, f))
         return out

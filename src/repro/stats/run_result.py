@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.stats.breakdown import Breakdown
 from repro.stats.diff_stats import DiffStats
-from repro.stats.fault_stats import FaultStats
+from repro.stats.fault_stats import AccessFaultStats
 
 
 @dataclass
@@ -23,7 +23,7 @@ class RunResult:
     #: per-node application return values (for cross-protocol validation)
     app_results: List[Any]
     diff_stats: DiffStats
-    fault_stats: FaultStats
+    fault_stats: AccessFaultStats
     #: per-lock acquire counts, barrier event count
     lock_acquires: Dict[int, int] = field(default_factory=dict)
     barrier_events: int = 0
@@ -33,8 +33,6 @@ class RunResult:
     network_bytes: int = 0
     events_processed: int = 0
     wall_seconds: float = 0.0
-    #: metrics snapshot (``obs.Snapshot``; None when obs_metrics is off)
-    metrics: Optional[Any] = None
     #: consistency checker outcome (``check.CheckReport``; None when
     #: ``check_consistency`` is off)
     check_report: Optional[Any] = None
@@ -58,7 +56,7 @@ class RunResult:
 
         Strips the live objects from :attr:`extra` (they are process-local
         and can be arbitrarily large); every statistic — breakdowns, diff /
-        fault / LAP stats, metrics snapshot, traffic matrices — survives.
+        fault / LAP stats, traffic matrices — survives.
         """
         extra = {k: v for k, v in self.extra.items()
                  if k not in self.LIVE_EXTRA_KEYS}

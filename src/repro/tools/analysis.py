@@ -1,5 +1,5 @@
-"""Run-analysis helpers: who-talks-to-whom matrices, ASCII span timelines
-and lock-behaviour reports.
+"""Run-analysis helpers: who-talks-to-whom matrices, ASCII span timelines,
+lock-behaviour reports and the ``repro metrics`` run report.
 
 These operate on a finished run: either a :class:`~repro.stats.run_result.
 RunResult` (for network matrices, carried in ``extra``) or the
@@ -19,11 +19,13 @@ Example::
 """
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.lap.stats import VARIANTS
 from repro.obs.spans import Span, SpanRecorder
 
 #: shading ramp for the ASCII heatmap, light to heavy
@@ -94,8 +96,9 @@ def render_timeline(spans: SpanRecorder, node: Optional[int] = None,
 
 
 def lock_report(spans: SpanRecorder, top: int = 10) -> str:
-    """Per-lock behaviour from ``lock.hold`` spans: acquires, owner
-    diversity, ownership transfers and mean critical-section length."""
+    """Per-lock behaviour from ``lock.hold`` and ``lock.wait`` spans:
+    acquires, owner diversity, ownership transfers, mean critical-section
+    length, and the total wait and hold cycles."""
     holds: Dict[int, List[Span]] = defaultdict(list)
     for s in spans.of_kind("lock.hold"):
         lock = s.args.get("lock")
@@ -103,19 +106,99 @@ def lock_report(spans: SpanRecorder, top: int = 10) -> str:
             holds[lock].append(s)
     if not holds:
         return "(no lock activity traced)"
+    waits: Dict[int, float] = defaultdict(float)
+    for s in spans.of_kind("lock.wait"):
+        waits[s.args.get("lock")] += s.duration
     rows = []
     for lock, hs in holds.items():
         hs.sort(key=lambda s: s.start)
         owners = [s.track for s in hs]
         transfers = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
-        avg_cs = sum(s.duration for s in hs) / len(hs)
-        rows.append((len(hs), lock, len(set(owners)), transfers, avg_cs))
+        hold = sum(s.duration for s in hs)
+        rows.append((len(hs), lock, len(set(owners)), transfers,
+                     hold / len(hs), waits[lock], hold))
     rows.sort(reverse=True)
     out = [f"{'lock':>6} {'acquires':>9} {'owners':>7} {'transfers':>10} "
-           f"{'avg CS (cy)':>12}"]
-    for n, lock, owners, transfers, avg_cs in rows[:top]:
+           f"{'avg CS (cy)':>12} {'wait (cy)':>12} {'hold (cy)':>12}"]
+    for n, lock, owners, transfers, avg_cs, wait, hold in rows[:top]:
         out.append(f"{lock:>6} {n:>9} {owners:>7} {transfers:>10} "
-                   f"{avg_cs:>12.0f}")
+                   f"{avg_cs:>12.0f} {wait:>12.0f} {hold:>12.0f}")
     if len(rows) > top:
         out.append(f"  ... and {len(rows) - top} more lock variables")
+    return "\n".join(out)
+
+
+#: span kinds whose durations ``repro metrics`` summarizes
+EPISODE_KINDS = ("lock.wait", "lock.hold", "barrier")
+
+
+def episode_stats(spans: SpanRecorder, kind: str) -> Dict[str, float]:
+    """Count, sum, mean and exact nearest-rank p50/p90/p99 of the
+    durations of ``kind`` spans (all zero when there are none)."""
+    durations = sorted(spans.durations(kind))
+    n = len(durations)
+    total = sum(durations)
+    out = {"count": n, "sum": total, "mean": total / n if n else 0.0}
+    for q in (50, 90, 99):
+        out[f"p{q}"] = durations[max(0, -(-q * n // 100) - 1)] if n else 0.0
+    return out
+
+
+def _counter_lines(counters: Dict[str, Any]) -> List[str]:
+    return [f"  {name:<22} {value:>14.0f}"
+            for name, value in counters.items()
+            if isinstance(value, (int, float)) and value]
+
+
+def metrics_report(result) -> str:
+    """The facts a run recorded, for ``repro metrics``: lock and barrier
+    episodes from its spans, then access faults, LAP prediction and eager
+    pushes, and network-fault and recovery counters from its stats."""
+    spans = result.extra.get("spans")
+    if spans is None:
+        raise ValueError("result has no spans; run with "
+                         "SimConfig(obs_spans=True)")
+    rows = [f"  {kind:<10} {st['count']:>7} {st['sum']:>12.0f} "
+            f"{st['mean']:>10.0f} {st['p50']:>10.0f} {st['p90']:>10.0f} "
+            f"{st['p99']:>10.0f}"
+            for kind, st in ((k, episode_stats(spans, k))
+                             for k in EPISODE_KINDS) if st["count"]]
+    header = (f"  {'kind':<10} {'count':>7} {'sum':>12} {'mean':>10} "
+              f"{'p50':>10} {'p90':>10} {'p99':>10}")
+    out = ["episodes (simulated cycles, from spans):",
+           *([header, *rows] if rows else ["  (none traced)"]),
+           "\n" + lock_report(spans)]
+    faults = result.fault_stats
+    n = faults.total_faults
+    mean = faults.fault_cycles / n if n else 0.0
+    out.append(f"\naccess faults: {n} total, {faults.fault_cycles:.0f} "
+               f"cycles (mean {mean:.0f})")
+    out.extend(_counter_lines(dataclasses.asdict(faults)))
+    lap = result.lap_stats
+    if lap is not None:
+        scored = sum(s.scored for s in lap.per_lock)
+        out.append(f"\nLAP success rates (Table 3; {scored} scored "
+                   f"transfers):")
+        for variant, rate in lap.overall_rates().items():
+            if variant != "events" and rate is not None:
+                out.append(f"  {variant:<22} {rate:>14.6f}")
+        out.append(f"  {'lock':>6} {'acquires':>9} {'same owner':>11} "
+                   f"{'scored':>7} " + " ".join(VARIANTS))
+        for s in lap.per_lock:
+            if s.acquires:
+                out.append(f"  {s.lock_id:>6} {s.acquires:>9} "
+                           f"{s.same_owner:>11} {s.scored:>7} " + " ".join(
+                               f"{s.hits[v]:>{len(v)}}" for v in VARIANTS))
+        d = result.diff_stats
+        wasted = ", ".join(f"{reason} {b}" for reason, b
+                           in sorted(d.lap_wasted_bytes.items()))
+        out.append(f"LAP eager pushes: {d.lap_pushes} pushes, "
+                   f"{d.lap_pushed_bytes} bytes pushed, "
+                   f"{d.lap_wasted_total} bytes wasted"
+                   + (f" ({wasted})" if wasted else ""))
+    for title, stats in (("network faults", result.net_faults),
+                         ("recovery", result.recovery)):
+        if stats is not None:
+            out.append(f"\n{title}:")
+            out.extend(_counter_lines(stats.to_dict()))
     return "\n".join(out)

@@ -20,8 +20,7 @@ import pytest
 from repro.apps.api import Application
 from repro.apps import registry
 from repro.apps.registry import APP_NAMES, SCALES, make_app
-from repro.check import (CheckReport, ConsistencyChecker, NullChecker,
-                         make_checker)
+from repro.check import ConsistencyChecker, NullChecker, make_checker
 from repro.check.oracle import run_divergence_oracle
 from repro.config import MachineParams, SimConfig, canonical_config_dict, \
     config_digest
@@ -379,6 +378,34 @@ class TestCheckCli:
         kinds = {v["kind"] for run in doc["runs"]
                  for v in run["check"]["violations"]}
         assert kinds == {"stale-read"}
+
+    def test_check_reports_a_protocol_exception_as_a_failed_cell(
+            self, tmp_path, capsys, monkeypatch):
+        # a handler that raises must not abort the command with a
+        # traceback: the cell fails, the report says why, the next runs
+        from repro.core.aec.protocol import AECNode
+
+        class RaisingAECNode(AECNode):
+            def _on_lock_grant(self, msg):
+                raise RuntimeError(f"node {self.node_id}: grant rejected")
+
+        monkeypatch.setitem(PROTOCOLS, "aec-raises",
+                            (RaisingAECNode, {"use_lap": True}))
+        out = tmp_path / "report.json"
+        rc = cli_main(["check", "is", "--protocols", "aec-raises", "aec",
+                       "--no-oracle", "--json", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail = next(ln for ln in lines if ln.startswith("FAIL"))
+        assert fail.split()[1:3] == ["is", "aec-raises"]
+        assert "RuntimeError: node" in fail and "grant rejected" in fail
+        assert any(ln.split()[:3] == ["ok", "is", "aec"] for ln in lines)
+        doc = json.loads(out.read_text())
+        assert doc["failed_runs"] == 1
+        raised, healthy = doc["runs"]
+        assert raised["protocol"] == "aec-raises"
+        assert raised["error"].startswith("RuntimeError: node")
+        assert healthy["protocol"] == "aec" and healthy["check"]["clean"]
 
     def test_check_prefixed_id_runs_on_the_specs_machine(self, monkeypatch,
                                                          capsys):

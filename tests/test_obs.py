@@ -1,6 +1,5 @@
-"""Tests for the observability layer: metrics, spans, export."""
+"""Tests for the observability layer: spans, export, the metrics report."""
 import json
-import random
 
 import pytest
 
@@ -8,141 +7,14 @@ from repro.apps.registry import make_app
 from repro.config import SimConfig
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
-from repro.obs import Observability
 from repro.obs.export import (DEFAULT_CYCLE_NS, JsonlSink, chrome_trace,
                               jsonl_to_chrome_trace, read_spans_jsonl,
                               span_from_json, span_to_json,
                               write_chrome_trace)
 from repro.obs.host import host_metadata
-from repro.obs.metrics import (MetricsRegistry, NullMetricsRegistry,
-                               P2Quantile, Snapshot)
 from repro.obs.spans import SPAN_KINDS, NullSpanRecorder, Span, SpanRecorder
-
-
-# --------------------------------------------------------------- metrics
-
-class TestMetrics:
-    def test_counter_labels(self):
-        reg = MetricsRegistry()
-        c = reg.counter("requests", "test counter")
-        c.inc()
-        c.inc(2, variant="lap")
-        c.inc(3, variant="lap")
-        c.inc(5, variant="waitq")
-        snap = reg.snapshot()
-        assert snap.get("requests") == 1
-        assert snap.get("requests", variant="lap") == 5
-        assert snap.get("requests", variant="waitq") == 5
-        assert snap.total("requests") == 11
-        assert snap.total("requests", variant="lap") == 5
-
-    def test_label_order_is_canonical(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c")
-        c.inc(1, a=1, b=2)
-        c.inc(1, b=2, a=1)
-        snap = reg.snapshot()
-        assert snap.get("c", a=1, b=2) == 2
-
-    def test_gauge_set_add(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("level")
-        g.set(5)
-        g.add(2)
-        g.set(7, node=1)
-        assert reg.snapshot().get("level") == 7
-        assert reg.snapshot().get("level", node=1) == 7
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_bind_hot_path(self):
-        reg = MetricsRegistry()
-        cell = reg.counter("c").bind(lock=3)
-        for _ in range(10):
-            cell.inc()
-        assert reg.snapshot().get("c", lock=3) == 10
-
-    def test_histogram_buckets_and_stats(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10.0, 100.0, 1000.0))
-        for v in (5, 50, 500, 5000, 7):
-            h.observe(v)
-        hv = reg.snapshot().get("lat")
-        assert hv.count == 5
-        assert hv.sum == 5562
-        assert hv.min == 5 and hv.max == 5000
-        # buckets: <=10 -> 2, <=100 -> 1, <=1000 -> 1, overflow -> 1
-        assert hv.bucket_counts == (2, 1, 1, 1)
-        assert hv.mean == pytest.approx(5562 / 5)
-
-    def test_snapshot_diff_and_merge(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c")
-        g = reg.gauge("g")
-        h = reg.histogram("h", buckets=(10.0,))
-        c.inc(5)
-        g.set(1)
-        h.observe(3)
-        early = reg.snapshot()
-        c.inc(7)
-        g.set(9)
-        h.observe(20)
-        late = reg.snapshot()
-        d = late.diff(early)
-        assert d.get("c") == 7                 # counters subtract
-        assert d.get("g") == 9                 # gauges keep the level
-        assert d.get("h").count == 1           # histogram counts subtract
-        assert d.get("h").bucket_counts == (0, 1)
-        m = late.merge(late)
-        assert m.get("c") == 24
-        assert m.get("h").count == 4
-        assert m.get("h").sum == pytest.approx(46)
-
-    def test_null_registry_is_inert(self):
-        reg = NullMetricsRegistry()
-        assert not reg.enabled
-        c = reg.counter("c")
-        c.inc(5, lock=1)
-        c.bind(lock=1).inc()
-        reg.histogram("h").observe(3)
-        snap = reg.snapshot()
-        assert isinstance(snap, Snapshot)
-        assert snap.names() == []
-
-    def test_render_mentions_series(self):
-        reg = MetricsRegistry()
-        reg.counter("hits", "h").inc(3, variant="lap")
-        text = reg.render()
-        assert "hits" in text and "variant=lap" in text and "3" in text
-
-
-class TestP2Quantile:
-    def test_exact_for_small_n(self):
-        est = P2Quantile(0.5)
-        for v in (9, 1, 5):
-            est.add(v)
-        assert est.value() == 5
-
-    def test_median_accuracy_uniform(self):
-        rng = random.Random(7)
-        est = P2Quantile(0.5)
-        for _ in range(5000):
-            est.add(rng.uniform(0, 1000))
-        assert abs(est.value() - 500) < 25
-
-    def test_p99_tail(self):
-        rng = random.Random(11)
-        est = P2Quantile(0.99)
-        for _ in range(10000):
-            est.add(rng.uniform(0, 100))
-        assert 95 < est.value() <= 100
-
-    def test_empty(self):
-        assert P2Quantile(0.9).value() is None
+from repro.protocols.base import World
+from repro.tools import episode_stats, lock_report, metrics_report
 
 
 # ----------------------------------------------------------------- spans
@@ -268,8 +140,7 @@ class TestExport:
 
 @pytest.fixture(scope="module")
 def obs_result():
-    cfg = SimConfig(obs_metrics=True, obs_spans=True)
-    return run_app(make_app("is", "test"), "aec", cfg)
+    return run_app(make_app("is", "test"), "aec", SimConfig(obs_spans=True))
 
 
 class TestRunWithObs:
@@ -291,39 +162,25 @@ class TestRunWithObs:
         assert spans.counts()["diff.create"] == \
             obs_result.diff_stats.diffs_created
 
-    def test_lap_metrics_agree_with_reference_scorer(self, obs_result):
-        """The registry's counters must reproduce core/lap/stats.py."""
-        snap = obs_result.metrics
-        ref = obs_result.lap_stats
-        assert snap.total("lap.acquires") == ref.total_acquires()
-        scored = snap.total("lap.scored")
-        assert scored == sum(s.scored for s in ref.per_lock)
-        rates = ref.overall_rates()
-        for variant in ("lap", "waitq", "waitq_affinity", "waitq_virtualq"):
-            hits = snap.total("lap.hits", variant=variant)
-            assert hits / scored == pytest.approx(rates[variant])
-            assert snap.get("lap.hit_rate", variant=variant) == \
-                pytest.approx(rates[variant])
-
-    def test_fault_metrics_agree(self, obs_result):
-        snap = obs_result.metrics
-        assert snap.total("faults") == obs_result.fault_stats.total_faults
-        assert snap.total("faults", cold="yes") == \
-            obs_result.fault_stats.cold_faults
-
     def test_lock_metrics(self, obs_result):
-        snap = obs_result.metrics
-        assert snap.total("lock.acquires") == obs_result.total_lock_acquires
-        hold = snap.get("lock.hold_cycles", lock=0)
-        assert hold.count == obs_result.total_lock_acquires
-        assert hold.sum > 0
+        """Lock and barrier episodes, read from spans."""
+        spans = obs_result.extra["spans"]
+        wait = episode_stats(spans, "lock.wait")
+        hold = episode_stats(spans, "lock.hold")
+        barrier = episode_stats(spans, "barrier")
+        assert wait["count"] == hold["count"] == \
+            obs_result.total_lock_acquires == 32
+        assert (wait["sum"], hold["sum"]) == (11931900, 1112670)
+        assert (barrier["count"], barrier["sum"]) == (144, 32395465.5)
+        for st in (wait, hold, barrier):
+            assert st["p50"] <= st["p90"] <= st["p99"]
+            assert st["mean"] == pytest.approx(st["sum"] / st["count"])
 
     def test_wasted_bytes_attributed(self, obs_result):
-        snap = obs_result.metrics
-        pushed = snap.total("lap.pushed_bytes")
-        wasted = snap.total("lap.wasted_bytes")
-        assert pushed > 0
-        assert 0 <= wasted < pushed
+        d = obs_result.diff_stats
+        assert (d.lap_pushes, d.lap_pushed_bytes) == (30, 56896)
+        assert d.lap_wasted_bytes == {"barrier": 2048}
+        assert d.lap_wasted_total == 2048
 
     def test_determinism_with_obs(self, obs_result):
         """Enabling observability must not change simulated behaviour."""
@@ -333,8 +190,8 @@ class TestRunWithObs:
 
     def test_disabled_by_default(self):
         r = run_app(make_app("is", "test"), "aec", SimConfig())
-        assert r.metrics is None
         assert r.extra["spans"] is None
+        assert not hasattr(r, "metrics")
 
     def test_jsonl_streaming_run(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -359,13 +216,34 @@ class TestRunWithObs:
         assert counts["lock.wait"] > 0
         assert counts["barrier"] > 0
 
-    def test_obs_from_config_defaults(self):
-        obs = Observability.from_config(SimConfig())
-        assert not obs.enabled
-        assert not obs.metrics.enabled and not obs.spans.enabled
+    def test_world_spans_follow_config(self):
+        from repro.memory.layout import Layout
+        from repro.sync.objects import SyncRegistry
+
+        def spans(**kw):
+            cfg = SimConfig(**kw)
+            return World(cfg, Layout(cfg.machine.words_per_page),
+                         SyncRegistry(cfg.machine.num_procs)).spans
+        assert not spans().enabled
+        on = spans(obs_spans=True)
+        assert on.enabled and on.capacity == 1_000_000
+
+    def test_finish_closes_jsonl_sink(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        rec = SpanRecorder(sink=JsonlSink(str(path)))
+        rec.begin(0, "barrier", "b", 0.0)
+        assert rec.finish(5.0) == 1
+        assert rec.sink is None
+        assert read_spans_jsonl(str(path))[0].args["truncated"]
 
 
 # -------------------------------------------------------------------- CLI
+
+def _report_rows(text):
+    """First word of each line -> the rest of its words."""
+    return {words[0]: words[1:] for words in map(str.split, text.splitlines())
+            if words}
+
 
 class TestCli:
     def test_run_trace_out(self, tmp_path, capsys):
@@ -386,12 +264,48 @@ class TestCli:
         assert json.loads(out.read_text())["traceEvents"]
 
     def test_metrics_subcommand(self, capsys):
+        """The report shows the facts the deleted registry showed, with
+        the same counts and sums."""
         rc = cli_main(["metrics", "--app", "is", "--protocol", "aec",
                        "--scale", "test"])
         assert rc == 0
+        rows = _report_rows(capsys.readouterr().out)
+        assert rows["lock.wait"][:2] == ["32", "11931900"]
+        assert rows["lock.hold"][:2] == ["32", "1112670"]
+        assert rows["barrier"][:2] == ["144", "32395466"]
+        assert rows["access"][:4] == ["faults:", "111", "total,", "14589054"]
+        assert rows["lap"] == ["0.935484"]
+        assert rows["waitq"] == ["0.903226"]
+        assert rows["waitq_affinity"] == ["0.935484"]
+        assert rows["waitq_virtualq"] == ["0.903226"]
+        assert " ".join(rows["LAP"]) == (
+            "eager pushes: 30 pushes, 56896 bytes pushed, "
+            "2048 bytes wasted (barrier 2048)")
+
+    def test_metrics_tmk_has_shadow_lap_and_sc_has_none(self, capsys):
+        assert cli_main(["metrics", "--app", "is", "--protocol", "tmk",
+                         "--scale", "test"]) == 0
+        rows = _report_rows(capsys.readouterr().out)
+        assert rows["lap"] == rows["waitq"] == ["0.935484"]
+        assert rows["lock.wait"][0] == "32"
+        assert cli_main(["metrics", "--app", "is", "--protocol", "sc",
+                         "--scale", "test"]) == 0
         text = capsys.readouterr().out
-        assert "lap.hit_rate" in text
-        assert "variant=lap" in text
+        assert "LAP" not in text
+        assert "access faults: 0 total" in text
+
+    def test_report_lists_net_fault_and_recovery_counters(self):
+        from repro.faults import resolve_plan
+        cfg = SimConfig(obs_spans=True, faults=resolve_plan("crash-one-node"))
+        r = run_app(make_app("is", "test"), "aec", cfg)
+        rows = _report_rows(metrics_report(r))
+        assert int(rows["crashes"][0]) == r.recovery.crashes > 0
+        assert int(rows["acks_sent"][0]) == r.net_faults.acks_sent > 0
+
+    def test_lock_report_has_wait_and_hold_columns(self, obs_result):
+        header, row = lock_report(obs_result.extra["spans"]).splitlines()[:2]
+        assert "wait (cy)" in header and "hold (cy)" in header
+        assert row.split()[-2:] == ["11931900", "1112670"]
 
     def test_verbose_uses_machine_clock(self, capsys):
         rc = cli_main(["run", "--app", "is", "--scale", "test", "-v"])

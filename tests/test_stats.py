@@ -2,7 +2,7 @@
 import pytest
 
 from repro.stats.diff_stats import DiffStats
-from repro.stats.fault_stats import FaultStats
+from repro.stats.fault_stats import AccessFaultStats
 from repro.stats.run_result import RunResult
 from repro.stats.breakdown import Breakdown
 
@@ -37,15 +37,16 @@ class TestDiffStats:
 
 class TestFaultStats:
     def test_merge(self):
-        a = FaultStats(read_faults=2, fault_cycles=100.0)
-        b = FaultStats(read_faults=3, write_faults=1, fault_cycles=50.0)
+        a = AccessFaultStats(read_faults=2, fault_cycles=100.0)
+        b = AccessFaultStats(read_faults=3, write_faults=1, fault_cycles=50.0)
         m = a.merge(b)
         assert m.read_faults == 5
         assert m.write_faults == 1
         assert m.fault_cycles == 150.0
 
     def test_total(self):
-        f = FaultStats(read_faults=1, write_faults=2, protection_faults=3)
+        f = AccessFaultStats(read_faults=1, write_faults=2,
+                             protection_faults=3)
         assert f.total_faults == 6
 
 
@@ -56,7 +57,7 @@ class TestRunResult:
             node_breakdowns=[Breakdown(), Breakdown()],
             breakdown=Breakdown.from_dict({"busy": 10.0}),
             app_results=[None, None], diff_stats=DiffStats(),
-            fault_stats=FaultStats(), lock_acquires={0: 3, 1: 4},
+            fault_stats=AccessFaultStats(), lock_acquires={0: 3, 1: 4},
             barrier_events=2)
 
     def test_total_acquires(self):

@@ -268,29 +268,42 @@ class TestSweepCLI:
 # ----------------------------------------- sweep-level metrics (satellite)
 
 class TestSweepMetricsMerge:
+    """``sweep --metrics`` sums the cells' results; it changes no cell."""
+
     def _report(self, jobs=1):
         sw.clear_memory()
         sw.set_cache_dir(None)
-        specs = [sw.make_spec("is", "test", p, obs_metrics=True)
-                 for p in ("aec", "tmk")]
+        specs = [sw.make_spec("is", "test", p) for p in ("aec", "tmk")]
         return sw.run_sweep(specs, jobs=jobs), specs
+
+    @staticmethod
+    def _summed(report, specs):
+        results = [report.result_for(s) for s in specs]
+        return {
+            "lock_acquires": sum(r.total_lock_acquires for r in results),
+            "lap_hits": sum(s.hits["lap"] for r in results
+                            for s in r.lap_stats.per_lock),
+            "lap_scored": sum(s.scored for r in results
+                              for s in r.lap_stats.per_lock),
+            "lap_pushed_bytes": sum(r.diff_stats.lap_pushed_bytes
+                                    for r in results),
+            "lap_wasted_bytes": sum(
+                sum(r.diff_stats.lap_wasted_bytes.values())
+                for r in results),
+        }
 
     def test_merged_equals_sum_of_cells(self):
         report, specs = self._report()
-        merged = report.merged_metrics()
-        assert merged is not None
-        per_cell = [report.result_for(s).metrics for s in specs]
-        for series in ("lock.acquires", "lap.pushed_bytes",
-                       "lap.wasted_bytes", "lap.scored"):
-            assert merged.total(series) == \
-                sum(snap.total(series) for snap in per_cell)
+        agg = report.aggregates()
+        for name, total in self._summed(report, specs).items():
+            assert agg[name] == total, name
+        assert agg["lap_pushed_bytes"] > 0
+        assert agg["retransmissions"] == agg["crashes"] == 0
 
     def test_fleet_hit_rate_weighs_cells_by_scored(self):
         report, specs = self._report()
-        merged = report.merged_metrics()
-        hits = merged.total("lap.hits", variant="lap")
-        scored = merged.total("lap.scored")
-        assert 0.0 <= hits / scored <= 1.0
+        agg = report.aggregates()
+        assert 0.0 < agg["lap_hits"] / agg["lap_scored"] <= 1.0
         summary = report.metrics_summary()
         assert "fleet LAP hit rate" in summary
         assert "wasted update bytes" in summary
@@ -298,22 +311,41 @@ class TestSweepMetricsMerge:
     def test_merge_survives_worker_processes(self):
         serial, specs = self._report(jobs=1)
         parallel, _ = self._report(jobs=2)
-        assert serial.merged_metrics().total("lap.pushed_bytes") == \
-            parallel.merged_metrics().total("lap.pushed_bytes")
+        assert parallel.executed == 2
+        assert parallel.aggregates() == serial.aggregates() == \
+            self._summed(parallel, specs) | {
+                "retransmissions": 0, "injected_faults": 0, "crashes": 0,
+                "restarts": 0, "declared_dead": 0}
 
-    def test_no_metrics_means_none(self):
-        sw.clear_memory()
-        sw.set_cache_dir(None)
-        specs = [sw.make_spec("is", "test", "aec")]
-        report = sw.run_sweep(specs, jobs=1)
-        assert report.merged_metrics() is None
-        assert report.metrics_summary() is None
+    def test_faulted_cells_add_transport_and_crash_counts(self):
+        from repro.faults import resolve_plan
+        specs = [sw.make_spec("is", "test", "aec",
+                              faults=resolve_plan(plan))
+                 for plan in ("lossy-1pct", "crash-one-node")]
+        report = sw.run_sweep(specs)
+        results = [report.result_for(s) for s in specs]
+        agg = report.aggregates()
+        assert agg["retransmissions"] == \
+            sum(r.net_faults.retries for r in results) > 0
+        assert results[0].recovery is None  # lossy-1pct crashes no node
+        assert agg["crashes"] == results[1].recovery.crashes > 0
+        summary = report.metrics_summary()
+        assert "retransmissions" in summary and "node crashes" in summary
 
-    def test_cli_metrics_flag(self, capsys):
+    def test_no_metrics_means_none(self, capsys):
+        assert main(["sweep", "table2", "--scale", "test"]) == 0
+        assert "sweep aggregates" not in capsys.readouterr().out
+
+    def test_cli_metrics_flag(self, capsys, tmp_path):
+        """--metrics reads the cells a plain sweep cached: a warm re-run
+        executes nothing and still prints the aggregates."""
+        cache = str(tmp_path / "cache")
+        argv = ["sweep", "table2", "--scale", "test", "--cache-dir", cache]
+        assert main(argv) == 0
+        assert " 0 executed" not in capsys.readouterr().out
         sw.clear_memory()
-        sw.set_cache_dir(None)
-        assert main(["sweep", "table2", "--scale", "test", "--jobs", "1",
-                     "--metrics", "-v"]) == 0
+        assert main(argv + ["--metrics"]) == 0
         out = capsys.readouterr().out
+        assert " 0 executed" in out
         assert "sweep aggregates" in out
         assert "fleet LAP hit rate" in out

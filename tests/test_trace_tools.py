@@ -32,9 +32,10 @@ class TestTraceContainer:
         rows = {int(ln.split()[0]): ln.split()
                 for ln in lock_report(rec).splitlines()[1:]}
         # lock 0: 3 acquires by 2 owners (1 -> 2 -> 2: one transfer),
-        # mean critical section (100 + 250 + 100) / 3
-        assert rows[0] == ["0", "3", "2", "1", "150"]
-        assert rows[9] == ["9", "1", "1", "0", "10"]
+        # mean critical section (100 + 250 + 100) / 3, no wait traced,
+        # 450 cycles held in total
+        assert rows[0] == ["0", "3", "2", "1", "150", "0", "450"]
+        assert rows[9] == ["9", "1", "1", "0", "10", "0", "10"]
 
 
 class TestTracedRuns:
