@@ -207,13 +207,6 @@ class SimConfig:
     tm_lazy_hybrid: bool = False
     #: deterministic seed for applications that randomize (task stealing etc.)
     seed: int = 42
-    #: record protocol episodes as simulated-time spans (lock wait/hold,
-    #: barriers, diffs, page fetches, LAP windows) for Perfetto export
-    obs_spans: bool = False
-    #: stream every finished span to this JSON-lines file as it completes
-    #: (keeps memory O(1) on bench-scale runs); implies nothing about the
-    #: in-memory ring, which still serves queries
-    obs_spans_jsonl: str = ""
     #: run the happens-before sanitizer / consistency oracle alongside the
     #: simulation (``repro.check``): shadow memory tracks the last writer of
     #: every shared word and flags data races and entry-consistency stale
@@ -236,10 +229,6 @@ class SimConfig:
     #: so it survives ``asdict`` and lands in the canonical config — every
     #: (workload, fault-seed) combination is a distinct sweep cache cell.
     workload: Optional["WorkloadSpec"] = None
-    #: record the run's app-level event stream (reads/writes/sync/compute)
-    #: to this JSON-lines file for later replay (``repro.fuzz.trace``);
-    #: empty = off.  Pure observation: simulated numbers are unaffected.
-    record_trace: str = ""
     #: enable the recovery protocol when the fault plan schedules crashes:
     #: coordinated checkpoints at barrier epochs, transport probing of
     #: lease-expired peers, and coordinator-driven reconfiguration around

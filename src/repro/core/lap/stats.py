@@ -13,7 +13,7 @@ same lock reveals the true next acquirer.  Shadow predictions for the
 low-level technique variants are recorded at the same instant, so the four
 Table 3 columns are measured on identical event streams.
 
-This class is the only LAP scorer: Table 3, ``repro metrics`` and the
+This class is the only LAP scorer: Table 3, ``repro explain`` and the
 sweep aggregates all read its per-lock tallies from ``RunResult.lap_stats``.
 """
 from __future__ import annotations

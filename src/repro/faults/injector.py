@@ -86,9 +86,8 @@ class FaultInjector:
     def _note_span(self, msg, time: float, what: str) -> None:
         spans = self.spans
         if spans is not None and spans.enabled:
-            sid = spans.begin(msg.src, "fault", f"fault.{what} {msg.kind}",
-                              time, kind=msg.kind, dst=msg.dst)
-            spans.end(sid, time)
+            spans.instant(msg.src, "fault", f"fault.{what} {msg.kind}",
+                          time, msg=msg.kind, dst=msg.dst)
 
     def fates(self, msg, time: float) -> Tuple[Fate, ...]:
         """Decide delivery of ``msg``: a tuple of per-copy fates.

@@ -1,6 +1,7 @@
 """Record/replay front end for app-level event streams.
 
-Recording taps :class:`~repro.apps.api.AppContext`: every shared-memory
+Recording (``run_app(..., record_trace=PATH)``) taps
+:class:`~repro.apps.api.AppContext`: every shared-memory
 access, synchronization operation and compute delay a program issues is
 appended (in per-processor program order) to an in-memory buffer and
 written out as JSON lines when the run finishes.  Replay loads the file as
@@ -11,7 +12,7 @@ sim-side number (execution cycles, messages, bytes, events).
 
 File format (one JSON object per line):
 
-* line 1 — header: ``{"format": "repro-app-trace", "version": 1, "app",
+* line 1 — header: ``{"format": "repro-app-trace", "version": 2, "app",
   "protocol", "num_procs", "volatile_segments", "segments": [[name,
   nwords], ...], "locks": [[name, group], ...], "barriers": [name, ...],
   "config": <canonical config dict>, "baseline": {execution_time,
@@ -36,7 +37,8 @@ from repro.memory.layout import Layout
 from repro.sync.objects import SyncRegistry
 
 TRACE_FORMAT = "repro-app-trace"
-TRACE_VERSION = 1
+#: v2: ``config`` no longer carries the trace's own output path
+TRACE_VERSION = 2
 
 
 class TraceRecorder:

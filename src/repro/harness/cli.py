@@ -3,19 +3,17 @@
 Examples::
 
     repro run --app is --protocol aec --scale test
-    repro run --app is --protocol aec --trace-out /tmp/is.json
+    repro explain --app is --protocol aec --trace-out /tmp/is.json
     repro run --app is --protocol aec --check-consistency
     repro run --app fuzz:17 --protocol aec --check-consistency
     repro check is water-ns --protocols aec tmk --json report.json
     repro compare --app raytrace --scale bench
-    repro trace export /tmp/aec.json --app is --scale test
     repro trace record /tmp/is.trace.jsonl --app is --protocol aec
     repro trace replay /tmp/is.trace.jsonl --verify
     repro fuzz run --seeds 25 --jobs 4 --json campaign.json
     repro fuzz replay 17 --protocol aec
     repro fuzz shrink tests/corpus/entry.json --protocol aec-broken
     repro fuzz corpus tests/corpus
-    repro metrics --app is --protocol aec --scale test
     repro experiment table3 --scale test
     repro experiment all --scale bench
     repro sweep --scale test --jobs 4 --cache-dir .repro-cache
@@ -26,8 +24,7 @@ Examples::
     repro faults list
     repro faults explain jitter
     repro faults run dup-heavy --app is --protocol aec
-    repro bench attr --app is --protocol aec --scale test
-    repro bench flame /tmp/is.folded --app is --protocol aec
+    repro explain --app is --faults lossy-1pct --folded /tmp/is.folded
 """
 from __future__ import annotations
 
@@ -49,6 +46,7 @@ from repro.harness import experiments as ex
 from repro.harness import sweep as sw
 from repro.harness import tables
 from repro.harness.runner import PROTOCOLS, run_app
+from repro.obs.spans import SpanRecorder
 from repro.stats.run_result import RunResult
 
 
@@ -61,12 +59,9 @@ def _make_config(app_id: str, args, **overrides) -> SimConfig:
     (whichever shared options the subcommand took; ``overrides`` win).
     Generated and recorded workloads also fix the machine size."""
     kwargs: Dict[str, Any] = {}
-    for name in ("update_set_size", "seed", "check_consistency",
-                 "record_trace"):
+    for name in ("update_set_size", "seed", "check_consistency"):
         if getattr(args, name, None) is not None:
             kwargs[name] = getattr(args, name)
-    if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        kwargs["obs_spans"] = True
     kwargs["faults"] = resolve_plan(getattr(args, "faults", None))
     kwargs.update(overrides)
     config = SimConfig(**kwargs)
@@ -90,10 +85,13 @@ def _resolve_app(app_id: str, args, **overrides):
         raise UsageError(exc) from None
 
 
-def _run(args, protocol: str, **overrides) -> RunResult:
-    """Run ``args.app`` under ``protocol``."""
+def _run(args, protocol: str, spans: Optional[SpanRecorder] = None,
+         record_trace: Optional[str] = None, **overrides) -> RunResult:
+    """Run ``args.app`` under ``protocol``, observed by ``spans`` and
+    ``record_trace`` (see :func:`run_app`)."""
     app, config = _resolve_app(args.app, args, **overrides)
-    return run_app(app, protocol, config=config)
+    return run_app(app, protocol, config=config, spans=spans,
+                   record_trace=record_trace)
 
 
 def _fault_plan_arg(spec: str) -> str:
@@ -107,27 +105,6 @@ def _fault_plan_arg(spec: str) -> str:
 
 def _to_stderr(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_trace(result, path: str) -> bool:
-    from repro.obs.export import write_chrome_trace
-    spans = result.extra.get("spans")
-    if spans is None:
-        print(f"no spans recorded; {path} not written", file=sys.stderr)
-        return False
-    cycle_ns = 1e9 / result.clock_hz
-    try:
-        # pass the recorder itself so ring-buffer drop counts land in the
-        # trace metadata
-        n = write_chrome_trace(path, spans, cycle_ns=cycle_ns,
-                               process_name=f"{result.app}/{result.protocol}")
-    except OSError as exc:
-        print(f"error: cannot write trace to {path}: {exc}", file=sys.stderr)
-        return False
-    dropped = spans.dropped_total
-    note = f" ({dropped} dropped by ring buffer)" if dropped else ""
-    print(f"chrome trace written to {path} ({n} events{note})")
-    return True
 
 
 def _report(result: RunResult, args, verbose_check: bool) -> int:
@@ -150,7 +127,7 @@ def _report(result: RunResult, args, verbose_check: bool) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = _run(args, args.protocol)
+    result = _run(args, args.protocol, record_trace=args.record_trace)
     if args.record_trace:
         print(f"app-level trace written to {args.record_trace}")
     rc = _report(result, args, args.verbose)
@@ -168,8 +145,6 @@ def _cmd_run(args) -> int:
               f"{100 * d.hidden_create_fraction:.1f}% creation hidden")
         print(f"  simulated evts : {result.events_processed:,} "
               f"in {result.wall_seconds:.1f}s wall")
-    if args.trace_out and not _write_trace(result, args.trace_out):
-        rc = 1
     return rc
 
 
@@ -229,19 +204,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_compare(args) -> int:
     for protocol in args.protocols:
-        result = _run(args, protocol)
-        print(result.summary())
-        if args.trace:
-            spans = result.extra.get("spans")
-            if spans is not None:
-                print("  " + spans.summary().replace("\n", "\n  "))
+        print(_run(args, protocol).summary())
     return 0
-
-
-def _cmd_trace_export(args) -> int:
-    result = _run(args, args.protocol, obs_spans=True)
-    print(result.summary())
-    return 0 if _write_trace(result, args.out) else 1
 
 
 def _cmd_trace_record(args) -> int:
@@ -260,20 +224,17 @@ def _cmd_trace_replay(args) -> int:
 
     try:
         app = TraceApp(args.trace)
-        # replay under the recorded config, but never re-record over the
-        # input file
-        config = config_from_dict(app.header["config"]).replace(
-            record_trace="")
+        config = config_from_dict(app.header["config"])
     except (OSError, ValueError) as exc:
         raise UsageError(f"{args.trace}: {exc}") from None
     protocol = args.protocol or app.recorded_protocol
+    if args.verify and protocol != app.recorded_protocol:
+        raise UsageError(f"--verify needs the recorded protocol "
+                         f"({app.recorded_protocol!r}), not {protocol!r}")
     result = run_app(app, protocol, config=config)
     print(result.summary())
     if not args.verify:
         return 0
-    if protocol != app.recorded_protocol:
-        raise UsageError(f"--verify needs the recorded protocol "
-                         f"({app.recorded_protocol!r}), not {protocol!r}")
     # the baseline holds RunResult fields (cycles, messages, bytes, events)
     baseline = app.baseline
     mismatches = [f"  {k}: recorded {want!r}, replayed {got!r}"
@@ -405,30 +366,40 @@ def _cmd_fuzz_corpus(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_metrics(args) -> int:
-    from repro.tools import metrics_report
-    result = _run(args, args.protocol, obs_spans=True)
-    print(result.summary())
-    print()
-    print(metrics_report(result))
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    from repro.tools import (lock_report, message_matrix, render_matrix,
-                             render_timeline)
-    result = _run(args, args.protocol, obs_spans=True,
-                  obs_spans_jsonl=args.trace_out or "")
-    spans = result.extra["spans"]
+def _cmd_explain(args) -> int:
+    """One run, every report it records: summary, metrics, attribution
+    with its Figure-4 cross-check, span timeline and traffic matrix."""
+    from repro.obs.export import write_chrome_trace
+    from repro.tools import (attribute_result, message_matrix,
+                             metrics_report, render_matrix, render_timeline,
+                             spans_collapsed, write_collapsed)
+    spans = SpanRecorder()
+    result = _run(args, args.protocol, spans=spans)
+    report = attribute_result(result, spans)
     print("\n\n".join([
-        result.summary(), spans.summary(), lock_report(spans),
+        result.summary(), metrics_report(result, spans), report.render(),
         render_timeline(spans, kinds=["page.fetch", "diff.create",
-                                      "lock.hold"]),
+                                      "lock.hold", "fault"]),
         render_matrix(message_matrix(result))]))
     if args.trace_out:
-        print(f"\nspans written to {args.trace_out} "
-              f"({spans.completed} spans)")
-    return 0
+        n = write_chrome_trace(args.trace_out, spans,
+                               cycle_ns=1e9 / result.clock_hz,
+                               process_name=f"{result.app}/{result.protocol}")
+        print(f"\nchrome trace ({n} events) written to {args.trace_out}")
+    if args.folded:
+        n = write_collapsed(spans_collapsed(spans.spans, result.num_procs,
+                                            result.execution_time),
+                            args.folded)
+        print(f"\n{n} collapsed stacks (simulated cycles) written to "
+              f"{args.folded}: feed to flamegraph.pl or speedscope.app")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        print(f"\nattribution written to {args.json}")
+    problems = report.check()
+    if problems:
+        _to_stderr("\n".join(f"TOLERANCE VIOLATION: {p}" for p in problems))
+    return 1 if problems else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -577,36 +548,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro import bench
-
-    result = _run(args, args.protocol, obs_spans=True)
-    if args.bench_cmd == "attr":
-        report = bench.attribute_result(result)
-        print(result.summary())
-        print()
-        print(report.render())
-        problems = report.check()
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            print(f"\nattribution written to {args.json}")
-        if problems:
-            print()
-            _to_stderr("\n".join(f"TOLERANCE VIOLATION: {p}"
-                                 for p in problems))
-        return 1 if problems else 0
-
-    # bench_cmd == "flame"
-    folded = bench.spans_collapsed(result.extra["spans"].spans,
-                                   result.num_procs, result.execution_time)
-    print(result.summary())
-    n = bench.write_collapsed(folded, args.out)
-    print(f"{n} collapsed stacks (simulated cycles) written to {args.out} — "
-          f"feed to flamegraph.pl or speedscope.app")
-    return 0
-
-
 # ------------------------------------------------------------ parser tables
 
 Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
@@ -637,8 +578,6 @@ def _shared_options() -> Dict[str, Arg]:
              help="inject network faults per a built-in plan "
                   "(NAME or NAME@SEED; see 'repro faults list')"),
         _arg("--check-consistency", action="store_true"),
-        _arg("--trace", action="store_true"),
-        _arg("--trace-out", metavar="FILE"),
         _arg("--verbose", "-v", action="store_true"),
         _arg("--cache-dir", metavar="DIR"),
         _arg("--jobs", type=int, default=1, metavar="N"),
@@ -660,9 +599,6 @@ _RUN = ["--app", "--protocol", "--scale", "--update-set-size", "--seed"]
 COMMANDS: Dict[str, tuple] = {
     "run": ("simulate one application/protocol", _cmd_run, [
         *_RUN, "--verbose",
-        _arg("--trace", help="record protocol spans during the run"),
-        _arg("--trace-out",
-             help="write spans as a Chrome/Perfetto trace (implies --trace)"),
         _arg("--check-consistency",
              help="run the happens-before sanitizer alongside the "
                   "simulation (nonzero exit on violations)"),
@@ -690,10 +626,18 @@ COMMANDS: Dict[str, tuple] = {
     "compare": ("one app under several protocols", _cmd_compare, [
         "--app", _arg("--protocols", default=["tmk", "aec-nolap", "aec"]),
         "--scale", "--update-set-size", "--seed",
-        _arg("--trace", help="record spans and print a per-protocol summary"),
     ]),
-    "trace": ("app-level trace record/replay, or Chrome trace export",
-              "trace_cmd"),
+    "explain": ("run once with spans and report where its simulated time "
+                "went (nonzero exit if the attribution fails to sum to "
+                "execution time)", _cmd_explain, [
+        *_RUN, "--faults",
+        _arg("--trace-out", metavar="FILE",
+             help="write the spans as a Chrome/Perfetto trace"),
+        _arg("--folded", metavar="FILE",
+             help="write collapsed stacks for flamegraph tools"),
+        _arg("--json", help="write the attribution as JSON"),
+    ]),
+    "trace": ("app-level trace record/replay", "trace_cmd"),
     "trace record": ("run once and record the app-level event stream",
                      _cmd_trace_record, [
         _arg("out", metavar="OUT.jsonl",
@@ -710,12 +654,6 @@ COMMANDS: Dict[str, tuple] = {
         _arg("--verify", action="store_true",
              help="fail unless execution cycles, messages, bytes "
                   "and events match the recorded baseline exactly"),
-    ]),
-    "trace export": ("run once and export a Chrome/Perfetto span trace",
-                     _cmd_trace_export, [
-        _arg("out", metavar="OUT.json",
-             help="output path for the trace JSON"),
-        *_RUN,
     ]),
     "fuzz": ("protocol fuzzing: generated-workload campaigns, single-spec "
              "replay, delta-debugging shrink, corpus regression replay",
@@ -774,15 +712,6 @@ COMMANDS: Dict[str, tuple] = {
                   "(default: aec tmk)"),
         "--scale",
     ]),
-    "metrics": ("run once and report its episodes, faults and LAP stats",
-                _cmd_metrics,
-                _RUN),
-    "analyze": ("run with spans and print lock/traffic reports",
-                _cmd_analyze, [
-        *_RUN,
-        _arg("--trace-out",
-             help="also stream every span to FILE as JSON lines"),
-    ]),
     "experiment": ("reproduce a table or figure", _cmd_experiment, [
         _arg("name", choices=(*EXPERIMENTS, "all")),
         "--scale",
@@ -826,19 +755,6 @@ COMMANDS: Dict[str, tuple] = {
     "cache": ("inspect or clear a sweep disk cache", _cmd_cache, [
         _arg("action", choices=("inspect", "clear")),
         _arg("--cache-dir", required=True),
-    ]),
-    "bench": ("explain simulated time: per-node attribution and "
-              "flamegraphs from spans", "bench_cmd"),
-    "bench attr": ("per-node simulated-time attribution from spans "
-                   "(nonzero exit if it fails to sum to execution time)",
-                   _cmd_bench, [
-        *_RUN, _arg("--json", help="also write the attribution as JSON"),
-    ]),
-    "bench flame": ("export collapsed stacks for flamegraph tools",
-                    _cmd_bench, [
-        _arg("out", metavar="OUT.folded",
-             help="output path for the collapsed stacks"),
-        *_RUN,
     ]),
 }
 

@@ -8,6 +8,7 @@ from repro.apps.api import Application, AppContext
 from repro.config import SimConfig
 from repro.core.aec.protocol import AECNode
 from repro.memory.layout import Layout
+from repro.obs.spans import SpanRecorder
 from repro.protocols.base import ProtocolNode, World
 from repro.protocols.sc import SCNode
 from repro.stats.breakdown import Breakdown
@@ -72,8 +73,15 @@ def resolve_config(protocol: str,
 
 def run_app(app: Application, protocol: str = "aec",
             config: Optional[SimConfig] = None,
-            check: bool = True) -> RunResult:
-    """Simulate ``app`` under ``protocol``; returns the collected RunResult."""
+            check: bool = True, *, spans: Optional[SpanRecorder] = None,
+            record_trace: Optional[str] = None) -> RunResult:
+    """Simulate ``app`` under ``protocol``; returns the collected RunResult.
+
+    Observation is an argument, not configuration: ``spans`` is a
+    caller-owned recorder that collects the run's protocol episodes, and
+    ``record_trace`` is a path the app-level event stream is written to.
+    Neither changes a simulated number.
+    """
     config = resolve_config(protocol, config)
     factory, _overrides = PROTOCOLS[protocol]
 
@@ -81,7 +89,8 @@ def run_app(app: Application, protocol: str = "aec",
     layout = Layout(machine.words_per_page)
     sync = SyncRegistry(machine.num_procs)
     app.declare(layout, sync)
-    world = World(config, layout, sync)
+    world = World(config, layout, sync, spans=spans,
+                  record_trace=record_trace)
 
     nodes = [factory(world, i) for i in range(machine.num_procs)]
     if world.recovery is not None:
@@ -149,7 +158,6 @@ def run_app(app: Application, protocol: str = "aec",
             "app_params": app.describe(),
             "pair_messages": world.sim.network.pair_messages.copy(),
             "pair_bytes": world.sim.network.pair_bytes.copy(),
-            "spans": world.spans if world.spans.enabled else None,
         },
     )
 

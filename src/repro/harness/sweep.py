@@ -43,7 +43,9 @@ from repro.stats.run_result import RunResult
 #: part of every cache key, so old entries miss instead of deserializing
 #: into garbage.  v6: ``RunResult.metrics`` removed, ``DiffStats`` gained
 #: the LAP push counters, ``FaultStats`` renamed ``AccessFaultStats``.
-CACHE_FORMAT_VERSION = 6
+#: v7: the observation-only span and app-trace fields left ``SimConfig``
+#: (and so the key); results carry no span recorder.
+CACHE_FORMAT_VERSION = 7
 
 
 @lru_cache(maxsize=1)
@@ -138,10 +140,9 @@ def make_spec(app: str, scale: str, protocol: str, *,
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one cell from scratch and return a cache/transport-safe result."""
-    result = run_app(make_app(spec.app, spec.scale, config=spec.config),
-                     spec.protocol, config=spec.config, check=spec.check)
-    return result.sanitized()
+    """Run one cell from scratch."""
+    return run_app(make_app(spec.app, spec.scale, config=spec.config),
+                   spec.protocol, config=spec.config, check=spec.check)
 
 
 # ------------------------------------------------------------- DiskCache
@@ -151,7 +152,7 @@ class DiskCache:
 
     Layout, under ``root``::
 
-        <key[:2]>/<key>.pkl    pickled sanitized RunResult
+        <key[:2]>/<key>.pkl    pickled RunResult
         <key[:2]>/<key>.json   metadata sidecar: the spec's canonical dict
                                plus a small result summary (inspectable
                                without unpickling)
@@ -191,10 +192,9 @@ class DiskCache:
     def store(self, spec: RunSpec, result: RunResult) -> None:
         pkl, meta = self._paths(spec.key)
         os.makedirs(os.path.dirname(pkl), exist_ok=True)
-        payload = result.sanitized()
         self._write_atomic(pkl, pickle.dumps(
-            payload, protocol=pickle.HIGHEST_PROTOCOL))
-        doc = {"spec": spec.canonical(), "result": payload.meta(),
+            result, protocol=pickle.HIGHEST_PROTOCOL))
+        doc = {"spec": spec.canonical(), "result": result.meta(),
                "provenance": provenance()}
         self._write_atomic(meta, json.dumps(
             doc, indent=2, sort_keys=True).encode("utf-8"))
@@ -261,7 +261,7 @@ class DiskCache:
 
 # -------------------------------------------------------- the run store
 
-#: in-process memo, spec key -> sanitized RunResult
+#: in-process memo, spec key -> RunResult
 _MEMORY: Dict[str, RunResult] = {}
 #: optional process-wide disk layer (attached via set_cache_dir / sweeps)
 _DISK: Optional[DiskCache] = None
@@ -420,8 +420,8 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
 
     ``jobs <= 1`` runs misses inline (still through the cache); ``jobs > 1``
     fans misses out over a ``multiprocessing`` pool.  Workers return
-    sanitized results that are stored to both cache layers, so a warm
-    re-run executes zero simulations.  Because each cell's seed and config
+    results that are stored to both cache layers, so a warm re-run
+    executes zero simulations.  Because each cell's seed and config
     are frozen in its spec, scheduling order cannot affect any result and
     the parallel path is identical to the serial one.
 

@@ -1,24 +1,16 @@
-"""Trace export: Chrome trace-event / Perfetto JSON and streaming JSONL.
+"""Trace export: Chrome trace-event / Perfetto JSON.
 
-Two formats:
-
-* **Chrome trace-event JSON** (``{"traceEvents": [...]}``): open the file
-  in https://ui.perfetto.dev or chrome://tracing.  Each finished span
-  becomes a complete ("X") event with microsecond timestamps derived from
-  the simulated cycle time (``MachineParams.cycle_ns``); instant spans
-  become "i" events.  Nodes map to threads (``tid``) of one simulator
-  process (``pid``), with "M" metadata records naming them.
-
-* **JSONL** (one span per line): the streaming format used by
-  :class:`JsonlSink` during long runs.  ``read_spans_jsonl`` round-trips
-  it back into :class:`~repro.obs.spans.Span` objects, and
-  ``jsonl_to_chrome_trace`` converts a captured stream to the Perfetto
-  format offline.
+A Chrome trace-event document (``{"traceEvents": [...]}``) opens in
+https://ui.perfetto.dev or chrome://tracing.  Each finished span becomes
+a complete ("X") event with microsecond timestamps derived from the
+simulated cycle time (``MachineParams.cycle_ns``); instant spans become
+"i" events.  Nodes map to threads (``tid``) of one simulator process
+(``pid``), with "M" metadata records naming them.
 """
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.spans import Span, SpanRecorder
 
@@ -109,75 +101,3 @@ def write_chrome_trace(path: str,
         json.dump(doc, fh)
     # 2 metadata records per track + 1 process record
     return sum(1 for e in doc["traceEvents"] if e["ph"] != "M")
-
-
-# ----------------------------------------------------------------- JSONL
-
-def span_to_json(span: Span) -> str:
-    rec: Dict[str, Any] = {
-        "track": span.track, "kind": span.kind, "name": span.name,
-        "start": span.start, "end": span.end,
-    }
-    if span.args:
-        rec["args"] = span.args
-    return json.dumps(rec, sort_keys=True, default=str)
-
-
-def span_from_json(line: str) -> Span:
-    rec = json.loads(line)
-    return Span(track=rec["track"], kind=rec["kind"], name=rec["name"],
-                start=rec["start"], end=rec.get("end"),
-                args=rec.get("args", {}))
-
-
-class JsonlSink:
-    """Streams finished spans to a JSON-lines file as they complete.
-
-    Attach via ``SpanRecorder(sink=JsonlSink(path))`` (the harness does
-    this for ``SimConfig(obs_spans_jsonl=...)``): memory use stays O(1)
-    regardless of run length.
-    """
-
-    def __init__(self, path_or_fh: Union[str, IO[str]]) -> None:
-        if isinstance(path_or_fh, str):
-            self._fh: IO[str] = open(path_or_fh, "w")
-            self._owns = True
-            self.path: Optional[str] = path_or_fh
-        else:
-            self._fh = path_or_fh
-            self._owns = False
-            self.path = getattr(path_or_fh, "name", None)
-        self.emitted = 0
-
-    def emit(self, span: Span) -> None:
-        self._fh.write(span_to_json(span))
-        self._fh.write("\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def read_spans_jsonl(path: str) -> List[Span]:
-    out: List[Span] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(span_from_json(line))
-    return out
-
-
-def jsonl_to_chrome_trace(jsonl_path: str, out_path: str,
-                          cycle_ns: float = DEFAULT_CYCLE_NS) -> int:
-    """Convert a streamed JSONL capture to Perfetto JSON offline."""
-    return write_chrome_trace(out_path, read_spans_jsonl(jsonl_path),
-                              cycle_ns)

@@ -6,11 +6,9 @@ creation/application, a remote page fetch, or a LAP push→acquire window.
 Spans nest naturally on a track (a diff creation inside a lock hold), which
 Perfetto / chrome://tracing render as stacked slices.
 
-The recorder keeps *finished* spans in a ring buffer (most recent N — long
-runs never exhaust memory and never silently bias toward startup, unlike
-the old ``Trace.capacity`` behaviour) and can additionally stream every
-finished span to a sink (see :class:`repro.obs.export.JsonlSink`) so a
-full ``bench``-scale trace costs O(1) memory.
+The recorder keeps *finished* spans in a ring buffer of the most recent N
+(one million by default), so a long run never exhausts memory and never
+silently biases toward startup; evictions are counted per kind.
 
 Open spans at run end are closed by :meth:`SpanRecorder.finish` with an
 explicit ``truncated`` marker — a deadlocked barrier or an abandoned lock
@@ -57,11 +55,9 @@ class SpanRecorder:
 
     enabled = True
 
-    def __init__(self, capacity: Optional[int] = 1_000_000,
-                 sink: Optional[Any] = None) -> None:
+    def __init__(self, capacity: Optional[int] = 1_000_000) -> None:
         self.spans: Deque[Span] = deque(maxlen=capacity)
         self.capacity = capacity
-        self.sink = sink
         self.dropped: Counter = Counter()
         self.completed = 0
         self._open: Dict[int, Span] = {}
@@ -93,8 +89,6 @@ class SpanRecorder:
         self._store(Span(track, kind, name, ts, ts, args))
 
     def _store(self, span: Span) -> None:
-        if self.sink is not None:
-            self.sink.emit(span)
         if self.capacity is not None and len(self.spans) >= self.capacity:
             self.dropped[self.spans[0].kind] += 1
         self.spans.append(span)
@@ -102,7 +96,7 @@ class SpanRecorder:
 
     def finish(self, at: float) -> int:
         """End-of-run hook: close every still-open span at time ``at``
-        (marked truncated), then flush and close the streaming sink."""
+        (marked truncated)."""
         n = 0
         for sid in sorted(self._open):
             span = self._open.pop(sid)
@@ -110,9 +104,6 @@ class SpanRecorder:
             span.args["truncated"] = True
             self._store(span)
             n += 1
-        if self.sink is not None:
-            self.sink.close()
-            self.sink = None
         return n
 
     # ---- queries ---------------------------------------------------------
@@ -144,21 +135,6 @@ class SpanRecorder:
     def total_time(self, kind: str) -> float:
         return sum(self.durations(kind))
 
-    # ---- reporting -------------------------------------------------------
-
-    def summary(self) -> str:
-        counts = self.counts()
-        header = f"spans: {len(self.spans)} recorded"
-        if self.dropped_total:
-            header += f" ({self.dropped_total} evicted from ring)"
-        if self._open:
-            header += f" ({len(self._open)} still open)"
-        lines = [header]
-        for kind, n in sorted(counts.items()):
-            total = self.total_time(kind)
-            lines.append(f"  {kind:<12} {n:>8}  {total / 1e6:>10.2f}Mcy total")
-        return "\n".join(lines)
-
 
 class NullSpanRecorder(SpanRecorder):
     """The default recorder: records nothing, all calls are no-ops."""
@@ -184,5 +160,5 @@ class NullSpanRecorder(SpanRecorder):
         return 0
 
 
-#: the shared recorder of every run without ``SimConfig.obs_spans``
+#: the shared recorder of every run that was not handed one
 NULL_SPANS = NullSpanRecorder()

@@ -22,7 +22,6 @@ from repro.memory.diff import Diff, create_diff
 from repro.memory.layout import Layout
 from repro.memory.pagestore import PageStore
 from repro.network.message import Message
-from repro.obs.export import JsonlSink
 from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.recovery.detector import HEARTBEAT_KIND
 from repro.stats.diff_stats import DiffStats
@@ -288,19 +287,16 @@ class World:
     """Global context of one simulation run."""
 
     def __init__(self, config: SimConfig, layout: Layout,
-                 sync: SyncRegistry) -> None:
+                 sync: SyncRegistry, spans: Optional[SpanRecorder] = None,
+                 record_trace: Optional[str] = None) -> None:
         self.config = config
         self.machine: MachineParams = config.machine
         self.layout = layout
         self.sync = sync
         self.sim = Simulator(config)
         self.nodes: List["ProtocolNode"] = []
-        #: the run's span recorder (the shared null recorder when off)
-        self.spans: SpanRecorder = NULL_SPANS
-        if config.obs_spans:
-            sink = (JsonlSink(config.obs_spans_jsonl)
-                    if config.obs_spans_jsonl else None)
-            self.spans = SpanRecorder(sink=sink)
+        #: the caller's span recorder (the shared null recorder when none)
+        self.spans: SpanRecorder = spans if spans is not None else NULL_SPANS
         self.recovery: Optional[Any] = None
         if config.faults is not None:
             # faulty network: engage the reliable transport and let the
@@ -313,11 +309,11 @@ class World:
                 self.recovery = install_recovery(self)
         from repro.check import make_checker
         self.checker = make_checker(config, layout, self.machine.num_procs)
-        if config.record_trace:
+        #: app-level event recorder writing to ``record_trace``; None when off
+        self.app_tap: Optional[Any] = None
+        if record_trace:
             from repro.fuzz.trace import TraceRecorder
-            self.app_tap: Optional[Any] = TraceRecorder(config.record_trace)
-        else:
-            self.app_tap = None
+            self.app_tap = TraceRecorder(record_trace)
         self.diff_stats = DiffStats(num_procs=self.machine.num_procs)
         self.lap_stats: Optional[Any] = None  # set by protocols that track LAP
         #: acquire counts per lock id (granted acquires, Table 2 / Table 3)

@@ -1,7 +1,6 @@
 """The result of simulating one (application, protocol) pair."""
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -45,22 +44,6 @@ class RunResult:
     #: simulated clock frequency (for cycles -> seconds conversions)
     clock_hz: float = 100e6
     extra: Dict[str, Any] = field(default_factory=dict)
-
-    #: ``extra`` keys holding live in-process objects (the span recorder).
-    #: They are dropped when a result is serialized for the disk cache or
-    #: shipped across a process boundary.
-    LIVE_EXTRA_KEYS = ("spans",)
-
-    def sanitized(self) -> "RunResult":
-        """A copy safe to pickle for the cache and cross-process transport.
-
-        Strips the live objects from :attr:`extra` (they are process-local
-        and can be arbitrarily large); every statistic — breakdowns, diff /
-        fault / LAP stats, traffic matrices — survives.
-        """
-        extra = {k: v for k, v in self.extra.items()
-                 if k not in self.LIVE_EXTRA_KEYS}
-        return dataclasses.replace(self, extra=extra)
 
     def meta(self) -> Dict[str, Any]:
         """Small JSON-safe summary for cache inspection (no unpickling)."""

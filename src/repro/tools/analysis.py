@@ -1,21 +1,21 @@
 """Run-analysis helpers: who-talks-to-whom matrices, ASCII span timelines,
-lock-behaviour reports and the ``repro metrics`` run report.
+lock-behaviour reports and the metrics section of ``repro explain``.
 
 These operate on a finished run: either a :class:`~repro.stats.run_result.
 RunResult` (for network matrices, carried in ``extra``) or the
-:class:`~repro.obs.spans.SpanRecorder` a run records with
-``SimConfig(obs_spans=True)`` (``result.extra["spans"]``).
+:class:`~repro.obs.spans.SpanRecorder` the caller handed to the run.
 
 Example::
 
-    from repro import SimConfig, run_app
+    from repro import run_app
     from repro.apps.registry import make_app
-    from repro.tools import render_matrix, render_timeline, lock_report
+    from repro.obs import SpanRecorder
+    from repro.tools import lock_report, message_matrix, render_matrix
 
-    cfg = SimConfig(obs_spans=True)
-    result = run_app(make_app("is", "test"), "aec", config=cfg)
-    print(render_matrix(result.extra["pair_messages"]))
-    print(lock_report(result.extra["spans"]))
+    spans = SpanRecorder()
+    result = run_app(make_app("is", "test"), "aec", spans=spans)
+    print(render_matrix(message_matrix(result)))
+    print(lock_report(spans))
 """
 from __future__ import annotations
 
@@ -34,10 +34,7 @@ _RAMP = " .:-=+*#%@"
 
 def message_matrix(result) -> np.ndarray:
     """The (src, dst) message-count matrix of a finished run."""
-    m = result.extra.get("pair_messages")
-    if m is None:
-        raise ValueError("run has no pair_messages (older RunResult?)")
-    return m
+    return result.extra["pair_messages"]
 
 
 def render_matrix(matrix: np.ndarray, label: str = "messages") -> str:
@@ -128,7 +125,7 @@ def lock_report(spans: SpanRecorder, top: int = 10) -> str:
     return "\n".join(out)
 
 
-#: span kinds whose durations ``repro metrics`` summarizes
+#: span kinds whose durations :func:`metrics_report` summarizes
 EPISODE_KINDS = ("lock.wait", "lock.hold", "barrier")
 
 
@@ -150,14 +147,11 @@ def _counter_lines(counters: Dict[str, Any]) -> List[str]:
             if isinstance(value, (int, float)) and value]
 
 
-def metrics_report(result) -> str:
-    """The facts a run recorded, for ``repro metrics``: lock and barrier
-    episodes from its spans, then access faults, LAP prediction and eager
-    pushes, and network-fault and recovery counters from its stats."""
-    spans = result.extra.get("spans")
-    if spans is None:
-        raise ValueError("result has no spans; run with "
-                         "SimConfig(obs_spans=True)")
+def metrics_report(result, spans: SpanRecorder) -> str:
+    """The facts a run recorded, for ``repro explain``: lock and barrier
+    episodes from the spans it was given, then access faults, LAP
+    prediction and eager pushes, and network-fault and recovery counters
+    from its stats."""
     rows = [f"  {kind:<10} {st['count']:>7} {st['sum']:>12.0f} "
             f"{st['mean']:>10.0f} {st['p50']:>10.0f} {st['p90']:>10.0f} "
             f"{st['p99']:>10.0f}"

@@ -1,13 +1,16 @@
-"""Tests for the simulated-time explainers (repro.bench)."""
+"""Tests for the simulated-time explainers behind ``repro explain``:
+per-node attribution and collapsed stacks."""
 import pytest
 
 from repro.apps.registry import APP_NAMES, make_app
-from repro.bench import (ATTRIBUTION_KINDS, attribute_result,
-                         attribute_spans, spans_collapsed, write_collapsed)
 from repro.config import SimConfig
+from repro.faults import resolve_plan
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
-from repro.obs.spans import Span
+from repro.obs.spans import NULL_SPANS, Span, SpanRecorder
+from repro.tools import (ATTRIBUTION_KINDS, attribute_result,
+                         attribute_spans, exclusive_stacks, spans_collapsed,
+                         write_collapsed)
 
 
 # ------------------------------------------------------------ attribution
@@ -45,15 +48,39 @@ class TestAttributionSynthetic:
         report = attribute_spans(spans, 1, 100.0)
         assert any("exceeds" in p for p in report.check())
 
+    def test_one_sweep_line_for_attribution_and_flame(self):
+        spans = [
+            Span(0, "barrier", "bar", 0.0, 100.0),
+            Span(0, "diff.create", "diff", 20.0, 50.0),
+            Span(0, "lock.wait", "lk", 100.0, 120.0),  # starts as bar ends
+        ]
+        assert exclusive_stacks(spans) == {
+            (0,): 70.0, (0, 1): 30.0, (2,): 20.0}
 
-@pytest.mark.parametrize("app", APP_NAMES)
-@pytest.mark.parametrize("protocol", ["aec", "tmk"])
+
+#: (protocol, app, fault plan); fault-free cells keep their historical ids
+_E2E = [pytest.param(protocol, app, plan,
+                     id=f"{protocol}-{app}" + ("" if plan == "none"
+                                               else f"-{plan}"))
+        for plan in ("none", "lossy-1pct", "crash-one-node")
+        for protocol in ("aec", "tmk") for app in APP_NAMES]
+
+
+@pytest.mark.parametrize("protocol,app,plan", _E2E)
 class TestAttributionEndToEnd:
-    def test_sums_to_execution_time(self, app, protocol):
+    def test_sums_to_execution_time(self, protocol, app, plan):
+        spans = SpanRecorder()
         result = run_app(make_app(app, "test"), protocol,
-                         SimConfig(obs_spans=True))
-        report = attribute_result(result)
+                         SimConfig(faults=resolve_plan(plan)), spans=spans)
+        report = attribute_result(result, spans)
         assert report.check() == [], report.render()
+        if plan == "lossy-1pct":
+            # injected drops/dups land on the timeline as instants that
+            # name the message kind they hit
+            instants = [s for s in spans.of_kind("fault")
+                        if s.duration == 0.0 and "msg" in s.args]
+            assert instants
+            assert all(s.name.endswith(s.args["msg"]) for s in instants)
         for node in report.nodes:
             assert sum(report.per_node[node].values()) == pytest.approx(
                 result.execution_time, rel=1e-6)
@@ -68,11 +95,11 @@ class TestAttributionEndToEnd:
 class TestAttributionErrors:
     def test_requires_spans(self):
         result = run_app(make_app("is", "test"), "aec", SimConfig())
-        with pytest.raises(ValueError, match="obs_spans"):
-            attribute_result(result)
+        with pytest.raises(ValueError, match="no spans recorded"):
+            attribute_result(result, NULL_SPANS)
 
     def test_cli_attr(self, capsys):
-        assert cli_main(["bench", "attr", "--app", "is"]) == 0
+        assert cli_main(["explain", "--app", "is"]) == 0
         out = capsys.readouterr().out
         assert "simulated-time attribution" in out
         assert "Figure-4 cross-check" in out
@@ -105,7 +132,7 @@ class TestFlame:
 
     def test_cli_flame(self, tmp_path):
         out = str(tmp_path / "is.folded")
-        assert cli_main(["bench", "flame", "--app", "is", out]) == 0
+        assert cli_main(["explain", "--app", "is", "--folded", out]) == 0
         lines = open(out).read().splitlines()
         assert lines and all(" " in ln for ln in lines)
         # values are integer cycles, stacks rooted at nodes

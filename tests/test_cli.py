@@ -26,10 +26,10 @@ APPS = ("is", "raytrace", "water-ns", "fft", "ocean", "water-sp")
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 #: the rest of a minimal command line, per subcommand taking --app / --faults
-APP_COMMANDS = {"run": [], "compare": [], "trace record": ["out"],
-                "trace export": ["out"], "metrics": [], "analyze": [],
-                "faults": ["run"], "bench attr": [], "bench flame": ["out"]}
+APP_COMMANDS = {"run": [], "compare": [], "explain": [],
+                "trace record": ["out"], "faults": ["run"]}
 FAULTS_COMMANDS = {"run": ["--app", "is"], "check": [],
+                   "explain": ["--app", "is"],
                    "trace record": ["out", "--app", "is"],
                    "fuzz replay": ["3"], "fuzz shrink": ["3"], "sweep": []}
 
@@ -37,36 +37,8 @@ FAULTS_COMMANDS = {"run": ["--app", "is"], "check": [],
 SURFACE = {
     '': {
         '<command>':
-            ('command', None, ('run', 'check', 'compare', 'trace', 'fuzz',
-             'metrics', 'analyze', 'experiment', 'sweep', 'faults', 'cache',
-             'bench'), None, True),
-    },
-    'analyze': {
-        '--app': ('app', None, APPS, None, True),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        '--trace-out': ('trace_out', None, None, None, False),
-        '--update-set-size': ('update_set_size', 2, None, None, False),
-    },
-    'bench': {
-        '<command>': ('bench_cmd', None, ('attr', 'flame'), None, True),
-    },
-    'bench attr': {
-        '--app': ('app', None, APPS, None, True),
-        '--json': ('json', None, None, None, False),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        '--update-set-size': ('update_set_size', 2, None, None, False),
-    },
-    'bench flame': {
-        '--app': ('app', None, APPS, None, True),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        '--update-set-size': ('update_set_size', 2, None, None, False),
-        'out': ('out', None, None, None, True),
+            ('command', None, ('run', 'check', 'compare', 'explain', 'trace',
+             'fuzz', 'experiment', 'sweep', 'faults', 'cache'), None, True),
     },
     'cache': {
         '--cache-dir': ('cache_dir', None, None, None, True),
@@ -89,7 +61,6 @@ SURFACE = {
             ('protocols', ['tmk', 'aec-nolap', 'aec'], PROTOS, '+', False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--seed': ('seed', 42, None, None, False),
-        '--trace': ('trace', False, None, 0, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
     },
     'experiment': {
@@ -100,6 +71,17 @@ SURFACE = {
             ('name', None, ('table1', 'table2', 'table3', 'table4', 'fig3',
              'fig4', 'fig5', 'fig6', 'ablation-upset', 'ablation-robustness',
              'all'), None, True),
+    },
+    'explain': {
+        '--app': ('app', None, APPS, None, True),
+        '--faults': ('faults', None, None, None, False),
+        '--folded': ('folded', None, None, None, False),
+        '--json': ('json', None, None, None, False),
+        '--protocol': ('protocol', 'aec', PROTOS, None, False),
+        '--scale': ('scale', 'test', SCALES, None, False),
+        '--seed': ('seed', 42, None, None, False),
+        '--trace-out': ('trace_out', None, None, None, False),
+        '--update-set-size': ('update_set_size', 2, None, None, False),
     },
     'faults': {
         '--app': ('app', None, APPS, None, False),
@@ -155,13 +137,6 @@ SURFACE = {
         '--verbose -v': ('verbose', False, None, 0, False),
         'spec': ('spec', None, None, None, True),
     },
-    'metrics': {
-        '--app': ('app', None, APPS, None, True),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        '--update-set-size': ('update_set_size', 2, None, None, False),
-    },
     'run': {
         '--app': ('app', None, None, None, True),
         '--check-consistency': ('check_consistency', False, None, 0, False),
@@ -170,8 +145,6 @@ SURFACE = {
         '--record-trace': ('record_trace', None, None, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--seed': ('seed', 42, None, None, False),
-        '--trace': ('trace', False, None, 0, False),
-        '--trace-out': ('trace_out', None, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
         '--verbose -v': ('verbose', False, None, 0, False),
     },
@@ -187,15 +160,7 @@ SURFACE = {
     },
     'trace': {
         '<command>':
-            ('trace_cmd', None, ('record', 'replay', 'export'), None, True),
-    },
-    'trace export': {
-        '--app': ('app', None, APPS, None, True),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        '--update-set-size': ('update_set_size', 2, None, None, False),
-        'out': ('out', None, None, None, True),
+            ('trace_cmd', None, ('record', 'replay'), None, True),
     },
     'trace record': {
         '--app': ('app', None, None, None, True),

@@ -27,6 +27,7 @@ from repro.faults.injector import FaultInjector, NullInjector, make_injector
 from repro.harness import sweep as sw
 from repro.harness.runner import run_app
 from repro.network.message import Message
+from repro.obs.spans import SpanRecorder
 from repro.protocols.base import (ACK_KIND, BEST_EFFORT_KINDS,
                                   ReliableTransport, TransportTimeoutError)
 
@@ -367,11 +368,11 @@ class TestSurvivesBuiltinPlans:
     def test_stall_freezes_the_node(self):
         plan = get_plan("stall-one-node")
         (stall,) = plan.stalls
-        config = SimConfig(seed=42, faults=plan, obs_spans=True)
-        result = run_app(make_app("is", "test"), "aec", config)
+        config = SimConfig(seed=42, faults=plan)
+        spans = SpanRecorder()
+        result = run_app(make_app("is", "test"), "aec", config, spans=spans)
         nf = result.net_faults
         assert nf.stalls == 1 and nf.stall_cycles == stall.cycles
-        spans = result.extra["spans"]
         fault_spans = spans.of_kind("fault")
         assert any(s.duration == stall.cycles and s.track == stall.node
                    for s in fault_spans)
@@ -426,8 +427,8 @@ class TestSweepDeterminism:
                                 cache_dir=str(tmp_path / "parallel"))
         assert not serial.failures and not parallel.failures
         for spec in specs:
-            a = serial.result_for(spec).sanitized()
-            b = parallel.result_for(spec).sanitized()
+            a = serial.result_for(spec)
+            b = parallel.result_for(spec)
             # byte-identical results, fault stats included; only the
             # measured wall-clock time may legitimately differ
             assert a.net_faults == b.net_faults

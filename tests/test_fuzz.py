@@ -221,11 +221,10 @@ class TestTraceRoundtrip:
     def test_record_replay_bit_identical(self, app_name, tmp_path):
         path = str(tmp_path / f"{app_name}.trace.jsonl")
         recorded = run_app(make_app(app_name, "test"), "aec",
-                           config=SimConfig(record_trace=path))
+                           record_trace=path)
         replay = TraceApp(path)
         assert replay.recorded_protocol == "aec"
-        cfg = config_from_dict(replay.header["config"]).replace(
-            record_trace="")
+        cfg = config_from_dict(replay.header["config"])
         replayed = run_app(replay, "aec", config=cfg)
         assert replayed.execution_time == recorded.execution_time
         assert replayed.messages_total == recorded.messages_total
@@ -235,8 +234,8 @@ class TestTraceRoundtrip:
     def test_recording_does_not_change_sim_numbers(self, tmp_path):
         base = run_app(make_app("is", "test"), "aec", config=SimConfig())
         path = str(tmp_path / "is.trace.jsonl")
-        taped = run_app(make_app("is", "test"), "aec",
-                        config=SimConfig(record_trace=path))
+        taped = run_app(make_app("is", "test"), "aec", config=SimConfig(),
+                        record_trace=path)
         assert taped.execution_time == base.execution_time
         assert taped.messages_total == base.messages_total
 
@@ -244,16 +243,20 @@ class TestTraceRoundtrip:
         path = str(tmp_path / "t.jsonl")
         result = run_app(make_app("fuzz:3", "test"), "aec",
                          config=config_for_spec(generate_spec(3, "test"),
-                                                SimConfig(record_trace=path)))
+                                                SimConfig()),
+                         record_trace=path)
         app = TraceApp(path)
         assert app.baseline["execution_time"] == result.execution_time
         assert app.baseline["messages_total"] == result.messages_total
+        # the header's config holds simulation knobs only, not the path
+        assert app.header["version"] == 2
+        assert path not in json.dumps(app.header["config"])
 
     def test_replay_rejects_wrong_machine_size(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         spec = generate_spec(3, "test")
         run_app(make_app("fuzz:3", "test"), "aec",
-                config=config_for_spec(spec, SimConfig(record_trace=path)))
+                config=config_for_spec(spec, SimConfig()), record_trace=path)
         replay = TraceApp(path)
         import dataclasses
         wrong = SimConfig(machine=dataclasses.replace(
@@ -432,6 +435,18 @@ class TestFuzzCli:
                          "--scale", "test"]) == 0
         assert cli_main(["trace", "replay", path, "--verify"]) == 0
         assert "bit-identical" in capsys.readouterr().out
+
+    def test_trace_replay_verify_checks_protocol_before_running(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "t.jsonl")
+        assert cli_main(["trace", "record", path, "--app", "is",
+                         "--scale", "test"]) == 0
+        capsys.readouterr()
+        assert cli_main(["trace", "replay", path, "--protocol", "tmk",
+                         "--verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no run, so no summary line
+        assert "--verify needs the recorded protocol ('aec')" in err
 
     def test_trace_replay_rejects_stale_config(self, tmp_path, capsys):
         # headers written by older builds carry since-removed SimConfig keys

@@ -1,4 +1,5 @@
-"""Tests for the observability layer: spans, export, the metrics report."""
+"""Tests for the observability layer: spans, export, ``repro explain``."""
+import hashlib
 import json
 
 import pytest
@@ -7,12 +8,10 @@ from repro.apps.registry import make_app
 from repro.config import SimConfig
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
-from repro.obs.export import (DEFAULT_CYCLE_NS, JsonlSink, chrome_trace,
-                              jsonl_to_chrome_trace, read_spans_jsonl,
-                              span_from_json, span_to_json,
-                              write_chrome_trace)
+from repro.obs.export import DEFAULT_CYCLE_NS, chrome_trace, write_chrome_trace
 from repro.obs.host import host_metadata
-from repro.obs.spans import SPAN_KINDS, NullSpanRecorder, Span, SpanRecorder
+from repro.obs.spans import (NULL_SPANS, SPAN_KINDS, NullSpanRecorder, Span,
+                             SpanRecorder)
 from repro.protocols.base import World
 from repro.tools import episode_stats, lock_report, metrics_report
 
@@ -115,45 +114,42 @@ class TestExport:
         doc = json.loads(out.read_text())
         assert doc["otherData"]["cycle_ns"] == DEFAULT_CYCLE_NS
 
-    def test_jsonl_roundtrip(self):
-        for span in self._spans():
-            back = span_from_json(span_to_json(span))
-            assert back == span
-
-    def test_jsonl_sink_and_offline_conversion(self, tmp_path):
-        jsonl = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(capacity=1, sink=JsonlSink(str(jsonl)))
-        for i in range(5):
-            sid = rec.begin(0, "barrier", f"b{i}", float(i))
-            rec.end(sid, float(i) + 1.0)
-        rec.sink.close()
-        # sink saw everything even though the ring kept only 1
-        assert len(rec) == 1
-        spans = read_spans_jsonl(str(jsonl))
-        assert [s.name for s in spans] == [f"b{i}" for i in range(5)]
-        out = tmp_path / "t.json"
-        assert jsonl_to_chrome_trace(str(jsonl), str(out)) == 5
-        assert json.loads(out.read_text())["traceEvents"]
-
 
 # ------------------------------------------- end-to-end simulator runs
 
+class _Traced:
+    """A finished run and the recorder it was handed."""
+
+    def __init__(self, protocol="aec", config=None):
+        self.spans = SpanRecorder()
+        self.result = run_app(make_app("is", "test"), protocol, config,
+                              spans=self.spans)
+
+
 @pytest.fixture(scope="module")
-def obs_result():
-    return run_app(make_app("is", "test"), "aec", SimConfig(obs_spans=True))
+def traced():
+    return _Traced()
+
+
+@pytest.fixture(scope="module")
+def obs_result(traced):
+    return traced.result
+
+
+@pytest.fixture(scope="module")
+def spans(traced):
+    return traced.spans
 
 
 class TestRunWithObs:
-    def test_span_kinds_present(self, obs_result):
-        spans = obs_result.extra["spans"]
+    def test_span_kinds_present(self, spans):
         counts = spans.counts()
         for kind in ("lock.wait", "lock.hold", "barrier",
                      "diff.create", "diff.apply", "lap.window"):
             assert counts[kind] > 0, kind
         assert spans.open_count == 0
 
-    def test_span_counts_match_protocol_stats(self, obs_result):
-        spans = obs_result.extra["spans"]
+    def test_span_counts_match_protocol_stats(self, obs_result, spans):
         assert spans.counts()["lock.wait"] == obs_result.total_lock_acquires
         assert spans.counts()["lock.hold"] == obs_result.total_lock_acquires
         # one barrier span per node per global episode
@@ -162,9 +158,8 @@ class TestRunWithObs:
         assert spans.counts()["diff.create"] == \
             obs_result.diff_stats.diffs_created
 
-    def test_lock_metrics(self, obs_result):
+    def test_lock_metrics(self, obs_result, spans):
         """Lock and barrier episodes, read from spans."""
-        spans = obs_result.extra["spans"]
         wait = episode_stats(spans, "lock.wait")
         hold = episode_stats(spans, "lock.hold")
         barrier = episode_stats(spans, "barrier")
@@ -190,15 +185,9 @@ class TestRunWithObs:
 
     def test_disabled_by_default(self):
         r = run_app(make_app("is", "test"), "aec", SimConfig())
-        assert r.extra["spans"] is None
+        assert "spans" not in r.extra
         assert not hasattr(r, "metrics")
-
-    def test_jsonl_streaming_run(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        cfg = SimConfig(obs_spans=True, obs_spans_jsonl=str(path))
-        r = run_app(make_app("is", "test"), "aec", cfg)
-        spans = read_spans_jsonl(str(path))
-        assert len(spans) == len(r.extra["spans"].spans)
+        assert len(NULL_SPANS) == 0
 
     def test_clock_hz_from_machine(self):
         import dataclasses
@@ -210,45 +199,53 @@ class TestRunWithObs:
             pytest.approx(r.execution_time / 200e6)
 
     def test_treadmarks_spans(self):
-        cfg = SimConfig(obs_spans=True)
-        r = run_app(make_app("is", "test"), "tmk", cfg)
-        counts = r.extra["spans"].counts()
+        counts = _Traced("tmk").spans.counts()
         assert counts["lock.wait"] > 0
         assert counts["barrier"] > 0
 
     def test_world_spans_follow_config(self):
+        """The world records into the recorder it is handed, else into
+        the shared null recorder; no config field switches spans on."""
         from repro.memory.layout import Layout
         from repro.sync.objects import SyncRegistry
 
-        def spans(**kw):
-            cfg = SimConfig(**kw)
+        def spans(recorder=None):
+            cfg = SimConfig()
             return World(cfg, Layout(cfg.machine.words_per_page),
-                         SyncRegistry(cfg.machine.num_procs)).spans
-        assert not spans().enabled
-        on = spans(obs_spans=True)
-        assert on.enabled and on.capacity == 1_000_000
-
-    def test_finish_closes_jsonl_sink(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(sink=JsonlSink(str(path)))
-        rec.begin(0, "barrier", "b", 0.0)
-        assert rec.finish(5.0) == 1
-        assert rec.sink is None
-        assert read_spans_jsonl(str(path))[0].args["truncated"]
+                         SyncRegistry(cfg.machine.num_procs),
+                         spans=recorder).spans
+        assert spans() is NULL_SPANS
+        mine = SpanRecorder()
+        assert spans(mine) is mine and mine.capacity == 1_000_000
 
 
 # -------------------------------------------------------------------- CLI
 
 def _report_rows(text):
-    """First word of each line -> the rest of its words."""
+    """First word of each line -> the rest of its words, over the metrics
+    section (``repro explain`` prints the attribution after it)."""
+    text = text.split("simulated-time attribution")[0]
     return {words[0]: words[1:] for words in map(str.split, text.splitlines())
             if words}
 
 
+#: sha256 of the files ``repro explain --app is --protocol aec --scale
+#: test`` writes; they are byte-identical to what the commands it replaced
+#: wrote (``bench attr --json``, ``bench flame``, ``run --trace-out``)
+EXPLAIN_FILE_SHA256 = {
+    "--json": "9cc730599111712d5f997604d04b51d7"
+              "7f76de46dcbeaf9b3636b5c4793e64bf",
+    "--folded": "76d1cf1a8de5b1c6052a1f769e765037"
+                "fba7afaf59d10e8849b9ce7cc761553c",
+    "--trace-out": "7545f4ac196d4fb51d83906b4e3cd2d6"
+                   "9c8240b1faa743d4d3f0604a5c86b3d9",
+}
+
+
 class TestCli:
-    def test_run_trace_out(self, tmp_path, capsys):
+    def test_explain_trace_out(self, tmp_path, capsys):
         out = tmp_path / "t.json"
-        rc = cli_main(["run", "--app", "is", "--protocol", "aec",
+        rc = cli_main(["explain", "--app", "is", "--protocol", "aec",
                        "--scale", "test", "--trace-out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -256,17 +253,22 @@ class TestCli:
                 if e["ph"] == "X"}
         assert {"lock.wait", "lock.hold", "barrier", "diff.create"} <= cats
 
-    def test_trace_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        rc = cli_main(["trace", "export", str(out),
-                       "--app", "is", "--scale", "test"])
+    def test_explain_files_are_pinned(self, tmp_path, capsys):
+        paths = {flag: str(tmp_path / flag.strip("-"))
+                 for flag in EXPLAIN_FILE_SHA256}
+        rc = cli_main(["explain", "--app", "is", "--protocol", "aec",
+                       "--scale", "test",
+                       *(a for kv in paths.items() for a in kv)])
         assert rc == 0
-        assert json.loads(out.read_text())["traceEvents"]
+        for flag, path in paths.items():
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == EXPLAIN_FILE_SHA256[flag], flag
 
-    def test_metrics_subcommand(self, capsys):
+    def test_explain_prints_metrics(self, capsys):
         """The report shows the facts the deleted registry showed, with
         the same counts and sums."""
-        rc = cli_main(["metrics", "--app", "is", "--protocol", "aec",
+        rc = cli_main(["explain", "--app", "is", "--protocol", "aec",
                        "--scale", "test"])
         assert rc == 0
         rows = _report_rows(capsys.readouterr().out)
@@ -282,13 +284,33 @@ class TestCli:
             "eager pushes: 30 pushes, 56896 bytes pushed, "
             "2048 bytes wasted (barrier 2048)")
 
+    def test_explain_sections_in_order(self, capsys):
+        assert cli_main(["explain", "--app", "is", "--faults",
+                         "lossy-1pct"]) == 0
+        out = capsys.readouterr().out
+        heads = ["is ", "episodes (simulated cycles", "access faults:",
+                 "network faults:", "simulated-time attribution",
+                 "Figure-4 cross-check", "timeline:", "messages:"]
+        at = [out.index(head) for head in heads]
+        assert at == sorted(at)
+        timeline = out[out.index("timeline:"):out.index("messages:")]
+        assert "  fault " in timeline
+
+    def test_explain_exits_1_on_attribution_violation(self, monkeypatch,
+                                                      capsys):
+        from repro.tools.attribution import AttributionReport
+        monkeypatch.setattr(AttributionReport, "check",
+                            lambda self, tolerance=0: ["node 0: off"])
+        assert cli_main(["explain", "--app", "is"]) == 1
+        assert "TOLERANCE VIOLATION: node 0: off" in capsys.readouterr().err
+
     def test_metrics_tmk_has_shadow_lap_and_sc_has_none(self, capsys):
-        assert cli_main(["metrics", "--app", "is", "--protocol", "tmk",
+        assert cli_main(["explain", "--app", "is", "--protocol", "tmk",
                          "--scale", "test"]) == 0
         rows = _report_rows(capsys.readouterr().out)
         assert rows["lap"] == rows["waitq"] == ["0.935484"]
         assert rows["lock.wait"][0] == "32"
-        assert cli_main(["metrics", "--app", "is", "--protocol", "sc",
+        assert cli_main(["explain", "--app", "is", "--protocol", "sc",
                          "--scale", "test"]) == 0
         text = capsys.readouterr().out
         assert "LAP" not in text
@@ -296,14 +318,14 @@ class TestCli:
 
     def test_report_lists_net_fault_and_recovery_counters(self):
         from repro.faults import resolve_plan
-        cfg = SimConfig(obs_spans=True, faults=resolve_plan("crash-one-node"))
-        r = run_app(make_app("is", "test"), "aec", cfg)
-        rows = _report_rows(metrics_report(r))
+        run = _Traced(config=SimConfig(faults=resolve_plan("crash-one-node")))
+        r = run.result
+        rows = _report_rows(metrics_report(r, run.spans))
         assert int(rows["crashes"][0]) == r.recovery.crashes > 0
         assert int(rows["acks_sent"][0]) == r.net_faults.acks_sent > 0
 
-    def test_lock_report_has_wait_and_hold_columns(self, obs_result):
-        header, row = lock_report(obs_result.extra["spans"]).splitlines()[:2]
+    def test_lock_report_has_wait_and_hold_columns(self, spans):
+        header, row = lock_report(spans).splitlines()[:2]
         assert "wait (cy)" in header and "hold (cy)" in header
         assert row.split()[-2:] == ["11931900", "1112670"]
 
@@ -352,8 +374,8 @@ class TestTraceExportContract:
         for track, stamps in by_track.items():
             assert stamps == sorted(stamps), f"track {track} not monotonic"
 
-    def test_monotonic_on_real_run(self, obs_result):
-        doc = chrome_trace(obs_result.extra["spans"])
+    def test_monotonic_on_real_run(self, obs_result, spans):
+        doc = chrome_trace(spans)
         by_track = {}
         for e in doc["traceEvents"]:
             if e["ph"] in ("X", "i"):
@@ -377,7 +399,7 @@ class TestTraceExportContract:
 
     def test_cli_trace_carries_drop_metadata(self, tmp_path):
         out = tmp_path / "t.json"
-        rc = cli_main(["run", "--app", "is", "--scale", "test",
+        rc = cli_main(["explain", "--app", "is", "--scale", "test",
                        "--trace-out", str(out)])
         assert rc == 0
         other = json.loads(out.read_text())["otherData"]

@@ -26,6 +26,7 @@ from repro.core.lap.predictor import LapPredictor
 from repro.faults import FaultPlan, NodeCrash, get_plan
 from repro.harness import sweep as sw
 from repro.harness.runner import run_app
+from repro.obs.spans import SpanRecorder
 from repro.protocols.base import PeerDeadError
 from repro.recovery.crash import resolve_crashes
 from repro.recovery.detector import FailureDetector
@@ -281,9 +282,10 @@ class TestPermanentCrashNeedsReconfiguration:
 
 class TestRestartRecovery:
     def test_crash_restart_counters_and_spans(self):
-        config = SimConfig(seed=42, faults=get_plan("crash-restart"),
-                           obs_spans=True)
-        result = run_app(make_app("ocean", "test"), "aec", config)
+        config = SimConfig(seed=42, faults=get_plan("crash-restart"))
+        spans = SpanRecorder()
+        result = run_app(make_app("ocean", "test"), "aec", config,
+                         spans=spans)
         rec = result.recovery
         assert rec is not None
         assert rec.crashes == 2 and rec.revivals == 2
@@ -292,7 +294,6 @@ class TestRestartRecovery:
         # the second crash restores from a checkpoint taken after the first
         assert rec.restored_pages >= 0 and rec.replay_cycles > 0
         (victim, _at, _down, _restart) = rec.schedule[0]
-        spans = result.extra["spans"]
         names = [s.name for s in spans.of_kind("fault")]
         assert f"fault.crash n{victim}" in names
         assert f"fault.recover n{victim}" in names
@@ -372,8 +373,8 @@ class TestSweepDeterminismUnderCrashes:
                                 cache_dir=str(tmp_path / "parallel"))
         assert not serial.failures and not parallel.failures
         for spec in specs:
-            a = serial.result_for(spec).sanitized()
-            b = parallel.result_for(spec).sanitized()
+            a = serial.result_for(spec)
+            b = parallel.result_for(spec)
             assert a.recovery is not None
             assert a.recovery == b.recovery
             a = dataclasses.replace(a, wall_seconds=0.0)

@@ -1,10 +1,8 @@
 """Tests for the analysis tools over the span stream."""
-import json
-
 import numpy as np
 import pytest
 
-from repro import SimConfig, run_app
+from repro import run_app
 from repro.apps.registry import make_app
 from repro.obs.spans import SpanRecorder
 from repro.tools import (lock_report, message_matrix, render_matrix,
@@ -12,9 +10,13 @@ from repro.tools import (lock_report, message_matrix, render_matrix,
 
 
 @pytest.fixture(scope="module")
-def traced():
-    return run_app(make_app("is", "test"), "aec",
-                   config=SimConfig(obs_spans=True))
+def spans():
+    return SpanRecorder()
+
+
+@pytest.fixture(scope="module")
+def traced(spans):
+    return run_app(make_app("is", "test"), "aec", spans=spans)
 
 
 def _hold(rec, node, lock, start, end):
@@ -39,17 +41,17 @@ class TestTraceContainer:
 
 
 class TestTracedRuns:
-    def test_run_produces_events(self, traced):
-        counts = traced.extra["spans"].counts()
+    def test_run_produces_events(self, traced, spans):
+        counts = spans.counts()
         assert counts["lock.hold"] == traced.total_lock_acquires
         assert counts["barrier"] == 16 * traced.barrier_events
         assert counts["diff.create"] == traced.diff_stats.diffs_created
         assert counts["page.fetch"] <= traced.fault_stats.total_faults
 
-    def test_lock_chain_is_serialized(self, traced):
+    def test_lock_chain_is_serialized(self, traced, spans):
         """A mutex's holds never overlap, so ownership strictly
         alternates between grant and release."""
-        holds = sorted((s for s in traced.extra["spans"].of_kind("lock.hold")
+        holds = sorted((s for s in spans.of_kind("lock.hold")
                         if s.args["lock"] == 0), key=lambda s: s.start)
         assert holds
         for prev, nxt in zip(holds, holds[1:]):
@@ -57,7 +59,7 @@ class TestTracedRuns:
 
     def test_tracing_off_by_default(self):
         r = run_app(make_app("fft", "test"), "aec")
-        assert r.extra["spans"] is None
+        assert "spans" not in r.extra
 
     def test_tracing_does_not_change_timing(self, traced):
         plain = run_app(make_app("is", "test"), "aec")
@@ -76,15 +78,14 @@ class TestTools:
         assert "rows=sender" in text
         assert "top:" in text
 
-    def test_render_timeline(self, traced):
-        spans = traced.extra["spans"]
+    def test_render_timeline(self, traced, spans):
         text = render_timeline(spans, kinds=["diff.create", "lock.hold"])
         assert "timeline" in text and "diff.create" in text
         assert render_timeline(spans, node=3)
         assert render_timeline(SpanRecorder()) == "(no events)"
 
-    def test_lock_report(self, traced):
-        text = lock_report(traced.extra["spans"])
+    def test_lock_report(self, traced, spans):
+        text = lock_report(spans)
         assert "acquires" in text
         # IS has one lock acquired 32 times at test scale (2 reps)
         assert text.splitlines()[1].split()[1] == "32"
@@ -93,14 +94,10 @@ class TestTools:
         assert "(no lock activity" in lock_report(SpanRecorder())
 
 
-class TestAnalyzeCLI:
-    def test_analyze_command(self, capsys, tmp_path):
+class TestExplainCLI:
+    def test_explain_command(self, capsys):
         from repro.harness.cli import main
-        out_file = tmp_path / "trace.jsonl"
-        assert main(["analyze", "--app", "fft", "--scale", "test",
-                     "--trace-out", str(out_file)]) == 0
+        assert main(["explain", "--app", "fft", "--scale", "test"]) == 0
         out = capsys.readouterr().out
         assert "timeline" in out and "rows=sender" in out
-        assert out_file.exists()
-        first = json.loads(out_file.read_text().splitlines()[0])
-        assert "kind" in first
+        assert "acquires" in out  # the lock report
