@@ -8,8 +8,10 @@ synchronization operation of a run and maintains:
   departure of the same episode), plus
 
 * **shadow memory**: for every shared word, the last write epoch (node,
-  that node's clock component, sim time, innermost lock held, value) and a
-  per-word read-clock matrix, in the style of FastTrack.
+  that node's clock component, sim time, innermost lock held, value) and
+  each node's clock at its last read, in the style of FastTrack; per page,
+  the largest clock each node wrote and read lets a clean access skip the
+  per-word checks.
 
 From these it flags two kinds of violation:
 
@@ -34,13 +36,16 @@ identical simulated timing.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from operator import sub
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.memory.layout import Layout
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -156,22 +161,34 @@ class CheckReport:
 
 
 class _ShadowPage:
-    """Shadow state of one shared page (lazily allocated)."""
+    """Shadow state of one shared page (lazily allocated).
+
+    Plain lists, indexed by word offset: most accesses touch a few words,
+    where list indexing beats NumPy's per-call overhead, and slice
+    assignment keeps whole-page accesses at C speed.
+    """
 
     __slots__ = ("w_node", "w_clk", "w_time", "w_lock", "w_val", "racy",
-                 "r_clk")
+                 "r_clk", "w_max", "r_max")
 
     def __init__(self, wpp: int, nprocs: int) -> None:
-        self.w_node = np.full(wpp, -1, dtype=np.int64)
-        self.w_clk = np.zeros(wpp, dtype=np.int64)
-        self.w_time = np.zeros(wpp, dtype=np.float64)
-        self.w_lock = np.full(wpp, -1, dtype=np.int64)
-        self.w_val = np.zeros(wpp, dtype=np.float64)
+        self.w_node = [-1] * wpp
+        self.w_clk = [0] * wpp
+        self.w_time = [0.0] * wpp
+        self.w_lock = [-1] * wpp
+        self.w_val = [0.0] * wpp
         #: word ever involved in a race — suppresses stale-read reports,
         #: which are only meaningful for HB-ordered access pairs
-        self.racy = np.zeros(wpp, dtype=bool)
-        #: r_clk[w, n] = node n's own VC component at its last read of w
-        self.r_clk = np.zeros((wpp, nprocs), dtype=np.int64)
+        self.racy = [False] * wpp
+        #: r_clk[w * nprocs + n] = node n's own VC component at its last
+        #: read of word w
+        self.r_clk = [0] * (wpp * nprocs)
+        #: page clock summaries: the largest clock node n wrote (w_max[n])
+        #: or read (r_max[n]) anywhere in this page.  Overwrites never
+        #: lower them, so they are upper bounds: an access whose VC
+        #: dominates them is ordered after every prior access to the page.
+        self.w_max = [0] * nprocs
+        self.r_max = [0] * nprocs
 
 
 class NullChecker:
@@ -196,11 +213,11 @@ class ConsistencyChecker:
         self.max_reports = config.check_max_reports
         # each node's own component starts at 1 so that epoch (n, 0) can
         # never be confused with "visible from the start"
-        self.vc = np.zeros((num_procs, num_procs), dtype=np.int64)
+        self.vc: List[List[int]] = [[0] * num_procs for _ in range(num_procs)]
         for n in range(num_procs):
-            self.vc[n, n] = 1
+            self.vc[n][n] = 1
         #: per-lock clock: join of every release of that lock so far
-        self._lock_vc: Dict[int, np.ndarray] = {}
+        self._lock_vc: Dict[int, List[int]] = {}
         #: lock stack per node, maintained from the acquire/release hooks
         self._lock_stack: List[List[int]] = [[] for _ in range(num_procs)]
         # barrier episodes: nodes may race ahead into episode k+1 before
@@ -215,8 +232,8 @@ class ConsistencyChecker:
         self.report = CheckReport()
         # resolve addr -> segment name via sorted segment bases
         segs = sorted(layout.all_segments(), key=lambda s: s.base)
-        self._seg_bases = np.asarray([s.base for s in segs], dtype=np.int64)
-        self._seg_ends = np.asarray([s.end for s in segs], dtype=np.int64)
+        self._seg_bases = [s.base for s in segs]
+        self._seg_ends = [s.end for s in segs]
         self._seg_names = [s.name for s in segs]
 
     # ------------------------------------------------------------- HB edges
@@ -225,7 +242,8 @@ class ConsistencyChecker:
         """Acquire joins the lock's release clock into the acquirer."""
         lvc = self._lock_vc.get(lock_id)
         if lvc is not None:
-            np.maximum(self.vc[node], lvc, out=self.vc[node])
+            vcn = self.vc[node]
+            vcn[:] = map(max, vcn, lvc)
         self._lock_stack[node].append(lock_id)
 
     def on_release(self, node: int, lock_id: int) -> None:
@@ -234,12 +252,13 @@ class ConsistencyChecker:
         stack = self._lock_stack[node]
         if lock_id in stack:
             stack.remove(lock_id)
+        vcn = self.vc[node]
         lvc = self._lock_vc.get(lock_id)
         if lvc is None:
-            self._lock_vc[lock_id] = self.vc[node].copy()
+            self._lock_vc[lock_id] = vcn.copy()
         else:
-            np.maximum(lvc, self.vc[node], out=lvc)
-        self.vc[node, node] += 1
+            lvc[:] = map(max, lvc, vcn)
+        vcn[node] += 1
 
     def on_barrier_arrive(self, node: int) -> None:
         ep = self._episodes.setdefault(
@@ -247,16 +266,21 @@ class ConsistencyChecker:
         ep["vcs"].append(self.vc[node].copy())
 
     def on_barrier_depart(self, node: int) -> None:
-        """Departure joins every arrival clock of this episode."""
+        """Departure joins every arrival clock of this episode.
+
+        An episode is freed once every node that arrived at it has
+        departed: a node that died for good never arrives, and waiting
+        for all ``nprocs`` would keep every later episode forever."""
         key = self._bar_ep[node]
         ep = self._episodes[key]
         if ep["join"] is None:
-            ep["join"] = np.maximum.reduce(ep["vcs"])
-        np.maximum(self.vc[node], ep["join"], out=self.vc[node])
-        self.vc[node, node] += 1
+            ep["join"] = [max(col) for col in zip(*ep["vcs"])]
+        vcn = self.vc[node]
+        vcn[:] = map(max, vcn, ep["join"])
+        vcn[node] += 1
         self._bar_ep[node] += 1
         ep["departed"] += 1
-        if ep["departed"] == self.nprocs:
+        if ep["departed"] == len(ep["vcs"]):
             del self._episodes[key]
 
     def note_transfer(self, kind: str, dst: int, page: int, origin: int,
@@ -269,6 +293,14 @@ class ConsistencyChecker:
         self._last_transfer[(dst, page)] = (kind, origin, time)
 
     # -------------------------------------------------------- access checks
+    #
+    # Each page chunk of an access takes one of two paths.  The clean path
+    # is an epoch test in the style of FastTrack: when the accessor's VC
+    # dominates the page clock summaries, no prior access to the page can
+    # race with this one, so the chunk costs an O(nprocs) compare plus
+    # slice operations (for a read, also one C-level list compare of the
+    # data against the shadow values).  Anything else takes the exact
+    # path, a per-word loop that finds every violation.
 
     def on_read(self, node: int, addr: int, data: np.ndarray,
                 time: float) -> None:
@@ -276,28 +308,17 @@ class ConsistencyChecker:
         self.report.words_read += len(data)
         vcn = self.vc[node]
         own = vcn[node]
+        nprocs = self.nprocs
+        got_all = data.tolist()
         pos = 0
-        for pn, off, n in self._chunks(addr, len(data)):
+        for pn, off, n in self._chunks(addr, len(got_all)):
             sp = self._page(pn)
-            sl = slice(off, off + n)
-            w_node = sp.w_node[sl]
-            written = w_node >= 0
-            if written.any():
-                safe = np.where(written, w_node, 0)
-                # write visible to this reader iff the reader's clock has
-                # reached the writer's epoch
-                visible = vcn[safe] >= sp.w_clk[sl]
-                race = written & ~visible & (w_node != node)
-                if race.any():
-                    self._emit_access(race, "race:wr", node, "read", pn, off,
-                                      sp, time, None)
-                    sp.racy[sl] |= race
-                stale = (written & visible & ~sp.racy[sl]
-                         & (data[pos:pos + n] != sp.w_val[sl]))
-                if stale.any():
-                    self._emit_access(stale, "stale-read", node, "read", pn,
-                                      off, sp, time, data[pos:pos + n])
-            sp.r_clk[sl, node] = own
+            end = off + n
+            got = got_all[pos:pos + n]
+            if max(map(sub, sp.w_max, vcn)) > 0 or got != sp.w_val[off:end]:
+                self._read_exact(node, vcn, pn, off, sp, got, time)
+            sp.r_clk[off * nprocs + node:end * nprocs:nprocs] = [own] * n
+            sp.r_max[node] = own
             pos += n
 
     def on_write(self, node: int, addr: int, values: np.ndarray,
@@ -305,36 +326,93 @@ class ConsistencyChecker:
         self.report.writes_checked += 1
         self.report.words_written += len(values)
         vcn = self.vc[node]
+        own = vcn[node]
         stack = self._lock_stack[node]
         lock = stack[-1] if stack else -1
+        vals = values.tolist()
         pos = 0
-        for pn, off, n in self._chunks(addr, len(values)):
+        for pn, off, n in self._chunks(addr, len(vals)):
             sp = self._page(pn)
-            sl = slice(off, off + n)
-            w_node = sp.w_node[sl]
-            written_other = (w_node >= 0) & (w_node != node)
-            if written_other.any():
-                safe = np.where(w_node >= 0, w_node, 0)
-                ww = written_other & (sp.w_clk[sl] > vcn[safe])
-                if ww.any():
-                    self._emit_access(ww, "race:ww", node, "write", pn, off,
-                                      sp, time, None)
-                    sp.racy[sl] |= ww
-            # write-after-read: some node's last read is not ordered
-            # before this write
-            unordered_reads = sp.r_clk[sl] > vcn[np.newaxis, :]
-            unordered_reads[:, node] = False
-            rw = unordered_reads.any(axis=1)
-            if rw.any():
-                self._emit_read_write(rw, unordered_reads, node, pn, off,
-                                      sp, time)
-                sp.racy[sl] |= rw
-            sp.w_node[sl] = node
-            sp.w_clk[sl] = vcn[node]
-            sp.w_time[sl] = time
-            sp.w_lock[sl] = lock
-            sp.w_val[sl] = values[pos:pos + n]
+            end = off + n
+            if max(map(sub, sp.w_max, vcn)) > 0:
+                self._write_write_races(node, vcn, pn, off, n, sp, time)
+            if max(map(sub, sp.r_max, vcn)) > 0:
+                self._read_write_races(node, vcn, pn, off, n, sp, time)
+            sp.w_node[off:end] = [node] * n
+            sp.w_clk[off:end] = [own] * n
+            sp.w_time[off:end] = [time] * n
+            sp.w_lock[off:end] = [lock] * n
+            sp.w_val[off:end] = vals[pos:pos + n]
+            sp.w_max[node] = own
             pos += n
+
+    def _read_exact(self, node: int, vcn: List[int], pn: int, off: int,
+                    sp: _ShadowPage, got: List[float], time: float) -> None:
+        """Per-word read check: read-after-write races, then stale reads."""
+        w_node, w_clk, w_val, racy = sp.w_node, sp.w_clk, sp.w_val, sp.racy
+        race: List[int] = []
+        stale: List[int] = []
+        for i, value in enumerate(got):
+            w = off + i
+            writer = w_node[w]
+            if writer < 0:
+                continue
+            # a write is visible to this reader iff the reader's clock has
+            # reached the writer's epoch
+            if vcn[writer] >= w_clk[w]:
+                if value != w_val[w] and not racy[w]:
+                    stale.append(i)
+            elif writer != node:
+                race.append(i)
+        if race:
+            self._emit_access(race, "race:wr", node, "read", pn, off, sp,
+                              time, None)
+            for i in race:
+                racy[off + i] = True
+        if stale:
+            self._emit_access(stale, "stale-read", node, "read", pn, off, sp,
+                              time, got)
+
+    def _write_write_races(self, node: int, vcn: List[int], pn: int,
+                           off: int, n: int, sp: _ShadowPage,
+                           time: float) -> None:
+        """Words whose last write (by another node) is not ordered before
+        this write."""
+        w_node, w_clk = sp.w_node, sp.w_clk
+        ww: List[int] = []
+        for i in range(n):
+            writer = w_node[off + i]
+            if writer >= 0 and writer != node \
+                    and w_clk[off + i] > vcn[writer]:
+                ww.append(i)
+        if ww:
+            self._emit_access(ww, "race:ww", node, "write", pn, off, sp,
+                              time, None)
+            for i in ww:
+                sp.racy[off + i] = True
+
+    def _read_write_races(self, node: int, vcn: List[int], pn: int,
+                          off: int, n: int, sp: _ShadowPage,
+                          time: float) -> None:
+        """Words some other node last read unordered before this write;
+        each is reported against the lowest such reader."""
+        nprocs = self.nprocs
+        r_clk = sp.r_clk
+        # only a node whose page summary escapes this VC can hold an
+        # unordered read; scanning them in id order finds the lowest
+        readers = [k for k in range(nprocs)
+                   if k != node and sp.r_max[k] > vcn[k]]
+        rw: List[Tuple[int, int]] = []
+        for i in range(n):
+            base = (off + i) * nprocs
+            for k in readers:
+                if r_clk[base + k] > vcn[k]:
+                    rw.append((i, k))
+                    break
+        if rw:
+            self._emit_read_write(rw, node, pn, off, sp, time)
+            for i, _k in rw:
+                sp.racy[off + i] = True
 
     # ------------------------------------------------------------ internals
 
@@ -355,7 +433,7 @@ class ConsistencyChecker:
             nwords -= n
 
     def _segment_of(self, addr: int) -> Optional[str]:
-        i = int(np.searchsorted(self._seg_bases, addr, side="right")) - 1
+        i = bisect_right(self._seg_bases, addr) - 1
         if i >= 0 and addr < self._seg_ends[i]:
             return self._seg_names[i]
         return None
@@ -368,52 +446,51 @@ class ConsistencyChecker:
             self.report.truncated = True
         return max(0, room)
 
-    def _emit_access(self, mask: np.ndarray, kind: str, node: int, op: str,
+    def _emit_access(self, idxs: List[int], kind: str, node: int, op: str,
                      pn: int, off: int, sp: _ShadowPage, time: float,
-                     data: Optional[np.ndarray]) -> None:
-        """Report violations where the 'other' access is the last write."""
-        idxs = np.flatnonzero(mask)
+                     data: Optional[List[float]]) -> None:
+        """Report violations where the 'other' access is the last write;
+        ``idxs`` are word offsets within the chunk at ``off``."""
         room = self._count(kind, len(idxs))
         stack = self._lock_stack[node]
         lock = stack[-1] if stack else None
         for i in idxs[:room]:
-            w = off + int(i)
+            w = off + i
             addr = pn * self.wpp + w
-            wl = int(sp.w_lock[w])
+            wl = sp.w_lock[w]
             self.report.violations.append(ViolationReport(
                 kind=kind, addr=addr, page=pn, word=w,
                 segment=self._segment_of(addr),
                 node=node, op=op, time=time,
-                node_vc=tuple(int(x) for x in self.vc[node]),
+                node_vc=tuple(self.vc[node]),
                 lock=lock,
-                other_node=int(sp.w_node[w]), other_clock=int(sp.w_clk[w]),
+                other_node=sp.w_node[w], other_clock=sp.w_clk[w],
                 other_time=float(sp.w_time[w]), other_op="write",
                 other_lock=wl if wl >= 0 else None,
                 expected=(float(sp.w_val[w]) if kind == "stale-read" else None),
-                observed=(float(data[int(i)]) if data is not None else None),
+                observed=(float(data[i]) if data is not None else None),
                 last_transfer=self._last_transfer.get((node, pn)),
             ))
 
-    def _emit_read_write(self, mask: np.ndarray, unordered: np.ndarray,
-                         node: int, pn: int, off: int, sp: _ShadowPage,
+    def _emit_read_write(self, pairs: List[Tuple[int, int]], node: int,
+                         pn: int, off: int, sp: _ShadowPage,
                          time: float) -> None:
-        """Report write-after-read races (other access is a prior read)."""
-        idxs = np.flatnonzero(mask)
-        room = self._count("race:rw", len(idxs))
+        """Report write-after-read races (other access is a prior read);
+        ``pairs`` are (word offset within the chunk, reader)."""
+        room = self._count("race:rw", len(pairs))
         stack = self._lock_stack[node]
         lock = stack[-1] if stack else None
-        for i in idxs[:room]:
-            w = off + int(i)
+        for i, reader in pairs[:room]:
+            w = off + i
             addr = pn * self.wpp + w
-            reader = int(np.flatnonzero(unordered[int(i)])[0])
             self.report.violations.append(ViolationReport(
                 kind="race:rw", addr=addr, page=pn, word=w,
                 segment=self._segment_of(addr),
                 node=node, op="write", time=time,
-                node_vc=tuple(int(x) for x in self.vc[node]),
+                node_vc=tuple(self.vc[node]),
                 lock=lock,
                 other_node=reader,
-                other_clock=int(sp.r_clk[off + int(i), reader]),
+                other_clock=sp.r_clk[w * self.nprocs + reader],
                 other_time=0.0, other_op="read", other_lock=None,
                 last_transfer=self._last_transfer.get((node, pn)),
             ))

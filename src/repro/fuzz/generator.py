@@ -37,7 +37,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -266,16 +267,29 @@ def _phase_rng(spec: WorkloadSpec, phase: int,
 #: words read back per segment by the checksum epilogue
 CHECKSUM_WINDOW = 64
 
+#: one op tuple per processor; a schedule is one phase per spec phase,
+#: then the epilogue
+Phase = Tuple[Tuple[Tuple, ...], ...]
+Schedule = Tuple[Phase, ...]
 
-def compile_schedule(spec: WorkloadSpec,
-                     nprocs: int) -> List[List[List[Tuple]]]:
-    """Per-phase, per-processor op lists (plus the checksum epilogue).
+#: compiled schedules (and their analytic walks) kept per process.  Every
+#: cell of one spec — each run's ``program`` calls and its ``check`` — asks
+#: for the same ``(spec, nprocs)``, and a campaign or certify round runs a
+#: spec's cells back to back, so a handful of entries compiles each spec
+#: once per round.
+_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def compile_schedule(spec: WorkloadSpec, nprocs: int) -> Schedule:
+    """Per-phase, per-processor op tuples (plus the checksum epilogue).
 
     The schedule partitions by the *actual* machine size, so a spec runs
     under any ``num_procs`` (shrinking exploits this); all draws come from
-    per-(seed, phase, proc) streams, never from wall time or id().
+    per-(seed, phase, proc) streams, never from wall time or id().  The
+    result is memoized, so it is immutable: nested tuples all the way down.
     """
-    phases: List[List[List[Tuple]]] = []
+    phases: List[Phase] = []
     for pi, ph in enumerate(spec.phases):
         seg_words = spec.segments[ph.segment]
         per_proc: List[List[Tuple]] = []
@@ -305,19 +319,16 @@ def compile_schedule(spec: WorkloadSpec,
                     off = qs + int(rng.integers(0, qe - qs - span + 1))
                     ops.append(("crd", ph.segment, off, span))
                 ops.append(("bar", ph.barrier))
-        phases.append(per_proc)
+        phases.append(tuple(tuple(ops) for ops in per_proc))
     # epilogue: final barrier, then every processor reads the same window
     # of every segment — post-barrier, read-only, so the checksums must be
     # identical across processors and equal to expected_final()
     fin = spec.num_barriers  # dedicated epilogue barrier id
-    epilogue: List[List[Tuple]] = []
-    for p in range(nprocs):
-        ops = [("bar", fin)]
-        for si, words in enumerate(spec.segments):
-            ops.append(("crd", si, 0, min(CHECKSUM_WINDOW, words)))
-        epilogue.append(ops)
-    phases.append(epilogue)
-    return phases
+    epilogue = (("bar", fin),) + tuple(
+        ("crd", si, 0, min(CHECKSUM_WINDOW, words))
+        for si, words in enumerate(spec.segments))
+    phases.append((epilogue,) * nprocs)
+    return tuple(phases)
 
 
 def _compile_owner(ph: PhaseSpec, seg_words: int, nprocs: int, p: int,
@@ -367,8 +378,9 @@ def _compile_locked(ph: PhaseSpec, seg_words: int, p: int,
         ops.append(("rel", lock))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _walk_expected(spec: WorkloadSpec, nprocs: int
-                   ) -> Tuple[List[np.ndarray], List[float]]:
+                   ) -> Tuple[Tuple[np.ndarray, ...], Tuple[float, ...]]:
     """Final memory and per-processor checksums, computed analytically.
 
     Valid because the generated program is schedule-independent by
@@ -376,7 +388,8 @@ def _walk_expected(spec: WorkloadSpec, nprocs: int
     barrier-ordered, and locked writes are exact integer additions.
     Checksum (``crd``) reads only occur in read-only epochs, i.e. after
     every write of their phase, so each phase applies all writes first and
-    then evaluates that phase's reads against the updated memory.
+    then evaluates that phase's reads against the updated memory.  The
+    result is memoized: its arrays are read-only.
     """
     memory = [np.zeros(w, dtype=np.float64) for w in spec.segments]
     checksums = [0.0] * nprocs
@@ -394,12 +407,14 @@ def _walk_expected(spec: WorkloadSpec, nprocs: int
                 if op[0] == "crd":
                     _, si, off, n = op
                     checksums[p] += float(np.sum(memory[si][off:off + n]))
-    return memory, checksums
+    for words in memory:
+        words.flags.writeable = False
+    return tuple(memory), tuple(checksums)
 
 
 def expected_final(spec: WorkloadSpec, nprocs: int) -> List[np.ndarray]:
-    """The final shared memory image (one array per segment)."""
-    return _walk_expected(spec, nprocs)[0]
+    """The final shared memory image (one fresh array per segment)."""
+    return [words.copy() for words in _walk_expected(spec, nprocs)[0]]
 
 
 class GeneratedApp(Application):
@@ -408,8 +423,6 @@ class GeneratedApp(Application):
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
         self.name = spec.name
-        self._schedule: Optional[List[List[List[Tuple]]]] = None
-        self._nprocs: Optional[int] = None
 
     def describe(self) -> Dict[str, Any]:
         return {"name": self.name, "seed": self.spec.seed,
@@ -426,14 +439,9 @@ class GeneratedApp(Application):
             sync.new_barrier(f"fz.b{i}")
         sync.new_barrier("fz.fin")
 
-    def _ops_for(self, nprocs: int, proc: int) -> List[Tuple]:
-        if self._schedule is None or self._nprocs != nprocs:
-            self._schedule = compile_schedule(self.spec, nprocs)
-            self._nprocs = nprocs
-        return [op for phase in self._schedule for op in phase[proc]]
-
     def program(self, ctx: AppContext) -> Generator:
-        ops = self._ops_for(ctx.nprocs, ctx.proc)
+        ops = [op for phase in compile_schedule(self.spec, ctx.nprocs)
+               for op in phase[ctx.proc]]
         checksum = yield from interpret(ctx, ops, self.segments)
         return checksum
 

@@ -11,6 +11,7 @@ Covers the acceptance contract of the checker subsystem:
 * checker flags flow into the canonical config / cache keys,
 * the ``repro check`` CLI and cache provenance stamping.
 """
+import dataclasses
 import json
 import pickle
 
@@ -24,6 +25,7 @@ from repro.check import ConsistencyChecker, NullChecker, make_checker
 from repro.check.oracle import run_divergence_oracle
 from repro.config import MachineParams, SimConfig, canonical_config_dict, \
     config_digest
+from repro.faults.plan import FaultPlan, NodeCrash
 from repro.harness import sweep as sw
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import PROTOCOLS, run_app
@@ -117,6 +119,17 @@ class TestCheckerUnits:
         # node 0's write is in episode 1: unordered with node 1's read, and
         # node 1 legitimately still sees the old value -> race, not stale
         assert rep.counts == {"race:wr": 1}
+
+    def test_barrier_episode_freed_when_its_arrivals_depart(self):
+        # node 3 never arrives (dead for good): each episode is freed once
+        # the three nodes that arrived at it have departed
+        ck = _checker()
+        for _ in range(3):
+            for n in range(3):
+                ck.on_barrier_arrive(n)
+            for n in range(3):
+                ck.on_barrier_depart(n)
+            assert ck._episodes == {}
 
     def test_hb_ordered_wrong_value_is_stale_read(self):
         ck = _checker()
@@ -344,6 +357,33 @@ class TestPlumbing:
                           SimConfig(check_consistency=True))
         assert checked.execution_time == base.execution_time
         assert checked.messages_total == base.messages_total
+
+
+class TestPermanentDeath:
+    def test_no_barrier_episode_outlives_a_dead_node(self, monkeypatch):
+        import repro.check
+        made = []
+
+        def spy(*args):
+            made.append(make_checker(*args))
+            return made[-1]
+
+        monkeypatch.setattr(repro.check, "make_checker", spy)
+        plan = FaultPlan(name="perm", seed=1, crashes=(
+            NodeCrash(node=3, at=300_000.0, down_cycles=150_000.0,
+                      restart=False),))
+        machine = dataclasses.replace(MachineParams(),
+                                      crash_declare_cycles=200_000)
+        config = SimConfig(seed=42, machine=machine, faults=plan,
+                           check_consistency=True)
+        result = run_app(make_app("ocean", "test"), "aec", config,
+                         check=False)
+        assert result.recovery.peers_declared_dead == 1
+        (checker,) = made
+        # node 3 departed its first barrier and died; the survivors went
+        # through every later episode without it
+        assert checker._bar_ep[3] == 1 and checker._bar_ep[0] == 18
+        assert checker._episodes == {}
 
 
 # ---------------------------------------------------------------------- CLI

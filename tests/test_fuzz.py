@@ -11,6 +11,7 @@ The determinism contract under test (DESIGN.md section 12):
   still reproduces on the protocol each entry was found on.
 """
 import glob
+import hashlib
 import json
 import os
 
@@ -20,6 +21,7 @@ import pytest
 from repro.apps.registry import APP_NAMES, make_app, register_app
 from repro.config import SimConfig, config_digest, config_from_dict, \
     canonical_config_dict
+from repro.fuzz import generator
 from repro.fuzz.broken import ensure_registered
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.generator import (GeneratedApp, PhaseSpec, WorkloadSpec,
@@ -137,6 +139,85 @@ class TestGenerator:
         assert a.messages_total == b.messages_total
         assert a.network_bytes == b.network_bytes
         assert a.events_processed == b.events_processed
+
+
+#: sha256 prefixes of ``json.dumps(compile_schedule(spec, spec.num_procs))``
+#: for the test-scale specs of seeds 42-91, recorded before schedules
+#: were memoized (when they were lists of lists)
+SCHEDULE_DIGESTS = {
+    42: "efbe82e25d2d", 43: "08a2e01063e7", 44: "61dd649263e0",
+    45: "752b01f08d0e", 46: "261a29ac3f6c", 47: "7a6f64d4e534",
+    48: "e79dea8f11f6", 49: "3569583b4797", 50: "8fd507ec2a43",
+    51: "a903e1446136", 52: "6bbc7def076e", 53: "b93c4ac44812",
+    54: "1c6a1d2dddb1", 55: "86b857d73d8c", 56: "499fc1484df2",
+    57: "252f82054133", 58: "65113bfa374c", 59: "fe9180a24ee9",
+    60: "473dc9d13342", 61: "4fe61fa126fe", 62: "29de089b663f",
+    63: "2c2505990197", 64: "ca468ad003a4", 65: "85467302c5d9",
+    66: "ce2cd6000c64", 67: "489c2a0b031c", 68: "9cbd04a7efa3",
+    69: "6aa0df86467a", 70: "7402240d9e64", 71: "7ef877b9327e",
+    72: "b6e82067bc33", 73: "cb1110b0282f", 74: "1feaf2b6b6bb",
+    75: "39d05e779dfd", 76: "9fa5f9f932b4", 77: "afc58a5e6f1c",
+    78: "20f7e511d2cf", 79: "e3b0614c44d2", 80: "0ed72daa191d",
+    81: "2cb5ae600134", 82: "261ad66b6499", 83: "9cba9b8ed52d",
+    84: "843e3a7b9e03", 85: "dc9651de2807", 86: "18b05bccf5ed",
+    87: "93e26bf72ddb", 88: "aacd6b1a062a", 89: "f6ba6b7e2f59",
+    90: "f20ab86aa1fc", 91: "a7a6235d91e4",
+}
+
+
+class TestScheduleMemo:
+    def test_schedule_is_nested_tuples(self):
+        sched = compile_schedule(generate_spec(42, "test"), 3)
+        assert isinstance(sched, tuple)
+        for phase in sched:
+            assert isinstance(phase, tuple) and len(phase) == 3
+            for ops in phase:
+                assert isinstance(ops, tuple)
+                assert all(isinstance(op, tuple) for op in ops)
+                for op in ops:
+                    if op[0] == "wr":
+                        assert isinstance(op[3], tuple)
+
+    def test_schedules_unchanged(self):
+        got = {}
+        for seed in SCHEDULE_DIGESTS:
+            spec = generate_spec(seed, "test")
+            text = json.dumps(compile_schedule(spec, spec.num_procs))
+            got[seed] = hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert got == SCHEDULE_DIGESTS
+
+    def test_two_apps_and_check_compile_once(self, monkeypatch):
+        calls = []
+        real = generator._phase_rng
+
+        def counting(spec, phase, proc):
+            calls.append((phase, proc))
+            return real(spec, phase, proc)
+
+        monkeypatch.setattr(generator, "_phase_rng", counting)
+        compile_schedule.cache_clear()
+        generator._walk_expected.cache_clear()
+        spec = generate_spec(44, "test")
+        cfg = config_for_spec(spec)
+        for _ in range(2):
+            # run_app calls every processor's program, then app.check
+            run_app(GeneratedApp(spec), "sc", config=cfg)
+        # one compile draws one stream per (phase, proc), two per proc in
+        # an owner phase (writes, then the read-only epoch)
+        nprocs = spec.num_procs
+        assert len(calls) == sum(nprocs * (2 if ph.kind == "owner" else 1)
+                                 for ph in spec.phases)
+        assert len(set(calls)) == len(calls)
+
+    def test_expected_final_returns_fresh_arrays(self):
+        spec = generate_spec(45, "test")
+        first = expected_final(spec, spec.num_procs)
+        keep = [words.copy() for words in first]
+        for words in first:
+            words += 1.0
+        again = expected_final(spec, spec.num_procs)
+        for a, b in zip(again, keep):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestCacheIdentity:
