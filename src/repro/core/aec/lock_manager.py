@@ -7,6 +7,12 @@ the coverage of the last releaser's merged diffs.  On every *grant* it
 computes the new owner's update set with LAP and records shadow predictions
 for the Table 3 statistics.
 
+History and coverage belong to one barrier step.  Lock requests and
+releases carry their sender's step, and a lock's step state resets on the
+first message of a newer step — a post-barrier request can reach the
+manager before the manager's own barrier completion does, and a release
+retransmitted over a lossy network can arrive after it.
+
 All manager logic is non-blocking: it is called from interrupt service
 routines and only mutates state / returns messages to send.
 """
@@ -57,6 +63,16 @@ class ManagedLock:
         self.last_owner_update_set: List[int] = []
         #: acquire counter the last owner was granted with
         self.last_owner_counter: int = 0
+        #: barrier step that ``history`` and ``coverage`` belong to
+        self.step: int = 0
+
+    def at_step(self, step: int) -> bool:
+        """Enter barrier step ``step`` if it is newer; False for a message
+        from an older step."""
+        if step > self.step:
+            self.step = step
+            self.reset_step_state()
+        return step == self.step
 
     def reset_step_state(self) -> None:
         """A barrier completed: lock-protected data is globally consistent
@@ -88,34 +104,35 @@ class AECLockManager:
             self.locks[lock_id] = ml
         return ml
 
-    def reset_step_state(self) -> None:
+    def reset_step_state(self, step: int) -> None:
+        """Barrier step ``step`` began (idempotent per lock)."""
         for ml in self.locks.values():
-            ml.reset_step_state()
+            ml.at_step(step)
 
     # ---- events --------------------------------------------------------------
 
-    def request(self, lock_id: int,
-                requester: int) -> Optional[Tuple[GrantInfo, Predictions]]:
+    def request(self, lock_id: int, requester: int, step: int = 0
+                ) -> Optional[Tuple[GrantInfo, Predictions]]:
         """A lock request arrived; returns a grant or queues the requester."""
         ml = self.lock(lock_id)
+        ml.at_step(step)
         if ml.pred.holder is not None:
             ml.pred.waiting_queue.append(requester)
             return None
         return self._grant(ml, requester)
 
-    def notice(self, lock_id: int, proc: int) -> None:
-        self.lock(lock_id).pred.add_notice(proc)
-
     def release(self, lock_id: int, releaser: int, covered_pages: List[int],
-                modified_pages: List[int]
+                modified_pages: List[int], step: int = 0
                 ) -> Optional[Tuple[int, GrantInfo, Predictions]]:
         """Ownership given up; returns (next owner, grant, predictions) if
-        someone is waiting."""
+        someone is waiting.  A release from an older step only hands the
+        token on: its history is gone from every session."""
         ml = self.lock(lock_id)
         ml.pred.record_release(releaser)
-        for pg in modified_pages:
-            ml.history[pg] = releaser
-        ml.coverage = set(covered_pages)
+        if ml.at_step(step):
+            for pg in modified_pages:
+                ml.history[pg] = releaser
+            ml.coverage = set(covered_pages)
         ml.last_owner_update_set = ml.holder_update_set
         ml.holder_update_set = []
         if ml.pred.waiting_queue:
@@ -161,7 +178,7 @@ class AECLockManager:
                 ml.coverage = set()
             if ml.pred.holder == dead:
                 ml.holder_update_set = []
-                result = self.release(lock_id, dead, [], [])
+                result = self.release(lock_id, dead, [], [], ml.step)
                 # the release above re-points last_owner at the dead node;
                 # scrub the same hazards it would reintroduce
                 ml.coverage = set()
@@ -182,14 +199,7 @@ class AECLockManager:
         last_owner_counter = ml.last_owner_counter
         ml.pred.record_grant(new_owner)
         ml.last_owner_counter = ml.pred.acquire_counter
-        predictions: Predictions = {
-            "lap": self.predictor.predict(ml.pred, new_owner),
-            "waitq": self.predictor.predict_waitq(ml.pred, new_owner),
-            "waitq_affinity": self.predictor.predict_waitq_affinity(
-                ml.pred, new_owner),
-            "waitq_virtualq": self.predictor.predict_waitq_virtualq(
-                ml.pred, new_owner),
-        }
+        predictions = self.predictor.score(ml.pred, new_owner)
         update_set = predictions["lap"] if self.use_lap else []
         ml.holder_update_set = update_set
         grant = GrantInfo(

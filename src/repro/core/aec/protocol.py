@@ -20,51 +20,37 @@ Key protocol behaviours implemented here, in the paper's terms:
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.config import SimConfig
 from repro.core.aec.barrier_manager import (AECBarrierManager, ArrivalInfo,
                                             BarrierInstructions)
 from repro.core.aec.lock_manager import AECLockManager, GrantInfo
 from repro.core.aec.state import AECPageMeta, LockSessionState, PendingUpdate
-from repro.core.lap.predictor import LapPredictor
-from repro.core.lap.stats import LapStats
+from repro.core.lap.state import LockPredictionState
 from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
 from repro.memory.diff import Diff, merge_diffs
 from repro.memory.write_notice import WriteNotice
 from repro.network.message import Message
-from repro.protocols.base import ProtocolNode, World
-
-#: reply sentinel injected by crash recovery: the request's destination was
-#: declared permanently dead; re-issue (retargeted) or fail loudly
-_RETRY_DEAD = object()
-
-
-class PeerLostError(RuntimeError):
-    """A request's destination died and no retarget route exists."""
+from repro.protocols.base import PeerLostError, ProtocolNode, World
 
 
 class AECNode(ProtocolNode):
     name = "aec"
     page_meta_factory = AECPageMeta
+    reply_kind = "aec.reply"
+    notice_kind = "aec.notice"
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
-        cfg: SimConfig = world.config
-        self.use_lap = cfg.use_lap
-        predictor = self._make_predictor(cfg)
         self.lock_mgr = AECLockManager(node_id, self.machine.num_procs,
-                                       predictor, cfg.use_lap)
-        if node_id == 0:
-            self.bar_mgr = AECBarrierManager(self.machine.num_procs,
-                                             self.layout.total_pages)
-            if world.lap_stats is None:
-                world.lap_stats = LapStats(self.sync.num_locks)
-        else:
-            self.bar_mgr = None
+                                       self._make_predictor(),
+                                       world.config.use_lap)
+        self.bar_mgr = (AECBarrierManager(self.machine.num_procs,
+                                          self.layout.total_pages)
+                        if node_id == 0 else None)
 
         # ---- program-side state
         self.step = 0
@@ -73,7 +59,6 @@ class AECNode(ProtocolNode):
         self.pending_updates: Dict[int, PendingUpdate] = {}
         #: (lock, sender, counter) the acquirer is blocked on, with future
         self._upset_expect: Optional[Tuple[int, int, int, Future]] = None
-        self._grant_futs: Dict[int, Future] = {}
         self.outside_mod_set: Set[int] = set()      # modified outside, this step
         self.outside_dirty_set: Set[int] = set()    # twins with unfrozen mods
         self.accessed_step: Set[int] = set()
@@ -83,7 +68,6 @@ class AECNode(ProtocolNode):
         self.requests_seen: Dict[int, int] = {}
         self.homes: Dict[int, int] = {}
         # ---- barrier exchange bookkeeping
-        self._bar_complete_fut: Optional[Future] = None
         self._bar_instr: Optional[BarrierInstructions] = None
         self._bar_recv_diffs = 0
         self._bar_recv_wns = 0
@@ -92,11 +76,6 @@ class AECNode(ProtocolNode):
         self._bar_recv_from: Dict[int, List[int]] = {}
         self._bar_sends_done = False
         self._bar_done_sent = False
-        # ---- request/reply plumbing
-        self._replies: Dict[int, Future] = {}
-        #: outstanding request id -> destination node (crash recovery needs
-        #: to find and fail requests addressed to a declared-dead peer)
-        self._reply_dst: Dict[Any, int] = {}
         # ---- crash recovery: lock-manager re-homing (DESIGN.md §13)
         #: dead manager node -> adoptive manager (node 0)
         self._mgr_remap: Dict[int, int] = {}
@@ -106,10 +85,7 @@ class AECNode(ProtocolNode):
         self._lockrep_reports: List[Dict[str, Any]] = []
         #: lock traffic for locks under rebuild, replayed afterwards
         self._lockrep_deferred: List[Tuple[str, Dict[str, Any]]] = []
-        self._req_seq = 0
         self._freeze_seq = 0
-        # ---- observability: open lock-hold span handles
-        self._hold_spans: Dict[int, int] = {}
 
         self._handlers = {
             "aec.lock_req": self._on_lock_req,
@@ -120,7 +96,7 @@ class AECNode(ProtocolNode):
             "aec.cs_diff_req": self._on_cs_diff_req,
             "aec.wn_diff_req": self._on_wn_diff_req,
             "aec.page_req": self._on_page_req,
-            "aec.reply": self._on_reply,
+            self.reply_kind: self._on_reply,
             "aec.bar_arrive": self._on_bar_arrive,
             "aec.bar_lists": self._on_bar_lists,
             "aec.bar_diffs": self._on_bar_diffs,
@@ -132,20 +108,12 @@ class AECNode(ProtocolNode):
 
     # ===================================================== helpers
 
-    def _make_predictor(self, cfg: SimConfig) -> LapPredictor:
-        """Build the manager's update-set predictor (hook for variants)."""
-        return LapPredictor(cfg.update_set_size, cfg.affinity_threshold)
-
     def session(self, lock_id: int) -> LockSessionState:
         s = self.sessions.get(lock_id)
         if s is None:
             s = LockSessionState()
             self.sessions[lock_id] = s
         return s
-
-    def _next_req(self) -> int:
-        self._req_seq += 1
-        return self._req_seq
 
     def _lock_home(self, lock_id: int) -> int:
         """The lock's manager node, following crash-recovery re-homing."""
@@ -166,49 +134,17 @@ class AECNode(ProtocolNode):
             self.spans.end(pu.span, self.sim.now, outcome=reason)
             pu.span = 0
 
-    def _request(self, dst: int, kind: str, payload: dict, nbytes: int,
-                 category: str,
-                 retarget: Optional[Callable[[int], int]] = None
-                 ) -> Generator:
-        """Send a request and block until the reply arrives; returns it.
-
-        If crash recovery declares ``dst`` dead mid-wait, the blocked
-        future resolves to a retry sentinel: with ``retarget`` the request
-        is re-issued to ``retarget(dst)`` (e.g. a page's reassigned home);
-        without one — or if the route doesn't change — the request cannot
-        complete and fails loudly with :class:`PeerLostError`.
-        """
-        rec = self.world.recovery
-        while True:
-            if rec is None or not rec.is_permanently_dead(dst):
-                rid = (self.node_id, self._next_req())
-                fut = self.new_future(kind)
-                self._replies[rid] = fut
-                self._reply_dst[rid] = dst
-                p = dict(payload, req_id=rid, requester=self.node_id)
-                yield Send(dst, Message(kind, p, nbytes), category)
-                reply = yield Wait(fut, category)
-                if reply is not _RETRY_DEAD:
-                    return reply
-            ndst = retarget(dst) if retarget is not None else None
-            if ndst is None or ndst == dst:
-                raise PeerLostError(
-                    f"node {self.node_id}: {kind} to dead node {dst} "
-                    "cannot be re-routed")
-            rec.stats.rerouted_requests += 1
-            dst = ndst
-
-    def _reply(self, msg: Message, payload: dict, nbytes: int) -> Message:
-        return Message("aec.reply",
-                       dict(payload, req_id=msg.payload["req_id"]), nbytes)
-
-    def _on_reply(self, msg: Message):
-        fut = self._replies.pop(msg.payload["req_id"])
-        self._reply_dst.pop(msg.payload["req_id"], None)
-        yield Resolve(fut, msg.payload)
-
     def _list_delay(self, nelements: int, category: str) -> Delay:
         return Delay(self.machine.list_cycles(max(nelements, 1)), category)
+
+    def invalidate(self, pn: int) -> bool:
+        # the barrier manager folds lost copies into the copysets (a node
+        # that lost validity still holds a stale copy)
+        if not super().invalidate(pn):
+            return False
+        self.lost_valid.add(pn)
+        self.gained_valid.discard(pn)
+        return True
 
     def _push_filter(self, lock_id: int, sess: LockSessionState,
                      pn: int) -> bool:
@@ -219,18 +155,13 @@ class AECNode(ProtocolNode):
     # ===================================================== access tracking
 
     def read(self, addr: int, nwords: int) -> Generator:
-        pages = self.layout.pages_of_range(addr, nwords)
-        self.accessed_step.update(pages)
-        if self.lock_stack:
-            self.session(self.lock_stack[-1]).accessed_inside.update(pages)
+        self.accessed_step.update(self.layout.pages_of_range(addr, nwords))
         data = yield from super().read(addr, nwords)
         return data
 
     def write(self, addr: int, values: np.ndarray) -> Generator:
-        pages = self.layout.pages_of_range(addr, len(values))
-        self.accessed_step.update(pages)
-        if self.lock_stack:
-            self.session(self.lock_stack[-1]).accessed_inside.update(pages)
+        self.accessed_step.update(
+            self.layout.pages_of_range(addr, len(values)))
         yield from super().write(addr, values)
 
     # ===================================================== outside-diff engine
@@ -259,9 +190,7 @@ class AECNode(ProtocolNode):
             meta.twin[:] = self.store.page(pn)
             meta.dirty_since_step = -1
             self.outside_dirty_set.discard(pn)
-        if meta.writable:
-            meta.writable = False
-            self.hw.page_protection_changed(pn)
+        self.write_protect(pn)
 
     def _commit_frozen(self, meta: AECPageMeta, diff: Diff) -> None:
         """Record a frozen diff and stamp our own words so that stale diffs
@@ -269,29 +198,14 @@ class AECNode(ProtocolNode):
         if diff.empty:
             return
         meta.frozen_outside.append(diff)
-        stamps = self._word_stamps(meta)
-        stamps[diff.offsets] = np.maximum(stamps[diff.offsets],
-                                          diff.acquire_counter)
+        self.stamp_words(meta, diff.offsets, diff.acquire_counter)
 
     def _serve_outside_diffs(self, pn: int, floor: int) -> Generator:
         """On-demand freeze + serve, used in ISRs (cost exposed, ipc)."""
         meta: AECPageMeta = self.page(pn)
         if pn in self.outside_dirty_set and meta.twin is not None:
-            diff = yield from self.create_diff_timed(pn, "ipc", None)
-            diff.acquire_counter = self._outside_stamp(meta.dirty_since_step)
-            self._commit_frozen(meta, diff)
-            meta.twin[:] = self.store.page(pn)
-            meta.dirty_since_step = -1
-            self.outside_dirty_set.discard(pn)
-            if meta.writable:
-                meta.writable = False
-                self.hw.page_protection_changed(pn)
+            yield from self._freeze_outside_diff(pn, "ipc")
         return [d for d in meta.frozen_outside if d.acquire_counter > floor]
-
-    def _word_stamps(self, meta: AECPageMeta) -> "np.ndarray":
-        if meta.word_stamps is None:
-            meta.word_stamps = np.full(self.page_words(), -1, dtype=np.int64)
-        return meta.word_stamps
 
     def _apply_cs_diff(self, pn: int, diff: Diff, category: str,
                        hidden_behind: Optional[Future] = None) -> Generator:
@@ -304,67 +218,16 @@ class AECNode(ProtocolNode):
         later from an old write notice would overwrite the newer
         lock-protected value.
         """
-        meta: AECPageMeta = self.page(pn)
         yield from self.apply_diff_timed(diff, category, hidden_behind)
         if diff.nwords:
-            stamps = self._word_stamps(meta)
-            offsets = diff.offsets
-            floor = self.step << 24
-            if len(offsets) == 1:
-                # scalar fast path: single-word diffs dominate in practice
-                off = offsets[0]
-                if stamps[off] < floor:
-                    stamps[off] = floor
-            else:
-                stamps[offsets] = np.maximum(stamps[offsets], floor)
+            self.stamp_words(self.page(pn), diff.offsets, self.step << 24)
 
-    def _apply_outside_diff(self, pn: int, diff: Diff, category: str,
-                            hidden_behind: Optional[Future] = None
-                            ) -> Generator:
-        """Apply an outside diff with per-word max-stamp-wins semantics."""
-        meta: AECPageMeta = self.page(pn)
-        page = self.store.page(pn)
-        start = self.now()
-        cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
-        yield Delay(cycles, category)
-        end = self.now()
-        stamps = self._word_stamps(meta)
-        counter = diff.acquire_counter
-        local_guard = (meta.twin is not None and pn in self.outside_dirty_set
-                       and counter < ((meta.dirty_since_step + 1) << 24))
+    def _twin_guards(self, pn: int, meta: AECPageMeta, stamp: int) -> bool:
         # don't clobber words we modified locally in this epoch or later
         # and have not frozen yet; a diff from a genuinely newer barrier
         # step still wins (its writer synchronized with our value first)
-        if diff.nwords == 1:
-            # scalar fast path: single-word diffs dominate in practice
-            off = diff.offsets[0]
-            wins = counter > stamps[off]
-            if wins and local_guard:
-                wins = page[off] == meta.twin[off]
-            if wins:
-                value = diff.values[0]
-                page[off] = value
-                stamps[off] = counter
-                if meta.twin is not None:
-                    meta.twin[off] = value
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-        else:
-            mask = counter > stamps[diff.offsets]
-            if local_guard:
-                mask &= page[diff.offsets] == meta.twin[diff.offsets]
-            offs = diff.offsets[mask]
-            if len(offs):
-                page[offs] = diff.values[mask]
-                stamps[offs] = counter
-                if meta.twin is not None:
-                    meta.twin[offs] = diff.values[mask]
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-        checker = self.world.checker
-        if checker.enabled:
-            checker.note_transfer("diff", dst=self.node_id, page=pn,
-                                  origin=diff.origin, time=end)
-        hidden = self._hidden_portion(start, end, cycles, hidden_behind)
-        self.world.diff_stats.record_apply(cycles, hidden)
+        return (pn in self.outside_dirty_set
+                and stamp < ((meta.dirty_since_step + 1) << 24))
 
     # ===================================================== fault handling
 
@@ -430,22 +293,12 @@ class AECNode(ProtocolNode):
             if home == self.node_id:
                 self.store.ensure(pn)
             else:
-                fetch_span = self.span_begin("page.fetch", f"page{pn}.fetch",
-                                             page=pn, home=home)
-                reply = yield from self._request(
-                    home, "aec.page_req", {"pn": pn},
-                    nbytes=8, category="data",
-                    # the home may die mid-fetch: follow the recovery
-                    # reassignment (node 0 adopts orphans, so the default
-                    # route always has a copy)
+                # the home may die mid-fetch: follow the recovery
+                # reassignment (node 0 adopts orphans, so the default
+                # route always has a copy)
+                reply = yield from self.fetch_page(
+                    pn, home, "aec.page_req",
                     retarget=lambda _old, pn=pn: self.homes.get(pn, 0))
-                self.span_end(fetch_span)
-                self.store.ensure(pn, reply["content"])
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-                checker = self.world.checker
-                if checker.enabled:
-                    checker.note_transfer("page", dst=self.node_id, page=pn,
-                                          origin=home, time=self.now())
                 if reply["word_stamps"] is not None:
                     meta.word_stamps = reply["word_stamps"].copy()
                 else:
@@ -458,7 +311,7 @@ class AECNode(ProtocolNode):
                 # restore our own frozen modifications the home's copy may
                 # not have seen (word stamps arbitrate)
                 for own in meta.frozen_outside:
-                    yield from self._apply_outside_diff(pn, own, "data")
+                    yield from self.apply_diff_stamped(pn, own)
                 self.fault_stats.remote_resolutions += 1
         # lock-protected history
         buffered = self._buffered_update_diff(pn)
@@ -510,7 +363,7 @@ class AECNode(ProtocolNode):
             self.fault_stats.remote_resolutions += 1
         collected.sort(key=lambda d: (d.acquire_counter, d.origin))
         for diff in collected:
-            yield from self._apply_outside_diff(pn, diff, "data")
+            yield from self.apply_diff_stamped(pn, diff)
             prev = meta.applied_outside.get(diff.origin, -1)
             meta.applied_outside[diff.origin] = max(prev, diff.acquire_counter)
         meta.pending_notices.clear()
@@ -531,60 +384,22 @@ class AECNode(ProtocolNode):
 
     # ===================================================== locks (program side)
 
-    def acquire_notice(self, lock_id: int) -> Generator:
-        mgr = self._lock_home(lock_id)
-        yield Send(mgr, Message("aec.notice",
-                                {"lock": lock_id, "proc": self.node_id}, 4),
-                   "busy")
-
     def acquire(self, lock_id: int) -> Generator:
-        mgr = self._lock_home(lock_id)
-        fut = self.new_future(f"grant{lock_id}")
-        self._grant_futs[lock_id] = fut
-        wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
-                                    lock=lock_id)
-        yield Send(mgr, Message("aec.lock_req",
-                                {"lock": lock_id, "requester": self.node_id}, 4),
-                   "synch")
-        # --- overlap phase 1: apply buffered update-set diffs to valid pages
-        pu = self.pending_updates.get(lock_id)
-        if pu is not None and pu.acquire_counter <= \
-                self.session(lock_id).acquire_counter:
-            # pushed before (or during) our own last tenure of the lock:
-            # necessarily stale — applying it would roll our data back
-            self.pending_updates.pop(lock_id, None)
-            self._discard_update(pu, "stale")
-            pu = None
-        if pu is not None:
-            for pn in sorted(pu.diffs):
-                if fut.done:
-                    break
-                if pn in pu.applied:
-                    continue
-                meta: AECPageMeta = self.page(pn)
-                if meta.valid and self.store.has(pn):
-                    yield from self._apply_cs_diff(
-                        pn, pu.diffs[pn], "synch", hidden_behind=fut)
-                    if meta.twin is not None:
-                        pu.diffs[pn].apply(meta.twin)
-                    pu.applied.add(pn)
-        # --- overlap phase 2: create outside diffs until the reply arrives
-        for pn in sorted(self.outside_dirty_set.copy()):
-            if fut.done:
-                break
-            yield from self._freeze_outside_diff(pn, "synch", hidden_behind=fut)
-        grant: GrantInfo = yield Wait(fut, "synch")
-        self._grant_futs.pop(lock_id, None)
-        self.span_end(wait_span, lock=lock_id, in_upset=grant.in_update_set)
-        self._hold_spans[lock_id] = self.span_begin(
-            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
+        # the header carries the barrier step: a manager must never serve
+        # one step's request from another step's history
+        grant, wait_span = yield from self._wait_grant(
+            lock_id, self._lock_home(lock_id),
+            Message("aec.lock_req", {"lock": lock_id,
+                                     "requester": self.node_id,
+                                     "step": self.step}, 4),
+            overlap=lambda fut: self._acquire_overlap(lock_id, fut))
         sess = self.session(lock_id)
         sess.acquire_counter = grant.acquire_counter
         sess.last_owner = grant.last_owner
         sess.owned_this_step = True
         sess.update_set = grant.update_set
         self.lock_stack.append(lock_id)
-        self.locks_held.add(lock_id)
+        self._begin_hold(lock_id, wait_span, in_upset=grant.in_update_set)
 
         if grant.last_owner is None or grant.last_owner == self.node_id:
             # trivial reacquire: no diffs to apply, nothing to invalidate;
@@ -623,19 +438,9 @@ class AECNode(ProtocolNode):
             else:
                 # apply remaining diffs for valid pages (now exposed)
                 for pn in sorted(pu.diffs):
-                    if pn in pu.applied:
+                    if pn in pu.applied or (
+                            yield from self._apply_pushed(pu, pn)):
                         self._absorb_lock_diff(lock_id, pu.diffs[pn])
-                        continue
-                    meta = self.page(pn)
-                    if meta.valid and self.store.has(pn):
-                        yield from self._apply_cs_diff(pn, pu.diffs[pn],
-                                                       "synch")
-                        if meta.twin is not None:
-                            pu.diffs[pn].apply(meta.twin)
-                        pu.applied.add(pn)
-                        self._absorb_lock_diff(lock_id, pu.diffs[pn])
-                    # invalid pages: the buffered diff is applied at fault
-                    # time
                 self.span_end(pu.span, outcome="used", applied=len(pu.applied))
                 pu.span = 0
         else:
@@ -648,18 +453,49 @@ class AECNode(ProtocolNode):
         if inval:
             yield self._list_delay(len(inval), "synch")
         for pg, modifier in inval:
-            meta = self.page(pg)
             pu = self.pending_updates.get(lock_id)
             if pu is not None and pg in pu.applied:
                 continue  # already brought current by the pushed diffs
-            if meta.valid:
-                meta.valid = False
-                meta.writable = False
-                self.hw.page_protection_changed(pg)
-                self.lost_valid.add(pg)
-                self.gained_valid.discard(pg)
-            meta.cs_diff_source = (lock_id, modifier)
+            self.invalidate(pg)
+            self.page(pg).cs_diff_source = (lock_id, modifier)
             self._retire_session_page(lock_id, pg)
+
+    def _acquire_overlap(self, lock_id: int, fut: Future) -> Generator:
+        """Work hidden behind the wait for the manager's grant (§3.2)."""
+        # --- overlap phase 1: apply buffered update-set diffs to valid pages
+        pu = self.pending_updates.get(lock_id)
+        if pu is not None and pu.acquire_counter <= \
+                self.session(lock_id).acquire_counter:
+            # pushed before (or during) our own last tenure of the lock:
+            # necessarily stale — applying it would roll our data back
+            self.pending_updates.pop(lock_id, None)
+            self._discard_update(pu, "stale")
+            pu = None
+        if pu is not None:
+            for pn in sorted(pu.diffs):
+                if fut.done:
+                    break
+                if pn not in pu.applied:
+                    yield from self._apply_pushed(pu, pn, hidden_behind=fut)
+        # --- overlap phase 2: create outside diffs until the reply arrives
+        for pn in sorted(self.outside_dirty_set.copy()):
+            if fut.done:
+                break
+            yield from self._freeze_outside_diff(pn, "synch", hidden_behind=fut)
+
+    def _apply_pushed(self, pu: PendingUpdate, pn: int,
+                      hidden_behind: Optional[Future] = None) -> Generator:
+        """Apply a pushed merged diff if we hold a valid copy of its page
+        (invalid pages apply it at fault time); returns whether it did."""
+        meta: AECPageMeta = self.page(pn)
+        if not (meta.valid and self.store.has(pn)):
+            return False
+        yield from self._apply_cs_diff(pn, pu.diffs[pn], "synch",
+                                       hidden_behind=hidden_behind)
+        if meta.twin is not None:
+            pu.diffs[pn].apply(meta.twin)
+        pu.applied.add(pn)
+        return True
 
     def _retire_session_page(self, lock_id: int, pg: int) -> None:
         """Stop reporting/serving ``pg`` from this lock's session.
@@ -710,14 +546,8 @@ class AECNode(ProtocolNode):
         if grant.covered:
             yield self._list_delay(len(grant.covered), "synch")
         for pg in grant.covered:
-            meta: AECPageMeta = self.page(pg)
-            if meta.valid:
-                meta.valid = False
-                meta.writable = False
-                self.hw.page_protection_changed(pg)
-                self.lost_valid.add(pg)
-                self.gained_valid.discard(pg)
-            meta.cs_diff_source = (lock_id, grant.last_owner)
+            self.invalidate(pg)
+            self.page(pg).cs_diff_source = (lock_id, grant.last_owner)
             self._retire_session_page(lock_id, pg)
 
     def release(self, lock_id: int) -> Generator:
@@ -747,9 +577,7 @@ class AECNode(ProtocolNode):
             sess.step_mods.add(pn)
             meta.twin = None
             meta.inside_lock = None
-            if meta.writable:
-                meta.writable = False
-                self.hw.page_protection_changed(pn)
+            self.write_protect(pn)
         sess.current_cs_mods.clear()
         # 2. push the merged diffs to the update set (always send, even when
         #    empty: an in-update-set acquirer blocks until this arrives).
@@ -776,6 +604,7 @@ class AECNode(ProtocolNode):
         payload = {
             "lock": lock_id,
             "releaser": self.node_id,
+            "step": self.step,
             "covered": covered,
             "modified": modified,
         }
@@ -787,9 +616,7 @@ class AECNode(ProtocolNode):
         #    speculative outside diffs are kept (semantically equivalent to
         #    the paper's discard-and-reuse-twin; see DESIGN.md)
         self.lock_stack.pop()
-        self.locks_held.discard(lock_id)
-        self.span_end(self._hold_spans.pop(lock_id, 0),
-                      pushed_to=len(sess.update_set))
+        self._end_hold(lock_id, pushed_to=len(sess.update_set))
 
     # ===================================================== barriers (program)
 
@@ -799,8 +626,6 @@ class AECNode(ProtocolNode):
                 f"node {self.node_id}: barrier while holding locks "
                 f"{self.lock_stack}")
         mgr = self.sync.barrier_manager(barrier_id)
-        complete_fut = self.new_future(f"bar{barrier_id}")
-        self._bar_complete_fut = complete_fut
         self._bar_instr = None
         self._bar_recv_diffs = 0
         self._bar_recv_wns = 0
@@ -822,23 +647,24 @@ class AECNode(ProtocolNode):
         self.gained_valid.clear()
         self.lost_valid.clear()
         yield self._list_delay(info.element_count, "synch")
-        bar_span = self.span_begin("barrier", f"barrier.step{self.step}",
-                                   step=self.step)
-        yield Send(mgr, Message("aec.bar_arrive", info,
-                                4 * max(info.element_count, 1)), "synch")
-        # overlap: create outside diffs for pages other processors used in
-        # the previous step and actually requested from us before
+        payload, bar_span = yield from self._wait_barrier(
+            mgr, Message("aec.bar_arrive", info,
+                         4 * max(info.element_count, 1)),
+            f"barrier.step{self.step}", overlap=self._barrier_overlap,
+            step=self.step)
+        self.span_end(bar_span, step=payload["step"])
+        yield from self._post_barrier_cleanup(payload)
+
+    def _barrier_overlap(self, fut: Future) -> Generator:
+        """Create outside diffs for pages other processors used in the
+        previous step and actually requested from us before."""
         for pn in sorted(self.outside_mod_set):
-            if complete_fut.done:
+            if fut.done:
                 break
             if (pn in self.others_accessed_prev
                     and self.requests_seen.get(pn, 0) > 0):
                 yield from self._freeze_outside_diff(
-                    pn, "synch", hidden_behind=complete_fut)
-        payload = yield Wait(complete_fut, "synch")
-        self._bar_complete_fut = None
-        self.span_end(bar_span, step=payload["step"])
-        yield from self._post_barrier_cleanup(payload)
+                    pn, "synch", hidden_behind=fut)
 
     def _post_barrier_cleanup(self, payload: dict) -> Generator:
         self.step = payload["step"]
@@ -846,16 +672,12 @@ class AECNode(ProtocolNode):
         if self.outside_mod_set:
             yield self._list_delay(len(self.outside_mod_set), "synch")
         for pn in self.outside_mod_set:
-            meta: AECPageMeta = self.page(pn)
-            if meta.writable:
-                meta.writable = False
-                self.hw.page_protection_changed(pn)
+            self.write_protect(pn)
         self.outside_mod_set.clear()
         # per-step lock state is obsolete after a barrier
         for lock, sess in self.sessions.items():
             sess.diff_store.clear()
             sess.step_mods.clear()
-            sess.accessed_inside.clear()
             sess.writers.clear()
             sess.owned_this_step = False
         for lock, pu in self.pending_updates.items():
@@ -879,40 +701,39 @@ class AECNode(ProtocolNode):
     # ---- lock manager role
 
     def _on_lock_req(self, msg: Message):
-        lock_id = msg.payload["lock"]
-        requester = msg.payload["requester"]
         yield self._list_delay(self.machine.num_procs, "ipc")
-        if self._lock_under_rebuild(lock_id):
-            # adopted lock, survivor reports still arriving: granting now
-            # could duplicate a token a survivor is about to report held
-            self._lockrep_deferred.append(("req", dict(msg.payload)))
-            return
-        result = self.lock_mgr.request(lock_id, requester)
-        if result is not None:
-            grant, predictions = result
-            yield from self._send_grant(requester, grant, predictions)
+        yield from self._manage("req", msg.payload)
 
     def _on_lock_release(self, msg: Message):
         p = msg.payload
         yield self._list_delay(len(p["covered"]) + len(p["modified"]), "ipc")
-        if self._lock_under_rebuild(p["lock"]):
-            self._lockrep_deferred.append(("rel", dict(p)))
-            return
-        result = self.lock_mgr.release(p["lock"], p["releaser"],
-                                       p["covered"], p["modified"])
-        if result is not None:
-            nxt, grant, predictions = result
-            yield from self._send_grant(nxt, grant, predictions)
+        yield from self._manage("rel", p)
 
-    def _on_notice(self, msg: Message):
-        self.lock_mgr.notice(msg.payload["lock"], msg.payload["proc"])
-        yield Delay(self.machine.list_cycles(1), "ipc")
+    def _manage(self, op: str, p: Dict[str, Any]) -> Generator:
+        """Run a lock request (``req``) or release (``rel``) through the
+        manager role and send the grant it produces, if any."""
+        if self._lock_under_rebuild(p["lock"]):
+            # adopted lock, survivor reports still arriving: granting now
+            # could duplicate a token a survivor is about to report held
+            self._lockrep_deferred.append((op, dict(p)))
+            return
+        if op == "req":
+            dst = p["requester"]
+            result = self.lock_mgr.request(p["lock"], dst, p["step"])
+            if result is not None:
+                yield from self._send_grant(dst, *result)
+        else:
+            result = self.lock_mgr.release(p["lock"], p["releaser"],
+                                           p["covered"], p["modified"],
+                                           p["step"])
+            if result is not None:
+                yield from self._send_grant(*result)
+
+    def lap_state(self, lock_id: int) -> LockPredictionState:
+        return self.lock_mgr.lock(lock_id).pred
 
     def _send_grant(self, dst: int, grant: GrantInfo, predictions) -> Generator:
-        self.world.count_acquire(grant.lock_id)
-        if self.world.lap_stats is not None:
-            self.world.lap_stats.record_grant(
-                grant.lock_id, dst, grant.last_owner, predictions)
+        self._score_grant(grant.lock_id, dst, grant.last_owner, predictions)
         nbytes = 16 + 8 * len(grant.invalidate) + 4 * len(grant.update_set)
         if self.sim.transport.enabled:
             # faulty mode only (keeps fault-free timing untouched): the
@@ -922,15 +743,6 @@ class AECNode(ProtocolNode):
         yield Send(dst, Message("aec.lock_grant", grant, nbytes), "ipc")
 
     # ---- lock client side
-
-    def _on_lock_grant(self, msg: Message):
-        grant: GrantInfo = msg.payload
-        fut = self._grant_futs.get(grant.lock_id)
-        if fut is None:
-            raise RuntimeError(
-                f"node {self.node_id}: unexpected grant for lock "
-                f"{grant.lock_id}")
-        yield Resolve(fut, grant)
 
     def _on_upset_diffs(self, msg: Message):
         p = msg.payload
@@ -1042,12 +854,7 @@ class AECNode(ProtocolNode):
             meta.pending_notices.clear()
             meta.cs_diff_source = None
             meta.needs_refetch = True
-            if meta.valid:
-                meta.valid = False
-                meta.writable = False
-                self.hw.page_protection_changed(pn)
-                self.lost_valid.add(pn)
-                self.gained_valid.discard(pn)
+            self.invalidate(pn)
         # push CS diffs we are responsible for
         for lock, pages, dests in instr.cs_sends:
             sess = self.sessions.get(lock)
@@ -1096,12 +903,7 @@ class AECNode(ProtocolNode):
                 continue
             if wn not in meta.pending_notices:
                 meta.pending_notices.append(wn)
-            if meta.valid:
-                meta.valid = False
-                meta.writable = False
-                self.hw.page_protection_changed(wn.page_number)
-                self.lost_valid.add(wn.page_number)
-                self.gained_valid.discard(wn.page_number)
+            self.invalidate(wn.page_number)
         yield Delay(self.machine.list_cycles(len(msg.payload["notices"])),
                     "ipc")
         yield from self._maybe_barrier_done()
@@ -1131,14 +933,10 @@ class AECNode(ProtocolNode):
                                      {"step": new_step}, 4), "ipc")
 
     def _on_bar_complete(self, msg: Message):
-        fut = self._bar_complete_fut
-        if fut is None:
-            raise RuntimeError(
-                f"node {self.node_id}: bar_complete while not in a barrier")
-        # reset manager-role per-step state *now*: another node's post-barrier
-        # lock request may reach us before our own program task resumes
-        self.lock_mgr.reset_step_state()
-        yield Resolve(fut, msg.payload)
+        # enter the new step in the manager role *now* (unless a newer-step
+        # request or release got here first and did it already)
+        self.lock_mgr.reset_step_state(msg.payload["step"])
+        yield from self._on_bar_release(msg)
 
     # ---- crash recovery (DESIGN.md §13)
 
@@ -1200,8 +998,8 @@ class AECNode(ProtocolNode):
         grants, regen, purged = self.lock_mgr.peer_dead(dead)
         rec.stats.tokens_regenerated += regen
         rec.stats.waiters_purged += purged
-        for nxt, grant, predictions in grants:
-            yield from self._send_grant(nxt, grant, predictions)
+        for result in grants:
+            yield from self._send_grant(*result)
         # follow the manager's home reassignments
         self.homes.update(info.get("homes", {}))
         # scrub per-page state that routes to the dead node
@@ -1227,13 +1025,7 @@ class AECNode(ProtocolNode):
         expect = self._upset_expect
         if expect is not None and expect[1] == dead and not expect[3].done:
             yield Resolve(expect[3], None)
-        # fail outstanding requests addressed to the dead node: the
-        # blocked program re-issues along recovery routes (or raises)
-        for rid in [r for r, d in self._reply_dst.items() if d == dead]:
-            fut = self._replies.pop(rid, None)
-            self._reply_dst.pop(rid, None)
-            if fut is not None and not fut.done:
-                yield Resolve(fut, _RETRY_DEAD)
+        yield from self._fail_requests_to(dead)
         # locks the dead node managed: re-home them to node 0 and
         # re-register our holds and wants so the adoptive manager can
         # rebuild queue state (the manager-side state died with the node)
@@ -1285,8 +1077,8 @@ class AECNode(ProtocolNode):
             if sess is not None:
                 for pg in sorted(sess.diff_store):
                     serviceable.append((lk, pg, sess.acquire_counter))
-        return {"node": self.node_id, "holds": holds, "wants": wants,
-                "serviceable": serviceable}
+        return {"node": self.node_id, "step": self.step, "holds": holds,
+                "wants": wants, "serviceable": serviceable}
 
     def _on_lock_report(self, msg: Message):
         rep = msg.payload
@@ -1339,8 +1131,10 @@ class AECNode(ProtocolNode):
         touched = sorted(set(holders) | set(wants) | set(history))
         if touched:
             yield self._list_delay(len(touched), "ipc")
+        step = max(rep["step"] for rep in reports)
         for lk in touched:
             ml = self.lock_mgr.lock(lk)
+            ml.at_step(step)
             counter_floor = 0
             newest: Optional[Tuple[int, int]] = None
             for pg, (counter, node) in sorted(history.get(lk, {}).items()):
@@ -1363,21 +1157,9 @@ class AECNode(ProtocolNode):
             ml.last_owner_counter = ml.pred.acquire_counter
             rec.stats.locks_rehomed += 1
             for w in wants.get(lk, []):
-                result = self.lock_mgr.request(lk, w)
+                result = self.lock_mgr.request(lk, w, step)
                 if result is not None:
-                    grant, predictions = result
-                    yield from self._send_grant(w, grant, predictions)
+                    yield from self._send_grant(w, *result)
         # traffic that raced the rebuild replays in arrival order
         for op, p in deferred:
-            if op == "req":
-                result = self.lock_mgr.request(p["lock"], p["requester"])
-                if result is not None:
-                    grant, predictions = result
-                    yield from self._send_grant(p["requester"], grant,
-                                                predictions)
-            else:
-                rel = self.lock_mgr.release(p["lock"], p["releaser"],
-                                            p["covered"], p["modified"])
-                if rel is not None:
-                    nxt, grant, predictions = rel
-                    yield from self._send_grant(nxt, grant, predictions)
+            yield from self._manage(op, p)

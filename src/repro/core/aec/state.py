@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.memory.diff import Diff
 from repro.memory.write_notice import WriteNotice
 from repro.protocols.base import PageMeta
@@ -27,13 +25,10 @@ class AECPageMeta(PageMeta):
     #: first (served on demand to processors holding our write notices);
     #: each diff's ``acquire_counter`` is an (epoch, sequence) stamp
     frozen_outside: List[Diff] = field(default_factory=list)
-    #: newest outside-diff stamp applied per writer (fetch floor)
+    #: newest outside-diff stamp applied per writer (fetch floor); the
+    #: inherited ``word_stamps`` arbitrate per word, since outside diffs
+    #: can arrive out of epoch order across faults
     applied_outside: Dict[int, int] = field(default_factory=dict)
-    #: per-word stamp of the newest applied outside diff (max-stamp-wins
-    #: merge: diffs can arrive out of epoch order across faults)
-    word_stamps: Optional[np.ndarray] = None
-    #: page was modified outside a CS during the current barrier step
-    modified_outside_step: bool = False
     #: barrier step of the oldest write not yet frozen into a diff (-1 =
     #: clean); freezing stamps the diff with this epoch, so lazily created
     #: diffs spanning several steps order *conservatively* (they lose
@@ -79,8 +74,6 @@ class LockSessionState:
     current_cs_mods: set = field(default_factory=set)
     #: pages modified inside this lock's CS during the current barrier step
     step_mods: set = field(default_factory=set)
-    #: pages accessed (read or written) inside this lock's CS this step
-    accessed_inside: set = field(default_factory=set)
     #: acquire counter of the grant we hold / last held
     acquire_counter: int = 0
     #: node we should lazily fetch per-page history from (grant info)

@@ -12,7 +12,7 @@ Computes the update set ``U_l(p)`` — the processors likely to acquire lock
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.core.lap.state import LockPredictionState
 
@@ -47,6 +47,15 @@ class LapPredictor:
             return upset
         fill(state.affinity.positive_set(releaser))
         return upset
+
+    def score(self, state: LockPredictionState,
+              owner: int) -> Dict[str, List[int]]:
+        """All four Table 3 predictions for the new ``owner``, keyed by
+        :data:`repro.core.lap.stats.VARIANTS` (what ``LapStats`` scores)."""
+        return {"lap": self.predict(state, owner),
+                "waitq": self.predict_waitq(state, owner),
+                "waitq_affinity": self.predict_waitq_affinity(state, owner),
+                "waitq_virtualq": self.predict_waitq_virtualq(state, owner)}
 
     # ---- low-level technique variants (Table 3 columns) -------------------
 

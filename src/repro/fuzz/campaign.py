@@ -12,7 +12,8 @@ the consistency checker armed, then certifies each cell three ways:
 
 Failures are minimized inline by :mod:`repro.fuzz.shrink` and can be filed
 directly into a corpus directory as JSON reproducers (see
-``tests/corpus/``), turning every campaign catch into a regression test.
+``tests/corpus/``), turning every campaign catch into a regression test
+that :func:`replay_corpus_entry` runs.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import SimConfig
 from repro.faults.plan import NO_FAULTS, resolve_plan
+from repro.fuzz.broken import BROKEN_PROTOCOL, ensure_registered
 from repro.fuzz.generator import (GeneratedApp, WorkloadSpec, config_for_spec,
-                                  generate_spec, spec_to_dict)
-from repro.fuzz.shrink import shrink_spec
+                                  generate_spec, spec_from_dict, spec_to_dict)
+from repro.fuzz.shrink import shrink_spec, spec_failure
 
 @dataclass
 class CampaignCell:
@@ -121,6 +122,42 @@ def corpus_doc(spec: WorkloadSpec, protocol: str, plan: str, scale: str,
         doc["shrunk_from"] = {"spec": spec_to_dict(shrunk_from),
                               "shrink_runs": shrink_runs}
     return doc
+
+
+@dataclass
+class CorpusRun:
+    """One protocol's replay of a corpus entry."""
+
+    protocol: str
+    #: ``spec_failure`` signature; None = healthy
+    failure: Optional[str]
+    #: the protocol is the deliberately broken ground truth
+    must_fail: bool
+
+    @property
+    def ok(self) -> bool:
+        return (self.failure is not None) == self.must_fail
+
+
+def replay_corpus_entry(doc: Dict[str, Any],
+                        protocols: Sequence[str] = ("aec", "tmk")
+                        ) -> List[CorpusRun]:
+    """Replay a corpus entry under the fault plan it was found with.
+
+    It runs on ``protocols`` and on the protocol it was found on.  Every
+    run must be healthy — a filed bug stays fixed — except on
+    ``aec-broken``, which must keep failing (else the checker lost
+    detection power).
+    """
+    ensure_registered()
+    spec = spec_from_dict(doc.get("spec", doc))
+    found = doc.get("found", {})
+    plan = resolve_plan(found.get("plan"))
+    runs = list(protocols)
+    if found.get("protocol") and found["protocol"] not in runs:
+        runs.append(found["protocol"])
+    return [CorpusRun(p, spec_failure(spec, p, faults=plan),
+                      p == BROKEN_PROTOCOL) for p in runs]
 
 
 def _cell_failure(result, spec: WorkloadSpec,

@@ -331,8 +331,7 @@ def _cmd_fuzz_shrink(args) -> int:
 
 def _cmd_fuzz_corpus(args) -> int:
     """Replay every corpus entry as a regression test."""
-    from repro.fuzz.shrink import spec_failure
-    ensure_registered()
+    from repro.fuzz.campaign import replay_corpus_entry
     paths = sorted(glob.glob(os.path.join(args.dir, "*.json")))
     if not paths:
         raise UsageError(f"no corpus entries under {args.dir}")
@@ -340,26 +339,16 @@ def _cmd_fuzz_corpus(args) -> int:
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        spec = spec_from_dict(doc.get("spec", doc))
         name = doc.get("name", os.path.basename(path))
-        # healthy protocols must stay clean on every corpus entry, and the
-        # entry must still reproduce on the protocol it was found on
-        runs = [(protocol, None, False) for protocol in args.protocols]
-        found = doc.get("found", {})
-        if found.get("protocol") and found["protocol"] not in args.protocols:
-            runs.append((found["protocol"], resolve_plan(found.get("plan")),
-                         True))
-        for protocol, plan, must_fail in runs:
-            failure = spec_failure(spec, protocol, faults=plan)
-            ok = (failure is not None) == must_fail
-            failed += 0 if ok else 1
-            if must_fail:
-                note = (f"still reproduces: {failure}" if ok
+        for run in replay_corpus_entry(doc, args.protocols):
+            failed += 0 if run.ok else 1
+            if run.must_fail:
+                note = (f"still reproduces: {run.failure}" if run.ok
                         else "reproducer LOST (no longer fails)")
             else:
-                note = "clean" if ok else failure
-            print(f"{'ok  ' if ok else 'FAIL'} {name:<28} {protocol:<10} "
-                  f"{note}")
+                note = "clean" if run.ok else run.failure
+            print(f"{'ok  ' if run.ok else 'FAIL'} {name:<28} "
+                  f"{run.protocol:<10} {note}")
     total = len(paths)
     print(f"corpus: {total} entr{'y' if total == 1 else 'ies'}, "
           f"{failed} failed expectation(s)")

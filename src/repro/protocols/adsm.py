@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.config import SimConfig
 from repro.core.aec.protocol import AECNode
 from repro.core.aec.state import LockSessionState
 from repro.core.lap.predictor import LapPredictor
@@ -52,10 +51,7 @@ class ConsumerSetPredictor(LapPredictor):
 
 class AdsmNode(AECNode):
     name = "adsm"
-
-    def _make_predictor(self, cfg: SimConfig) -> LapPredictor:
-        return ConsumerSetPredictor(cfg.update_set_size,
-                                    cfg.affinity_threshold)
+    predictor_class = ConsumerSetPredictor
 
     def _push_filter(self, lock_id: int, sess: LockSessionState,
                      pn: int) -> bool:

@@ -8,13 +8,16 @@ engine runs its ``handle_message`` as the node's interrupt service routine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.config import MachineParams, SimConfig
-from repro.engine.events import Delay
+from repro.core.lap.predictor import LapPredictor
+from repro.core.lap.state import LockPredictionState
+from repro.core.lap.stats import LapStats
+from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
 from repro.engine.simulator import SimulationError, Simulator
 from repro.machine.node import NodeHardware
@@ -39,6 +42,15 @@ ACK_BYTES = 8
 #: retransmitting it would only delay the fallback.  They still carry
 #: sequence numbers so duplicated copies are applied exactly once.
 BEST_EFFORT_KINDS = frozenset({"aec.upset_diffs"})
+
+
+#: reply sentinel injected by crash recovery: the request's destination was
+#: declared permanently dead; re-issue (retargeted) or fail loudly
+_RETRY_DEAD = object()
+
+
+class PeerLostError(RuntimeError):
+    """A request's destination died and no retarget route exists."""
 
 
 class TransportTimeoutError(SimulationError):
@@ -350,15 +362,37 @@ class PageMeta:
     twin: Optional[np.ndarray] = None
     #: node ever held a copy (distinguishes cold faults)
     ever_valid: bool = False
-    extra: Dict[str, Any] = field(default_factory=dict)
+    #: per-word stamp of the newest diff applied or frozen here, for the
+    #: max-stamp-wins merge (None = every word still unstamped, i.e. -1)
+    word_stamps: Optional[np.ndarray] = None
+
+    def stamps(self, words: int) -> np.ndarray:
+        if self.word_stamps is None:
+            self.word_stamps = np.full(words, -1, dtype=np.int64)
+        return self.word_stamps
 
 
 class ProtocolNode:
-    """Base class for one node's protocol engine."""
+    """Base class for one node's protocol engine.
+
+    Besides the access pipeline it owns the substrate every message-passing
+    protocol shares: request/reply with crash-recovery retargeting, page
+    fetches, the grant and barrier waits with their spans, acquire
+    notices, LAP grant scoring, the stamped diff apply and page
+    invalidation.  Protocols differ only in their algorithms and their
+    message kinds.
+    """
 
     name = "base"
     #: protocols override this to attach per-page protocol state
     page_meta_factory = PageMeta
+    #: message kind of this protocol's request replies (``_reply``)
+    reply_kind: str
+    #: message kind of the virtual-queue hint sent to a lock's manager ahead
+    #: of an acquire (None: the protocol has no LAP state to feed)
+    notice_kind: Optional[str] = None
+    #: update-set predictor class of the locks a node manages
+    predictor_class = LapPredictor
 
     def __init__(self, world: World, node_id: int) -> None:
         self.world = world
@@ -375,6 +409,18 @@ class ProtocolNode:
         self.locks_held: Set[int] = set()
         self._futures = 0
         self._handlers: Dict[str, Callable[[Message], Optional[Generator]]] = {}
+        # ---- request/reply plumbing
+        self._req_seq = 0
+        self._replies: Dict[Tuple[int, int], Future] = {}
+        #: outstanding request id -> destination node (crash recovery needs
+        #: to find and fail requests addressed to a declared-dead peer)
+        self._reply_dst: Dict[Tuple[int, int], int] = {}
+        # ---- synchronization: blocked acquires, open lock-hold spans, the
+        # barrier wait, and LAP state of the locks this node manages
+        self._grant_futs: Dict[int, Future] = {}
+        self._hold_spans: Dict[int, int] = {}
+        self._bar_fut: Optional[Future] = None
+        self._lap_states: Dict[int, LockPredictionState] = {}
         world.register(self)
         if node_id == 0:
             # node 0 physically hosts the initial (zero) copy of every page
@@ -416,10 +462,6 @@ class ProtocolNode:
         if span_id:
             self.spans.end(span_id, self.now(), **args)
 
-    def handler(self, kind: str):
-        """Decorator-free handler registration helper."""
-        raise NotImplementedError
-
     def handle_message(self, msg: Message) -> Optional[Generator]:
         fn = self._handlers.get(msg.kind)
         if fn is None:
@@ -445,6 +487,185 @@ class ProtocolNode:
         raise SimulationError(
             f"{self.name} node {self.node_id}: peer {dead} declared dead "
             f"but this protocol has no crash recovery")
+
+    # ----------------------------------------------------- request / reply
+
+    def _request(self, dst: int, kind: str, payload: dict, nbytes: int,
+                 category: str,
+                 retarget: Optional[Callable[[int], Optional[int]]] = None
+                 ) -> Generator:
+        """Send a request and block until the reply arrives; returns it.
+
+        If crash recovery declares ``dst`` dead mid-wait, the blocked
+        future resolves to a retry sentinel: with ``retarget`` the request
+        is re-issued to ``retarget(dst)`` (e.g. a page's reassigned home);
+        without one — or if the route doesn't change — the request cannot
+        complete and fails loudly with :class:`PeerLostError`.
+        """
+        rec = self.world.recovery
+        while True:
+            if rec is None or not rec.is_permanently_dead(dst):
+                self._req_seq += 1
+                rid = (self.node_id, self._req_seq)
+                fut = self.new_future(kind)
+                self._replies[rid] = fut
+                self._reply_dst[rid] = dst
+                p = dict(payload, req_id=rid, requester=self.node_id)
+                yield Send(dst, Message(kind, p, nbytes), category)
+                reply = yield Wait(fut, category)
+                if reply is not _RETRY_DEAD:
+                    return reply
+            ndst = retarget(dst) if retarget is not None else None
+            if ndst is None or ndst == dst:
+                raise PeerLostError(
+                    f"node {self.node_id}: {kind} to dead node {dst} "
+                    "cannot be re-routed")
+            rec.stats.rerouted_requests += 1
+            dst = ndst
+
+    def _reply(self, msg: Message, payload: dict, nbytes: int) -> Message:
+        return Message(self.reply_kind,
+                       dict(payload, req_id=msg.payload["req_id"]), nbytes)
+
+    def _on_reply(self, msg: Message):
+        fut = self._replies.pop(msg.payload["req_id"])
+        self._reply_dst.pop(msg.payload["req_id"], None)
+        yield Resolve(fut, msg.payload)
+
+    def fetch_page(self, pn: int, home: int, kind: str,
+                   retarget: Optional[Callable[[int], Optional[int]]] = None
+                   ) -> Generator:
+        """Fetch a copy of page ``pn`` from ``home`` and install it;
+        returns the reply (protocols read their extra state from it)."""
+        span = self.span_begin("page.fetch", f"page{pn}.fetch", page=pn,
+                               home=home)
+        reply = yield from self._request(home, kind, {"pn": pn}, nbytes=8,
+                                         category="data", retarget=retarget)
+        self.span_end(span)
+        self.store.ensure(pn, reply["content"])
+        self.hw.page_updated(self.page_addr(pn), self.page_words())
+        checker = self.world.checker
+        if checker.enabled:
+            checker.note_transfer("page", dst=self.node_id, page=pn,
+                                  origin=home, time=self.now())
+        return reply
+
+    def _fail_requests_to(self, dead: int) -> Generator:
+        """Fail the requests blocked on a declared-dead peer: each blocked
+        program re-issues along recovery routes (or raises)."""
+        for rid in [r for r, d in self._reply_dst.items() if d == dead]:
+            fut = self._replies.pop(rid, None)
+            self._reply_dst.pop(rid, None)
+            if fut is not None and not fut.done:
+                yield Resolve(fut, _RETRY_DEAD)
+
+    # ---------------------------------------------------- locks and LAP
+
+    def _wait_grant(self, lock_id: int, dst: int, req: Message,
+                    overlap: Optional[Callable[[Future], Generator]] = None
+                    ) -> Generator:
+        """Send lock request ``req`` and block until its grant arrives.
+
+        ``overlap(fut)`` runs between the request and the wait (work the
+        acquirer hides behind the grant latency).  Returns the grant
+        payload and the open ``lock.wait`` span, which the caller closes
+        with :meth:`_begin_hold` once the grant is absorbed.
+        """
+        fut = self.new_future(f"grant{lock_id}")
+        self._grant_futs[lock_id] = fut
+        wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
+                                    lock=lock_id)
+        yield Send(dst, req, "synch")
+        if overlap is not None:
+            yield from overlap(fut)
+        grant = yield Wait(fut, "synch")
+        self._grant_futs.pop(lock_id, None)
+        return grant, wait_span
+
+    def _on_lock_grant(self, msg: Message):
+        grant = msg.payload
+        lock_id = grant["lock"] if isinstance(grant, dict) else grant.lock_id
+        fut = self._grant_futs.get(lock_id)
+        if fut is None:
+            raise RuntimeError(f"{self.name} node {self.node_id}: "
+                               f"unexpected grant for lock {lock_id}")
+        yield Resolve(fut, grant)
+
+    def _begin_hold(self, lock_id: int, wait_span: int, **args: Any) -> None:
+        """Close the lock's wait span and open its hold span."""
+        self.span_end(wait_span, lock=lock_id, **args)
+        self._hold_spans[lock_id] = self.span_begin(
+            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
+        self.locks_held.add(lock_id)
+
+    def _end_hold(self, lock_id: int, **args: Any) -> None:
+        self.locks_held.discard(lock_id)
+        self.span_end(self._hold_spans.pop(lock_id, 0), **args)
+
+    def _lock_home(self, lock_id: int) -> int:
+        return self.sync.lock_manager(lock_id)
+
+    def _make_predictor(self) -> LapPredictor:
+        """The LAP predictor of the locks this node manages; node 0 also
+        opens the run's LAP scorer."""
+        cfg = self.world.config
+        if self.node_id == 0 and self.world.lap_stats is None:
+            self.world.lap_stats = LapStats(self.sync.num_locks)
+        return self.predictor_class(cfg.update_set_size,
+                                    cfg.affinity_threshold)
+
+    def acquire_notice(self, lock_id: int) -> Generator:
+        """Virtual-queue hint (zero cost without ``notice_kind``)."""
+        if self.notice_kind is not None:
+            yield Send(self._lock_home(lock_id),
+                       Message(self.notice_kind,
+                               {"lock": lock_id, "proc": self.node_id}, 4),
+                       "busy")
+
+    def _on_notice(self, msg: Message):
+        self.lap_state(msg.payload["lock"]).add_notice(msg.payload["proc"])
+        yield Delay(self.machine.list_cycles(1), "ipc")
+
+    def lap_state(self, lock_id: int) -> LockPredictionState:
+        st = self._lap_states.get(lock_id)
+        if st is None:
+            st = LockPredictionState(lock_id, self.machine.num_procs)
+            self._lap_states[lock_id] = st
+        return st
+
+    def _score_grant(self, lock_id: int, owner: int,
+                     prev_owner: Optional[int],
+                     predictions: Dict[str, List[int]]) -> None:
+        """Count a granted acquire and score the LAP predictions."""
+        self.world.count_acquire(lock_id)
+        if self.world.lap_stats is not None:
+            self.world.lap_stats.record_grant(lock_id, owner, prev_owner,
+                                              predictions)
+
+    # ----------------------------------------------------------- barriers
+
+    def _wait_barrier(self, dst: int, req: Message, name: str,
+                      overlap: Optional[Callable[[Future], Generator]] = None,
+                      **span_args: Any) -> Generator:
+        """Send barrier arrival ``req`` and block until the barrier
+        releases us; returns the release payload and the open ``barrier``
+        span (``overlap`` as in :meth:`_wait_grant`)."""
+        fut = self.new_future(name)
+        self._bar_fut = fut
+        span = self.span_begin("barrier", name, **span_args)
+        yield Send(dst, req, "synch")
+        if overlap is not None:
+            yield from overlap(fut)
+        payload = yield Wait(fut, "synch")
+        self._bar_fut = None
+        return payload, span
+
+    def _on_bar_release(self, msg: Message):
+        fut = self._bar_fut
+        if fut is None:
+            raise RuntimeError(f"{self.name} node {self.node_id}: "
+                               f"{msg.kind} outside a barrier")
+        yield Resolve(fut, msg.payload)
 
     # ------------------------------------------------- page/diff primitives
 
@@ -518,6 +739,88 @@ class ProtocolNode:
             sid = spans.begin(self.node_id, "diff.apply",
                               f"diff.apply p{pn}", start, page=pn)
             spans.end(sid, end, hidden=hidden > 0)
+
+    def invalidate(self, pn: int) -> bool:
+        """Drop the local copy's access rights; True if it was valid."""
+        meta = self.page(pn)
+        if not meta.valid:
+            return False
+        meta.valid = False
+        meta.writable = False
+        self.hw.page_protection_changed(pn)
+        return True
+
+    def write_protect(self, pn: int) -> None:
+        meta = self.page(pn)
+        if meta.writable:
+            meta.writable = False
+            self.hw.page_protection_changed(pn)
+
+    def stamp_words(self, meta: PageMeta, offsets: np.ndarray,
+                    stamp: int) -> None:
+        """Raise the word stamps at ``offsets`` to at least ``stamp``, so
+        that older diffs arriving later cannot overwrite those words."""
+        stamps = meta.stamps(self.page_words())
+        if len(offsets) == 1:
+            # scalar fast path: single-word diffs dominate in practice
+            off = offsets[0]
+            if stamps[off] < stamp:
+                stamps[off] = stamp
+        else:
+            stamps[offsets] = np.maximum(stamps[offsets], stamp)
+
+    def _twin_guards(self, pn: int, meta: PageMeta, stamp: int) -> bool:
+        """Whether the twin's unfrozen local writes outrank a diff stamped
+        ``stamp`` (protocols with a stamped apply supply the rule)."""
+        raise NotImplementedError
+
+    def apply_diff_stamped(self, pn: int, diff: Diff) -> Generator:
+        """Apply a diff with per-word max-stamp-wins semantics.
+
+        A word takes the diff's value only if the diff's stamp beats the
+        word's; with :meth:`_twin_guards` also only if the word was not
+        modified locally since the twin (an unfrozen local write, which no
+        remote diff can legitimately supersede).
+        """
+        meta = self.page(pn)
+        page = self.store.page(pn)
+        offsets = diff.offsets
+        cycles = self.machine.diff_apply_cycles(max(len(offsets), 1))
+        yield Delay(cycles, "data")
+        stamps = meta.stamps(self.page_words())
+        counter = diff.acquire_counter
+        twin = meta.twin
+        guard = twin is not None and self._twin_guards(pn, meta, counter)
+        if len(offsets) == 1:
+            # scalar path: most diffs are a single word
+            off = offsets[0]
+            updated = counter > stamps[off] and (
+                not guard or page[off] == twin[off])
+            if updated:
+                value = diff.values[0]
+                page[off] = value
+                stamps[off] = counter
+                if twin is not None:
+                    twin[off] = value
+        else:
+            mask = counter > stamps[offsets]
+            if guard:
+                mask &= page[offsets] == twin[offsets]
+            offs = offsets[mask]
+            updated = len(offs) > 0
+            if updated:
+                values = diff.values[mask]
+                page[offs] = values
+                stamps[offs] = counter
+                if twin is not None:
+                    twin[offs] = values
+        if updated:
+            self.hw.page_updated(self.page_addr(pn), self.page_words())
+        checker = self.world.checker
+        if checker.enabled:
+            checker.note_transfer("diff", dst=self.node_id, page=pn,
+                                  origin=diff.origin, time=self.now())
+        self.world.diff_stats.record_apply(cycles, 0.0)
 
     @staticmethod
     def _hidden_portion(start: float, end: float, cycles: float,
@@ -626,11 +929,6 @@ class ProtocolNode:
 
     def barrier(self, barrier_id: int) -> Generator:
         raise NotImplementedError
-
-    def acquire_notice(self, lock_id: int) -> Generator:
-        """Virtual-queue hint; protocols without LAP ignore it (zero cost)."""
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def finalize(self) -> None:
         """Hook called after the simulation completes."""

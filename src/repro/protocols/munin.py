@@ -20,30 +20,36 @@ again.
 """
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Generator, List, Optional, Set
 
-
-from repro.core.lap.predictor import LapPredictor
 from repro.core.lap.state import LockPredictionState
-from repro.core.lap.stats import LapStats
 from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
 from repro.memory.diff import Diff, create_diff
 from repro.network.message import Message
-from repro.protocols.base import ProtocolNode, World
+from repro.protocols.base import PageMeta, ProtocolNode, World
+
+
+@dataclass
+class MuninPageMeta(PageMeta):
+    """Munin per-page state: counters a fetch compares across its round
+    trip to detect an invalidation or update that raced it."""
+
+    inval_epoch: int = 0
+    upd_epoch: int = 0
 
 
 class MuninNode(ProtocolNode):
     name = "munin"
+    page_meta_factory = MuninPageMeta
+    reply_kind = "mun.reply"
+    notice_kind = "mun.notice"
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
-        cfg = world.config
-        self.use_lap = cfg.use_lap
-        self._predictor = LapPredictor(cfg.update_set_size,
-                                       cfg.affinity_threshold)
-        #: lock-manager role (lock hashed to us): prediction state + queue
-        self._locks: Dict[int, LockPredictionState] = {}
+        self.use_lap = world.config.use_lap
+        self._predictor = self._make_predictor()
         #: update set granted to us per lock (when LAP restriction is on)
         self._update_sets: Dict[int, List[int]] = {}
         #: directory/home role (pages hashed to us): the sharer set; the
@@ -55,10 +61,6 @@ class MuninNode(ProtocolNode):
         for pn in range(self.layout.total_pages):
             if self.directory_of(pn) == node_id:
                 self.store.ensure(pn)  # every page starts zeroed
-        if node_id == 0 and world.lap_stats is None:
-            world.lap_stats = LapStats(self.sync.num_locks)
-        #: open lock-hold span handles
-        self._hold_spans: Dict[int, int] = {}
         #: pages modified (twinned) since our last flush
         self._dirty: Set[int] = set()
         #: pages whose current dirtiness began inside a CS (per lock)
@@ -69,12 +71,8 @@ class MuninNode(ProtocolNode):
         self._dir_acks_pending = 0
         self._sharer_acks_needed = 0
         self._sharer_acks_got = 0
-        # barrier state (manager on node 0)
-        self._bar_fut: Optional[Future] = None
+        # barrier manager (node 0) state
         self._bar_count = 0
-        self._grant_futs: Dict[int, Future] = {}
-        self._replies: Dict[Tuple[int, int], Future] = {}
-        self._req_seq = 0
         self._handlers = {
             "mun.lock_req": self._on_lock_req,
             "mun.lock_rel": self._on_lock_rel,
@@ -85,7 +83,7 @@ class MuninNode(ProtocolNode):
             "mun.inval": self._on_inval,
             "mun.ack": self._on_ack,
             "mun.fetch": self._on_fetch,
-            "mun.reply": self._on_reply,
+            self.reply_kind: self._on_reply,
             "mun.bar_arrive": self._on_bar_arrive,
             "mun.bar_release": self._on_bar_release,
         }
@@ -94,24 +92,6 @@ class MuninNode(ProtocolNode):
 
     def directory_of(self, pn: int) -> int:
         return pn % self.machine.num_procs
-
-    def _next_req(self) -> Tuple[int, int]:
-        self._req_seq += 1
-        return (self.node_id, self._req_seq)
-
-    def _request(self, dst: int, kind: str, payload: dict, nbytes: int,
-                 category: str) -> Generator:
-        rid = self._next_req()
-        fut = self.new_future(kind)
-        self._replies[rid] = fut
-        payload = dict(payload, req_id=rid, requester=self.node_id)
-        yield Send(dst, Message(kind, payload, nbytes), category)
-        reply = yield Wait(fut, category)
-        return reply
-
-    def _on_reply(self, msg: Message):
-        fut = self._replies.pop(msg.payload["req_id"])
-        yield Resolve(fut, msg.payload)
 
     # ------------------------------------------------------------- faults
 
@@ -135,7 +115,7 @@ class MuninNode(ProtocolNode):
 
     def _fetch_page(self, pn: int) -> Generator:
         """Cold/invalidated fault: join the sharer set via the directory."""
-        meta = self.page(pn)
+        meta: MuninPageMeta = self.page(pn)
         # an invalidation may have hit us mid-critical-section with
         # unflushed twin-tracked modifications: carry them over the refetch
         local: Optional[Diff] = None
@@ -144,23 +124,24 @@ class MuninNode(ProtocolNode):
             local = create_diff(pn, meta.twin, self.store.page(pn),
                                 origin=self.node_id)
         directory = self.directory_of(pn)
+        fetch_span = self.span_begin("page.fetch", f"page{pn}.fetch",
+                                     page=pn, home=directory)
         for _attempt in range(100):
             # two races make a served snapshot stale by the time the
             # program stores it: an invalidation dropped us mid-fetch, or
             # an update was forwarded to us (we joined the sharer set at
             # the serve) and applied by the ISR before we woke up —
             # store.ensure would wipe it.  Retry until a quiescent fetch.
-            epoch = (meta.extra.get("inval_epoch", 0),
-                     meta.extra.get("upd_epoch", 0))
+            epoch = (meta.inval_epoch, meta.upd_epoch)
             reply = yield from self._request(
                 directory, "mun.fetch", {"pn": pn}, nbytes=8,
                 category="data")
-            if (meta.extra.get("inval_epoch", 0),
-                    meta.extra.get("upd_epoch", 0)) == epoch:
+            if (meta.inval_epoch, meta.upd_epoch) == epoch:
                 break
         else:
             raise RuntimeError(f"munin: fetch of page {pn} keeps racing "
                                "invalidations/updates")
+        self.span_end(fetch_span)
         self.store.ensure(pn, reply["content"])
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         if meta.twin is not None:
@@ -188,10 +169,8 @@ class MuninNode(ProtocolNode):
         sharers.add(requester)
         content = self.store.page(pn).copy()
         yield Delay(self.machine.mem_access_cycles(self.page_words()), "ipc")
-        yield Send(requester, Message(
-            "mun.reply", {"req_id": msg.payload["req_id"],
-                          "content": content},
-            self.machine.page_bytes), "ipc")
+        yield Send(requester, self._reply(msg, {"content": content},
+                                          self.machine.page_bytes), "ipc")
 
     # ------------------------------------------------------------ updates
 
@@ -281,8 +260,8 @@ class MuninNode(ProtocolNode):
     def _apply_update(self, pn: int, diff: Diff) -> Generator:
         cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
         yield Delay(cycles, "ipc")
-        meta = self.page(pn)
-        meta.extra["upd_epoch"] = meta.extra.get("upd_epoch", 0) + 1
+        meta: MuninPageMeta = self.page(pn)
+        meta.upd_epoch += 1
         if self.store.has(pn):
             diff.apply(self.store.page(pn))
             if meta.twin is not None:
@@ -303,12 +282,8 @@ class MuninNode(ProtocolNode):
 
     def _on_inval(self, msg: Message):
         pn = msg.payload["pn"]
-        meta = self.page(pn)
-        meta.extra["inval_epoch"] = meta.extra.get("inval_epoch", 0) + 1
-        if meta.valid:
-            meta.valid = False
-            meta.writable = False
-            self.hw.page_protection_changed(pn)
+        self.page(pn).inval_epoch += 1
+        self.invalidate(pn)
         yield Delay(self.machine.list_cycles(1), "ipc")
         # dropped from the sharer set: a later access re-faults and rejoins
         yield Send(msg.payload["writer"],
@@ -328,26 +303,14 @@ class MuninNode(ProtocolNode):
 
     # ------------------------------------------------------------- locks
 
-    def acquire_notice(self, lock_id: int) -> Generator:
-        mgr = self.sync.lock_manager(lock_id)
-        yield Send(mgr, Message("mun.notice",
-                                {"lock": lock_id, "proc": self.node_id}, 4),
-                   "busy")
-
     def acquire(self, lock_id: int) -> Generator:
-        mgr = self.sync.lock_manager(lock_id)
-        fut = self.new_future(f"mgrant{lock_id}")
-        self._grant_futs[lock_id] = fut
-        yield Send(mgr, Message("mun.lock_req",
-                                {"lock": lock_id,
-                                 "requester": self.node_id}, 4), "synch")
-        grant = yield Wait(fut, "synch")
-        self._grant_futs.pop(lock_id, None)
-        self._hold_spans[lock_id] = self.span_begin(
-            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
+        grant, wait_span = yield from self._wait_grant(
+            lock_id, self.sync.lock_manager(lock_id),
+            Message("mun.lock_req", {"lock": lock_id,
+                                     "requester": self.node_id}, 4))
+        self._begin_hold(lock_id, wait_span)
         self._update_sets[lock_id] = grant["update_set"]
         self.lock_stack.append(lock_id)
-        self.locks_held.add(lock_id)
 
     def release(self, lock_id: int) -> Generator:
         if not self.lock_stack or self.lock_stack[-1] != lock_id:
@@ -356,41 +319,25 @@ class MuninNode(ProtocolNode):
         # delayed update queue flushes at release)
         yield from self._flush_updates(
             "synch", restrict_to=self._update_sets.get(lock_id))
-        self.span_end(self._hold_spans.pop(lock_id, 0))
         self.lock_stack.pop()
-        self.locks_held.discard(lock_id)
+        self._end_hold(lock_id)
         yield Send(self.sync.lock_manager(lock_id),
                    Message("mun.lock_rel",
                            {"lock": lock_id, "releaser": self.node_id}, 4),
                    "synch")
 
-    def _lock_state(self, lock_id: int) -> LockPredictionState:
-        st = self._locks.get(lock_id)
-        if st is None:
-            st = LockPredictionState(lock_id, self.machine.num_procs)
-            self._locks[lock_id] = st
-        return st
-
     def _grant(self, st: LockPredictionState, to: int) -> Generator:
         prev = st.last_owner
         st.record_grant(to)
-        predictions = {
-            "lap": self._predictor.predict(st, to),
-            "waitq": self._predictor.predict_waitq(st, to),
-            "waitq_affinity": self._predictor.predict_waitq_affinity(st, to),
-            "waitq_virtualq": self._predictor.predict_waitq_virtualq(st, to),
-        }
-        self.world.count_acquire(st.lock_id)
-        if self.world.lap_stats is not None:
-            self.world.lap_stats.record_grant(st.lock_id, to, prev,
-                                              predictions)
+        predictions = self._predictor.score(st, to)
+        self._score_grant(st.lock_id, to, prev, predictions)
         update_set = predictions["lap"] if self.use_lap else None
         yield Send(to, Message("mun.lock_grant",
                                {"lock": st.lock_id,
                                 "update_set": update_set}, 8), "ipc")
 
     def _on_lock_req(self, msg: Message):
-        st = self._lock_state(msg.payload["lock"])
+        st = self.lap_state(msg.payload["lock"])
         requester = msg.payload["requester"]
         yield Delay(self.machine.list_cycles(2), "ipc")
         if st.holder is None:
@@ -399,22 +346,12 @@ class MuninNode(ProtocolNode):
             st.waiting_queue.append(requester)
 
     def _on_lock_rel(self, msg: Message):
-        st = self._lock_state(msg.payload["lock"])
+        st = self.lap_state(msg.payload["lock"])
         st.record_release(msg.payload["releaser"])
         yield Delay(self.machine.list_cycles(1), "ipc")
         if st.waiting_queue:
             nxt = st.waiting_queue.popleft()
             yield from self._grant(st, nxt)
-
-    def _on_lock_grant(self, msg: Message):
-        fut = self._grant_futs.get(msg.payload["lock"])
-        if fut is None:
-            raise RuntimeError("munin: unexpected grant")
-        yield Resolve(fut, msg.payload)
-
-    def _on_notice(self, msg: Message):
-        self._lock_state(msg.payload["lock"]).add_notice(msg.payload["proc"])
-        yield Delay(self.machine.list_cycles(1), "ipc")
 
     # ------------------------------------------------------------ barriers
 
@@ -423,13 +360,11 @@ class MuninNode(ProtocolNode):
             raise RuntimeError("munin: barrier while holding locks")
         # a barrier is a release point: flush all pending updates first
         yield from self._flush_updates("synch", restrict_to=None)
-        fut = self.new_future(f"mbar{barrier_id}")
-        self._bar_fut = fut
-        yield Send(self.sync.barrier_manager(barrier_id),
-                   Message("mun.bar_arrive", {"node": self.node_id}, 4),
-                   "synch")
-        yield Wait(fut, "synch")
-        self._bar_fut = None
+        _payload, bar_span = yield from self._wait_barrier(
+            self.sync.barrier_manager(barrier_id),
+            Message("mun.bar_arrive", {"node": self.node_id}, 4),
+            f"barrier{barrier_id}", barrier=barrier_id)
+        self.span_end(bar_span)
 
     def _on_bar_arrive(self, msg: Message):
         self._bar_count += 1
@@ -439,8 +374,3 @@ class MuninNode(ProtocolNode):
             self.world.note_barrier_complete()
             for node in range(self.machine.num_procs):
                 yield Send(node, Message("mun.bar_release", {}, 4), "ipc")
-
-    def _on_bar_release(self, msg: Message):
-        if self._bar_fut is None:
-            raise RuntimeError("munin: bar_release outside a barrier")
-        yield Resolve(self._bar_fut, None)

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
-import numpy as np
-
-from repro.core.lap.predictor import LapPredictor
-from repro.core.lap.state import LockPredictionState
-from repro.core.lap.stats import LapStats
-from repro.engine.events import Delay, Resolve, Send, Wait
-from repro.engine.future import Future
+from repro.engine.events import Delay, Send
 from repro.memory.diff import Diff, create_diff
 from repro.network.message import Message
 from repro.protocols.base import PageMeta, ProtocolNode, World
@@ -35,53 +29,41 @@ class TMPageMeta(PageMeta):
     frozen: List[Diff] = field(default_factory=list)
     #: twin has modifications not yet frozen into a diff
     dirty: bool = False
-    #: per-word stamp of the newest applied diff (order-independent merge:
-    #: lazily frozen diffs can arrive out of happens-before order across
-    #: faults, so application must be max-stamp-wins per word — the order
-    #: real TreadMarks' per-interval diffs enforce structurally)
-    word_stamps: Optional[np.ndarray] = None
+    # ``word_stamps`` (inherited) makes the merge order-independent: lazily
+    # frozen diffs can arrive out of happens-before order across faults, so
+    # application is max-stamp-wins per word — the order real TreadMarks'
+    # per-interval diffs enforce structurally
 
 
 class TreadMarksNode(ProtocolNode):
     name = "tmk"
     page_meta_factory = TMPageMeta
+    reply_kind = "tmk.reply"
+    #: LAP is not part of TreadMarks: notices and grants only feed the
+    #: shadow statistics kept for the robustness ablation
+    notice_kind = "tmk.notice"
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
         P = self.machine.num_procs
-        cfg = world.config
-        self.lazy_hybrid = cfg.tm_lazy_hybrid
+        self.lazy_hybrid = world.config.tm_lazy_hybrid
         self.vc: List[int] = [0] * P
         self.lamport = 0
         #: pages modified during the currently open interval
         self.interval_mods: Set[int] = set()
         self.log = IntervalLog(P)
         # ---- lock state
-        #: locks this node currently holds
-        self.tm_holding: Set[int] = set()
         #: queued successor per held/owned lock: (requester, vc, holding?)
         self.tm_successors: Dict[int, Deque[Tuple[int, List[int]]]] = {}
         #: token ownership: we are the last granted owner of these locks
         self.tm_owned: Set[int] = set()
         #: manager side: last known requester (tail of the distributed queue)
         self.tm_tail: Dict[int, Optional[int]] = {}
-        self._grant_futs: Dict[int, Future] = {}
         # ---- barrier state
-        self._bar_fut: Optional[Future] = None
         self._bar_arrivals: Dict[int, Tuple[List[int], List[IntervalRecord]]] = {}
         #: our vector clock as of the last records shipment to the manager
         self._mgr_seen_vc: List[int] = [0] * P
-        # ---- LAP shadow statistics (ablation: LAP robustness under TM)
-        self._lap_shadow: Dict[int, LockPredictionState] = {}
-        self._lap_predictor = LapPredictor(cfg.update_set_size,
-                                           cfg.affinity_threshold)
-        if node_id == 0 and world.lap_stats is None:
-            world.lap_stats = LapStats(self.sync.num_locks)
-        # ---- request/reply plumbing
-        self._replies: Dict[Tuple[int, int], Future] = {}
-        self._req_seq = 0
-        # ---- observability: open lock-hold span handles
-        self._hold_spans: Dict[int, int] = {}
+        self._lap_predictor = self._make_predictor()
         self._handlers = {
             "tmk.lock_req": self._on_lock_req,
             "tmk.lock_fwd": self._on_lock_fwd,
@@ -90,34 +72,10 @@ class TreadMarksNode(ProtocolNode):
             "tmk.notice": self._on_notice,
             "tmk.diff_req": self._on_diff_req,
             "tmk.page_req": self._on_page_req,
-            "tmk.reply": self._on_reply,
+            self.reply_kind: self._on_reply,
             "tmk.bar_arrive": self._on_bar_arrive,
             "tmk.bar_release": self._on_bar_release,
         }
-
-    # ------------------------------------------------------------- plumbing
-
-    def _next_req(self) -> Tuple[int, int]:
-        self._req_seq += 1
-        return (self.node_id, self._req_seq)
-
-    def _request(self, dst: int, kind: str, payload: dict, nbytes: int,
-                 category: str) -> Generator:
-        rid = self._next_req()
-        fut = self.new_future(kind)
-        self._replies[rid] = fut
-        payload = dict(payload, req_id=rid, requester=self.node_id)
-        yield Send(dst, Message(kind, payload, nbytes), category)
-        reply = yield Wait(fut, category)
-        return reply
-
-    def _reply(self, msg: Message, payload: dict, nbytes: int) -> Message:
-        return Message("tmk.reply",
-                       dict(payload, req_id=msg.payload["req_id"]), nbytes)
-
-    def _on_reply(self, msg: Message):
-        fut = self._replies.pop(msg.payload["req_id"])
-        yield Resolve(fut, msg.payload)
 
     def _bump_lamport(self, stamp: int) -> None:
         self.lamport = max(self.lamport, stamp)
@@ -135,10 +93,7 @@ class TreadMarksNode(ProtocolNode):
         # write-protect the modified pages: writes in the *next* interval
         # must fault again so they are attributed to that interval's notices
         for pn in self.interval_mods:
-            meta: TMPageMeta = self.page(pn)
-            if meta.writable:
-                meta.writable = False
-                self.hw.page_protection_changed(pn)
+            self.write_protect(pn)
         self.interval_mods.clear()
         self.log.add(rec)
         return rec
@@ -164,10 +119,7 @@ class TreadMarksNode(ProtocolNode):
                 # record the notice even without a local copy: the custodian
                 # serving a later cold fault may itself be stale mid-interval
                 meta.pending.append((rec.writer, rec.index, rec.stamp))
-                if meta.valid:
-                    meta.valid = False
-                    meta.writable = False
-                    self.hw.page_protection_changed(pn)
+                self.invalidate(pn)
         return fresh
 
     # ---------------------------------------------------------------- faults
@@ -197,18 +149,7 @@ class TreadMarksNode(ProtocolNode):
             if self.node_id == 0:
                 self.store.ensure(pn)
             else:
-                fetch_span = self.span_begin("page.fetch", f"page{pn}.fetch",
-                                             page=pn, home=0)
-                reply = yield from self._request(
-                    0, "tmk.page_req", {"pn": pn},
-                    nbytes=8, category="data")
-                self.span_end(fetch_span)
-                self.store.ensure(pn, reply["content"])
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-                checker = self.world.checker
-                if checker.enabled:
-                    checker.note_transfer("page", dst=self.node_id, page=pn,
-                                          origin=0, time=self.now())
+                reply = yield from self.fetch_page(pn, 0, "tmk.page_req")
                 for w, stamp in reply["applied"].items():
                     if stamp > meta.applied.get(w, -1):
                         meta.applied[w] = stamp
@@ -234,61 +175,17 @@ class TreadMarksNode(ProtocolNode):
         for diff in collected:
             if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
                 continue
-            yield from self._apply_diff_stamped(pn, diff)
+            yield from self.apply_diff_stamped(pn, diff)
             meta.applied[diff.origin] = diff.acquire_counter
             self._bump_lamport(diff.acquire_counter)
         meta.pending.clear()
         meta.valid = True
         meta.ever_valid = True
 
-    def _word_stamps(self, meta: TMPageMeta) -> np.ndarray:
-        if meta.word_stamps is None:
-            meta.word_stamps = np.full(self.page_words(), -1, dtype=np.int64)
-        return meta.word_stamps
-
-    def _apply_diff_stamped(self, pn: int, diff: Diff) -> Generator:
-        """Apply a diff with per-word max-stamp-wins semantics."""
-        meta: TMPageMeta = self.page(pn)
-        page = self.store.page(pn)
-        offsets = diff.offsets
-        cycles = self.machine.diff_apply_cycles(max(len(offsets), 1))
-        yield Delay(cycles, "data")
-        stamps = self._word_stamps(meta)
-        counter = diff.acquire_counter
-        twin = meta.twin
-        # never clobber unfrozen local writes: they were never served to
-        # anyone, so no remote diff can legitimately supersede them
-        guard = twin is not None and meta.dirty
-        if len(offsets) == 1:
-            # scalar path: most diffs are a single word
-            off = offsets[0]
-            updated = counter > stamps[off] and (
-                not guard or page[off] == twin[off])
-            if updated:
-                value = diff.values[0]
-                page[off] = value
-                stamps[off] = counter
-                if twin is not None:
-                    twin[off] = value
-        else:
-            mask = counter > stamps[offsets]
-            if guard:
-                mask &= page[offsets] == twin[offsets]
-            offs = offsets[mask]
-            updated = len(offs) > 0
-            if updated:
-                values = diff.values[mask]
-                page[offs] = values
-                stamps[offs] = counter
-                if twin is not None:
-                    twin[offs] = values
-        if updated:
-            self.hw.page_updated(self.page_addr(pn), self.page_words())
-        checker = self.world.checker
-        if checker.enabled:
-            checker.note_transfer("diff", dst=self.node_id, page=pn,
-                                  origin=diff.origin, time=self.now())
-        self.world.diff_stats.record_apply(cycles, 0.0)
+    def _twin_guards(self, pn: int, meta: TMPageMeta, stamp: int) -> bool:
+        # unfrozen local writes were never served to anyone, so no remote
+        # diff can legitimately supersede them
+        return meta.dirty
 
     # ------------------------------------------------------- diff servicing
 
@@ -322,18 +219,12 @@ class TreadMarksNode(ProtocolNode):
             # stamps come from a fresh ++lamport and Lamport time never
             # decreases, so ``frozen`` stays sorted by acquire_counter
             meta.frozen.append(diff)
-            # stamp our own words: a stale remote diff arriving later must
-            # not overwrite what we just froze
-            stamps = self._word_stamps(meta)
-            stamps[diff.offsets] = np.maximum(stamps[diff.offsets],
-                                              diff.acquire_counter)
+            self.stamp_words(meta, diff.offsets, diff.acquire_counter)
         # the twin is discarded and the page write-protected; the next local
         # write re-twins (standard TreadMarks behaviour after a diff)
         meta.twin = None
         meta.dirty = False
-        if meta.writable:
-            meta.writable = False
-            self.hw.page_protection_changed(pn)
+        self.write_protect(pn)
 
     def _on_diff_req(self, msg: Message):
         pn = msg.payload["pn"]
@@ -366,26 +257,13 @@ class TreadMarksNode(ProtocolNode):
 
     # ------------------------------------------------------------------ locks
 
-    def acquire_notice(self, lock_id: int) -> Generator:
-        """LAP is not part of TreadMarks; notices only feed the shadow
-        statistics kept for the robustness ablation."""
-        mgr = self.sync.lock_manager(lock_id)
-        yield Send(mgr, Message("tmk.notice",
-                                {"lock": lock_id, "proc": self.node_id}, 4),
-                   "busy")
-
     def acquire(self, lock_id: int) -> Generator:
-        mgr = self.sync.lock_manager(lock_id)
-        fut = self.new_future(f"tmgrant{lock_id}")
-        self._grant_futs[lock_id] = fut
-        wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
-                                    lock=lock_id)
-        yield Send(mgr, Message("tmk.lock_req",
-                                {"lock": lock_id, "requester": self.node_id,
-                                 "vc": list(self.vc)}, 4 + 4 * len(self.vc)),
-                   "synch")
-        grant = yield Wait(fut, "synch")
-        self._grant_futs.pop(lock_id, None)
+        grant, wait_span = yield from self._wait_grant(
+            lock_id, self.sync.lock_manager(lock_id),
+            Message("tmk.lock_req", {"lock": lock_id,
+                                     "requester": self.node_id,
+                                     "vc": list(self.vc)},
+                    4 + 4 * len(self.vc)))
         records: List[IntervalRecord] = grant["records"]
         if records:
             yield Delay(self.machine.list_cycles(
@@ -406,7 +284,7 @@ class TreadMarksNode(ProtocolNode):
                 continue
             if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
                 continue
-            yield from self._apply_diff_stamped(pn, diff)
+            yield from self.apply_diff_stamped(pn, diff)
             meta.applied[diff.origin] = diff.acquire_counter
             self._bump_lamport(diff.acquire_counter)
         if grant.get("diffs"):
@@ -418,19 +296,13 @@ class TreadMarksNode(ProtocolNode):
                        for (w, _i, s) in meta.pending):
                     meta.pending.clear()
                     meta.valid = True
-        self.span_end(wait_span, lock=lock_id)
-        self._hold_spans[lock_id] = self.span_begin(
-            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
-        self.tm_holding.add(lock_id)
+        self._begin_hold(lock_id, wait_span)
         self.tm_owned.add(lock_id)
-        self.locks_held.add(lock_id)
 
     def release(self, lock_id: int) -> Generator:
-        if lock_id not in self.tm_holding:
+        if lock_id not in self.locks_held:
             raise RuntimeError(f"node {self.node_id}: release of unheld lock")
-        self.span_end(self._hold_spans.pop(lock_id, 0))
-        self.tm_holding.discard(lock_id)
-        self.locks_held.discard(lock_id)
+        self._end_hold(lock_id)
         queue = self.tm_successors.get(lock_id)
         if queue:
             requester, req_vc = queue.popleft()
@@ -477,25 +349,17 @@ class TreadMarksNode(ProtocolNode):
 
     # ---- manager role
 
-    def _shadow(self, lock_id: int) -> LockPredictionState:
-        st = self._lap_shadow.get(lock_id)
-        if st is None:
-            st = LockPredictionState(lock_id, self.machine.num_procs)
-            self._lap_shadow[lock_id] = st
-        return st
-
     def _on_lock_req(self, msg: Message):
         lock_id = msg.payload["lock"]
         requester = msg.payload["requester"]
         yield Delay(self.machine.list_cycles(2), "ipc")
         tail = self.tm_tail.get(lock_id)
         self.tm_tail[lock_id] = requester
-        shadow = self._shadow(lock_id)
+        shadow = self.lap_state(lock_id)
         shadow.waiting_queue.append(requester)
         if tail is None:
             # first acquire ever: the manager grants an empty token
             self._record_shadow_grant(lock_id, requester)
-            self.world.count_acquire(lock_id)
             yield Send(requester, Message("tmk.lock_grant", {
                 "lock": lock_id, "records": [], "vc": [0] * len(self.vc),
             }, 8), "ipc")
@@ -510,37 +374,22 @@ class TreadMarksNode(ProtocolNode):
         requester = msg.payload["requester"]
         req_vc = msg.payload["vc"]
         yield Delay(self.machine.list_cycles(1), "ipc")
-        if lock_id in self.tm_holding or not self._lock_idle(lock_id):
+        if lock_id in self.locks_held or lock_id not in self.tm_owned:
+            # busy, or the token is still on its way to us
             self.tm_successors.setdefault(lock_id, deque()).append(
                 (requester, req_vc))
         else:
             yield from self._grant_lock(lock_id, requester, req_vc, "ipc")
-
-    def _lock_idle(self, lock_id: int) -> bool:
-        """True when we hold the token and are not in the critical section."""
-        return lock_id in self.tm_owned
-
-    def _on_lock_grant(self, msg: Message):
-        lock_id = msg.payload["lock"]
-        fut = self._grant_futs.get(lock_id)
-        if fut is None:
-            raise RuntimeError(f"unexpected TM grant for lock {lock_id}")
-        yield Resolve(fut, msg.payload)
 
     def _on_granted(self, msg: Message):
         """Manager-side bookkeeping when a token moves (LAP shadow stats)."""
         lock_id = msg.payload["lock"]
         new_owner = msg.payload["to"]
         yield Delay(self.machine.list_cycles(1), "ipc")
-        self.world.count_acquire(lock_id)
         self._record_shadow_grant(lock_id, new_owner)
 
-    def _on_notice(self, msg: Message):
-        self._shadow(msg.payload["lock"]).add_notice(msg.payload["proc"])
-        yield Delay(self.machine.list_cycles(1), "ipc")
-
     def _record_shadow_grant(self, lock_id: int, new_owner: int) -> None:
-        shadow = self._shadow(lock_id)
+        shadow = self.lap_state(lock_id)
         if shadow.holder is not None:
             # TM managers never see releases; a new grant implies one
             shadow.record_release(shadow.holder)
@@ -550,27 +399,16 @@ class TreadMarksNode(ProtocolNode):
         except ValueError:
             pass
         shadow.record_grant(new_owner)
-        if self.world.lap_stats is not None:
-            predictions = {
-                "lap": self._lap_predictor.predict(shadow, new_owner),
-                "waitq": self._lap_predictor.predict_waitq(shadow, new_owner),
-                "waitq_affinity": self._lap_predictor.predict_waitq_affinity(
-                    shadow, new_owner),
-                "waitq_virtualq": self._lap_predictor.predict_waitq_virtualq(
-                    shadow, new_owner),
-            }
-            self.world.lap_stats.record_grant(lock_id, new_owner, prev_owner,
-                                              predictions)
+        self._score_grant(lock_id, new_owner, prev_owner,
+                          self._lap_predictor.score(shadow, new_owner))
 
     # ---------------------------------------------------------------- barriers
 
     def barrier(self, barrier_id: int) -> Generator:
-        if self.tm_holding:
+        if self.locks_held:
             raise RuntimeError(
-                f"node {self.node_id}: barrier while holding {self.tm_holding}")
+                f"node {self.node_id}: barrier while holding {self.locks_held}")
         self._close_interval()
-        fut = self.new_future(f"tmbar{barrier_id}")
-        self._bar_fut = fut
         mgr = self.sync.barrier_manager(barrier_id)
         # ship the manager our own intervals closed since the last barrier
         # (every record reaches the manager through its writer)
@@ -583,12 +421,9 @@ class TreadMarksNode(ProtocolNode):
                    "records": own}
         n = sum(r.element_count for r in own) + len(self.vc)
         yield Delay(self.machine.list_cycles(max(n, 1)), "synch")
-        bar_span = self.span_begin("barrier", f"barrier{barrier_id}",
-                                   barrier=barrier_id)
-        yield Send(mgr, Message("tmk.bar_arrive", payload, 4 * max(n, 1)),
-                   "synch")
-        reply = yield Wait(fut, "synch")
-        self._bar_fut = None
+        reply, bar_span = yield from self._wait_barrier(
+            mgr, Message("tmk.bar_arrive", payload, 4 * max(n, 1)),
+            f"barrier{barrier_id}", barrier=barrier_id)
         self.span_end(bar_span)
         records = reply["records"]
         if records:
@@ -622,10 +457,3 @@ class TreadMarksNode(ProtocolNode):
             yield Send(node_i, Message("tmk.bar_release", {
                 "records": records_i, "vc": merged_vc,
             }, 4 * max(n, 1)), "ipc")
-
-    def _on_bar_release(self, msg: Message):
-        fut = self._bar_fut
-        if fut is None:
-            raise RuntimeError(
-                f"node {self.node_id}: bar_release outside a barrier")
-        yield Resolve(fut, msg.payload)

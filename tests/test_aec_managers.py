@@ -99,10 +99,38 @@ class TestLockManager:
         mgr = make_mgr()
         mgr.request(0, 1)
         mgr.release(0, 1, [5], [5])
-        mgr.reset_step_state()
-        grant, _ = mgr.request(0, 2)
+        mgr.reset_step_state(1)
+        grant, _ = mgr.request(0, 2, step=1)
         assert grant.invalidate == []
         assert not grant.in_update_set
+
+    def test_newer_step_request_resets_before_the_managers_barrier(self):
+        """A post-barrier request can beat the manager's own barrier
+        completion: it must not be granted from the old step's history."""
+        mgr = make_mgr()
+        mgr.request(0, 1, step=0)
+        mgr.release(0, 1, [5], [5], step=0)
+        grant, _ = mgr.request(0, 2, step=1)
+        assert grant.invalidate == []
+        # the manager's barrier completion arrives late: idempotent, so
+        # the new step's history survives it
+        mgr.release(0, 2, [6], [6], step=1)
+        mgr.reset_step_state(1)
+        grant, _ = mgr.request(0, 3, step=1)
+        assert grant.invalidate == [(6, 2)]
+
+    def test_older_step_release_hands_on_the_token_only(self):
+        """A release retransmitted past a barrier records no history: the
+        releaser's session (and its diffs) are gone."""
+        mgr = make_mgr()
+        mgr.request(0, 3, step=0)
+        mgr.reset_step_state(1)
+        assert mgr.request(0, 0, step=1) is None  # 3 still holds the token
+        nxt, grant, _ = mgr.release(0, 3, [0], [0], step=0)
+        assert nxt == 0
+        assert grant.last_owner == 3
+        assert grant.invalidate == [] and not grant.in_update_set
+        assert mgr.lock(0).history == {} and mgr.lock(0).coverage == set()
 
     def test_acquire_counter_monotone(self):
         mgr = make_mgr()

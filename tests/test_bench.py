@@ -63,7 +63,9 @@ _E2E = [pytest.param(protocol, app, plan,
                      id=f"{protocol}-{app}" + ("" if plan == "none"
                                                else f"-{plan}"))
         for plan in ("none", "lossy-1pct", "crash-one-node")
-        for protocol in ("aec", "tmk") for app in APP_NAMES]
+        for protocol in ("aec", "tmk") for app in APP_NAMES] + [
+    pytest.param(protocol, app, "none", id=f"{protocol}-{app}")
+    for protocol in ("adsm", "munin") for app in APP_NAMES]
 
 
 @pytest.mark.parametrize("protocol,app,plan", _E2E)
@@ -89,6 +91,9 @@ class TestAttributionEndToEnd:
         for cat in ("synch", "data"):
             from_spans, from_engine = report.figure4[cat]
             assert from_spans >= 0 and from_engine >= 0
+        # every protocol spans its synchronization waits
+        from_spans, from_engine = report.figure4["synch"]
+        assert from_spans > 0 or from_engine == 0, report.render()
         assert set(report.totals()) <= set(ATTRIBUTION_KINDS) | {"compute"}
 
 

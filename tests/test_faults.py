@@ -25,7 +25,7 @@ from repro.faults import (BUILTIN_PLANS, FaultPlan, FaultRule, NodeStall,
                           get_plan)
 from repro.faults.injector import FaultInjector, NullInjector, make_injector
 from repro.harness import sweep as sw
-from repro.harness.runner import run_app
+from repro.harness.runner import PROTOCOLS, run_app
 from repro.network.message import Message
 from repro.obs.spans import SpanRecorder
 from repro.protocols.base import (ACK_KIND, BEST_EFFORT_KINDS,
@@ -260,31 +260,57 @@ class TestReliableTransport:
 #: change; it stays checker-clean and SC-word-identical (test_check).
 #: tmk-lh rows were recorded later, before its lazy-hybrid piggyback
 #: started sharing frozen diffs by reference instead of copying them.
+#: aec-nolap, adsm, munin and munin-lap rows were recorded last, before
+#: the protocols moved onto one shared ProtocolNode substrate.
 FAULT_FREE_GOLDEN = {
     ("is", "aec"): (3773422.5, 2192, 336496),
     ("is", "tmk"): (5766226.0, 2372, 648024),
     ("is", "tmk-lh"): (5800630.0, 2370, 671632),
     ("is", "sc"): (80076.0, 0, 0),
+    ("is", "aec-nolap"): (4103091.5, 2220, 335840),
+    ("is", "adsm"): (4127624.5, 2281, 339664),
+    ("is", "munin"): (4546693.75, 2128, 505484),
+    ("is", "munin-lap"): (3651563.5, 1570, 444124),
     ("raytrace", "aec"): (9007830.5, 3940, 1416416),
     ("raytrace", "tmk"): (43717016.25, 13839, 2382068),
     ("raytrace", "tmk-lh"): (43769978.5, 13817, 2476904),
     ("raytrace", "sc"): (553543.0, 0, 0),
+    ("raytrace", "aec-nolap"): (12321781.25, 4149, 1426280),
+    ("raytrace", "adsm"): (12731340.75, 5177, 1472072),
+    ("raytrace", "munin"): (27199596.0, 14037, 1791556),
+    ("raytrace", "munin-lap"): (18247272.75, 7917, 2568948),
     ("water-ns", "aec"): (6730548.25, 8416, 1208516),
     ("water-ns", "tmk"): (9588226.5, 12985, 1834340),
     ("water-ns", "tmk-lh"): (9168162.75, 12009, 2026936),
     ("water-ns", "sc"): (104217.0, 0, 0),
+    ("water-ns", "aec-nolap"): (7350043.0, 8592, 1214904),
+    ("water-ns", "adsm"): (7909076.25, 10252, 1278716),
+    ("water-ns", "munin"): (20097039.75, 32208, 2048480),
+    ("water-ns", "munin-lap"): (25670907.25, 14484, 7976568),
     ("fft", "aec"): (5150450.75, 5626, 639348),
     ("fft", "tmk"): (5346767.5, 3958, 610536),
     ("fft", "tmk-lh"): (5346967.5, 3958, 610776),
     ("fft", "sc"): (8160.0, 0, 0),
+    ("fft", "aec-nolap"): (5270015.75, 5640, 640020),
+    ("fft", "adsm"): (5289143.75, 5669, 641120),
+    ("fft", "munin"): (3829026.0, 3705, 518392),
+    ("fft", "munin-lap"): (3727749.5, 3519, 510412),
     ("ocean", "aec"): (8746677.5, 7096, 956684),
     ("ocean", "tmk"): (16787172.25, 6787, 1043304),
     ("ocean", "tmk-lh"): (16853596.75, 6769, 1122176),
     ("ocean", "sc"): (35698.0, 0, 0),
+    ("ocean", "aec-nolap"): (9608966.5, 7163, 960212),
+    ("ocean", "adsm"): (9698461.5, 7375, 968372),
+    ("ocean", "munin"): (14449125.5, 7267, 827288),
+    ("ocean", "munin-lap"): (12253526.5, 5231, 1156952),
     ("water-sp", "aec"): (6077735.0, 3231, 381336),
     ("water-sp", "tmk"): (16894259.0, 5002, 577828),
     ("water-sp", "tmk-lh"): (16986506.25, 5010, 605424),
     ("water-sp", "sc"): (38802.0, 0, 0),
+    ("water-sp", "aec-nolap"): (7248313.5, 3326, 385876),
+    ("water-sp", "adsm"): (7391789.75, 3662, 399036),
+    ("water-sp", "munin"): (12259863.75, 7546, 550844),
+    ("water-sp", "munin-lap"): (9339025.0, 3492, 1463368),
 }
 
 #: (app, protocol, plan) -> (execution_time, messages_total, network_bytes)
@@ -299,9 +325,14 @@ FAULTED_GOLDEN = {
 
 
 class TestFaultFreeBitIdentical:
+    def test_golden_covers_every_protocol(self):
+        assert {p for _app, p in FAULT_FREE_GOLDEN} >= set(PROTOCOLS) - {
+            "aec-broken"}  # the fuzz campaign's deliberately broken AEC
+
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_matches_pre_fault_subsystem_build(self, app_name):
-        for protocol in ("aec", "tmk", "tmk-lh", "sc"):
+        for protocol in sorted({p for a, p in FAULT_FREE_GOLDEN
+                                if a == app_name}):
             result = run_app(make_app(app_name, "test"), protocol,
                              SimConfig(seed=42))
             got = (result.execution_time, result.messages_total,

@@ -23,7 +23,7 @@ from repro.config import SimConfig, config_digest, config_from_dict, \
     canonical_config_dict
 from repro.fuzz import generator
 from repro.fuzz.broken import ensure_registered
-from repro.fuzz.campaign import run_campaign
+from repro.fuzz.campaign import replay_corpus_entry, run_campaign
 from repro.fuzz.generator import (GeneratedApp, PhaseSpec, WorkloadSpec,
                                   compile_schedule, config_for_spec,
                                   expected_final, generate_spec,
@@ -390,36 +390,41 @@ class TestCampaignCatches:
 # ----------------------------------------------------- corpus regression
 
 class TestCorpus:
-    """tests/corpus is a regression suite: every filed reproducer must
-    stay clean on healthy protocols and keep reproducing on the protocol
-    it was found on (else the checker lost detection power)."""
+    """tests/corpus is a regression suite: every filed reproducer replays
+    under the fault plan it was found with, clean on aec, tmk and the
+    protocol it was found on — except the deliberately broken AEC, on
+    which it must keep reproducing (else the checker lost detection
+    power)."""
 
-    def _entries(self):
+    def _runs(self):
         paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
         assert paths, f"no corpus entries under {CORPUS_DIR}"
         for path in paths:
             with open(path, "r", encoding="utf-8") as fh:
-                yield path, json.load(fh)
+                doc = json.load(fh)
+            for run in replay_corpus_entry(doc):
+                yield os.path.basename(path), doc, run
 
     def test_corpus_clean_on_healthy_protocols(self):
-        for path, doc in self._entries():
-            spec = spec_from_dict(doc["spec"])
-            for protocol in ("aec", "tmk"):
-                failure = spec_failure(spec, protocol)
-                assert failure is None, (
-                    f"{os.path.basename(path)} under {protocol}: {failure}")
+        replayed = set()
+        for name, doc, run in self._runs():
+            if not run.must_fail:
+                replayed.add((name, run.protocol))
+                assert run.failure is None, (
+                    f"{name} under {run.protocol}/{doc['found']['plan']}: "
+                    f"{run.failure}")
+        # bugs filed against real protocols replay on them too
+        assert ("seed42027-aec-lossy-1pct.json", "aec") in replayed
+        assert ("seed42-adsm-lossy-1pct.json", "adsm") in replayed
 
     def test_corpus_still_reproduces_on_found_protocol(self):
-        ensure_registered()
-        for path, doc in self._entries():
-            found = doc.get("found", {})
-            protocol = found.get("protocol")
-            if protocol in (None, "aec", "tmk"):
-                continue
-            failure = spec_failure(spec_from_dict(doc["spec"]), protocol)
-            assert failure is not None, (
-                f"{os.path.basename(path)}: reproducer lost — no longer "
-                f"fails under {protocol}")
+        broken = [(name, run) for name, _doc, run in self._runs()
+                  if run.must_fail]
+        assert broken
+        for name, run in broken:
+            assert run.failure is not None, (
+                f"{name}: reproducer lost — no longer fails under "
+                f"{run.protocol}")
 
     def test_corpus_cli(self, capsys):
         assert cli_main(["fuzz", "corpus", CORPUS_DIR]) == 0
@@ -496,7 +501,7 @@ class TestFuzzCli:
         assert "healthy" in capsys.readouterr().out
 
     def test_fuzz_replay_broken_fails(self, capsys):
-        corpus = glob.glob(os.path.join(CORPUS_DIR, "*.json"))[0]
+        corpus = os.path.join(CORPUS_DIR, "broken-aec-stale-read.json")
         rc = cli_main(["fuzz", "replay", corpus])
         assert rc == 1
         assert "FAILS" in capsys.readouterr().out

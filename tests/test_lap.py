@@ -160,6 +160,28 @@ class TestLapPredictor:
         assert self.make().predict_waitq_affinity(st, 1) == [6]
         assert self.make().predict_waitq_virtualq(st, 1) == []
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_score_is_the_four_predictors(self, seed):
+        """``score`` is what every protocol's grant hands ``LapStats``:
+        exactly the four individual predictions, keyed by VARIANTS."""
+        import random
+        rng = random.Random(seed)
+        st = LockPredictionState(0, 8)
+        for _ in range(rng.randint(0, 12)):
+            st.affinity.record_transfer(rng.randrange(8), rng.randrange(8))
+        st.virtual_queue.extend(rng.sample(range(8), rng.randint(0, 4)))
+        st.waiting_queue.extend(rng.sample(range(8), rng.randint(0, 2)))
+        p = self.make(size=rng.randint(1, 3))
+        owner = rng.randrange(8)
+        scored = p.score(st, owner)
+        assert tuple(scored) == VARIANTS
+        assert scored == {
+            "lap": p.predict(st, owner),
+            "waitq": p.predict_waitq(st, owner),
+            "waitq_affinity": p.predict_waitq_affinity(st, owner),
+            "waitq_virtualq": p.predict_waitq_virtualq(st, owner),
+        }
+
 
 class TestLapStats:
     def test_success_rate_formula(self):

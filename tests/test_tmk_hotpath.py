@@ -4,7 +4,8 @@
 sorted histories, the stamped diff apply has a scalar path for 1-word
 diffs, and frozen diffs are served by reference instead of copied.  Each
 is pinned here, over seeded random histories, against the straightforward
-code it replaced (kept below as the reference).
+code it replaced (kept below as the reference).  The stamped apply is
+shared with AEC's outside-diff apply, so it is pinned for both protocols.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import MachineParams, SimConfig
+from repro.core.aec.protocol import AECNode
 from repro.engine.events import Delay, Send
 from repro.memory.diff import Diff
 from repro.memory.layout import Layout
@@ -44,10 +46,11 @@ class RefLog:
         return sorted(out, key=lambda r: (r.stamp, r.writer, r.index))
 
 
-def ref_apply_stamped(page, twin, stamps, dirty, diff):
-    """The vector max-stamp-wins apply, for diffs of any length."""
+def ref_apply_stamped(page, twin, stamps, guard, diff):
+    """The vector max-stamp-wins apply, for diffs of any length; ``guard``
+    is the protocol's verdict that unfrozen local writes outrank it."""
     mask = diff.acquire_counter > stamps[diff.offsets]
-    if twin is not None and dirty:
+    if twin is not None and guard:
         mask &= page[diff.offsets] == twin[diff.offsets]
     offs = diff.offsets[mask]
     page[offs] = diff.values[mask]
@@ -58,12 +61,12 @@ def ref_apply_stamped(page, twin, stamps, dirty, diff):
 
 # ------------------------------------------------------------------ helpers
 
-def tm_nodes(num_procs=4):
+def tm_nodes(num_procs=4, node_class=TreadMarksNode):
     config = SimConfig(machine=MachineParams(num_procs=num_procs))
     layout = Layout(config.machine.words_per_page)
     layout.allocate("data", 4 * config.machine.words_per_page)
     world = World(config, layout, SyncRegistry(num_procs))
-    return world, [TreadMarksNode(world, i) for i in range(num_procs)]
+    return world, [node_class(world, i) for i in range(num_procs)]
 
 
 def drain(gen):
@@ -202,7 +205,48 @@ CASES = ("no-stamps", "stale", "equal-stamp", "fresh",
          "dirty-twin-clobber", "dirty-twin-clean-word", "clean-twin")
 
 
-def _setup_page(node, pn, rng, case, words):
+class TmkStamps:
+    """TreadMarks: Lamport stamps; a dirty twin guards every diff."""
+
+    node_class = TreadMarksNode
+
+    @staticmethod
+    def stamp(x):
+        return x
+
+    @staticmethod
+    def mark_dirty(node, pn, meta, dirty, rng):
+        meta.dirty = dirty
+
+    @staticmethod
+    def guard(node, pn, meta, diff):
+        return meta.dirty
+
+
+class AecStamps:
+    """AEC outside diffs: epoch-major stamps; a dirty twin guards only
+    diffs older than the step after the one its first write was in."""
+
+    node_class = AECNode
+
+    @staticmethod
+    def stamp(x):
+        # order-preserving map onto (barrier step << 24) | sequence
+        return x if x < 0 else ((x // 8) << 24) | (x % 8)
+
+    @staticmethod
+    def mark_dirty(node, pn, meta, dirty, rng):
+        if dirty:
+            node.outside_dirty_set.add(pn)
+            meta.dirty_since_step = rng.randint(0, 2)
+
+    @staticmethod
+    def guard(node, pn, meta, diff):
+        return (pn in node.outside_dirty_set and diff.acquire_counter
+                < ((meta.dirty_since_step + 1) << 24))
+
+
+def _setup_page(node, pn, rng, case, words, proto=TmkStamps):
     """Put ``pn`` at ``node`` into the state ``case`` names."""
     meta = node.page(pn)
     node.store.ensure(pn)
@@ -210,10 +254,11 @@ def _setup_page(node, pn, rng, case, words):
     page[:] = [rng.uniform(-10, 10) for _ in range(words)]
     if case != "no-stamps":
         meta.word_stamps = np.array(
-            [rng.randint(-1, 20) for _ in range(words)], dtype=np.int64)
+            [proto.stamp(rng.randint(-1, 20)) for _ in range(words)],
+            dtype=np.int64)
     if case.startswith("dirty-twin") or case == "clean-twin":
         meta.twin = page.copy()
-        meta.dirty = case.startswith("dirty-twin")
+        proto.mark_dirty(node, pn, meta, case.startswith("dirty-twin"), rng)
     return meta, page
 
 
@@ -235,23 +280,21 @@ def _random_diff(rng, pn, words, nwords, case, meta, page):
                 acquire_counter=counter, origin=1)
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("nwords", [1, 3])
-@pytest.mark.parametrize("seed", range(4))
-def test_stamped_apply_matches_vector_reference(case, nwords, seed):
+def _check_stamped_apply(proto, case, nwords, seed):
     rng = random.Random(6000 + 97 * seed + nwords)
-    world, nodes = tm_nodes()
+    world, nodes = tm_nodes(node_class=proto.node_class)
     node = nodes[1]
     words = node.page_words()
-    meta, page = _setup_page(node, 3, rng, case, words)
+    meta, page = _setup_page(node, 3, rng, case, words, proto)
     diff = _random_diff(rng, 3, words, nwords, case, meta, page)
     want_page = page.copy()
     want_twin = None if meta.twin is None else meta.twin.copy()
     want_stamps = (np.full(words, -1, dtype=np.int64)
                    if meta.word_stamps is None else meta.word_stamps.copy())
-    ref_apply_stamped(want_page, want_twin, want_stamps, meta.dirty, diff)
+    guard = proto.guard(node, 3, meta, diff)
+    ref_apply_stamped(want_page, want_twin, want_stamps, guard, diff)
 
-    ops = drain(node._apply_diff_stamped(3, diff))
+    ops = drain(node.apply_diff_stamped(3, diff))
     assert [type(op) for op in ops] == [Delay]
     assert ops[0].cycles == node.machine.diff_apply_cycles(nwords)
     np.testing.assert_array_equal(page, want_page)
@@ -259,6 +302,21 @@ def test_stamped_apply_matches_vector_reference(case, nwords, seed):
     if want_twin is not None:
         np.testing.assert_array_equal(meta.twin, want_twin)
     assert world.diff_stats.diffs_applied == 1
-    if nwords == 1 and case in ("stale", "equal-stamp", "dirty-twin-clobber"):
+    if nwords == 1 and (case in ("stale", "equal-stamp") or (
+            case == "dirty-twin-clobber" and guard)):
         # the stamp test or the twin guard refuses the only word
         assert page[diff.offsets[0]] != diff.values[0]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("nwords", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_stamped_apply_matches_vector_reference(case, nwords, seed):
+    _check_stamped_apply(TmkStamps, case, nwords, seed)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("nwords", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_aec_stamped_apply_matches_vector_reference(case, nwords, seed):
+    _check_stamped_apply(AecStamps, case, nwords, seed)
