@@ -205,12 +205,14 @@ class ConsistencyChecker:
 
     enabled = True
 
-    def __init__(self, config: SimConfig, layout: Layout,
-                 num_procs: int) -> None:
+    def __init__(self, layout: Layout, num_procs: int,
+                 max_reports: int = 200) -> None:
         self.layout = layout
         self.wpp = layout.words_per_page
         self.nprocs = num_procs
-        self.max_reports = config.check_max_reports
+        #: cap on retained ``ViolationReport`` objects (the counters keep
+        #: counting past it; only the structured reports stop accumulating)
+        self.max_reports = max_reports
         # each node's own component starts at 1 so that epoch (n, 0) can
         # never be confused with "visible from the start"
         self.vc: List[List[int]] = [[0] * num_procs for _ in range(num_procs)]
@@ -503,5 +505,5 @@ class ConsistencyChecker:
 def make_checker(config: SimConfig, layout: Layout, num_procs: int):
     """Checker factory: a real checker when enabled, else the null object."""
     if config.check_consistency:
-        return ConsistencyChecker(config, layout, num_procs)
+        return ConsistencyChecker(layout, num_procs)
     return NullChecker()

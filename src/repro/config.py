@@ -197,14 +197,6 @@ class SimConfig:
     machine: MachineParams = field(default_factory=MachineParams)
     #: LAP update-set size |U| (the paper evaluates 1..3, uses 2)
     update_set_size: int = 2
-    #: enable the LAP technique (AEC vs "AEC without LAP")
-    use_lap: bool = False  # overridden by protocol choice; see harness.runner
-    #: affinity-set threshold: affinity must exceed (1 + threshold) * mean
-    affinity_threshold: float = 0.60
-    #: TreadMarks variant: piggyback the granter's own diffs on lock-grant
-    #: messages (the Lazy Hybrid protocol of Dwarkadas et al., discussed in
-    #: the paper's related work)
-    tm_lazy_hybrid: bool = False
     #: deterministic seed for applications that randomize (task stealing etc.)
     seed: int = 42
     #: run the happens-before sanitizer / consistency oracle alongside the
@@ -214,9 +206,6 @@ class SimConfig:
     #: flag is part of the canonical config (and therefore of every sweep
     #: cache key), so checker-on and checker-off results never alias.
     check_consistency: bool = False
-    #: cap on retained ``ViolationReport`` objects (counters keep counting
-    #: past the cap; only the structured reports stop accumulating)
-    check_max_reports: int = 200
     #: inject network faults per this plan (``repro.faults``); ``None``
     #: keeps the perfect network and is the *only* mode whose timing and
     #: message counts are bit-identical to a faults-free build.  Any plan —
@@ -229,34 +218,25 @@ class SimConfig:
     #: so it survives ``asdict`` and lands in the canonical config — every
     #: (workload, fault-seed) combination is a distinct sweep cache cell.
     workload: Optional["WorkloadSpec"] = None
-    #: enable the recovery protocol when the fault plan schedules crashes:
-    #: coordinated checkpoints at barrier epochs, transport probing of
-    #: lease-expired peers, and coordinator-driven reconfiguration around
-    #: permanently dead nodes.  With ``False`` a crashed peer's lease
-    #: expiry surfaces as a structured ``PeerDeadError`` instead (useful
-    #: for testing detection in isolation).  Irrelevant without crashes.
-    crash_recovery: bool = True
     #: safety valve: abort runs exceeding this many simulated events
     max_events: int = 50_000_000
 
     def __post_init__(self) -> None:
         if self.update_set_size < 1:
             raise ValueError("update_set_size must be >= 1")
-        if not (0.0 <= self.affinity_threshold <= 10.0):
-            raise ValueError("affinity_threshold out of range")
 
     def replace(self, **overrides: Any) -> "SimConfig":
         """A copy of this config with ``overrides`` applied.
 
         Always use this (never ``setattr``) to derive per-run variants:
         configs are shared freely between runs, and in-place mutation leaks
-        one run's protocol overrides into the next.
+        one run's options into the next.
         """
         return dataclasses.replace(self, **overrides)
 
 
 def canonical_config_dict(config: SimConfig) -> Dict[str, Any]:
-    """A JSON-safe dict of every resolved field, machine parameters included.
+    """A JSON-safe dict of every field, machine parameters included.
 
     This is the authoritative identity of a run configuration: two configs
     produce the same dict iff every knob that can influence a simulation is
@@ -266,7 +246,7 @@ def canonical_config_dict(config: SimConfig) -> Dict[str, Any]:
 
 
 def config_digest(config: SimConfig) -> str:
-    """Canonical SHA-256 hex digest of the *full* resolved configuration."""
+    """Canonical SHA-256 hex digest of the *full* configuration."""
     payload = json.dumps(canonical_config_dict(config), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

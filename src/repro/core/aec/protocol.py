@@ -42,12 +42,14 @@ class AECNode(ProtocolNode):
     page_meta_factory = AECPageMeta
     reply_kind = "aec.reply"
     notice_kind = "aec.notice"
+    #: releasers push merged diffs to their LAP-predicted update set
+    use_lap = True
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
         self.lock_mgr = AECLockManager(node_id, self.machine.num_procs,
                                        self._make_predictor(),
-                                       world.config.use_lap)
+                                       self.use_lap)
         self.bar_mgr = (AECBarrierManager(self.machine.num_procs,
                                           self.layout.total_pages)
                         if node_id == 0 else None)
@@ -1163,3 +1165,11 @@ class AECNode(ProtocolNode):
         # traffic that raced the rebuild replays in arrival order
         for op, p in deferred:
             yield from self._manage(op, p)
+
+
+class AECNoLapNode(AECNode):
+    """AEC without LAP (the paper's Figures 3 and 4 baseline): releasers
+    push nothing, so every acquirer fetches the diffs it needs."""
+
+    name = "aec-nolap"
+    use_lap = False

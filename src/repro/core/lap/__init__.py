@@ -7,10 +7,11 @@ the *update set*: the processors a releaser eagerly pushes merged diffs to.
 """
 from repro.core.lap.state import LockPredictionState
 from repro.core.lap.affinity import AffinityMatrix
-from repro.core.lap.predictor import LapPredictor
+from repro.core.lap.predictor import AFFINITY_THRESHOLD, LapPredictor
 from repro.core.lap.stats import LapStats, VARIANTS
 
 __all__ = [
+    "AFFINITY_THRESHOLD",
     "LockPredictionState",
     "AffinityMatrix",
     "LapPredictor",

@@ -16,9 +16,14 @@ from typing import Dict, List
 
 from repro.core.lap.state import LockPredictionState
 
+#: the paper's affinity-set threshold: a processor joins ``A_l(p)`` when its
+#: lock-transfer affinity exceeds the mean by more than 60 %
+AFFINITY_THRESHOLD = 0.60
+
 
 class LapPredictor:
-    def __init__(self, update_set_size: int, affinity_threshold: float) -> None:
+    def __init__(self, update_set_size: int,
+                 affinity_threshold: float = AFFINITY_THRESHOLD) -> None:
         if update_set_size < 1:
             raise ValueError("update set size must be >= 1")
         self.size = update_set_size

@@ -26,6 +26,8 @@ class BrokenAECNode(AECNode):
     read inside the next critical section.
     """
 
+    name = BROKEN_PROTOCOL
+
     def __init__(self, world, node_id):
         super().__init__(world, node_id)
         world.broken_skips = getattr(world, "broken_skips", [])
@@ -44,8 +46,5 @@ def ensure_registered() -> str:
     Registered entries are plain dict rows, so under the Linux ``fork``
     start method they survive into multiprocessing sweep workers.
     """
-    if BROKEN_PROTOCOL not in PROTOCOLS:
-        PROTOCOLS[BROKEN_PROTOCOL] = (
-            lambda world, node_id: BrokenAECNode(world, node_id),
-            {"use_lap": True})
+    PROTOCOLS.setdefault(BROKEN_PROTOCOL, BrokenAECNode)
     return BROKEN_PROTOCOL

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.faults.plan import NO_FAULTS, resolve_plan
 from repro.fuzz.broken import BROKEN_PROTOCOL, ensure_registered
-from repro.fuzz.generator import (GeneratedApp, WorkloadSpec, config_for_spec,
-                                  generate_spec, spec_from_dict, spec_to_dict)
-from repro.fuzz.shrink import shrink_spec, spec_failure
+from repro.fuzz.generator import (WorkloadSpec, config_for_spec, generate_spec,
+                                  spec_from_dict, spec_to_dict)
+from repro.fuzz.shrink import run_verdict, shrink_spec, spec_failure
 
 @dataclass
 class CampaignCell:
@@ -160,28 +160,6 @@ def replay_corpus_entry(doc: Dict[str, Any],
                       p == BROKEN_PROTOCOL) for p in runs]
 
 
-def _cell_failure(result, spec: WorkloadSpec,
-                  sc_image: Optional[Dict[str, np.ndarray]]) -> Optional[str]:
-    """Certify one cached cell result (see module docstring)."""
-    rep = result.check_report
-    if rep is not None and not rep.clean:
-        return "check: " + ",".join(sorted(rep.counts))
-    inner = [r[0] for r in result.app_results]
-    try:
-        GeneratedApp(spec).check(inner)
-    except AssertionError:
-        return "appcheck: wrong checksum"
-    if sc_image is not None:
-        _inner0, image = result.app_results[0]
-        for i in range(len(spec.segments)):
-            name = f"fz.s{i}"
-            if not np.array_equal(image[name], sc_image[name]):
-                bad = int(np.flatnonzero(image[name] != sc_image[name])[0])
-                return (f"diverge: {name}[{bad}] got {image[name][bad]!r} "
-                        f"want {sc_image[name][bad]!r}")
-    return None
-
-
 def run_campaign(seeds: Sequence[int],
                  protocols: Sequence[str] = ("aec", "tmk"),
                  plans: Sequence[str] = (NO_FAULTS, "lossy-1pct",
@@ -263,10 +241,14 @@ def run_campaign(seeds: Sequence[int],
                                                            "run failed"))
             exec_time = 0.0
         else:
-            if sc_images[seed] is None:
+            sc_image = sc_images[seed]
+            if sc_image is None:
                 failure = "error: sc oracle cell failed"
             else:
-                failure = _cell_failure(result, specs[seed], sc_images[seed])
+                failure = run_verdict(
+                    result, specs[seed],
+                    [sc_image[f"fz.s{i}"]
+                     for i in range(len(specs[seed].segments))])
             exec_time = result.execution_time if result else 0.0
         report.cells.append(CampaignCell(
             seed=seed, protocol=protocol, plan=plan_name, key=spec_obj.key,

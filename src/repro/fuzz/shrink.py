@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,39 @@ from repro.fuzz.generator import (GeneratedApp, PhaseSpec, WorkloadSpec,
                                   config_for_spec, expected_final)
 
 
+def run_verdict(result, spec: WorkloadSpec,
+                want: Optional[Sequence[np.ndarray]]) -> Optional[str]:
+    """Certify a finished run of ``spec``: ``None`` when healthy, else the
+    first failure signature, checked in this order:
+
+    * ``"check: ..."`` — consistency-checker violations (by kind),
+    * ``"appcheck: ..."`` — a processor's checksum was wrong,
+    * ``"diverge: ..."`` — final memory differs from ``want``, the
+      expected contents of each ``fz.s<i>`` segment (``None`` skips the
+      memory comparison).
+
+    The run's app must capture its memory image
+    (:func:`repro.check.oracle.run_with_image` or an ``image:`` app id).
+    """
+    rep = result.check_report
+    if rep is not None and not rep.clean:
+        return "check: " + ",".join(sorted(rep.counts))
+    try:
+        GeneratedApp(spec).check([r[0] for r in result.app_results])
+    except AssertionError:
+        return "appcheck: wrong checksum"
+    if want is None:
+        return None
+    image = result.app_results[0][1]
+    for i, want_i in enumerate(want):
+        got = image[f"fz.s{i}"]
+        if not np.array_equal(got, want_i):
+            bad = int(np.flatnonzero(got != want_i)[0])
+            return (f"diverge: fz.s{i}[{bad}] got {got[bad]!r} "
+                    f"want {want_i[bad]!r}")
+    return None
+
+
 def spec_failure(spec: WorkloadSpec, protocol: str,
                  faults: Optional[FaultPlan] = None,
                  base: Optional[SimConfig] = None,
@@ -43,12 +76,8 @@ def spec_failure(spec: WorkloadSpec, protocol: str,
     """Run ``spec`` under ``protocol`` and classify the outcome.
 
     Returns ``None`` when the run is completely healthy, otherwise a
-    short failure signature:
-
-    * ``"error: ..."`` — the simulation raised,
-    * ``"check: ..."`` — consistency-checker violations (by kind),
-    * ``"appcheck: ..."`` — a processor's checksum was wrong,
-    * ``"diverge: ..."`` — final memory differs from the oracle.
+    short failure signature: ``"error: ..."`` when the simulation
+    raised, else the :func:`run_verdict` of the run.
 
     ``oracle="analytic"`` diffs the captured image against
     :func:`expected_final` (no extra run); ``oracle="sc"`` runs the SC
@@ -60,37 +89,24 @@ def spec_failure(spec: WorkloadSpec, protocol: str,
     cfg = config_for_spec(spec, base).replace(
         check_consistency=True, faults=faults)
     try:
-        result, image = run_with_image(GeneratedApp(spec), protocol,
-                                       config=cfg, check=False)
+        result, _image = run_with_image(GeneratedApp(spec), protocol,
+                                        config=cfg, check=False)
     except Exception as exc:  # noqa: BLE001 - a crash IS the failure
         return f"error: {type(exc).__name__}: {exc}"
-    rep = result.check_report
-    if rep is not None and not rep.clean:
-        return "check: " + ",".join(sorted(rep.counts))
-    inner = [r[0] for r in result.app_results]
+    if oracle == "analytic":
+        return run_verdict(result, spec,
+                           expected_final(spec, spec.num_procs))
+    failure = run_verdict(result, spec, None)
+    if failure is not None or oracle == "none":
+        return failure
     try:
-        GeneratedApp(spec).check(inner)
-    except AssertionError:
-        return "appcheck: wrong checksum"
-    if oracle == "none":
-        return None
-    if oracle == "sc":
-        oracle_cfg = config_for_spec(spec)
-        try:
-            _r, want_img = run_with_image(GeneratedApp(spec), "sc",
-                                          config=oracle_cfg)
-        except Exception as exc:  # noqa: BLE001
-            return f"error: sc oracle: {type(exc).__name__}: {exc}"
-        want = [want_img[f"fz.s{i}"] for i in range(len(spec.segments))]
-    else:
-        want = expected_final(spec, spec.num_procs)
-    for i in range(len(spec.segments)):
-        got = image[f"fz.s{i}"]
-        if not np.array_equal(got, want[i]):
-            bad = int(np.flatnonzero(got != want[i])[0])
-            return (f"diverge: fz.s{i}[{bad}] got {got[bad]!r} "
-                    f"want {want[i][bad]!r}")
-    return None
+        _r, want_img = run_with_image(GeneratedApp(spec), "sc",
+                                      config=config_for_spec(spec))
+    except Exception as exc:  # noqa: BLE001
+        return f"error: sc oracle: {type(exc).__name__}: {exc}"
+    return run_verdict(result, spec,
+                       [want_img[f"fz.s{i}"]
+                        for i in range(len(spec.segments))])
 
 
 @dataclass

@@ -23,7 +23,7 @@ Examples::
     repro check ocean --protocols aec tmk --faults lossy-1pct
     repro faults list
     repro faults explain jitter
-    repro faults run dup-heavy --app is --protocol aec
+    repro run --app is --protocol aec --faults dup-heavy --check-consistency
     repro explain --app is --faults lossy-1pct --folded /tmp/is.folded
 """
 from __future__ import annotations
@@ -86,10 +86,10 @@ def _resolve_app(app_id: str, args, **overrides):
 
 
 def _run(args, protocol: str, spans: Optional[SpanRecorder] = None,
-         record_trace: Optional[str] = None, **overrides) -> RunResult:
+         record_trace: Optional[str] = None) -> RunResult:
     """Run ``args.app`` under ``protocol``, observed by ``spans`` and
     ``record_trace`` (see :func:`run_app`)."""
-    app, config = _resolve_app(args.app, args, **overrides)
+    app, config = _resolve_app(args.app, args)
     return run_app(app, protocol, config=config, spans=spans,
                    record_trace=record_trace)
 
@@ -107,8 +107,9 @@ def _to_stderr(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _report(result: RunResult, args, verbose_check: bool) -> int:
-    """Print a run's summary lines; exit code 1 on checker violations."""
+def _report(result: RunResult, args) -> int:
+    """Print a run's summary lines; exit code 1 on checker violations
+    (``-v`` lists every violation, not just the first ten)."""
     print(result.summary())
     for stats in (result.net_faults, result.recovery):
         if stats is not None:
@@ -117,7 +118,7 @@ def _report(result: RunResult, args, verbose_check: bool) -> int:
         return 0
     rep = result.check_report
     print(f"  {rep.summary()}")
-    shown = rep.violations if verbose_check else rep.violations[:10]
+    shown = rep.violations if args.verbose else rep.violations[:10]
     for v in shown:
         print(f"    {v.describe()}")
     if len(rep.violations) > len(shown):
@@ -127,10 +128,8 @@ def _report(result: RunResult, args, verbose_check: bool) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = _run(args, args.protocol, record_trace=args.record_trace)
-    if args.record_trace:
-        print(f"app-level trace written to {args.record_trace}")
-    rc = _report(result, args, args.verbose)
+    result = _run(args, args.protocol)
+    rc = _report(result, args)
     if args.verbose:
         mhz = result.clock_hz / 1e6
         print(f"  execution time : {result.execution_time:,.0f} cycles "
@@ -474,7 +473,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    """List built-in fault plans, explain one, or run an app under one."""
+    """List built-in fault plans or explain one."""
     if args.action == "list":
         for name, plan in sorted(BUILTIN_PLANS.items()):
             bits = [f"{len(items)} {what}" for what, items in (
@@ -490,13 +489,8 @@ def _cmd_faults(args) -> int:
         plan = get_plan(args.plan)
     except ValueError as exc:
         raise UsageError(exc) from None
-    if args.action == "explain":
-        print(plan.describe())
-        return 0
-    # action == "run"
-    if not args.app:
-        raise UsageError("the 'run' action needs --app")
-    return _report(_run(args, args.protocol, faults=plan), args, True)
+    print(plan.describe())
+    return 0
 
 
 #: ``repro experiment NAME`` -> renderer(scale) -> text, in the order
@@ -592,9 +586,6 @@ COMMANDS: Dict[str, tuple] = {
              help="run the happens-before sanitizer alongside the "
                   "simulation (nonzero exit on violations)"),
         "--faults",
-        _arg("--record-trace", metavar="FILE",
-             help="record the app-level event stream as JSONL "
-                  "(replay with 'repro trace replay FILE')"),
     ]),
     "check": ("certify apps: HB sanitizer + cross-protocol memory oracle",
               _cmd_check, [
@@ -636,7 +627,7 @@ COMMANDS: Dict[str, tuple] = {
     "trace replay": ("re-run a recorded app trace (bit-identical sim "
                      "numbers)", _cmd_trace_replay, [
         _arg("trace", metavar="TRACE.jsonl",
-             help="app trace recorded by 'trace record' or --record-trace"),
+             help="app trace recorded by 'trace record'"),
         _arg("--protocol", default=None,
              help="replay under a different protocol "
                   "(default: the recorded one)"),
@@ -728,18 +719,11 @@ COMMANDS: Dict[str, tuple] = {
              help="print sweep-level aggregates summed over the cells' "
                   "results (same cache keys)"),
     ]),
-    "faults": ("list/explain built-in fault plans, or run an app under one",
-               _cmd_faults, [
-        _arg("action", choices=("list", "explain", "run")),
+    "faults": ("list or explain the built-in fault plans (run an app "
+               "under one with 'run --faults PLAN')", _cmd_faults, [
+        _arg("action", choices=("list", "explain")),
         _arg("plan", nargs="?", metavar="PLAN",
-             help="plan name (NAME or NAME@SEED) for explain/run"),
-        _arg("--app", required=False,
-             help="application for the 'run' action"),
-        "--protocol", "--scale",
-        _arg("--seed", help="application seed (the fault seed comes from "
-                            "the plan, override with NAME@SEED)"),
-        _arg("--check-consistency",
-             help="also run the happens-before sanitizer"),
+             help="plan name (NAME or NAME@SEED) for explain"),
     ]),
     "cache": ("inspect or clear a sweep disk cache", _cmd_cache, [
         _arg("action", choices=("inspect", "clear")),

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.apps.api import Application, AppContext
 from repro.config import SimConfig
-from repro.core.aec.protocol import AECNode
+from repro.core.aec.protocol import AECNode, AECNoLapNode
 from repro.memory.layout import Layout
 from repro.obs.spans import SpanRecorder
 from repro.protocols.base import ProtocolNode, World
@@ -16,59 +17,36 @@ from repro.stats.fault_stats import AccessFaultStats
 from repro.stats.run_result import RunResult
 from repro.sync.objects import SyncRegistry
 
-
-def _make_aec(world: World, node_id: int) -> ProtocolNode:
-    return AECNode(world, node_id)
-
-
-def _make_tmk(world: World, node_id: int) -> ProtocolNode:
-    from repro.protocols.treadmarks.protocol import TreadMarksNode
-    return TreadMarksNode(world, node_id)
+#: builds one protocol node: ``factory(world, node_id)``
+NodeFactory = Callable[[World, int], ProtocolNode]
 
 
-def _make_sc(world: World, node_id: int) -> ProtocolNode:
-    return SCNode(world, node_id)
+def _imported_on_first_use(module: str, cls: str) -> NodeFactory:
+    """A factory for ``module.cls`` that imports ``module`` on first call,
+    so a run that never uses the protocol never pays for its import."""
+    def make(world: World, node_id: int) -> ProtocolNode:
+        return getattr(import_module(module), cls)(world, node_id)
+    return make
 
 
-def _make_munin(world: World, node_id: int) -> ProtocolNode:
-    from repro.protocols.munin import MuninNode
-    return MuninNode(world, node_id)
-
-
-#: protocol name -> (node factory, config overrides)
-PROTOCOLS: Dict[str, Any] = {
-    "aec": (_make_aec, {"use_lap": True}),
-    "aec-nolap": (_make_aec, {"use_lap": False}),
-    "tmk": (_make_tmk, {"use_lap": False}),
-    "tmk-lh": (_make_tmk, {"use_lap": False, "tm_lazy_hybrid": True}),
-    "adsm": (lambda world, node_id: __import__(
-        "repro.protocols.adsm", fromlist=["make_adsm"]
-    ).make_adsm(world, node_id), {"use_lap": True}),
-    "munin": (_make_munin, {"use_lap": False}),
-    "munin-lap": (_make_munin, {"use_lap": True}),
-    "sc": (_make_sc, {"use_lap": False}),
+#: protocol name -> node factory (a node class, or a lazy stand-in for one)
+PROTOCOLS: Dict[str, NodeFactory] = {
+    "aec": AECNode,
+    "aec-nolap": AECNoLapNode,
+    "tmk": _imported_on_first_use("repro.protocols.treadmarks.protocol",
+                                  "TreadMarksNode"),
+    "tmk-lh": _imported_on_first_use("repro.protocols.treadmarks.protocol",
+                                     "LazyHybridNode"),
+    "adsm": _imported_on_first_use("repro.protocols.adsm", "AdsmNode"),
+    "munin": _imported_on_first_use("repro.protocols.munin", "MuninNode"),
+    "munin-lap": _imported_on_first_use("repro.protocols.munin",
+                                        "MuninLapNode"),
+    "sc": SCNode,
 }
 
 
 def _driver(program, results: List[Any], index: int):
     results[index] = yield from program
-
-
-def resolve_config(protocol: str,
-                   config: Optional[SimConfig] = None) -> SimConfig:
-    """The effective config for running under ``protocol``: the caller's
-    config (or defaults) with the protocol's overrides applied to a *copy*.
-
-    The caller's object is never mutated — protocol overrides must not leak
-    into later runs that share the same ``SimConfig`` instance.  Idempotent:
-    resolving an already-resolved config is a no-op copy.
-    """
-    if protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}")
-    _factory, overrides = PROTOCOLS[protocol]
-    config = config if config is not None else SimConfig()
-    return config.replace(**overrides)
 
 
 def run_app(app: Application, protocol: str = "aec",
@@ -82,8 +60,11 @@ def run_app(app: Application, protocol: str = "aec",
     ``record_trace`` is a path the app-level event stream is written to.
     Neither changes a simulated number.
     """
-    config = resolve_config(protocol, config)
-    factory, _overrides = PROTOCOLS[protocol]
+    factory = PROTOCOLS.get(protocol)
+    if factory is None:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}")
+    config = config if config is not None else SimConfig()
 
     machine = config.machine
     layout = Layout(machine.words_per_page)

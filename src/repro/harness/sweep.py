@@ -2,9 +2,10 @@
 
 The paper reproduction is a sweep over ``(app, scale, protocol, config)``
 cells.  This module gives every cell an immutable identity — a
-:class:`RunSpec` whose key is a canonical SHA-256 hash of the *full*
-resolved configuration (machine parameters, protocol overrides, seed,
-``check`` flag) — and executes sets of cells through a three-level store:
+:class:`RunSpec` whose key is a canonical SHA-256 hash of the app,
+scale, protocol, ``check`` flag and *full* configuration (machine
+parameters, seed, fault plan, ...) — and executes sets of cells through
+a three-level store:
 
 1. an in-process memo (``dict`` keyed by spec key),
 2. an optional on-disk content-addressed cache (pickle payload + JSON
@@ -14,11 +15,11 @@ resolved configuration (machine parameters, protocol overrides, seed,
 
 Keying by the full config fixes, by construction, the historical
 under-keyed memo (which dropped ``check`` and every config field other
-than ``update_set_size``/``seed``); resolving protocol overrides onto a
-*copy* of the caller's config (``runner.resolve_config``) makes cells
-independent of execution order, so the parallel path is result-identical
-to the serial one.  Determinism comes from the seed frozen into each
-cell's config — workers never share mutable state.
+than ``update_set_size``/``seed``); freezing a *copy* of the caller's
+config into each cell makes cells independent of execution order, so the
+parallel path is result-identical to the serial one.  Determinism comes
+from the seed frozen into each cell's config — workers never share
+mutable state.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps.registry import make_app
 from repro.config import SimConfig, canonical_config_dict
-from repro.harness.runner import resolve_config, run_app
+from repro.harness.runner import run_app
 from repro.stats.run_result import RunResult
 
 #: bump when the RunResult layout or key composition changes incompatibly;
@@ -78,9 +79,9 @@ def provenance() -> Dict[str, Optional[str]]:
 class RunSpec:
     """One immutable experiment cell.
 
-    ``config`` is the *resolved* configuration snapshot (protocol overrides
-    already applied); build specs through :func:`make_spec`, which resolves
-    and copies, rather than constructing directly.
+    ``config`` is a private snapshot of the run's configuration; build
+    specs through :func:`make_spec`, which copies it, rather than
+    constructing directly.
     """
 
     app: str
@@ -124,18 +125,15 @@ def make_spec(app: str, scale: str, protocol: str, *,
               config: Optional[SimConfig] = None,
               update_set_size: int = 2, seed: int = 42,
               check: bool = True, **config_overrides) -> RunSpec:
-    """Build a :class:`RunSpec` with a frozen, fully resolved config.
+    """Build a :class:`RunSpec` with a frozen copy of its config.
 
     Either pass a prepared ``config`` (it is copied, never kept by
     reference) or let one be built from ``update_set_size``/``seed`` and
     any extra ``SimConfig`` field overrides.
     """
     if config is None:
-        config = SimConfig(update_set_size=update_set_size, seed=seed,
-                           **config_overrides)
-    elif config_overrides:
-        config = config.replace(**config_overrides)
-    return RunSpec(app, scale, protocol, resolve_config(protocol, config),
+        config = SimConfig(update_set_size=update_set_size, seed=seed)
+    return RunSpec(app, scale, protocol, config.replace(**config_overrides),
                    check)
 
 

@@ -27,7 +27,6 @@ from repro.core.aec.protocol import AECNode
 from repro.core.aec.state import LockSessionState
 from repro.core.lap.predictor import LapPredictor
 from repro.core.lap.state import LockPredictionState
-from repro.protocols.base import World
 
 
 class ConsumerSetPredictor(LapPredictor):
@@ -59,7 +58,3 @@ class AdsmNode(AECNode):
         # two or more distinct writers falls back to invalidation; pure
         # readers forwarding one producer's data still count single-writer
         return len(sess.writers.get(pn, ())) <= 1
-
-
-def make_adsm(world: World, node_id: int) -> AdsmNode:
-    return AdsmNode(world, node_id)

@@ -86,40 +86,6 @@ class TransportTimeoutError(SimulationError):
         }
 
 
-class PeerDeadError(SimulationError):
-    """A peer's lease expired and crash recovery is disabled.
-
-    With ``SimConfig.crash_recovery=False`` the transport refuses to retry
-    into a void forever: once a pending message's destination has been
-    silent past ``MachineParams.lease_cycles``, the run fails loudly with
-    this structured diagnostic instead.  (With recovery enabled the same
-    condition parks the pending on constant-rate probes and lets the
-    recovery protocol handle the death — see DESIGN.md §13.)
-    """
-
-    def __init__(self, observer: int, peer: int, kind: str, seq: int,
-                 silent_cycles: float, now: float) -> None:
-        self.observer = observer
-        self.peer = peer
-        self.kind = kind
-        self.seq = seq
-        self.silent_cycles = silent_cycles
-        self.now = now
-        super().__init__(
-            f"peer dead: node {peer} silent for {silent_cycles:.0f} cycles "
-            f"(lease expired at node {observer}; unacked {kind} #{seq}, "
-            f"t={now:.0f}, recovery disabled)"
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "error": "peer_dead",
-            "observer": self.observer, "peer": self.peer,
-            "kind": self.kind, "seq": self.seq,
-            "silent_cycles": self.silent_cycles, "time": self.now,
-        }
-
-
 class ReliableTransport:
     """Exactly-once messaging over a faulty network.
 
@@ -201,14 +167,10 @@ class ReliableTransport:
             if not self.detector.alive(msg.src, msg.dst, now):
                 # the peer's lease expired: it is dead as far as this
                 # sender can tell.  Exponential backoff would retry into
-                # the void at ever-longer intervals; instead either fail
-                # structurally (recovery off) or park the pending on
-                # constant-rate probes so a restarted peer is picked up
-                # within one probe period (attempt counter frozen).
-                silent = now - self.detector.last_heard_by(msg.src, msg.dst)
-                if not ctrl.recovery_enabled:
-                    raise PeerDeadError(msg.src, msg.dst, msg.kind,
-                                        msg.seq, silent, now)
+                # the void at ever-longer intervals; instead park the
+                # pending on constant-rate probes so a restarted peer is
+                # picked up within one probe period (attempt counter
+                # frozen), and leave a permanent death to the coordinator.
                 ctrl.stats.parked_probes += 1
                 self.stats.note_retry(msg.kind)
                 self.sim.transmit(msg, now)
@@ -608,11 +570,9 @@ class ProtocolNode:
     def _make_predictor(self) -> LapPredictor:
         """The LAP predictor of the locks this node manages; node 0 also
         opens the run's LAP scorer."""
-        cfg = self.world.config
         if self.node_id == 0 and self.world.lap_stats is None:
             self.world.lap_stats = LapStats(self.sync.num_locks)
-        return self.predictor_class(cfg.update_set_size,
-                                    cfg.affinity_threshold)
+        return self.predictor_class(self.world.config.update_set_size)
 
     def acquire_notice(self, lock_id: int) -> Generator:
         """Virtual-queue hint (zero cost without ``notice_kind``)."""

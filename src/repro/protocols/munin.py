@@ -12,7 +12,7 @@ communication than in Munin, since updates are only sent to the update set
 of the lock releaser, as opposed to all processors that shared the
 modified data."
 
-``use_lap=True`` enables the optimization the paper proposes in Section 1:
+``MuninLapNode`` adds the optimization the paper proposes in Section 1:
 updates to pages modified *inside* a critical section are restricted to
 the LAP-predicted update set; the remaining sharers are invalidated
 (dropped from the copyset) and re-fault lazily if they ever touch the data
@@ -45,10 +45,11 @@ class MuninNode(ProtocolNode):
     page_meta_factory = MuninPageMeta
     reply_kind = "mun.reply"
     notice_kind = "mun.notice"
+    #: restrict in-CS updates to the LAP-predicted update set
+    use_lap = False
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
-        self.use_lap = world.config.use_lap
         self._predictor = self._make_predictor()
         #: update set granted to us per lock (when LAP restriction is on)
         self._update_sets: Dict[int, List[int]] = {}
@@ -374,3 +375,10 @@ class MuninNode(ProtocolNode):
             self.world.note_barrier_complete()
             for node in range(self.machine.num_procs):
                 yield Send(node, Message("mun.bar_release", {}, 4), "ipc")
+
+
+class MuninLapNode(MuninNode):
+    """Munin with LAP-restricted in-CS updates (see module docstring)."""
+
+    name = "munin-lap"
+    use_lap = True

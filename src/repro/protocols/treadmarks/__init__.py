@@ -14,6 +14,6 @@ Implements the published TreadMarks algorithm (Amza et al., IEEE Computer
   first request — putting diff creation on the critical path of both the
   requester and the writer, which is precisely the overhead AEC attacks.
 """
-from repro.protocols.treadmarks.protocol import TreadMarksNode
+from repro.protocols.treadmarks.protocol import LazyHybridNode, TreadMarksNode
 
-__all__ = ["TreadMarksNode"]
+__all__ = ["LazyHybridNode", "TreadMarksNode"]

@@ -42,11 +42,12 @@ class TreadMarksNode(ProtocolNode):
     #: LAP is not part of TreadMarks: notices and grants only feed the
     #: shadow statistics kept for the robustness ablation
     notice_kind = "tmk.notice"
+    #: piggyback the granter's own diffs on lock grants (see LazyHybridNode)
+    lazy_hybrid = False
 
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
         P = self.machine.num_procs
-        self.lazy_hybrid = world.config.tm_lazy_hybrid
         self.vc: List[int] = [0] * P
         self.lamport = 0
         #: pages modified during the currently open interval
@@ -457,3 +458,12 @@ class TreadMarksNode(ProtocolNode):
             yield Send(node_i, Message("tmk.bar_release", {
                 "records": records_i, "vc": merged_vc,
             }, 4 * max(n, 1)), "ipc")
+
+
+class LazyHybridNode(TreadMarksNode):
+    """TreadMarks with the Lazy Hybrid protocol of Dwarkadas et al. (the
+    paper's related work): lock grants piggyback the granter's own diffs
+    for the pages they carry write notices about."""
+
+    name = "tmk-lh"
+    lazy_hybrid = True

@@ -79,7 +79,6 @@ class CrashController:
         self.sim = world.sim
         self.machine = world.config.machine
         plan = world.config.faults
-        self.recovery_enabled = bool(world.config.crash_recovery)
         self.stats = RecoveryStats(plan=plan.name, fault_seed=plan.seed)
         self.checkpoints = CheckpointStore()
         self.detector = FailureDetector(self.sim, self.machine, self.stats)
@@ -118,7 +117,7 @@ class CrashController:
         reconfigure around a dead peer (``reconfigures``: its node class
         overrides ``on_peer_dead``).  Such a run would otherwise fail
         mid-run, at the coordinator's first death verdict."""
-        if reconfigures or not self.recovery_enabled:
+        if reconfigures:
             return
         for c in self.crashes:
             if not c.restart:
@@ -231,8 +230,6 @@ class CrashController:
             sid = spans.begin(0, "fault", f"fault.declare-dead n{p}",
                               sim.now)
             spans.end(sid, sim.now)
-        if not self.recovery_enabled:
-            return
         # hand the verdict to node 0's protocol ISR: token regeneration,
         # barrier membership, copyset repair and the reconfig broadcast
         # all run as ordinary (charged) protocol work from there

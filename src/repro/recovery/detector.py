@@ -8,10 +8,9 @@ so the coordinator can tell a *quiet* peer from a *dead* one; heartbeats
 are fire-and-forget NIC traffic (unacked, seq -1) and never touch the CPU.
 
 A peer whose lease has expired is only *suspected*: the reliable
-transport switches its pendings to constant-rate probing (or raises
-``PeerDeadError`` when recovery is disabled).  *Declaring* a node dead is
-the coordinator's job, after a much longer hub-silence window — see
-:class:`repro.recovery.crash.CrashController`.
+transport switches its pendings to constant-rate probing.  *Declaring* a
+node dead is the coordinator's job, after a much longer hub-silence
+window — see :class:`repro.recovery.crash.CrashController`.
 """
 from __future__ import annotations
 

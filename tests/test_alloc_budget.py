@@ -16,7 +16,8 @@ import pytest
 
 from repro.apps.api import AppContext
 from repro.apps.registry import make_app
-from repro.harness.runner import PROTOCOLS, _driver, resolve_config
+from repro.config import SimConfig
+from repro.harness.runner import PROTOCOLS, _driver
 from repro.memory.layout import Layout
 from repro.protocols.base import World
 from repro.sync.objects import SyncRegistry
@@ -31,8 +32,8 @@ PEAK_BYTES_PER_EVENT_BUDGET = 1000
 
 
 def _build_world(app_name: str, protocol: str):
-    config = resolve_config(protocol)
-    factory, _ = PROTOCOLS[protocol]
+    config = SimConfig()
+    factory = PROTOCOLS[protocol]
     app = make_app(app_name, "test")
     layout = Layout(config.machine.words_per_page)
     sync = SyncRegistry(config.machine.num_procs)

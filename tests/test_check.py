@@ -33,12 +33,10 @@ from repro.memory.layout import Layout
 
 
 def _checker(num_procs=4, segments=(("data", 2048),)):
-    machine = MachineParams(num_procs=num_procs)
-    config = SimConfig(machine=machine, check_consistency=True)
-    layout = Layout(machine.words_per_page)
+    layout = Layout(MachineParams(num_procs=num_procs).words_per_page)
     for name, n in segments:
         layout.allocate(name, n)
-    return ConsistencyChecker(config, layout, num_procs)
+    return ConsistencyChecker(layout, num_procs)
 
 
 def _arr(*values):
@@ -173,9 +171,7 @@ class TestCheckerUnits:
         machine = MachineParams(num_procs=4)
         layout = Layout(machine.words_per_page)
         layout.allocate("data", 2048)
-        config = SimConfig(machine=machine, check_consistency=True,
-                           check_max_reports=3)
-        ck = ConsistencyChecker(config, layout, 4)
+        ck = ConsistencyChecker(layout, 4, max_reports=3)
         ck.on_write(0, 0, np.ones(10), 10.0)
         ck.on_write(1, 0, np.full(10, 2.0), 20.0)
         rep = ck.finish()
@@ -283,8 +279,7 @@ def counter_app(monkeypatch):
 
 @pytest.fixture
 def broken_aec_protocol():
-    PROTOCOLS["aec-broken"] = (lambda w, n: BrokenAECNode(w, n),
-                               {"use_lap": True})
+    PROTOCOLS["aec-broken"] = BrokenAECNode
     try:
         yield "aec-broken"
     finally:
@@ -331,7 +326,6 @@ class TestPlumbing:
         on = SimConfig(check_consistency=True)
         off = SimConfig()
         assert canonical_config_dict(on)["check_consistency"] is True
-        assert "check_max_reports" in canonical_config_dict(on)
         assert config_digest(on) != config_digest(off)
 
     def test_checker_flag_changes_sweep_cache_key(self):
@@ -430,8 +424,7 @@ class TestCheckCli:
             def _on_lock_grant(self, msg):
                 raise RuntimeError(f"node {self.node_id}: grant rejected")
 
-        monkeypatch.setitem(PROTOCOLS, "aec-raises",
-                            (RaisingAECNode, {"use_lap": True}))
+        monkeypatch.setitem(PROTOCOLS, "aec-raises", RaisingAECNode)
         out = tmp_path / "report.json"
         rc = cli_main(["check", "is", "--protocols", "aec-raises", "aec",
                        "--no-oracle", "--json", str(out)])

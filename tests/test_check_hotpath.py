@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.check import ConsistencyChecker
 from repro.check.checker import ViolationReport
-from repro.config import MachineParams, SimConfig
 from repro.memory.layout import Layout
 
 
@@ -44,8 +43,8 @@ class RefChecker(ConsistencyChecker):
     inherited; clocks, HB edges and the access checks are the reference.
     """
 
-    def __init__(self, config, layout, num_procs):
-        super().__init__(config, layout, num_procs)
+    def __init__(self, layout, num_procs, max_reports):
+        super().__init__(layout, num_procs, max_reports)
         self.vc = np.zeros((num_procs, num_procs), dtype=np.int64)
         for n in range(num_procs):
             self.vc[n, n] = 1
@@ -195,14 +194,11 @@ NUM_LOCKS = 4
 def checkers(nprocs, wpp, max_reports):
     """A (list shadow, reference) pair over a 4-page layout whose two
     segments leave the last page out of any segment."""
-    machine = MachineParams(num_procs=nprocs)
-    config = SimConfig(machine=machine, check_consistency=True,
-                       check_max_reports=max_reports)
     layout = Layout(wpp)
     layout.allocate("a", wpp + wpp // 2)
     layout.allocate("b", wpp + wpp // 2)
-    return (ConsistencyChecker(config, layout, nprocs),
-            RefChecker(config, layout, nprocs))
+    return (ConsistencyChecker(layout, nprocs, max_reports),
+            RefChecker(layout, nprocs, max_reports))
 
 
 def random_stream(rng, nprocs, wpp):

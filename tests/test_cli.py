@@ -1,5 +1,5 @@
 """The ``repro`` command line: its parser surface and the commands no
-other test drives (``faults list|explain|run``, ``fuzz shrink``).
+other test drives (``faults list|explain``, ``fuzz shrink``).
 
 ``SURFACE`` pins, for every subcommand path, each option's flags, dest,
 default, choices, nargs and ``required``, so a change to how the parser is
@@ -27,7 +27,7 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 #: the rest of a minimal command line, per subcommand taking --app / --faults
 APP_COMMANDS = {"run": [], "compare": [], "explain": [],
-                "trace record": ["out"], "faults": ["run"]}
+                "trace record": ["out"]}
 FAULTS_COMMANDS = {"run": ["--app", "is"], "check": [],
                    "explain": ["--app", "is"],
                    "trace record": ["out", "--app", "is"],
@@ -84,12 +84,7 @@ SURFACE = {
         '--update-set-size': ('update_set_size', 2, None, None, False),
     },
     'faults': {
-        '--app': ('app', None, APPS, None, False),
-        '--check-consistency': ('check_consistency', False, None, 0, False),
-        '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
-        'action': ('action', None, ('list', 'explain', 'run'), None, True),
+        'action': ('action', None, ('list', 'explain'), None, True),
         'plan': ('plan', None, None, '?', False),
     },
     'fuzz': {
@@ -142,7 +137,6 @@ SURFACE = {
         '--check-consistency': ('check_consistency', False, None, 0, False),
         '--faults': ('faults', None, None, None, False),
         '--protocol': ('protocol', 'aec', PROTOS, None, False),
-        '--record-trace': ('record_trace', None, None, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--seed': ('seed', 42, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
@@ -258,21 +252,6 @@ class TestFaultsCommand:
         assert cli_main(["faults", "explain"]) == 2
         assert cli_main(["faults", "explain", "no-such-plan"]) == 2
         assert "unknown fault plan" in capsys.readouterr().err
-
-    def test_run(self, capsys):
-        rc = cli_main(["faults", "run", "lossy-1pct", "--app", "is",
-                       "--check-consistency"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "lossy-1pct" in out
-        assert "consistency check: clean" in out
-
-    def test_run_needs_an_app(self, capsys):
-        assert cli_main(["faults", "run", "lossy-1pct"]) == 2
-        assert "needs --app" in capsys.readouterr().err
-
-    def test_run_rejects_unknown_app(self):
-        assert cli_main(["faults", "run", "jitter", "--app", "nope"]) == 2
 
 
 class TestFuzzShrink:

@@ -115,10 +115,6 @@ class TestLazyHybridBehaviour:
         assert aec.fault_stats.remote_resolutions \
             < lh.fault_stats.remote_resolutions
 
-    def test_lh_config_flag_roundtrip(self):
-        cfg = SimConfig(tm_lazy_hybrid=True)
-        assert cfg.tm_lazy_hybrid
-
 
 class TestAdsmBehaviour:
     def test_single_writer_data_gets_pushed(self):

@@ -541,17 +541,11 @@ class TestFuzzCli:
                          "--scale", "test"]) == 0
         header, *body = path.read_text().splitlines()
         doc = json.loads(header)
-        doc["config"].update(trace=False, profile=False)
-        with pytest.raises(ValueError, match="unknown keys profile, trace"):
+        doc["config"].update(trace=False, profile=False, use_lap=True)
+        stale = "unknown keys profile, trace, use_lap"
+        with pytest.raises(ValueError, match=stale):
             config_from_dict(doc["config"])
         path.write_text("\n".join([json.dumps(doc)] + body) + "\n")
         capsys.readouterr()
         assert cli_main(["trace", "replay", str(path)]) == 2
-        assert "unknown keys profile, trace" in capsys.readouterr().err
-
-    def test_run_record_trace_flag(self, tmp_path, capsys):
-        path = str(tmp_path / "t.jsonl")
-        rc = cli_main(["run", "--app", "is", "--scale", "test",
-                       "--record-trace", path])
-        assert rc == 0
-        assert TraceApp(path).num_procs == 16
+        assert stale in capsys.readouterr().err

@@ -6,9 +6,12 @@ from repro.harness import experiments as ex
 from repro.harness import sweep
 from repro.harness import tables
 from repro.harness.cli import build_parser, main
-from repro.harness.runner import run_app
+from repro.harness.runner import PROTOCOLS, run_app
 from repro.apps.registry import make_app
+from repro.memory.layout import Layout
+from repro.protocols.base import World
 from repro.stats.breakdown import Breakdown
+from repro.sync.objects import SyncRegistry
 
 
 class TestRunner:
@@ -35,17 +38,14 @@ class TestRunner:
         assert r.num_procs == 8
 
     def test_caller_config_not_mutated(self):
-        """Regression: protocol overrides used to be setattr'd onto the
-        caller's SimConfig, leaking into later runs sharing the object."""
         cfg = SimConfig()
         run_app(make_app("is", "test"), "tmk-lh", config=cfg)
-        assert cfg.tm_lazy_hybrid is False
-        assert cfg.use_lap is False
+        assert cfg == SimConfig()
 
     def test_protocol_overrides_do_not_leak_across_runs(self):
         """One config reused across protocols must give the same results
-        as fresh configs: a tmk run after a tmk-lh run with the same
-        object used to inherit tm_lazy_hybrid=True."""
+        as fresh configs: a protocol variant is its node class, so a tmk
+        run after a tmk-lh run with the same object stays plain tmk."""
         shared = SimConfig()
         run_app(make_app("is", "test"), "tmk-lh", config=shared)
         contaminated = run_app(make_app("is", "test"), "tmk", config=shared)
@@ -53,6 +53,16 @@ class TestRunner:
                            config=SimConfig())
         assert contaminated.execution_time == pristine.execution_time
         assert contaminated.messages_total == pristine.messages_total
+
+
+    def test_every_protocol_builds_a_node_named_by_its_key(self):
+        config = SimConfig(machine=MachineParams(num_procs=2))
+        for key, factory in PROTOCOLS.items():
+            layout = Layout(config.machine.words_per_page)
+            sync = SyncRegistry(config.machine.num_procs)
+            make_app("is", "test").declare(layout, sync)
+            node = factory(World(config, layout, sync), 0)
+            assert node.name == key
 
 
 class TestCache:

@@ -7,7 +7,6 @@ from repro.config import MachineParams, SimConfig, config_digest
 from repro.harness import experiments as ex
 from repro.harness import sweep as sw
 from repro.harness.cli import main
-from repro.harness.runner import resolve_config
 
 
 @pytest.fixture(autouse=True)
@@ -61,7 +60,7 @@ class TestRunSpec:
             sw.make_spec("is", "test", "aec", check=False),
             sw.make_spec("is", "test", "aec", seed=7),
             sw.make_spec("is", "test", "aec", update_set_size=3),
-            sw.make_spec("is", "test", "aec", affinity_threshold=0.5),
+            sw.make_spec("is", "test", "aec", max_events=1_000_000),
             sw.make_spec("is", "test", "aec",
                          config=SimConfig(machine=MachineParams(
                              num_procs=8))),
@@ -70,11 +69,10 @@ class TestRunSpec:
         assert len(keys) == len(variants) + 1
 
     def test_protocol_overrides_resolved_into_key(self):
-        """tmk vs tmk-lh share every explicit argument; the resolved
-        tm_lazy_hybrid override must still separate their keys."""
+        """tmk vs tmk-lh share every explicit argument and config field;
+        the variant lives in the protocol name, which the key covers."""
         assert sw.make_spec("is", "test", "tmk").key != \
             sw.make_spec("is", "test", "tmk-lh").key
-        assert sw.make_spec("is", "test", "tmk-lh").config.tm_lazy_hybrid
 
     def test_spec_config_is_a_frozen_copy(self):
         cfg = SimConfig()
@@ -93,10 +91,6 @@ class TestRunSpec:
     def test_config_digest_covers_machine(self):
         assert config_digest(SimConfig()) != config_digest(
             SimConfig(machine=MachineParams(num_procs=8)))
-
-    def test_resolve_config_idempotent(self):
-        once = resolve_config("aec", SimConfig())
-        assert resolve_config("aec", once) == once
 
 
 class TestDeterminismAndCache:
@@ -179,7 +173,7 @@ class TestDeterminismAndCache:
 
     def test_failed_cell_reported_not_raised(self):
         good = sw.make_spec("is", "test", "aec")
-        bad = sw.RunSpec("is", "nope", "aec", resolve_config("aec"), True)
+        bad = sw.RunSpec("is", "nope", "aec", SimConfig(), True)
         report = sw.run_sweep([good, bad])
         assert len(report.failures) == 1
         assert "nope" in report.failures[0][1]
