@@ -35,9 +35,10 @@ from repro.memory.diff import Diff, merge_diffs
 from repro.memory.write_notice import WriteNotice
 from repro.network.message import Message
 from repro.protocols.base import PeerLostError, ProtocolNode, World
+from repro.recovery.aec import AECReconfiguration
 
 
-class AECNode(ProtocolNode):
+class AECNode(AECReconfiguration, ProtocolNode):
     name = "aec"
     page_meta_factory = AECPageMeta
     reply_kind = "aec.reply"
@@ -78,18 +79,12 @@ class AECNode(ProtocolNode):
         self._bar_recv_from: Dict[int, List[int]] = {}
         self._bar_sends_done = False
         self._bar_done_sent = False
-        # ---- crash recovery: lock-manager re-homing (DESIGN.md §13)
-        #: dead manager node -> adoptive manager (node 0)
+        #: dead manager node -> adoptive manager (node 0), set by the
+        #: crash reconfiguration (DESIGN.md §13.3)
         self._mgr_remap: Dict[int, int] = {}
-        #: node 0 only, while collecting survivor lock reports:
-        #: (dead node, live nodes still to report)
-        self._lockrep_wait: Optional[Tuple[int, Set[int]]] = None
-        self._lockrep_reports: List[Dict[str, Any]] = []
-        #: lock traffic for locks under rebuild, replayed afterwards
-        self._lockrep_deferred: List[Tuple[str, Dict[str, Any]]] = []
         self._freeze_seq = 0
 
-        self._handlers = {
+        self._handlers.update({
             "aec.lock_req": self._on_lock_req,
             "aec.lock_grant": self._on_lock_grant,
             "aec.lock_release": self._on_lock_release,
@@ -105,8 +100,7 @@ class AECNode(ProtocolNode):
             "aec.bar_wn": self._on_bar_wn,
             "aec.bar_done": self._on_bar_done,
             "aec.bar_complete": self._on_bar_complete,
-            "recovery.lock_report": self._on_lock_report,
-        }
+        })
 
     # ===================================================== helpers
 
@@ -301,10 +295,8 @@ class AECNode(ProtocolNode):
                 reply = yield from self.fetch_page(
                     pn, home, "aec.page_req",
                     retarget=lambda _old, pn=pn: self.homes.get(pn, 0))
-                if reply["word_stamps"] is not None:
-                    meta.word_stamps = reply["word_stamps"].copy()
-                else:
-                    meta.word_stamps = None
+                stamps = reply["word_stamps"]
+                meta.word_stamps = None if stamps is None else stamps.copy()
                 if meta.twin is not None:
                     meta.twin[:] = reply["content"]
                 for wn in reply["notices"]:
@@ -368,6 +360,11 @@ class AECNode(ProtocolNode):
             yield from self.apply_diff_stamped(pn, diff)
             prev = meta.applied_outside.get(diff.origin, -1)
             meta.applied_outside[diff.origin] = max(prev, diff.acquire_counter)
+        self._mark_current(pn, meta)
+
+    def _mark_current(self, pn: int, meta: AECPageMeta) -> None:
+        """The local copy of ``pn`` is up to date: drop its recovery state
+        and report the gained validity at the next barrier."""
         meta.pending_notices.clear()
         meta.cs_diff_source = None
         meta.needs_refetch = False
@@ -458,9 +455,7 @@ class AECNode(ProtocolNode):
             pu = self.pending_updates.get(lock_id)
             if pu is not None and pg in pu.applied:
                 continue  # already brought current by the pushed diffs
-            self.invalidate(pg)
-            self.page(pg).cs_diff_source = (lock_id, modifier)
-            self._retire_session_page(lock_id, pg)
+            self._await_cs_diffs(lock_id, pg, modifier)
 
     def _acquire_overlap(self, lock_id: int, fut: Future) -> Generator:
         """Work hidden behind the wait for the manager's grant (§3.2)."""
@@ -499,16 +494,19 @@ class AECNode(ProtocolNode):
         pu.applied.add(pn)
         return True
 
-    def _retire_session_page(self, lock_id: int, pg: int) -> None:
-        """Stop reporting/serving ``pg`` from this lock's session.
+    def _await_cs_diffs(self, lock_id: int, pg: int, modifier: int) -> None:
+        """Invalidate ``pg`` (its next fault fetches ``modifier``'s diffs)
+        and stop reporting/serving it from this lock's session.
 
         The grant told us another processor modified the page after our
-        last tenure and we don't hold its diffs (only a lazy
+        last tenure and we don't hold its diffs (only the lazy
         ``cs_diff_source`` pointer).  Until a fault refetches and absorbs
         that history, our stored record is incomplete — keeping it would
         let our (higher-counter) session win the release coverage or the
         barrier's per-page reconciliation with stale words.
         """
+        self.invalidate(pg)
+        self.page(pg).cs_diff_source = (lock_id, modifier)
         sess = self.session(lock_id)
         sess.diff_store.pop(pg, None)
         sess.step_mods.discard(pg)
@@ -548,9 +546,7 @@ class AECNode(ProtocolNode):
         if grant.covered:
             yield self._list_delay(len(grant.covered), "synch")
         for pg in grant.covered:
-            self.invalidate(pg)
-            self.page(pg).cs_diff_source = (lock_id, grant.last_owner)
-            self._retire_session_page(lock_id, pg)
+            self._await_cs_diffs(lock_id, pg, grant.last_owner)
 
     def release(self, lock_id: int) -> Generator:
         if not self.lock_stack or self.lock_stack[-1] != lock_id:
@@ -686,8 +682,7 @@ class AECNode(ProtocolNode):
             self._discard_update(pu, "barrier")
         self.pending_updates.clear()
         for meta in self.pages.values():
-            if isinstance(meta, AECPageMeta):
-                meta.cs_diff_source = None
+            meta.cs_diff_source = None
         self.accessed_step.clear()
         instr = self._bar_instr
         if instr is not None:
@@ -714,11 +709,8 @@ class AECNode(ProtocolNode):
     def _manage(self, op: str, p: Dict[str, Any]) -> Generator:
         """Run a lock request (``req``) or release (``rel``) through the
         manager role and send the grant it produces, if any."""
-        if self._lock_under_rebuild(p["lock"]):
-            # adopted lock, survivor reports still arriving: granting now
-            # could duplicate a token a survivor is about to report held
-            self._lockrep_deferred.append((op, dict(p)))
-            return
+        if self._mgr_remap and self._deferred_for_rebuild(op, p):
+            return  # adopted lock still under rebuild (recovery/aec.py)
         if op == "req":
             dst = p["requester"]
             result = self.lock_mgr.request(p["lock"], dst, p["step"])
@@ -890,6 +882,10 @@ class AECNode(ProtocolNode):
                 if meta.twin is not None:
                     diff.apply(meta.twin)
                 self.hw.page_updated(self.page_addr(pn), self.page_words())
+                checker = self.world.checker
+                if checker.enabled:
+                    checker.note_transfer("diff", self.node_id, pn,
+                                          diff.origin, self.sim.now)
                 # the program task is blocked at the barrier: fully hidden
                 self.world.diff_stats.record_apply(cycles, cycles)
         yield from self._maybe_barrier_done()
@@ -939,232 +935,6 @@ class AECNode(ProtocolNode):
         # request or release got here first and did it already)
         self.lock_mgr.reset_step_state(msg.payload["step"])
         yield from self._on_bar_release(msg)
-
-    # ---- crash recovery (DESIGN.md §13)
-
-    def on_peer_dead(self, dead: int, payload: Dict[str, Any]) -> Generator:
-        """Reconfigure around a permanently dead peer.
-
-        Node 0 receives the coordinator's verdict first, repairs the
-        global structures (barrier membership, copysets, homes, orphan
-        pages from the last checkpoint) and broadcasts the amended
-        verdict to the survivors; every node — node 0 included — then
-        runs the common part: token regeneration for locks it manages,
-        scrubbing every table that routes to the dead node, failing
-        requests blocked on it, and crediting whatever it still owed
-        the current barrier exchange.
-        """
-        rec = self.world.recovery
-        assert rec is not None, "recovery.reconfig without a controller"
-        rehomed = [lk for lk in range(self.sync.num_locks)
-                   if self.sync.lock_manager(lk) == dead]
-        info: Dict[str, Any] = payload
-        if payload.get("origin") == "coordinator":
-            minfo = self.bar_mgr.remove_member(dead)
-            rec.stats.barrier_reconfigs += 1
-            if rehomed:
-                # locks managed by the dead node re-home here: collect one
-                # report per survivor before serving them again
-                self._lockrep_wait = (dead, set(self.bar_mgr.live))
-                self._lockrep_reports = []
-            for pn in minfo["orphans"]:
-                # adopt from the coordinated checkpoint: work the dead
-                # node did since that epoch is lost (crash-stop without
-                # replication cannot do better)
-                img = rec.checkpoints.page_image(dead, pn)
-                yield Delay(self.machine.mem_access_cycles(self.page_words()),
-                            "ipc")
-                self.store.ensure(pn, None if img is None else img.copy())
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-                meta: AECPageMeta = self.page(pn)
-                meta.pending_notices.clear()
-                meta.cs_diff_source = None
-                meta.needs_refetch = False
-                meta.valid = True
-                meta.ever_valid = True
-                self.gained_valid.add(pn)
-                self.lost_valid.discard(pn)
-                rec.stats.orphan_pages_restored += 1
-            info = {"dead": dead, "origin": "manager",
-                    "homes": minfo["homes"],
-                    "expect_from_dead": minfo["expect_from_dead"]}
-            nbytes = 16 + 8 * len(minfo["homes"]) \
-                + 8 * len(minfo["expect_from_dead"])
-            for node in sorted(self.bar_mgr.live - {self.node_id}):
-                yield Send(node, Message("recovery.reconfig", dict(info),
-                                         nbytes), "ipc")
-        # ---- common reconfiguration on every surviving node
-        yield self._list_delay(self.machine.num_procs, "ipc")
-        # lock-manager role: purge the dead node from the queues and
-        # regenerate any token it held, unblocking waiters
-        grants, regen, purged = self.lock_mgr.peer_dead(dead)
-        rec.stats.tokens_regenerated += regen
-        rec.stats.waiters_purged += purged
-        for result in grants:
-            yield from self._send_grant(*result)
-        # follow the manager's home reassignments
-        self.homes.update(info.get("homes", {}))
-        # scrub per-page state that routes to the dead node
-        for pn, meta in self.pages.items():
-            if not isinstance(meta, AECPageMeta):
-                continue
-            if meta.cs_diff_source is not None \
-                    and meta.cs_diff_source[1] == dead:
-                # its CS diff history died with it: full refetch instead
-                meta.cs_diff_source = None
-                meta.needs_refetch = True
-            if any(wn.writer == dead for wn in meta.pending_notices):
-                # its outside-of-CS diffs are gone too
-                meta.pending_notices[:] = [wn for wn in meta.pending_notices
-                                           if wn.writer != dead]
-                meta.needs_refetch = True
-        # buffered eager pushes from the dead node are garbage
-        for lock in [lk for lk, pu in self.pending_updates.items()
-                     if pu.sender == dead]:
-            self._discard_update(self.pending_updates.pop(lock), "peer_dead")
-        # an acquirer blocked on the dead node's push degrades to the
-        # lost-push fallback (same path as a push dropped by the network)
-        expect = self._upset_expect
-        if expect is not None and expect[1] == dead and not expect[3].done:
-            yield Resolve(expect[3], None)
-        yield from self._fail_requests_to(dead)
-        # locks the dead node managed: re-home them to node 0 and
-        # re-register our holds and wants so the adoptive manager can
-        # rebuild queue state (the manager-side state died with the node)
-        if rehomed:
-            self._mgr_remap[dead] = 0
-            report = self._lock_report_for(rehomed)
-            if self.node_id == 0:
-                yield from self._collect_lock_report(report)
-            else:
-                nbytes = 4 * (1 + 2 * len(report["holds"])
-                              + len(report["wants"])
-                              + 3 * len(report["serviceable"]))
-                yield Send(0, Message("recovery.lock_report", report,
-                                      nbytes), "ipc")
-        # credit the bar_diffs / bar_wn messages the dead node owed us
-        owed = info.get("expect_from_dead", {}).get(self.node_id)
-        if owed is not None and self._bar_instr is not None:
-            got = self._bar_recv_from.get(dead, [0, 0])
-            self._bar_recv_diffs += max(0, owed[0] - got[0])
-            self._bar_recv_wns += max(0, owed[1] - got[1])
-        yield from self._maybe_barrier_done()
-        # manager: the death may have made a phase complete with the dead
-        # node as its last straggler
-        if self.bar_mgr is not None:
-            if self.bar_mgr.all_arrived():
-                yield from self._bar_broadcast_instructions()
-            elif self.bar_mgr.all_done():
-                yield from self._bar_finish()
-
-    def _lock_under_rebuild(self, lock_id: int) -> bool:
-        """Is this lock adopted from a dead manager still being rebuilt?"""
-        return (self._lockrep_wait is not None
-                and self.sync.lock_manager(lock_id) == self._lockrep_wait[0])
-
-    def _lock_report_for(self, rehomed: List[int]) -> Dict[str, Any]:
-        """This node's contribution to rebuilding a dead manager's locks:
-        tokens it holds, grants it is blocked on, and the per-lock diff
-        history it can serve (``aec.cs_diff_req``)."""
-        holds: List[Tuple[int, int]] = []
-        wants: List[int] = []
-        serviceable: List[Tuple[int, int, int]] = []
-        for lk in rehomed:
-            if lk in self.locks_held:
-                holds.append((lk, self.session(lk).acquire_counter))
-            fut = self._grant_futs.get(lk)
-            if fut is not None and not fut.done:
-                wants.append(lk)
-            sess = self.sessions.get(lk)
-            if sess is not None:
-                for pg in sorted(sess.diff_store):
-                    serviceable.append((lk, pg, sess.acquire_counter))
-        return {"node": self.node_id, "step": self.step, "holds": holds,
-                "wants": wants, "serviceable": serviceable}
-
-    def _on_lock_report(self, msg: Message):
-        rep = msg.payload
-        yield self._list_delay(len(rep["holds"]) + len(rep["wants"])
-                               + len(rep["serviceable"]), "ipc")
-        yield from self._collect_lock_report(rep)
-
-    def _collect_lock_report(self, rep: Dict[str, Any]) -> Generator:
-        if self._lockrep_wait is None:
-            raise RuntimeError(
-                f"node {self.node_id}: unsolicited lock report from "
-                f"node {rep['node']}")
-        self._lockrep_reports.append(rep)
-        _dead, waiting = self._lockrep_wait
-        waiting.discard(rep["node"])
-        if not waiting:
-            yield from self._rebuild_rehomed_locks()
-
-    def _rebuild_rehomed_locks(self) -> Generator:
-        """Every survivor reported: reconstruct the dead manager's locks.
-
-        Holder and waiters come straight from the reports (FIFO arrival
-        order at the dead manager is unrecoverable, so waiters queue in
-        node order — deterministic, merely a different fair order).  The
-        page history is rebuilt from the diffs survivors can actually
-        serve, newest acquire counter winning, so invalidate lists issued
-        by the adoptive manager never point into a void.  LAP state
-        (affinity, virtual queue) restarts cold.  Anything the dead
-        manager alone knew — un-reported releases, its own holds — is
-        lost; data loss since the last checkpoint is inherent (§13).
-        """
-        reports = sorted(self._lockrep_reports, key=lambda r: r["node"])
-        deferred = self._lockrep_deferred
-        self._lockrep_wait = None
-        self._lockrep_reports = []
-        self._lockrep_deferred = []
-        rec = self.world.recovery
-        holders: Dict[int, Tuple[int, int]] = {}
-        wants: Dict[int, List[int]] = {}
-        history: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for rep in reports:
-            for lk, counter in rep["holds"]:
-                holders[lk] = (rep["node"], counter)
-            for lk in rep["wants"]:
-                wants.setdefault(lk, []).append(rep["node"])
-            for lk, pg, counter in rep["serviceable"]:
-                cur = history.setdefault(lk, {}).get(pg)
-                if cur is None or counter > cur[0]:
-                    history[lk][pg] = (counter, rep["node"])
-        touched = sorted(set(holders) | set(wants) | set(history))
-        if touched:
-            yield self._list_delay(len(touched), "ipc")
-        step = max(rep["step"] for rep in reports)
-        for lk in touched:
-            ml = self.lock_mgr.lock(lk)
-            ml.at_step(step)
-            counter_floor = 0
-            newest: Optional[Tuple[int, int]] = None
-            for pg, (counter, node) in sorted(history.get(lk, {}).items()):
-                ml.history[pg] = node
-                counter_floor = max(counter_floor, counter)
-                if newest is None or counter > newest[0]:
-                    newest = (counter, node)
-            hold = holders.get(lk)
-            if hold is not None:
-                node, counter = hold
-                ml.pred.holder = node
-                ml.pred.last_owner = node
-                counter_floor = max(counter_floor, counter)
-            elif newest is not None:
-                # a real last owner makes the next grant non-trivial, so
-                # the acquirer honours the rebuilt invalidate list
-                ml.pred.last_owner = newest[1]
-            ml.pred.acquire_counter = max(ml.pred.acquire_counter,
-                                          counter_floor)
-            ml.last_owner_counter = ml.pred.acquire_counter
-            rec.stats.locks_rehomed += 1
-            for w in wants.get(lk, []):
-                result = self.lock_mgr.request(lk, w, step)
-                if result is not None:
-                    yield from self._send_grant(w, *result)
-        # traffic that raced the rebuild replays in arrival order
-        for op, p in deferred:
-            yield from self._manage(op, p)
 
 
 class AECNoLapNode(AECNode):

@@ -12,6 +12,7 @@ from repro.memory.layout import Layout
 from repro.obs.spans import SpanRecorder
 from repro.protocols.base import ProtocolNode, World
 from repro.protocols.sc import SCNode
+from repro.recovery.crash import RECONFIG_KIND
 from repro.stats.breakdown import Breakdown
 from repro.stats.fault_stats import AccessFaultStats
 from repro.stats.run_result import RunResult
@@ -74,12 +75,16 @@ def run_app(app: Application, protocol: str = "aec",
                   record_trace=record_trace)
 
     nodes = [factory(world, i) for i in range(machine.num_procs)]
-    if world.recovery is not None:
+    if world.recovery is not None and RECONFIG_KIND not in nodes[0]._handlers:
         # refuse a permanent crash the protocol cannot reconfigure around
         # now, not at the coordinator's first death verdict mid-run
-        world.recovery.require_reconfiguration(
-            protocol,
-            type(nodes[0]).on_peer_dead is not ProtocolNode.on_peer_dead)
+        for c in world.recovery.crashes:
+            if not c.restart:
+                raise ValueError(
+                    f"protocol {protocol!r} has no crash recovery: the "
+                    f"permanent crash of node {c.node} (restart=False) "
+                    f"needs a protocol that reconfigures around dead "
+                    f"peers, such as aec")
     results: List[Any] = [None] * machine.num_procs
     for i, node in enumerate(nodes):
         ctx = AppContext(node, config.seed)

@@ -373,10 +373,9 @@ class ProtocolNode:
         self._handlers: Dict[str, Callable[[Message], Optional[Generator]]] = {}
         # ---- request/reply plumbing
         self._req_seq = 0
-        self._replies: Dict[Tuple[int, int], Future] = {}
-        #: outstanding request id -> destination node (crash recovery needs
-        #: to find and fail requests addressed to a declared-dead peer)
-        self._reply_dst: Dict[Tuple[int, int], int] = {}
+        #: outstanding request id -> (destination node, reply future); the
+        #: destination lets crash recovery fail requests to a dead peer
+        self._replies: Dict[Tuple[int, int], Tuple[int, Future]] = {}
         # ---- synchronization: blocked acquires, open lock-hold spans, the
         # barrier wait, and LAP state of the locks this node manages
         self._grant_futs: Dict[int, Future] = {}
@@ -427,28 +426,9 @@ class ProtocolNode:
     def handle_message(self, msg: Message) -> Optional[Generator]:
         fn = self._handlers.get(msg.kind)
         if fn is None:
-            if msg.kind == "recovery.reconfig":
-                # common dispatch for the recovery coordinator's verdicts,
-                # so every protocol gets the hook without registering it
-                return self.on_peer_dead(msg.payload["dead"], msg.payload)
             raise RuntimeError(f"{self.name} node {self.node_id}: "
                                f"no handler for message {msg.kind!r}")
         return fn(msg)
-
-    def on_peer_dead(self, dead: int, payload: Dict[str, Any]
-                     ) -> Optional[Generator]:
-        """A peer was declared permanently dead (``repro.recovery``).
-
-        Runs as an ISR on every live node: first on node 0 straight from
-        the coordinator (``payload["origin"] == "coordinator"``), then on
-        the others via node 0's reconfig broadcast.  Protocols that can
-        reconfigure around a death override this.  A permanent crash under
-        one that does not is rejected by ``run_app`` before the run starts,
-        so the default raise is only a backstop against a silent hang.
-        """
-        raise SimulationError(
-            f"{self.name} node {self.node_id}: peer {dead} declared dead "
-            f"but this protocol has no crash recovery")
 
     # ----------------------------------------------------- request / reply
 
@@ -470,8 +450,7 @@ class ProtocolNode:
                 self._req_seq += 1
                 rid = (self.node_id, self._req_seq)
                 fut = self.new_future(kind)
-                self._replies[rid] = fut
-                self._reply_dst[rid] = dst
+                self._replies[rid] = (dst, fut)
                 p = dict(payload, req_id=rid, requester=self.node_id)
                 yield Send(dst, Message(kind, p, nbytes), category)
                 reply = yield Wait(fut, category)
@@ -490,8 +469,7 @@ class ProtocolNode:
                        dict(payload, req_id=msg.payload["req_id"]), nbytes)
 
     def _on_reply(self, msg: Message):
-        fut = self._replies.pop(msg.payload["req_id"])
-        self._reply_dst.pop(msg.payload["req_id"], None)
+        _dst, fut = self._replies.pop(msg.payload["req_id"])
         yield Resolve(fut, msg.payload)
 
     def fetch_page(self, pn: int, home: int, kind: str,
@@ -508,17 +486,15 @@ class ProtocolNode:
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
         if checker.enabled:
-            checker.note_transfer("page", dst=self.node_id, page=pn,
-                                  origin=home, time=self.now())
+            checker.note_transfer("page", self.node_id, pn, home, self.now())
         return reply
 
     def _fail_requests_to(self, dead: int) -> Generator:
         """Fail the requests blocked on a declared-dead peer: each blocked
         program re-issues along recovery routes (or raises)."""
-        for rid in [r for r, d in self._reply_dst.items() if d == dead]:
-            fut = self._replies.pop(rid, None)
-            self._reply_dst.pop(rid, None)
-            if fut is not None and not fut.done:
+        for rid in [r for r, (d, _fut) in self._replies.items() if d == dead]:
+            _dst, fut = self._replies.pop(rid)
+            if not fut.done:
                 yield Resolve(fut, _RETRY_DEAD)
 
     # ---------------------------------------------------- locks and LAP
@@ -690,8 +666,7 @@ class ProtocolNode:
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
         if checker.enabled:
-            checker.note_transfer("diff", dst=self.node_id, page=pn,
-                                  origin=diff.origin, time=end)
+            checker.note_transfer("diff", self.node_id, pn, diff.origin, end)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_apply(cycles, hidden)
         spans = self.spans
@@ -778,8 +753,8 @@ class ProtocolNode:
             self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
         if checker.enabled:
-            checker.note_transfer("diff", dst=self.node_id, page=pn,
-                                  origin=diff.origin, time=self.now())
+            checker.note_transfer("diff", self.node_id, pn, diff.origin,
+                                  self.now())
         self.world.diff_stats.record_apply(cycles, 0.0)
 
     @staticmethod

@@ -145,6 +145,10 @@ class MuninNode(ProtocolNode):
         self.span_end(fetch_span)
         self.store.ensure(pn, reply["content"])
         self.hw.page_updated(self.page_addr(pn), self.page_words())
+        checker = self.world.checker
+        if checker.enabled:
+            checker.note_transfer("page", self.node_id, pn, directory,
+                                  self.now())
         if meta.twin is not None:
             # rebase the twin so the eventual flush diffs only our own
             # modifications against the refetched state
@@ -268,6 +272,10 @@ class MuninNode(ProtocolNode):
             if meta.twin is not None:
                 diff.apply(meta.twin)
             self.hw.page_updated(self.page_addr(pn), self.page_words())
+            checker = self.world.checker
+            if checker.enabled:
+                checker.note_transfer("diff", self.node_id, pn, diff.origin,
+                                      self.sim.now)
         # no local content: the update raced with our in-flight fetch — and
         # home->us delivery is FIFO, so the fetch reply (sent later) already
         # includes this update; dropping it is correct, reapplying it after

@@ -6,6 +6,8 @@ Public surface:
   schedules crashes; wires the controller into simulator + transport.
 - :class:`CrashController` / :func:`resolve_crashes` — seeded schedule,
   crash/revive events, coordinated checkpoints, permanent-death protocol.
+- ``repro.recovery.aec`` — AEC's reconfiguration around a permanently
+  dead peer, mixed into ``AECNode`` (imported by the AEC core, not here).
 - :class:`FailureDetector` — passive leases + NIC-level heartbeats.
 - :class:`CheckpointStore` — per-node page images at barrier epochs.
 - :class:`RecoveryStats` — the counters attached to ``RunResult.recovery``.

@@ -111,28 +111,8 @@ class CrashController:
             sim.schedule_call(float(self.machine.lease_cycles) * 2,
                              self._scan)
 
-    def require_reconfiguration(self, protocol: str,
-                                reconfigures: bool) -> None:
-        """Reject a permanent crash under a protocol that cannot
-        reconfigure around a dead peer (``reconfigures``: its node class
-        overrides ``on_peer_dead``).  Such a run would otherwise fail
-        mid-run, at the coordinator's first death verdict."""
-        if reconfigures:
-            return
-        for c in self.crashes:
-            if not c.restart:
-                raise ValueError(
-                    f"protocol {protocol!r} has no crash recovery: the "
-                    f"permanent crash of node {c.node} (restart=False) "
-                    f"needs a protocol that reconfigures around dead "
-                    f"peers, such as aec")
-
     def is_permanently_dead(self, node: int) -> bool:
         return node in self._declared
-
-    @property
-    def live_procs(self) -> int:
-        return self.machine.num_procs - len(self._declared)
 
     # ---- coordinated checkpoints ---------------------------------------
 

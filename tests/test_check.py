@@ -353,6 +353,19 @@ class TestPlumbing:
         assert checked.messages_total == base.messages_total
 
 
+class TestTransferRecord:
+    """Every diff a protocol applies, and every page it fetches, lands in
+    the checker's transfer record (a violation's ``last_transfer``)."""
+
+    @pytest.mark.parametrize("protocol", ["aec", "tmk", "munin"])
+    def test_every_applied_diff_is_recorded(self, protocol):
+        result = run_app(make_app("ocean", "test"), protocol,
+                         SimConfig(check_consistency=True))
+        transfers = result.check_report.transfers
+        assert transfers["diff"] == result.diff_stats.diffs_applied
+        assert transfers["page"] > 0
+
+
 class TestPermanentDeath:
     def test_no_barrier_episode_outlives_a_dead_node(self, monkeypatch):
         import repro.check

@@ -57,7 +57,7 @@ AEC_FIXED_DROPPED_PUSH = WorkloadSpec(
                       cs_per_proc=5, span=1, extra_reads=1)))
 # 2. A session kept reporting/serving a page after a grant invalidated it
 #    (history it no longer held), winning release coverage and barrier
-#    reconciliation with stale words (fixed: _retire_session_page).
+#    reconciliation with stale words (fixed: _await_cs_diffs).
 AEC_FIXED_STALE_SESSION = WorkloadSpec(
     seed=180, num_procs=3, segments=(1716,), num_locks=4, num_barriers=1,
     phases=(PhaseSpec(kind="locked", segment=0, barrier=0,

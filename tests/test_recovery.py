@@ -10,7 +10,9 @@ recovery machinery itself:
 * a lease-expired peer's pendings are parked on constant-rate probes
   instead of backing off into the void;
 * permanent deaths: declaration, token regeneration, barrier
-  reconfiguration and lock-manager re-homing let survivors finish;
+  reconfiguration and lock-manager re-homing let survivors finish, with
+  pinned simulated numbers; lock traffic that races a re-homed lock's
+  rebuild is deferred and replayed in arrival order;
 * the sweep stays byte-deterministic across worker counts under crashes.
 """
 import dataclasses
@@ -22,14 +24,19 @@ from repro.apps.registry import make_app
 from repro.config import MachineParams, SimConfig, config_digest
 from repro.core.aec.barrier_manager import AECBarrierManager, ArrivalInfo
 from repro.core.aec.lock_manager import AECLockManager
+from repro.core.aec.protocol import AECNode
 from repro.core.lap.predictor import LapPredictor
+from repro.engine.events import Send
 from repro.faults import FaultPlan, NodeCrash, get_plan
 from repro.harness import sweep as sw
 from repro.harness.runner import run_app
+from repro.network.message import Message
 from repro.obs.spans import SpanRecorder
-from repro.recovery.crash import resolve_crashes
+from repro.protocols.base import PeerLostError
+from repro.recovery.crash import RECONFIG_KIND, resolve_crashes
 from repro.recovery.detector import FailureDetector
 from repro.recovery.stats import RecoveryStats
+from tests.conftest import make_world
 
 
 # ================================================================ schedules
@@ -289,7 +296,52 @@ class TestRestartRecovery:
 # ===================================== permanent death: full reconfiguration
 
 
+def _count_peer_lost(monkeypatch):
+    """Count the ``PeerLostError``s that AEC requests raise (and that
+    ``_make_valid`` catches, since the run still completes)."""
+    caught = []
+    original = AECNode._request
+
+    def spy(self, *args, **kwargs):
+        try:
+            return (yield from original(self, *args, **kwargs))
+        except PeerLostError:
+            caught.append(self.node_id)
+            raise
+
+    monkeypatch.setattr(AECNode, "_request", spy)
+    return caught
+
+
 class TestPermanentDeath:
+    #: (app, dead node, crash time) -> (execution_time, messages_total,
+    #: network_bytes, every non-zero RecoveryStats counter)
+    PINS = {
+        ("ocean", 2, 200_000.0): (8_505_738.75, 15_062, 1_210_836, {
+            "crashes": 1, "down_cycles": 150_000.0, "checkpoints": 18,
+            "checkpoint_pages": 550, "heartbeats_sent": 2370,
+            "leases_expired": 12, "peers_declared_dead": 1,
+            "frames_blackholed": 4, "parked_probes": 13,
+            "cancelled_sends": 1, "barrier_reconfigs": 1}),
+        ("raytrace", 3, 500_000.0): (8_603_494.5, 9_617, 1_564_740, {
+            "crashes": 1, "down_cycles": 150_000.0, "checkpoints": 2,
+            "checkpoint_pages": 336, "heartbeats_sent": 2404,
+            "peers_declared_dead": 1, "sends_suppressed": 2,
+            "cancelled_sends": 2, "tokens_regenerated": 1,
+            "barrier_reconfigs": 1, "locks_rehomed": 1}),
+        ("fft", 3, 900_000.0): (4_792_733.5, 10_966, 882_972, {
+            "crashes": 1, "down_cycles": 150_000.0, "checkpoints": 7,
+            "checkpoint_pages": 301, "heartbeats_sent": 1345,
+            "leases_expired": 20, "peers_declared_dead": 1,
+            "frames_blackholed": 54, "parked_probes": 41,
+            "cancelled_sends": 17, "barrier_reconfigs": 1}),
+        ("is", 7, 400_000.0): (3_490_893.5, 4_947, 429_520, {
+            "crashes": 1, "down_cycles": 150_000.0, "checkpoints": 9,
+            "checkpoint_pages": 200, "heartbeats_sent": 971,
+            "peers_declared_dead": 1, "waiters_purged": 1,
+            "barrier_reconfigs": 1}),
+    }
+
     def _run(self, app_name, node=3, at=500_000.0):
         plan = FaultPlan(name="perm", seed=1, crashes=(
             NodeCrash(node=node, at=at, down_cycles=150_000.0,
@@ -302,6 +354,15 @@ class TestPermanentDeath:
         # certifies liveness and reconfiguration, not data recency
         return run_app(make_app(app_name, "test"), "aec", config,
                        check=False)
+
+    def _assert_pinned(self, result, app_name, node, at):
+        cycles, msgs, nbytes, counters = self.PINS[(app_name, node, at)]
+        assert (result.execution_time, result.messages_total,
+                result.network_bytes) == (cycles, msgs, nbytes)
+        doc = result.recovery.to_dict()
+        for key in ("plan", "fault_seed", "schedule"):
+            doc.pop(key)
+        assert {k: v for k, v in doc.items() if v} == counters
 
     def test_survivors_finish_after_declaration(self):
         result = self._run("ocean", node=2, at=200_000.0)
@@ -317,6 +378,7 @@ class TestPermanentDeath:
         # is the survivors' finish (fault-free ocean/aec runs ~8.7M
         # cycles), not some detector tail
         assert result.execution_time < 20_000_000
+        self._assert_pinned(result, "ocean", 2, 200_000.0)
 
     def test_dead_lock_manager_rehomed_to_node_zero(self):
         # raytrace hashes locks across all nodes; killing node 3 orphans
@@ -325,9 +387,102 @@ class TestPermanentDeath:
         result = self._run("raytrace")
         rec = result.recovery
         assert rec.peers_declared_dead == 1
-        assert rec.locks_rehomed >= 1
-        assert rec.tokens_regenerated + rec.waiters_purged >= 0
-        assert result.execution_time < 20_000_000
+        assert rec.locks_rehomed == 1
+        # node 3 held a lock it manages: the token is regenerated
+        assert rec.tokens_regenerated == 1
+        self._assert_pinned(result, "raytrace", 3, 500_000.0)
+
+    def test_dead_modifier_falls_back_to_refetch(self, monkeypatch):
+        # survivors' requests for diffs only node 3 held fail with
+        # PeerLostError; _make_valid falls back to a refetch from the
+        # page's (reassigned) home each time
+        caught = _count_peer_lost(monkeypatch)
+        result = self._run("fft", node=3, at=900_000.0)
+        assert len(caught) == 15
+        self._assert_pinned(result, "fft", 3, 900_000.0)
+
+    def test_dead_waiter_purged(self):
+        result = self._run("is", node=7, at=400_000.0)
+        assert result.recovery.waiters_purged == 1
+        self._assert_pinned(result, "is", 7, 400_000.0)
+
+    def test_death_during_barrier_exchange_keeps_homes_live(self):
+        # node 1 dies while every node holds barrier instructions naming
+        # it the home of page 5; the reconfiguration re-homes the page to
+        # node 0, and the post-barrier cleanup must not undo that (a later
+        # fault would otherwise ask the dead node for the page and raise
+        # PeerLostError)
+        result = self._run("raytrace", node=1, at=150_000.0)
+        assert result.recovery.peers_declared_dead == 1
+        assert (result.execution_time, result.messages_total,
+                result.network_bytes) == (8_647_776.0, 9_532, 1_560_828)
+
+
+def _grants(events):
+    return [ev.dst for ev in events if isinstance(ev, Send)
+            and ev.message.kind == "aec.lock_grant"]
+
+
+class TestLockRebuildDeferral:
+    """Lock traffic for a lock adopted from a dead manager waits until
+    every survivor has reported, then replays in arrival order.
+
+    Node 0's handlers run outside the simulator: ``list(handler(msg))``
+    collects the events an ISR yields, and its sends are never delivered.
+    """
+
+    DEAD, LOCK = 2, 2  # lock 2 is managed by node 2 (lock % num_procs)
+
+    def _world(self):
+        plan = FaultPlan(name="perm", seed=1, crashes=(
+            NodeCrash(node=self.DEAD, at=1e9, restart=False),))
+        config = SimConfig(machine=MachineParams(num_procs=4), faults=plan)
+        world = make_world(locks=4, config=config)
+        nodes = [AECNode(world, i) for i in range(4)]
+        assert world.sync.lock_manager(self.LOCK) == self.DEAD
+        return world, nodes
+
+    def test_request_and_release_deferred_then_replayed_in_order(self):
+        world, (n0, n1, _n2, n3) = self._world()
+        # 1. the coordinator's verdict starts the rebuild on node 0, which
+        #    files its own report and waits for nodes 1 and 3
+        events = list(n0.handle_message(Message(
+            RECONFIG_KIND, {"dead": self.DEAD, "origin": "coordinator"}, 16)))
+        assert sorted(ev.dst for ev in events if isinstance(ev, Send)
+                      and ev.message.kind == RECONFIG_KIND) == [1, 3]
+        assert n0._lockrep_wait == (self.DEAD, {1, 3})
+        # node 1 reports that it holds the lock
+        n1.locks_held.add(self.LOCK)
+        n1.session(self.LOCK).acquire_counter = 5
+        list(n0.handle_message(Message(
+            "recovery.lock_report", n1._lock_report_for([self.LOCK]), 12)))
+        # 2. node 0 requests the lock, then node 1 releases it
+        req = {"lock": self.LOCK, "requester": 0, "step": 0}
+        rel = {"lock": self.LOCK, "releaser": 1, "step": 0,
+               "covered": [], "modified": []}
+        events = list(n0.handle_message(Message("aec.lock_req", req, 4)))
+        events += list(n0.handle_message(
+            Message("aec.lock_release", rel, 0)))
+        # 3. both are held back: no grant while node 3 has not reported
+        assert _grants(events) == []
+        assert n0._lockrep_deferred == [("req", req), ("rel", rel)]
+        # 4. node 3's report completes the rebuild; the deferred traffic
+        #    replays in arrival order, so the release hands node 1's
+        #    rebuilt token to the queued requester
+        replayed = []
+        manage = n0._manage
+
+        def spy(op, p):
+            replayed.append(op)
+            return manage(op, p)
+
+        n0._manage = spy
+        events = list(n0.handle_message(Message(
+            "recovery.lock_report", n3._lock_report_for([self.LOCK]), 4)))
+        assert replayed == ["req", "rel"]
+        assert _grants(events) == [0]
+        assert n0._lockrep_wait is None and n0._lockrep_deferred == []
+        assert world.recovery.stats.locks_rehomed == 1
 
 
 # ========================================= determinism across the sweep
