@@ -9,16 +9,12 @@ parameter presets.
   structure, used by the benchmark harness (minutes, not hours).
 * ``scale="test"`` — small sizes for the test suite (seconds).
 
-The registry is pluggable in two ways:
-
-* :func:`register_app` adds a named preset table, making the new app a
-  first-class citizen of ``repro run/check/sweep``.
-* :func:`register_resolver` claims a ``prefix:`` namespace of app ids.
-  Built-in resolvers: ``fuzz:SEED`` (generated workload),
-  ``trace:PATH`` (recorded-trace replay) and ``image:INNER`` (wrap any
-  app id in a final-memory-capturing oracle shim).  Resolution happens
-  inside :func:`make_app`, so prefixed ids flow through the sweep cache
-  and the multiprocessing fan-out unchanged.
+:func:`register_app` adds a named preset table, making the new app a
+first-class citizen of ``repro run/check/sweep``.  Prefixed app ids
+resolve inside :func:`make_app`, so they flow through the sweep cache and
+the multiprocessing fan-out unchanged: ``fuzz:SEED`` (generated
+workload), ``trace:PATH`` (recorded-trace replay) and ``image:INNER``
+(wrap any app id in a final-memory-capturing oracle shim).
 """
 from __future__ import annotations
 
@@ -77,9 +73,6 @@ _PRESETS: Dict[str, Dict[str, Callable[[], Application]]] = {
 APP_NAMES = tuple(_PRESETS)
 SCALES = ("paper", "bench", "test")
 
-#: prefix -> resolver(rest, scale, config) for ``prefix:rest`` app ids
-_RESOLVERS: Dict[str, Callable[..., Application]] = {}
-
 
 def register_app(name: str,
                  presets: Dict[str, Callable[[], Application]]) -> None:
@@ -90,17 +83,6 @@ def register_app(name: str,
         raise ValueError(f"app {name!r} presets missing scales {missing}")
     _PRESETS[name] = dict(presets)
     APP_NAMES = tuple(_PRESETS)
-
-
-def register_resolver(prefix: str,
-                      resolver: Callable[..., Application]) -> None:
-    """Claim the ``prefix:`` app-id namespace.
-
-    ``resolver(rest, scale, config)`` must return an Application for ids
-    of the form ``prefix:rest``.  ``config`` is the SimConfig the app will
-    run under (or None when resolution happens outside a run).
-    """
-    _RESOLVERS[prefix] = resolver
 
 
 def _resolve_fuzz(rest: str, scale: str,
@@ -132,8 +114,9 @@ def _resolve_image(rest: str, scale: str,
     return MemoryImageApp(make_app(rest, scale, config=config))
 
 
-_RESOLVERS.update(fuzz=_resolve_fuzz, trace=_resolve_trace,
-                  image=_resolve_image)
+#: prefix -> resolver(rest, scale, config) for ``prefix:rest`` app ids
+_RESOLVERS: Dict[str, Callable[..., Application]] = {
+    "fuzz": _resolve_fuzz, "trace": _resolve_trace, "image": _resolve_image}
 
 
 def make_app(name: str, scale: str = "bench",

@@ -7,7 +7,8 @@ Two complementary tools:
   reads as structured :class:`ViolationReport` objects.
 * :mod:`repro.check.oracle` — a cross-protocol divergence oracle that
   replays the same app+seed under the SC protocol and diffs final shared
-  memory word-by-word (imported lazily; it depends on the harness).
+  memory word-by-word; its ``judge`` gives every verdict on a finished
+  run (imported lazily; it depends on the harness).
 """
 from repro.check.checker import (
     CheckReport,

@@ -1,4 +1,4 @@
-"""Cross-protocol divergence oracle.
+"""Cross-protocol divergence oracle: the one judge of a finished run.
 
 A DSM protocol is *externally* correct if a program observes the same
 shared memory it would observe under sequential consistency.  The oracle
@@ -16,6 +16,12 @@ an ordered read demands them, which is the property being certified.
 Segments listed in ``Application.volatile_segments`` (final content depends
 on scheduling, e.g. Raytrace's work-stealing queue heads) are excluded from
 the comparison.
+
+:func:`judge` is the only code that decides whether a run is right: its
+checker report, then the app's own check, then the image diff.  ``repro
+check`` and the fuzz shrinker reach it through
+:func:`run_divergence_oracle`; the fuzz campaign calls it on the results
+of its sweep.
 """
 from __future__ import annotations
 
@@ -142,23 +148,6 @@ class DivergenceReport:
         }
 
 
-def _run_image(wrapped: MemoryImageApp, protocol: str,
-               config: Optional[SimConfig],
-               check: bool) -> Tuple[RunResult, Dict[str, np.ndarray]]:
-    from repro.harness.runner import run_app
-    result = run_app(wrapped, protocol, config=config, check=check)
-    _inner, image = result.app_results[0]
-    assert image is not None, "node 0 must produce the memory image"
-    return result, image
-
-
-def run_with_image(app: Application, protocol: str,
-                   config: Optional[SimConfig] = None,
-                   check: bool = True) -> Tuple[RunResult, Dict[str, np.ndarray]]:
-    """Run ``app`` under ``protocol`` and capture its final memory image."""
-    return _run_image(MemoryImageApp(app), protocol, config, check)
-
-
 def compare_images(image: Dict[str, np.ndarray],
                    oracle: Dict[str, np.ndarray],
                    layout: Layout,
@@ -186,38 +175,73 @@ def compare_images(image: Dict[str, np.ndarray],
     return report
 
 
-def run_divergence_oracle(app_id: str, protocol: str, config: SimConfig, *,
-                          scale: str = "test", check: bool = True,
-                          oracle_protocol: Optional[str] = "sc",
-                          images: Optional[Dict[tuple, Any]] = None,
-                          ) -> Tuple[RunResult, Optional[DivergenceReport]]:
-    """Certify one run: ``app_id`` under ``protocol`` with ``config``, its
-    final memory diffed word-by-word against the same app+seed under
-    ``oracle_protocol``.
+def judge(result: RunResult, app: MemoryImageApp,
+          sc_image: Dict[str, np.ndarray], *, app_id: str, seed: int
+          ) -> Tuple[DivergenceReport, Optional[str]]:
+    """Judge a finished run of ``app`` (a :class:`MemoryImageApp`, whose
+    :attr:`~MemoryImageApp.layout` is the run's address map) against the
+    SC image of the same app and config.
 
-    ``check`` runs the app's own result check on the certified run (the
-    oracle run always checks).  The oracle run is fault-free and
-    checker-off; its image is looked up in, and stored into, ``images``,
-    so certifying several protocols or fault plans against one app+seed
-    runs the oracle once.  ``oracle_protocol=None`` skips the oracle and
-    returns ``(result, None)``.
+    Returns the run's :class:`DivergenceReport` and its first failure
+    signature, ``None`` when the run is healthy, checked in this order:
+
+    * ``"check: ..."`` — consistency-checker violations (by kind),
+    * ``"appcheck: ..."`` — the app's own ``check()`` raised an
+      ``AssertionError`` (its message follows),
+    * ``"diverge: <seg>[i] got ... want ..."`` — the first divergent word
+      of the final memory image.
+    """
+    report = compare_images(
+        result.app_results[0][1], sc_image, app.layout,
+        DivergenceReport(app=app_id, protocol=result.protocol,
+                         oracle_protocol="sc", seed=seed),
+        volatile=tuple(app.volatile_segments))
+    rep = result.check_report
+    if rep is not None and not rep.clean:
+        return report, "check: " + ",".join(sorted(rep.counts))
+    try:
+        app.check(result.app_results)
+    except AssertionError as exc:
+        return report, f"appcheck: {exc}"
+    if report.divergences:
+        d = report.divergences[0]
+        return report, (f"diverge: {d.segment}[{d.first_index}] "
+                        f"got {d.got!r} want {d.want!r}")
+    return report, None
+
+
+def run_divergence_oracle(app_id: str, protocol: str, config: SimConfig, *,
+                          scale: str = "test",
+                          images: Optional[Dict[tuple, Any]] = None,
+                          ) -> Tuple[Optional[RunResult],
+                                     Optional[DivergenceReport],
+                                     Optional[str]]:
+    """Certify one run: ``app_id`` under ``protocol`` with ``config``,
+    judged (:func:`judge`) against the same app+seed under SC.
+
+    Returns ``(result, report, failure)``; ``failure`` is ``None`` for a
+    healthy run.  The certified run skips the app's check, so the judge
+    turns a failed check into a signature instead of an exception.  The
+    SC run is fault-free and checker-off; its image is looked up in, and
+    stored into, ``images``, so certifying several protocols or fault
+    plans against one app+seed runs SC once.  A run that raises gives
+    ``(None, None, "error: ...")``.
     """
     from repro.apps.registry import make_app
+    from repro.harness.runner import run_app
 
-    wrapped = MemoryImageApp(make_app(app_id, scale, config=config))
-    result, image = _run_image(wrapped, protocol, config, check)
-    if oracle_protocol is None:
-        return result, None
-    oracle_cfg = config.replace(check_consistency=False, faults=None)
-    key = (app_id, scale, oracle_protocol, config_digest(oracle_cfg))
+    sc_cfg = config.replace(check_consistency=False, faults=None)
+    key = (app_id, scale, config_digest(sc_cfg))
     images = images if images is not None else {}
-    if key not in images:
-        _o, images[key] = run_with_image(
-            make_app(app_id, scale, config=oracle_cfg), oracle_protocol,
-            config=oracle_cfg)
-    report = DivergenceReport(app=app_id, protocol=protocol,
-                              oracle_protocol=oracle_protocol,
-                              seed=config.seed)
-    compare_images(image, images[key], wrapped.layout, report,
-                   volatile=tuple(wrapped.volatile_segments))
-    return result, report
+    try:
+        app = MemoryImageApp(make_app(app_id, scale, config=config))
+        result = run_app(app, protocol, config=config, check=False)
+        if key not in images:
+            sc_app = MemoryImageApp(make_app(app_id, scale, config=sc_cfg))
+            images[key] = run_app(sc_app, "sc",
+                                  config=sc_cfg).app_results[0][1]
+    except Exception as exc:  # noqa: BLE001 - a crash IS the failure
+        return None, None, f"error: {type(exc).__name__}: {exc}"
+    report, failure = judge(result, app, images[key], app_id=app_id,
+                            seed=config.seed)
+    return result, report, failure

@@ -3,12 +3,11 @@
 A campaign fans generated workloads through the sweep runner (so cells are
 disk-cached, multiprocessing-parallel, and content-addressed by their full
 config — every (spec, protocol, fault-seed) is a distinct cache cell) with
-the consistency checker armed, then certifies each cell three ways:
-
-1. the happens-before checker's report must be clean,
-2. every processor's checksum must equal the analytic expectation,
-3. the final memory image must be word-identical to the same workload's
-   fault-free SC oracle image.
+the consistency checker armed, then certifies each cell with
+:func:`repro.check.oracle.judge`: the happens-before checker's report must
+be clean, every processor's checksum must equal the analytic expectation,
+and the final memory image must be word-identical to the same workload's
+fault-free SC oracle image.
 
 Failures are minimized inline by :mod:`repro.fuzz.shrink` and can be filed
 directly into a corpus directory as JSON reproducers (see
@@ -22,13 +21,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.apps.registry import make_app
+from repro.check.oracle import judge
 from repro.faults.plan import NO_FAULTS, resolve_plan
 from repro.fuzz.broken import BROKEN_PROTOCOL, ensure_registered
 from repro.fuzz.generator import (WorkloadSpec, config_for_spec, generate_spec,
                                   spec_from_dict, spec_to_dict)
-from repro.fuzz.shrink import run_verdict, shrink_spec, spec_failure
+from repro.fuzz.shrink import shrink_spec, spec_failure
+from repro.memory.layout import Layout
+from repro.sync.objects import SyncRegistry
 
 @dataclass
 class CampaignCell:
@@ -190,21 +191,22 @@ def run_campaign(seeds: Sequence[int],
     specs = {int(seed): generate_spec(int(seed), scale) for seed in seeds}
 
     run_specs = []
-    oracle_keys: Dict[int, str] = {}
-    cell_index: Dict[str, Tuple[int, str, str]] = {}
+    #: seed -> (its SC cell, [(protocol, plan, cell)])
+    grid: Dict[int, Tuple[Any, List[Tuple[str, str, Any]]]] = {}
     for seed, spec in specs.items():
-        oracle = sw.make_spec(f"image:fuzz:{seed}", scale, "sc",
-                              config=config_for_spec(spec), check=False)
-        oracle_keys[seed] = oracle.key
-        run_specs.append(oracle)
+        sc_cell = sw.make_spec(f"image:fuzz:{seed}", scale, "sc",
+                               config=config_for_spec(spec), check=False)
+        run_specs.append(sc_cell)
+        cells = []
         for protocol in protocols:
             for plan_name in plans:
                 cfg = config_for_spec(spec).replace(
                     check_consistency=True, faults=plan_objs[plan_name])
                 cell = sw.make_spec(f"image:fuzz:{seed}", scale, protocol,
                                     config=cfg, check=False)
-                cell_index[cell.key] = (seed, protocol, plan_name)
+                cells.append((protocol, plan_name, cell))
                 run_specs.append(cell)
+        grid[seed] = (sc_cell, cells)
 
     sweep = sw.run_sweep(run_specs, jobs=jobs, cache_dir=cache_dir,
                          progress=progress)
@@ -216,43 +218,29 @@ def run_campaign(seeds: Sequence[int],
                             cached=sweep.hits_memory + sweep.hits_disk,
                             wall_seconds=sweep.wall_seconds)
 
-    sweep_failures = dict()
-    for label, error in sweep.failures:
-        sweep_failures[label] = error
-
-    sc_images: Dict[int, Optional[Dict[str, np.ndarray]]] = {}
-    for seed in specs:
-        result = sweep.results.get(oracle_keys[seed])
-        if result is None:
-            sc_images[seed] = None
-            continue
-        _inner, image = result.app_results[0]
-        sc_images[seed] = image
-
-    for spec_obj in run_specs:
-        meta = cell_index.get(spec_obj.key)
-        if meta is None:
-            continue  # oracle cell
-        seed, protocol, plan_name = meta
-        result = sweep.results.get(spec_obj.key)
-        if result is None:
-            failure: Optional[str] = ("error: "
-                                      + sweep_failures.get(spec_obj.label,
-                                                           "run failed"))
-            exec_time = 0.0
-        else:
-            sc_image = sc_images[seed]
-            if sc_image is None:
+    errors = {spec.key: error for spec, error in sweep.failures}
+    for seed, (sc_cell, cells) in grid.items():
+        # every cell of a seed runs on one machine, so one declared app
+        # gives the judge the layout all of them read their image through
+        machine = sc_cell.config.machine
+        app = make_app(sc_cell.app, scale, config=sc_cell.config)
+        app.declare(Layout(machine.words_per_page),
+                    SyncRegistry(machine.num_procs))
+        sc_result = sweep.results.get(sc_cell.key)
+        for protocol, plan_name, cell in cells:
+            result = sweep.results.get(cell.key)
+            if result is None:
+                failure = "error: " + errors.get(cell.key, "run failed")
+            elif sc_result is None:
                 failure = "error: sc oracle cell failed"
             else:
-                failure = run_verdict(
-                    result, specs[seed],
-                    [sc_image[f"fz.s{i}"]
-                     for i in range(len(specs[seed].segments))])
-            exec_time = result.execution_time if result else 0.0
-        report.cells.append(CampaignCell(
-            seed=seed, protocol=protocol, plan=plan_name, key=spec_obj.key,
-            failure=failure, execution_time=exec_time))
+                _report, failure = judge(
+                    result, app, sc_result.app_results[0][1],
+                    app_id=f"fuzz:{seed}", seed=cell.config.seed)
+            report.cells.append(CampaignCell(
+                seed=seed, protocol=protocol, plan=plan_name, key=cell.key,
+                failure=failure,
+                execution_time=result.execution_time if result else 0.0))
 
     if shrink and report.failures:
         # one minimized reproducer per distinct (seed, protocol, plan)

@@ -19,94 +19,32 @@ budget is exhausted):
    extra reads, compute cycles,
 5. drop locks from locked phases, then normalize lock/barrier ids dense.
 
-Every candidate evaluation is one full simulation (plus an oracle run
-when ``oracle="sc"``), so the budget is counted in *runs*, not edits.
+Every candidate evaluation is one full simulation plus the SC run that
+gives its oracle image, so the budget is counted in *runs*, not edits.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
-from repro.fuzz.generator import (GeneratedApp, PhaseSpec, WorkloadSpec,
-                                  config_for_spec, expected_final)
-
-
-def run_verdict(result, spec: WorkloadSpec,
-                want: Optional[Sequence[np.ndarray]]) -> Optional[str]:
-    """Certify a finished run of ``spec``: ``None`` when healthy, else the
-    first failure signature, checked in this order:
-
-    * ``"check: ..."`` — consistency-checker violations (by kind),
-    * ``"appcheck: ..."`` — a processor's checksum was wrong,
-    * ``"diverge: ..."`` — final memory differs from ``want``, the
-      expected contents of each ``fz.s<i>`` segment (``None`` skips the
-      memory comparison).
-
-    The run's app must capture its memory image
-    (:func:`repro.check.oracle.run_with_image` or an ``image:`` app id).
-    """
-    rep = result.check_report
-    if rep is not None and not rep.clean:
-        return "check: " + ",".join(sorted(rep.counts))
-    try:
-        GeneratedApp(spec).check([r[0] for r in result.app_results])
-    except AssertionError:
-        return "appcheck: wrong checksum"
-    if want is None:
-        return None
-    image = result.app_results[0][1]
-    for i, want_i in enumerate(want):
-        got = image[f"fz.s{i}"]
-        if not np.array_equal(got, want_i):
-            bad = int(np.flatnonzero(got != want_i)[0])
-            return (f"diverge: fz.s{i}[{bad}] got {got[bad]!r} "
-                    f"want {want_i[bad]!r}")
-    return None
+from repro.fuzz.generator import PhaseSpec, WorkloadSpec, config_for_spec
 
 
 def spec_failure(spec: WorkloadSpec, protocol: str,
                  faults: Optional[FaultPlan] = None,
-                 base: Optional[SimConfig] = None,
-                 oracle: str = "analytic") -> Optional[str]:
-    """Run ``spec`` under ``protocol`` and classify the outcome.
-
-    Returns ``None`` when the run is completely healthy, otherwise a
-    short failure signature: ``"error: ..."`` when the simulation
-    raised, else the :func:`run_verdict` of the run.
-
-    ``oracle="analytic"`` diffs the captured image against
-    :func:`expected_final` (no extra run); ``oracle="sc"`` runs the SC
-    protocol and diffs against its image; ``oracle="none"`` skips the
-    memory comparison entirely.
-    """
-    from repro.check.oracle import run_with_image
+                 base: Optional[SimConfig] = None) -> Optional[str]:
+    """Run ``spec`` under ``protocol`` with the checker armed and certify
+    it (:func:`repro.check.oracle.run_divergence_oracle`): ``None`` when
+    the run is completely healthy, otherwise its failure signature
+    (``check:``, ``appcheck:``, ``diverge:`` or ``error:``)."""
+    from repro.check.oracle import run_divergence_oracle
 
     cfg = config_for_spec(spec, base).replace(
         check_consistency=True, faults=faults)
-    try:
-        result, _image = run_with_image(GeneratedApp(spec), protocol,
-                                        config=cfg, check=False)
-    except Exception as exc:  # noqa: BLE001 - a crash IS the failure
-        return f"error: {type(exc).__name__}: {exc}"
-    if oracle == "analytic":
-        return run_verdict(result, spec,
-                           expected_final(spec, spec.num_procs))
-    failure = run_verdict(result, spec, None)
-    if failure is not None or oracle == "none":
-        return failure
-    try:
-        _r, want_img = run_with_image(GeneratedApp(spec), "sc",
-                                      config=config_for_spec(spec))
-    except Exception as exc:  # noqa: BLE001
-        return f"error: sc oracle: {type(exc).__name__}: {exc}"
-    return run_verdict(result, spec,
-                       [want_img[f"fz.s{i}"]
-                        for i in range(len(spec.segments))])
+    return run_divergence_oracle(f"fuzz:{spec.seed}", protocol, cfg)[2]
 
 
 @dataclass
@@ -193,7 +131,6 @@ def _phase_edits(ph: PhaseSpec) -> List[PhaseSpec]:
 def shrink_spec(spec: WorkloadSpec, protocol: str,
                 faults: Optional[FaultPlan] = None,
                 base: Optional[SimConfig] = None,
-                oracle: str = "analytic",
                 max_runs: int = 400,
                 progress: Optional[Callable[[str], None]] = None
                 ) -> ShrinkResult:
@@ -210,8 +147,7 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
 
     def failing(cand: WorkloadSpec) -> Optional[str]:
         runs[0] += 1
-        return spec_failure(cand, protocol, faults=faults, base=base,
-                            oracle=oracle)
+        return spec_failure(cand, protocol, faults=faults, base=base)
 
     first = failing(spec)
     if first is None:

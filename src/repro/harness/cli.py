@@ -148,7 +148,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    """Certify apps: in-run HB sanitizer + cross-protocol memory oracle."""
+    """Certify apps: in-run HB sanitizer, the app's own check and the
+    cross-protocol memory oracle."""
     from repro.check.oracle import run_divergence_oracle
 
     # resolve every id before running any: a bad one exits 2 up front
@@ -159,37 +160,28 @@ def _cmd_check(args) -> int:
     failed = 0
     for app_id, config in cells:
         for protocol in args.protocols:
-            # the sanitizer + oracle ARE the validation here: the app's own
-            # coarse check() would abort a broken run with a stack trace
-            # instead of letting the violation report localize the bug
-            try:
-                result, div = run_divergence_oracle(
-                    app_id, protocol, config, scale=args.scale, check=False,
-                    oracle_protocol="sc" if args.oracle else None,
-                    images=images)
-            except Exception as exc:  # noqa: BLE001 - a failed cell
-                error = f"{type(exc).__name__}: {exc}"
+            result, div, failure = run_divergence_oracle(
+                app_id, protocol, config, scale=args.scale, images=images)
+            failed += failure is not None
+            if result is None:  # the run raised: "error: <exception>"
+                error = failure.split(": ", 1)[1]
                 doc["runs"].append({"app": app_id, "protocol": protocol,
                                     "error": error})
-                failed += 1
                 print(f"FAIL {app_id:<10} {protocol:<9} {error}")
                 continue
             rep = result.check_report
-            entry = {"app": app_id, "protocol": protocol,
-                     "check": rep.to_dict()}
-            ok = rep.clean
-            if div is not None:
-                entry["divergence"] = div.to_dict()
-                ok = ok and div.clean
-            doc["runs"].append(entry)
-            failed += not ok
-            print(f"{'ok  ' if ok else 'FAIL'} {app_id:<10} {protocol:<9} "
-                  f"{rep.summary()}")
+            doc["runs"].append({"app": app_id, "protocol": protocol,
+                                "failure": failure, "check": rep.to_dict(),
+                                "divergence": div.to_dict()})
+            print(f"{'ok  ' if failure is None else 'FAIL'} {app_id:<10} "
+                  f"{protocol:<9} {rep.summary()}")
             if not rep.clean:
                 for v in (rep.violations if args.verbose
                           else rep.violations[:10]):
                     print(f"       {v.describe()}")
-            if div is not None and not div.clean:
+            if failure is not None and failure.startswith("appcheck:"):
+                print(f"       {failure}")
+            if not div.clean:
                 print("       " + div.summary().replace("\n", "\n       "))
     doc["failed_runs"] = failed
     if args.json:
@@ -293,7 +285,7 @@ def _cmd_fuzz_run(args) -> int:
 def _cmd_fuzz_replay(args) -> int:
     from repro.fuzz.shrink import spec_failure
     spec, protocol, plan_name, plan = _fuzz_target(args)
-    failure = spec_failure(spec, protocol, faults=plan, oracle=args.oracle)
+    failure = spec_failure(spec, protocol, faults=plan)
     label = (f"fuzz seed {spec.seed} ({spec.num_procs}p, "
              f"{len(spec.phases)} phases) under {protocol}"
              + (f"/{plan_name}" if plan else ""))
@@ -310,7 +302,7 @@ def _cmd_fuzz_shrink(args) -> int:
     from repro.fuzz.shrink import shrink_spec
     spec, protocol, plan_name, plan = _fuzz_target(args)
     try:
-        res = shrink_spec(spec, protocol, faults=plan, oracle=args.oracle,
+        res = shrink_spec(spec, protocol, faults=plan,
                           max_runs=args.max_runs,
                           progress=_to_stderr if args.verbose else None)
     except ValueError as exc:
@@ -420,11 +412,11 @@ def _cmd_sweep(args) -> int:
             rep = getattr(report.results.get(spec.key), "check_report", None)
             if rep is not None and not rep.clean:
                 dirty += 1
-                _to_stderr(f"  VIOLATIONS {spec.label}: {rep.summary()}")
+                _to_stderr(f"  VIOLATIONS {spec.name}: {rep.summary()}")
         if not dirty and not report.failures:
             print("all cells consistency-clean")
-    for label, error in report.failures:
-        print(f"  FAILED {label}: {error}", file=sys.stderr)
+    for spec, error in report.failures:
+        print(f"  FAILED {spec.name}: {error}", file=sys.stderr)
     return 1 if (report.failures or dirty) else 0
 
 
@@ -567,8 +559,6 @@ def _shared_options() -> Dict[str, Arg]:
         _arg("--json", metavar="FILE"),
         _arg("spec", metavar="SPEC",
              help="seed integer, spec JSON, or corpus JSON"),
-        _arg("--oracle", choices=("analytic", "sc", "none"),
-             default="analytic"),
     ]}
 
 
@@ -587,7 +577,8 @@ COMMANDS: Dict[str, tuple] = {
                   "simulation (nonzero exit on violations)"),
         "--faults",
     ]),
-    "check": ("certify apps: HB sanitizer + cross-protocol memory oracle",
+    "check": ("certify apps: HB sanitizer, app check and cross-protocol "
+              "memory oracle",
               _cmd_check, [
         # no argparse choices= here: empty nargs="*" defaults trip choice
         # validation on some 3.x releases; _resolve_app validates instead
@@ -595,8 +586,6 @@ COMMANDS: Dict[str, tuple] = {
              help=f"apps to certify (default: all of "
                   f"{', '.join(APP_NAMES)})"),
         "--protocols", "--scale", "--update-set-size", "--seed",
-        _arg("--no-oracle", dest="oracle", action="store_false",
-             help="skip the SC divergence oracle (sanitizer only)"),
         _arg("--json", help="write the full violation report as JSON"),
         _arg("--verbose",
              help="print every violation, not just the first few"),
@@ -668,8 +657,6 @@ COMMANDS: Dict[str, tuple] = {
         _arg("--protocol", choices=None, default=None,
              help="protocol (default: the corpus entry's, else aec)"),
         "--scale", "--faults",
-        _arg("--oracle", help="final-memory oracle: analytic expectation "
-                              "(default), a real SC run, or none"),
     ]),
     "fuzz shrink": ("delta-debug a failing spec to a minimal reproducer",
                     _cmd_fuzz_shrink, [
@@ -678,7 +665,6 @@ COMMANDS: Dict[str, tuple] = {
              help="protocol to shrink against (default: the "
                   "corpus entry's, else aec)"),
         "--scale", "--faults",
-        "--oracle",
         _arg("--max-runs", type=int, default=400, metavar="N"),
         _arg("--out", metavar="FILE",
              help="write the minimized reproducer as corpus JSON"),
@@ -690,7 +676,6 @@ COMMANDS: Dict[str, tuple] = {
         _arg("--protocols", choices=None, metavar="PROTO",
              help="healthy protocols that must stay clean "
                   "(default: aec tmk)"),
-        "--scale",
     ]),
     "experiment": ("reproduce a table or figure", _cmd_experiment, [
         _arg("name", choices=(*EXPERIMENTS, "all")),

@@ -111,6 +111,19 @@ class RunSpec:
     def label(self) -> str:
         return f"{self.app}/{self.scale}/{self.protocol}"
 
+    @property
+    def name(self) -> str:
+        """The label plus the knobs sweeps vary (update-set size, seed,
+        checker, fault plan) where they differ from the defaults, and the
+        key's first eight hex digits: two cells never share a name."""
+        cfg, default = self.config, SimConfig()
+        knobs = [f"{k}={getattr(cfg, k)}"
+                 for k in ("update_set_size", "seed", "check_consistency")
+                 if getattr(cfg, k) != getattr(default, k)]
+        if cfg.faults is not None:
+            knobs.append(f"faults={cfg.faults.name}@{cfg.faults.seed}")
+        return " ".join([self.label, *knobs, self.key[:8]])
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RunSpec) and self.key == other.key
 
@@ -316,7 +329,8 @@ class SweepReport:
     wall_seconds: float = 0.0
     jobs: int = 1
     duplicates: int = 0  # cells requested more than once, folded away
-    failures: List[Tuple[str, str]] = field(default_factory=list)
+    #: (cell, error) for every cell that raised
+    failures: List[Tuple[RunSpec, str]] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -484,8 +498,8 @@ def _finish_cell(report: SweepReport, spec: RunSpec,
                  result: Optional[RunResult], error: Optional[str],
                  say: Callable[[str], None]) -> None:
     if result is None:
-        report.failures.append((spec.label, error or "unknown error"))
-        say(f"FAILED {spec.label}: {error}")
+        report.failures.append((spec, error or "unknown error"))
+        say(f"FAILED {spec.name}: {error}")
         return
     _MEMORY[spec.key] = result
     if _DISK is not None:

@@ -215,8 +215,10 @@ class TestAppsAreClean:
         for seed in CERT_SEEDS:
             config = SimConfig(seed=seed, check_consistency=True)
             for protocol in CERT_PROTOCOLS:
-                result, div = run_divergence_oracle(app_name, protocol,
-                                                    config, images=images)
+                result, div, failure = run_divergence_oracle(
+                    app_name, protocol, config, images=images)
+                assert failure is None, (
+                    f"{app_name}/{protocol}/seed={seed}: {failure}")
                 rep = result.check_report
                 assert rep is not None and rep.clean, (
                     f"{app_name}/{protocol}/seed={seed}: {rep.summary()}\n"
@@ -311,8 +313,8 @@ class TestBrokenProtocolDetected:
 
     def test_broken_protocol_also_diverges_from_sc(self, broken_aec_protocol,
                                                    counter_app):
-        _r, div = run_divergence_oracle("counter", broken_aec_protocol,
-                                        SimConfig(), check=False)
+        _r, div, _failure = run_divergence_oracle(
+            "counter", broken_aec_protocol, SimConfig())
         app = counter_app[0]  # the certified run's app, declared by it
         assert not div.clean
         assert div.first_divergent_page == app.seg.base // \
@@ -419,7 +421,7 @@ class TestCheckCli:
         monkeypatch.setattr(cli, "APP_NAMES", ("counter",))
         out = tmp_path / "report.json"
         rc = cli_main(["check", "counter", "--protocols", broken_aec_protocol,
-                       "--no-oracle", "--json", str(out)])
+                       "--json", str(out)])
         assert rc == 1
         doc = json.loads(out.read_text())
         assert doc["failed_runs"] == 1
@@ -440,7 +442,7 @@ class TestCheckCli:
         monkeypatch.setitem(PROTOCOLS, "aec-raises", RaisingAECNode)
         out = tmp_path / "report.json"
         rc = cli_main(["check", "is", "--protocols", "aec-raises", "aec",
-                       "--no-oracle", "--json", str(out)])
+                       "--json", str(out)])
         assert rc == 1
         lines = capsys.readouterr().out.splitlines()
         fail = next(ln for ln in lines if ln.startswith("FAIL"))

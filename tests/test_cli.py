@@ -47,7 +47,6 @@ SURFACE = {
     'check': {
         '--faults': ('faults', None, None, None, False),
         '--json': ('json', None, None, None, False),
-        '--no-oracle': ('oracle', True, None, 0, False),
         '--protocols': ('protocols', ['aec', 'tmk'], PROTOS, '+', False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--seed': ('seed', 42, None, None, False),
@@ -94,13 +93,10 @@ SURFACE = {
     },
     'fuzz corpus': {
         '--protocols': ('protocols', ['aec', 'tmk'], None, '+', False),
-        '--scale': ('scale', 'test', SCALES, None, False),
         'dir': ('dir', 'tests/corpus', None, '?', False),
     },
     'fuzz replay': {
         '--faults': ('faults', None, None, None, False),
-        '--oracle':
-            ('oracle', 'analytic', ('analytic', 'sc', 'none'), None, False),
         '--protocol': ('protocol', None, None, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
         'spec': ('spec', None, None, None, True),
@@ -124,8 +120,6 @@ SURFACE = {
     'fuzz shrink': {
         '--faults': ('faults', None, None, None, False),
         '--max-runs': ('max_runs', 400, None, None, False),
-        '--oracle':
-            ('oracle', 'analytic', ('analytic', 'sc', 'none'), None, False),
         '--out': ('out', None, None, None, False),
         '--protocol': ('protocol', None, None, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),

@@ -374,8 +374,10 @@ class TestSurvivesBuiltinPlans:
             for plan_name in BUILTIN_NAMES:
                 config = SimConfig(seed=42, check_consistency=True,
                                    faults=get_plan(plan_name))
-                result, div = run_divergence_oracle(app_name, protocol,
-                                                    config, images=images)
+                result, div, failure = run_divergence_oracle(
+                    app_name, protocol, config, images=images)
+                assert failure is None, (
+                    f"{app_name}/{protocol}/{plan_name}: {failure}")
                 rep = result.check_report
                 assert rep is not None and rep.clean, (
                     f"{app_name}/{protocol}/{plan_name}: {rep.summary()}\n"

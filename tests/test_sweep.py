@@ -179,6 +179,15 @@ class TestDeterminismAndCache:
         assert "nope" in report.failures[0][1]
         assert good.key in report.results and bad.key not in report.results
 
+    def test_failed_cells_are_named_apart(self):
+        # ablation-upset cells differ only in the update-set size
+        bad = [sw.RunSpec("is", "nope", "aec", SimConfig(update_set_size=u),
+                          True) for u in (1, 3)]
+        report = sw.run_sweep(bad)
+        names = [spec.name for spec, _error in report.failures]
+        assert names[0] != names[1]
+        assert "update_set_size=3" in names[1]
+
 
 class TestExperimentCells:
     def test_cells_are_deduplicated_across_experiments(self):
