@@ -7,27 +7,25 @@ and shrink (but not invert) as it gets cheap — evidence that the protocol
 comparison is robust to the interconnect era.
 """
 from repro.harness import experiments as ex
+from repro.harness.tables import render_sensitivity
 
 
 def test_ablation_network_sensitivity(benchmark):
     rows = benchmark.pedantic(
         lambda: ex.ablation_network_sensitivity("test"),
         rounds=1, iterations=1)
+    print()
+    print(render_sensitivity(rows))
     table = {}
     for r in rows:
         table[(r.app, r.protocol, r.messaging_overhead)] = r.execution_time
     overheads = (100, 400, 1600)
-    print()
-    print(f"{'app':<10} {'overhead':>9} {'TM (Mcy)':>10} {'AEC (Mcy)':>10} "
-          f"{'TM/AEC':>7}")
     for app in ("is", "water-sp"):
         ratios = []
         for ov in overheads:
             tm = table[(app, "tmk", ov)]
             aec = table[(app, "aec", ov)]
             ratios.append(tm / aec)
-            print(f"{app:<10} {ov:>9} {tm / 1e6:>10.2f} {aec / 1e6:>10.2f} "
-                  f"{tm / aec:>7.2f}")
         # AEC never loses across the sweep ...
         assert all(r > 0.95 for r in ratios), (app, ratios)
         # ... and costlier messaging favours AEC

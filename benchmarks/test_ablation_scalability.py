@@ -4,20 +4,17 @@ Checks that the AEC-over-TreadMarks advantage is not an artifact of one
 machine size: AEC stays at least competitive at 4, 8 and 16 nodes.
 """
 from repro.harness import experiments as ex
+from repro.harness.tables import render_scalability
 
 
 def test_ablation_scalability(benchmark):
     rows = benchmark.pedantic(
         lambda: ex.ablation_scalability("test"), rounds=1, iterations=1)
     print()
-    print(f"{'app':<10} {'protocol':<6} " +
-          " ".join(f"{p:>10}" for p in (4, 8, 16)))
+    print(render_scalability(rows))
     table = {}
     for r in rows:
         table.setdefault((r.app, r.protocol), {})[r.procs] = r.execution_time
-    for (app, proto), times in sorted(table.items()):
-        print(f"{app:<10} {proto:<6} " +
-              " ".join(f"{times[p] / 1e6:>9.2f}M" for p in (4, 8, 16)))
 
     for app in ("is", "water-sp"):
         for p in (4, 8, 16):

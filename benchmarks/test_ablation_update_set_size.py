@@ -10,7 +10,7 @@ from repro.harness.tables import render_update_set
 
 def test_ablation_update_set_size(benchmark, scale):
     rows = benchmark.pedantic(
-        lambda: ex.ablation_update_set_size(scale, sizes=(1, 2, 3)),
+        lambda: ex.ablation_update_set_size(scale),
         rounds=1, iterations=1)
     print()
     print(render_update_set(rows))

@@ -12,18 +12,15 @@ The paper's positioning claims, measured on one axis:
   acquirer's needs, the gap AEC's merged-diff chains close.
 """
 from repro.harness import experiments as ex
+from repro.harness.tables import render_traffic
 
 
 def test_ablation_update_traffic(benchmark, scale):
     rows = benchmark.pedantic(
         lambda: ex.ablation_update_traffic(scale), rounds=1, iterations=1)
-    by = {(r.app, r.protocol): r for r in rows}
     print()
-    print(f"{'app':<10} {'protocol':<10} {'messages':>9} {'KB':>9} "
-          f"{'Mcycles':>9}")
-    for r in rows:
-        print(f"{r.app:<10} {r.protocol:<10} {r.messages:>9} "
-              f"{r.kbytes:>9.0f} {r.execution_time / 1e6:>9.2f}")
+    print(render_traffic(rows))
+    by = {(r.app, r.protocol): r for r in rows}
 
     for app in ("is", "raytrace", "water-sp"):
         munin = by[(app, "munin")]

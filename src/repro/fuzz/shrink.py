@@ -25,24 +25,22 @@ gives its oracle image, so the budget is counted in *runs*, not edits.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
 from repro.fuzz.generator import PhaseSpec, WorkloadSpec, config_for_spec
 
 
 def spec_failure(spec: WorkloadSpec, protocol: str,
-                 faults: Optional[FaultPlan] = None,
-                 base: Optional[SimConfig] = None) -> Optional[str]:
+                 faults: Optional[FaultPlan] = None) -> Optional[str]:
     """Run ``spec`` under ``protocol`` with the checker armed and certify
     it (:func:`repro.check.oracle.run_divergence_oracle`): ``None`` when
     the run is completely healthy, otherwise its failure signature
     (``check:``, ``appcheck:``, ``diverge:`` or ``error:``)."""
     from repro.check.oracle import run_divergence_oracle
 
-    cfg = config_for_spec(spec, base).replace(
+    cfg = config_for_spec(spec).replace(
         check_consistency=True, faults=faults)
     return run_divergence_oracle(f"fuzz:{spec.seed}", protocol, cfg)[2]
 
@@ -53,16 +51,9 @@ class ShrinkResult:
 
     original: WorkloadSpec
     minimal: WorkloadSpec
-    #: failure signature of the original / of the minimal spec
-    original_failure: str
+    #: failure signature of the minimal spec
     minimal_failure: str
     runs: int = 0
-    #: (pass name, accepted edits) per reduction pass, in order
-    steps: List[Tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def reduced(self) -> bool:
-        return self.minimal != self.original
 
     def summary(self) -> str:
         o, m = self.original, self.minimal
@@ -130,7 +121,6 @@ def _phase_edits(ph: PhaseSpec) -> List[PhaseSpec]:
 
 def shrink_spec(spec: WorkloadSpec, protocol: str,
                 faults: Optional[FaultPlan] = None,
-                base: Optional[SimConfig] = None,
                 max_runs: int = 400,
                 progress: Optional[Callable[[str], None]] = None
                 ) -> ShrinkResult:
@@ -147,15 +137,13 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
 
     def failing(cand: WorkloadSpec) -> Optional[str]:
         runs[0] += 1
-        return spec_failure(cand, protocol, faults=faults, base=base)
+        return spec_failure(cand, protocol, faults=faults)
 
     first = failing(spec)
     if first is None:
         raise ValueError(
             f"spec (seed {spec.seed}) does not fail under {protocol!r}; "
             "nothing to shrink")
-    result = ShrinkResult(original=spec, minimal=spec,
-                          original_failure=first, minimal_failure=first)
     current, current_failure = spec, first
 
     def budget() -> bool:
@@ -191,7 +179,6 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
                     improved = True
             i -= 1
         if accepted:
-            result.steps.append(("drop-phases", accepted))
             say(f"dropped {accepted} phase(s), "
                 f"{len(current.phases)} left ({runs[0]} runs)")
 
@@ -207,7 +194,6 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
             else:
                 break
         if accepted:
-            result.steps.append(("reduce-procs", accepted))
             say(f"reduced to {current.num_procs} procs ({runs[0]} runs)")
 
         # pass 3: shrink segments toward a handful of words
@@ -224,7 +210,6 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
                     accepted += 1
                     break
         if accepted:
-            result.steps.append(("shrink-segments", accepted))
             say(f"segments now {current.segments} ({runs[0]} runs)")
 
         # pass 4: shrink per-phase knobs
@@ -242,7 +227,6 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
                         changed = True
                         break
         if accepted:
-            result.steps.append(("shrink-phases", accepted))
             say(f"{accepted} phase knob reduction(s) ({runs[0]} runs)")
 
     # final cleanup: dense lock/barrier/segment numbering
@@ -250,7 +234,5 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
     if cand != current and budget():
         try_accept(cand)
 
-    result.minimal = current
-    result.minimal_failure = current_failure
-    result.runs = runs[0]
-    return result
+    return ShrinkResult(original=spec, minimal=current,
+                        minimal_failure=current_failure, runs=runs[0])

@@ -34,7 +34,7 @@ import glob
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.registry import APP_NAMES, SCALES, make_app
 from repro.config import SimConfig
@@ -44,7 +44,6 @@ from repro.fuzz.generator import (config_for_spec, generate_spec, load_spec,
                                   spec_from_dict)
 from repro.harness import experiments as ex
 from repro.harness import sweep as sw
-from repro.harness import tables
 from repro.harness.runner import PROTOCOLS, run_app
 from repro.obs.spans import SpanRecorder
 from repro.stats.run_result import RunResult
@@ -383,7 +382,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = args.experiments or list(ex.EXPERIMENT_CELLS)
+    names = args.experiments or list(ex.EXPERIMENTS)
     try:
         specs = ex.experiment_cells(names, args.scale)
     except ValueError as exc:
@@ -415,9 +414,14 @@ def _cmd_sweep(args) -> int:
                 _to_stderr(f"  VIOLATIONS {spec.name}: {rep.summary()}")
         if not dirty and not report.failures:
             print("all cells consistency-clean")
+    return 1 if (_report_failures(report) or dirty) else 0
+
+
+def _report_failures(report: sw.SweepReport) -> bool:
+    """Print every failed cell of a sweep; whether there was one."""
     for spec, error in report.failures:
         print(f"  FAILED {spec.name}: {error}", file=sys.stderr)
-    return 1 if (report.failures or dirty) else 0
+    return bool(report.failures)
 
 
 def _cmd_cache(args) -> int:
@@ -485,40 +489,15 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-#: ``repro experiment NAME`` -> renderer(scale) -> text, in the order
-#: ``repro experiment all`` prints them
-EXPERIMENTS: Dict[str, Callable[[str], str]] = {
-    "table1": lambda scale: tables.render_table1(),
-    "table2": lambda scale: tables.render_table2(ex.table2(scale)),
-    "table3": lambda scale: tables.render_table3(ex.table3(scale)),
-    "table4": lambda scale: tables.render_table4(ex.table4(scale)),
-    "fig3": lambda scale: tables.render_compare(
-        "Figure 3: access-fault overhead, AEC-noLAP=100 vs AEC.",
-        ex.figure3(scale)),
-    "fig4": lambda scale: tables.render_compare(
-        "Figure 4: execution time, AEC-noLAP=100 vs AEC.", ex.figure4(scale)),
-    "fig5": lambda scale: tables.render_compare(
-        "Figure 5: execution time, TreadMarks=100 vs AEC.", ex.figure5(scale)),
-    "fig6": lambda scale: tables.render_compare(
-        "Figure 6: execution time, TreadMarks=100 vs AEC.", ex.figure6(scale)),
-    "ablation-upset": lambda scale: tables.render_update_set(
-        ex.ablation_update_set_size(scale)),
-    "ablation-robustness": lambda scale: tables.render_robustness(
-        ex.ablation_lap_robustness(scale)),
-}
-
-
 def _cmd_experiment(args) -> int:
-    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
-    if args.cache_dir:
-        sw.set_cache_dir(args.cache_dir)
-    if args.jobs > 1:
-        # pre-warm the cache in parallel; rendering below then only reads
-        cell_names = [n for n in names if n in ex.EXPERIMENT_CELLS]
-        sw.run_sweep(ex.experiment_cells(cell_names, args.scale),
-                     jobs=args.jobs)
+    """Sweep the named experiments' cells, then render from the memo."""
+    names = list(ex.EXPERIMENTS) if args.name == "all" else [args.name]
+    report = sw.run_sweep(ex.experiment_cells(names, args.scale),
+                          jobs=args.jobs, cache_dir=args.cache_dir)
+    if _report_failures(report):
+        return 1
     for name in names:
-        print(EXPERIMENTS[name](args.scale))
+        print(ex.EXPERIMENTS[name].render(args.scale))
         print()
     return 0
 
@@ -677,10 +656,10 @@ COMMANDS: Dict[str, tuple] = {
              help="healthy protocols that must stay clean "
                   "(default: aec tmk)"),
     ]),
-    "experiment": ("reproduce a table or figure", _cmd_experiment, [
-        _arg("name", choices=(*EXPERIMENTS, "all")),
+    "experiment": ("reproduce a table, figure or ablation", _cmd_experiment, [
+        _arg("name", choices=(*ex.EXPERIMENTS, "all")),
         "--scale",
-        _arg("--jobs", help="pre-run the experiment's cells on N processes"),
+        _arg("--jobs", help="run the experiment's cells on N processes"),
         _arg("--cache-dir",
              help="read/write run results through this disk cache"),
     ]),
@@ -688,7 +667,7 @@ COMMANDS: Dict[str, tuple] = {
               _cmd_sweep, [
         _arg("experiments", nargs="*", metavar="EXPERIMENT",
              help="experiments to expand (default: all of "
-                  f"{', '.join(ex.EXPERIMENT_CELLS)})"),
+                  f"{', '.join(ex.EXPERIMENTS)})"),
         "--scale",
         _arg("--jobs", help="worker processes (1 = run misses inline)"),
         _arg("--cache-dir",

@@ -1,27 +1,30 @@
-"""Experiment definitions: one function per paper table/figure.
+"""Experiment definitions: the paper's tables, figures and ablations.
 
-Every experiment is split in two layers:
+Every experiment is declared once, in :data:`EXPERIMENTS`, as two
+functions of the scale:
 
-* a ``*_cells(scale)`` declaration returning the immutable
+* ``cells(scale)`` returns the immutable
   :class:`~repro.harness.sweep.RunSpec` cells it needs — the unit the
   parallel sweep fans out over (``repro sweep``, :func:`experiment_cells`);
-* a row builder (``table2`` etc.) that fetches each cell through
-  :func:`~repro.harness.sweep.get_result` — memo, then disk cache, then an
-  actual run — and shapes the paper's rows.
+* ``render(scale)`` returns its text: a row builder (``table2`` etc.)
+  iterates the cells of its own declaration through
+  :func:`~repro.harness.sweep.get_result` and a
+  :mod:`~repro.harness.tables` renderer prints the rows.
 
-Because both layers enumerate the *same* specs, pre-warming the cache with
-a sweep makes every table/figure/ablation render without executing a
-single simulation.  See DESIGN.md's experiment index and EXPERIMENTS.md
-for paper-vs-measured discussion.
+``repro experiment`` sweeps the cells, then renders from the memo.  See
+DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured
+discussion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.apps.registry import APP_NAMES
 from repro.config import MachineParams, SimConfig
 from repro.core.lap.stats import VARIANTS
+from repro.harness import tables
 from repro.harness.sweep import RunSpec, get_result, make_spec
 from repro.stats.breakdown import Breakdown
 
@@ -29,6 +32,17 @@ from repro.stats.breakdown import Breakdown
 LOCK_APPS = ("is", "raytrace", "water-ns")
 #: the barrier-dominated applications (Figure 5)
 BARRIER_APPS = ("fft", "ocean", "water-sp")
+
+#: Table 3 leaves out lock groups under this share (%) of an app's acquires
+TABLE3_MIN_EVENTS_PCT = 1.0
+UPSET_SIZES = (1, 2, 3)
+TRAFFIC_APPS = ("is", "raytrace", "water-sp")
+TRAFFIC_PROTOCOLS = ("munin", "munin-lap", "tmk", "tmk-lh", "adsm", "aec")
+#: the machine-size and messaging-overhead ablations: TreadMarks vs AEC
+MACHINE_APPS = ("is", "water-sp")
+MACHINE_PROTOCOLS = ("tmk", "aec")
+SCALING_PROCS = (4, 8, 16)
+SENSITIVITY_OVERHEADS = (100, 400, 1600)
 
 
 # ---------------------------------------------------------------- Table 2
@@ -42,7 +56,11 @@ class Table2Row:
 
 
 def table2_cells(scale: str = "bench") -> List[RunSpec]:
+    """Every app under AEC at the paper's |U| = 2 (Tables 2, 3 and 4)."""
     return [make_spec(app, scale, "aec") for app in APP_NAMES]
+
+
+table3_cells = table4_cells = table2_cells
 
 
 def table2(scale: str = "bench") -> List[Table2Row]:
@@ -73,19 +91,10 @@ def _lock_groups(result) -> Dict[str, List[int]]:
     return groups
 
 
-def table3_cells(scale: str = "bench", protocol: str = "aec",
-                 update_set_size: int = 2) -> List[RunSpec]:
-    return [make_spec(app, scale, protocol,
-                      update_set_size=update_set_size)
-            for app in APP_NAMES]
-
-
-def table3(scale: str = "bench", protocol: str = "aec",
-           update_set_size: int = 2,
-           min_events_pct: float = 1.0) -> List[Table3Row]:
+def table3(scale: str = "bench") -> List[Table3Row]:
     """LAP success rates per lock-variable group (paper Table 3, |U|=2)."""
     rows: List[Table3Row] = []
-    for spec in table3_cells(scale, protocol, update_set_size):
+    for spec in table3_cells(scale):
         r = get_result(spec)
         if r.lap_stats is None:
             continue
@@ -94,7 +103,7 @@ def table3(scale: str = "bench", protocol: str = "aec",
             g = r.lap_stats.group_rates(lock_ids)
             events = g.pop("events")
             pct = 100.0 * events / total
-            if events == 0 or pct < min_events_pct:
+            if events == 0 or pct < TABLE3_MIN_EVENTS_PCT:
                 continue
             rows.append(Table3Row(spec.app, group, events, pct,
                                   {v: g[v] for v in VARIANTS}))
@@ -112,10 +121,6 @@ class Table4Row:
     create_cycles_per_proc: float
     hidden_create_pct: float
     hidden_apply_pct: float
-
-
-def table4_cells(scale: str = "bench") -> List[RunSpec]:
-    return [make_spec(app, scale, "aec") for app in APP_NAMES]
 
 
 def table4(scale: str = "bench") -> List[Table4Row]:
@@ -136,7 +141,7 @@ def table4(scale: str = "bench") -> List[Table4Row]:
     return rows
 
 
-# ------------------------------------------------------------- Figures 3/4
+# ---------------------------------------------------------- Figures 3 to 6
 
 @dataclass
 class CompareRow:
@@ -157,15 +162,16 @@ class CompareRow:
 
 
 def _compare_cells(apps, scale: str, base_protocol: str,
-                   other_protocol: str) -> List[Tuple[RunSpec, RunSpec]]:
-    return [(make_spec(app, scale, base_protocol),
-             make_spec(app, scale, other_protocol)) for app in apps]
+                   other_protocol: str) -> List[RunSpec]:
+    """Each app under the base protocol, then under the other one."""
+    return [make_spec(app, scale, protocol) for app in apps
+            for protocol in (base_protocol, other_protocol)]
 
 
-def _compare_rows(pairs, base_label: str, other_label: str,
+def _compare_rows(cells: List[RunSpec], base_label: str, other_label: str,
                   value) -> List[CompareRow]:
     rows = []
-    for base_spec, other_spec in pairs:
+    for base_spec, other_spec in zip(cells[::2], cells[1::2]):
         base, other = get_result(base_spec), get_result(other_spec)
         rows.append(CompareRow(
             base_spec.app, base_label, other_label,
@@ -175,51 +181,42 @@ def _compare_rows(pairs, base_label: str, other_label: str,
 
 
 def figure3_cells(scale: str = "bench") -> List[RunSpec]:
-    return [s for pair in _compare_cells(LOCK_APPS, scale, "aec-nolap",
-                                         "aec") for s in pair]
+    return _compare_cells(LOCK_APPS, scale, "aec-nolap", "aec")
 
 
 def figure3(scale: str = "bench") -> List[CompareRow]:
     """Access-fault overhead: AEC-without-LAP (=100) vs AEC (Figure 3)."""
-    return _compare_rows(_compare_cells(LOCK_APPS, scale, "aec-nolap", "aec"),
-                         "noLAP", "LAP", lambda r: r.breakdown["data"])
+    return _compare_rows(figure3_cells(scale), "noLAP", "LAP",
+                         lambda r: r.breakdown["data"])
 
 
-def figure4_cells(scale: str = "bench") -> List[RunSpec]:
-    return figure3_cells(scale)
+figure4_cells = figure3_cells
 
 
 def figure4(scale: str = "bench") -> List[CompareRow]:
     """Execution time: AEC-without-LAP (=100) vs AEC (Figure 4)."""
-    return _compare_rows(_compare_cells(LOCK_APPS, scale, "aec-nolap", "aec"),
-                         "noLAP", "LAP", lambda r: r.execution_time)
-
-
-# ------------------------------------------------------------- Figures 5/6
-
-def _tm_vs_aec(apps, scale: str) -> List[CompareRow]:
-    return _compare_rows(_compare_cells(apps, scale, "tmk", "aec"),
-                         "TM", "AEC", lambda r: r.execution_time)
+    return _compare_rows(figure4_cells(scale), "noLAP", "LAP",
+                         lambda r: r.execution_time)
 
 
 def figure5_cells(scale: str = "bench") -> List[RunSpec]:
-    return [s for pair in _compare_cells(BARRIER_APPS, scale, "tmk", "aec")
-            for s in pair]
+    return _compare_cells(BARRIER_APPS, scale, "tmk", "aec")
 
 
 def figure5(scale: str = "bench") -> List[CompareRow]:
     """Execution time: TreadMarks (=100) vs AEC, barrier apps (Figure 5)."""
-    return _tm_vs_aec(BARRIER_APPS, scale)
+    return _compare_rows(figure5_cells(scale), "TM", "AEC",
+                         lambda r: r.execution_time)
 
 
 def figure6_cells(scale: str = "bench") -> List[RunSpec]:
-    return [s for pair in _compare_cells(LOCK_APPS, scale, "tmk", "aec")
-            for s in pair]
+    return _compare_cells(LOCK_APPS, scale, "tmk", "aec")
 
 
 def figure6(scale: str = "bench") -> List[CompareRow]:
     """Execution time: TreadMarks (=100) vs AEC, lock apps (Figure 6)."""
-    return _tm_vs_aec(LOCK_APPS, scale)
+    return _compare_rows(figure6_cells(scale), "TM", "AEC",
+                         lambda r: r.execution_time)
 
 
 # --------------------------------------------------------------- ablations
@@ -232,21 +229,15 @@ class UpdateSetRow:
     execution_time: float
 
 
-def ablation_update_set_cells(scale: str = "bench",
-                              sizes: Tuple[int, ...] = (1, 2, 3),
-                              apps: Tuple[str, ...] = LOCK_APPS
-                              ) -> List[RunSpec]:
+def ablation_update_set_cells(scale: str = "bench") -> List[RunSpec]:
     return [make_spec(app, scale, "aec", update_set_size=size)
-            for app in apps for size in sizes]
+            for app in LOCK_APPS for size in UPSET_SIZES]
 
 
-def ablation_update_set_size(scale: str = "bench",
-                             sizes: Tuple[int, ...] = (1, 2, 3),
-                             apps: Tuple[str, ...] = LOCK_APPS
-                             ) -> List[UpdateSetRow]:
+def ablation_update_set_size(scale: str = "bench") -> List[UpdateSetRow]:
     """|U| sweep (Section 5.1: '|U|=2 seems to be the best size')."""
     rows = []
-    for spec in ablation_update_set_cells(scale, sizes, apps):
+    for spec in ablation_update_set_cells(scale):
         r = get_result(spec)
         rate = None
         if r.lap_stats is not None:
@@ -266,23 +257,12 @@ class TrafficRow:
     execution_time: float
 
 
-def ablation_traffic_cells(scale: str = "bench",
-                           apps: Tuple[str, ...] = ("is", "raytrace",
-                                                    "water-sp"),
-                           protocols: Tuple[str, ...] = (
-                               "munin", "munin-lap", "tmk", "tmk-lh",
-                               "adsm", "aec")) -> List[RunSpec]:
+def ablation_traffic_cells(scale: str = "bench") -> List[RunSpec]:
     return [make_spec(app, scale, protocol)
-            for app in apps for protocol in protocols]
+            for app in TRAFFIC_APPS for protocol in TRAFFIC_PROTOCOLS]
 
 
-def ablation_update_traffic(scale: str = "bench",
-                            apps: Tuple[str, ...] = ("is", "raytrace",
-                                                     "water-sp"),
-                            protocols: Tuple[str, ...] = (
-                                "munin", "munin-lap", "tmk", "tmk-lh",
-                                "adsm", "aec")
-                            ) -> List[TrafficRow]:
+def ablation_update_traffic(scale: str = "bench") -> List[TrafficRow]:
     """Communication volume across the update/invalidate spectrum.
 
     Section 1 of the paper: Munin updates *all* sharers; LAP can restrict
@@ -292,7 +272,7 @@ def ablation_update_traffic(scale: str = "bench",
     variant of the related work).
     """
     rows = []
-    for spec in ablation_traffic_cells(scale, apps, protocols):
+    for spec in ablation_traffic_cells(scale):
         r = get_result(spec)
         rows.append(TrafficRow(spec.app, spec.protocol, r.messages_total,
                                r.network_bytes / 1024.0,
@@ -308,24 +288,17 @@ class ScalingRow:
     execution_time: float
 
 
-def ablation_scalability_cells(scale: str = "test",
-                               apps: Tuple[str, ...] = ("is", "water-sp"),
-                               procs: Tuple[int, ...] = (4, 8, 16),
-                               protocols: Tuple[str, ...] = ("tmk", "aec")
-                               ) -> List[RunSpec]:
+def ablation_scalability_cells(scale: str = "test") -> List[RunSpec]:
     return [make_spec(app, scale, protocol,
                       config=SimConfig(machine=MachineParams(num_procs=p)))
-            for app in apps for protocol in protocols for p in procs]
+            for app in MACHINE_APPS for protocol in MACHINE_PROTOCOLS
+            for p in SCALING_PROCS]
 
 
-def ablation_scalability(scale: str = "test",
-                         apps: Tuple[str, ...] = ("is", "water-sp"),
-                         procs: Tuple[int, ...] = (4, 8, 16),
-                         protocols: Tuple[str, ...] = ("tmk", "aec")
-                         ) -> List[ScalingRow]:
+def ablation_scalability(scale: str = "test") -> List[ScalingRow]:
     """Protocol behaviour as the machine grows (the paper fixes 16)."""
     rows = []
-    for spec in ablation_scalability_cells(scale, apps, procs, protocols):
+    for spec in ablation_scalability_cells(scale):
         r = get_result(spec)
         rows.append(ScalingRow(spec.app, spec.protocol,
                                spec.config.machine.num_procs,
@@ -341,31 +314,22 @@ class SensitivityRow:
     execution_time: float
 
 
-def ablation_sensitivity_cells(scale: str = "test",
-                               apps: Tuple[str, ...] = ("is", "water-sp"),
-                               overheads: Tuple[int, ...] = (100, 400, 1600),
-                               protocols: Tuple[str, ...] = ("tmk", "aec")
-                               ) -> List[RunSpec]:
+def ablation_sensitivity_cells(scale: str = "test") -> List[RunSpec]:
     return [make_spec(app, scale, protocol,
                       config=SimConfig(machine=MachineParams(
                           messaging_overhead_cycles=overhead)))
-            for app in apps for protocol in protocols
-            for overhead in overheads]
+            for app in MACHINE_APPS for protocol in MACHINE_PROTOCOLS
+            for overhead in SENSITIVITY_OVERHEADS]
 
 
-def ablation_network_sensitivity(scale: str = "test",
-                                 apps: Tuple[str, ...] = ("is", "water-sp"),
-                                 overheads: Tuple[int, ...] = (100, 400,
-                                                               1600),
-                                 protocols: Tuple[str, ...] = ("tmk", "aec")
+def ablation_network_sensitivity(scale: str = "test"
                                  ) -> List[SensitivityRow]:
     """Sweep the per-message software overhead (the paper's 400-cycle NOW
     constant): AEC's win comes from removing messages/round trips from the
     critical path, so the gap should widen with costlier messaging and
     narrow as the interconnect gets cheap."""
     rows = []
-    for spec in ablation_sensitivity_cells(scale, apps, overheads,
-                                           protocols):
+    for spec in ablation_sensitivity_cells(scale):
         r = get_result(spec)
         rows.append(SensitivityRow(
             spec.app, spec.protocol,
@@ -381,20 +345,16 @@ class RobustnessRow:
     rates: Dict[str, Optional[float]]
 
 
-def ablation_robustness_cells(scale: str = "bench",
-                              apps: Tuple[str, ...] = LOCK_APPS
-                              ) -> List[RunSpec]:
+def ablation_robustness_cells(scale: str = "bench") -> List[RunSpec]:
     return [make_spec(app, scale, protocol)
-            for app in apps for protocol in ("aec", "tmk")]
+            for app in LOCK_APPS for protocol in ("aec", "tmk")]
 
 
-def ablation_lap_robustness(scale: str = "bench",
-                            apps: Tuple[str, ...] = LOCK_APPS
-                            ) -> List[RobustnessRow]:
+def ablation_lap_robustness(scale: str = "bench") -> List[RobustnessRow]:
     """LAP success under AEC vs under TreadMarks (Section 5.1: rates vary
     by less than ~10% between DSMs for lock-intensive applications)."""
     rows = []
-    for spec in ablation_robustness_cells(scale, apps):
+    for spec in ablation_robustness_cells(scale):
         r = get_result(spec)
         if r.lap_stats is None:
             continue
@@ -405,22 +365,56 @@ def ablation_lap_robustness(scale: str = "bench",
     return rows
 
 
-# ------------------------------------------------------- cell declarations
+# --------------------------------------------------------- the experiments
 
-#: experiment name -> cells declaration, the fan-out unit of ``repro sweep``
-EXPERIMENT_CELLS: Dict[str, Callable[[str], List[RunSpec]]] = {
-    "table2": table2_cells,
-    "table3": table3_cells,
-    "table4": table4_cells,
-    "fig3": figure3_cells,
-    "fig4": figure4_cells,
-    "fig5": figure5_cells,
-    "fig6": figure6_cells,
-    "ablation-upset": ablation_update_set_cells,
-    "ablation-traffic": ablation_traffic_cells,
-    "ablation-scalability": ablation_scalability_cells,
-    "ablation-sensitivity": ablation_sensitivity_cells,
-    "ablation-robustness": ablation_robustness_cells,
+class Experiment(NamedTuple):
+    """One paper artifact: the cells it needs and its rendered text."""
+
+    cells: Callable[[str], List[RunSpec]]
+    render: Callable[[str], str]
+
+
+def _experiment(cells: Callable[[str], List[RunSpec]],
+                rows: Callable[[str], list],
+                render: Callable[[list], str]) -> Experiment:
+    return Experiment(cells, lambda scale: render(rows(scale)))
+
+
+#: ``repro experiment|sweep NAME`` -> its experiment, in the order
+#: ``repro experiment all`` prints them
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(lambda scale: [],
+                         lambda scale: tables.render_table1()),
+    "table2": _experiment(table2_cells, table2, tables.render_table2),
+    "table3": _experiment(table3_cells, table3, tables.render_table3),
+    "table4": _experiment(table4_cells, table4, tables.render_table4),
+    "fig3": _experiment(figure3_cells, figure3, partial(
+        tables.render_compare,
+        "Figure 3: access-fault overhead, AEC-noLAP=100 vs AEC.")),
+    "fig4": _experiment(figure4_cells, figure4, partial(
+        tables.render_compare,
+        "Figure 4: execution time, AEC-noLAP=100 vs AEC.")),
+    "fig5": _experiment(figure5_cells, figure5, partial(
+        tables.render_compare,
+        "Figure 5: execution time, TreadMarks=100 vs AEC.")),
+    "fig6": _experiment(figure6_cells, figure6, partial(
+        tables.render_compare,
+        "Figure 6: execution time, TreadMarks=100 vs AEC.")),
+    "ablation-upset": _experiment(ablation_update_set_cells,
+                                  ablation_update_set_size,
+                                  tables.render_update_set),
+    "ablation-traffic": _experiment(ablation_traffic_cells,
+                                    ablation_update_traffic,
+                                    tables.render_traffic),
+    "ablation-scalability": _experiment(ablation_scalability_cells,
+                                        ablation_scalability,
+                                        tables.render_scalability),
+    "ablation-sensitivity": _experiment(ablation_sensitivity_cells,
+                                        ablation_network_sensitivity,
+                                        tables.render_sensitivity),
+    "ablation-robustness": _experiment(ablation_robustness_cells,
+                                       ablation_lap_robustness,
+                                       tables.render_robustness),
 }
 
 
@@ -435,12 +429,12 @@ def experiment_cells(names, scale: str = "bench") -> List[RunSpec]:
     seen = set()
     for name in names:
         try:
-            cells = EXPERIMENT_CELLS[name]
+            experiment = EXPERIMENTS[name]
         except KeyError:
             raise ValueError(
                 f"unknown experiment {name!r}; choose from "
-                f"{sorted(EXPERIMENT_CELLS)}") from None
-        for spec in cells(scale):
+                f"{sorted(EXPERIMENTS)}") from None
+        for spec in experiment.cells(scale):
             if spec.key not in seen:
                 seen.add(spec.key)
                 specs.append(spec)

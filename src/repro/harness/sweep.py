@@ -8,8 +8,9 @@ parameters, seed, fault plan, ...) — and executes sets of cells through
 a three-level store:
 
 1. an in-process memo (``dict`` keyed by spec key),
-2. an optional on-disk content-addressed cache (pickle payload + JSON
-   metadata sidecar, see :class:`DiskCache`),
+2. the on-disk content-addressed cache a :func:`run_sweep` call was given
+   (pickle payload + JSON metadata sidecar, see :class:`DiskCache`); it
+   belongs to that call, and :func:`get_result` reads the memo only,
 3. actual simulation, either inline or fanned out across a
    ``multiprocessing`` pool.
 
@@ -274,20 +275,6 @@ class DiskCache:
 
 #: in-process memo, spec key -> RunResult
 _MEMORY: Dict[str, RunResult] = {}
-#: optional process-wide disk layer (attached via set_cache_dir / sweeps)
-_DISK: Optional[DiskCache] = None
-
-
-def set_cache_dir(path: Optional[str]) -> Optional[DiskCache]:
-    """Attach (or detach, with ``None``) the process-wide disk cache.
-
-    Once attached, every :func:`get_result` call — including the ones made
-    implicitly by the experiment/table builders — reads through and writes
-    through the disk layer.
-    """
-    global _DISK
-    _DISK = DiskCache(path) if path is not None else None
-    return _DISK
 
 
 def clear_memory() -> None:
@@ -298,21 +285,34 @@ def memory_size() -> int:
     return len(_MEMORY)
 
 
-def get_result(spec: RunSpec) -> RunResult:
-    """The result for ``spec``: memo -> disk -> run (filling both caches)."""
+def _lookup(spec: RunSpec, disk: Optional[DiskCache]
+            ) -> Tuple[Optional[RunResult], bool]:
+    """``spec``'s stored result — the memo's, else ``disk``'s (which the
+    memo then keeps) — and whether it came from ``disk``."""
     result = _MEMORY.get(spec.key)
+    if result is not None or disk is None:
+        return result, False
+    result = disk.load(spec.key)
     if result is not None:
-        return result
-    if _DISK is not None:
-        result = _DISK.load(spec.key)
-        if result is not None:
-            _MEMORY[spec.key] = result
-            return result
-    result = execute_spec(spec)
+        _MEMORY[spec.key] = result
+    return result, result is not None
+
+
+def _store(spec: RunSpec, result: RunResult,
+           disk: Optional[DiskCache]) -> RunResult:
+    """Keep a fresh ``result`` in the memo and in ``disk``."""
     _MEMORY[spec.key] = result
-    if _DISK is not None:
-        _DISK.store(spec, result)
+    if disk is not None:
+        disk.store(spec, result)
     return result
+
+
+def get_result(spec: RunSpec) -> RunResult:
+    """The result for ``spec``: the memo's, else a run (then memoized).
+    Only :func:`run_sweep` reads or writes a disk cache."""
+    result, _from_disk = _lookup(spec, None)
+    return result if result is not None else _store(
+        spec, execute_spec(spec), None)
 
 
 # ------------------------------------------------------------ the sweep
@@ -437,11 +437,11 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
     are frozen in its spec, scheduling order cannot affect any result and
     the parallel path is identical to the serial one.
 
-    ``cache_dir`` attaches the process-wide disk cache for this and all
-    later lookups (e.g. rendering tables right after the sweep).
+    ``cache_dir`` opens a disk cache for this call only: a cell is looked
+    up in the memo, then on disk, then run, and a run is stored in both.
+    Later lookups see the memo, never the directory.
     """
-    if cache_dir is not None:
-        set_cache_dir(cache_dir)
+    disk = DiskCache(cache_dir) if cache_dir is not None else None
 
     def say(msg: str) -> None:
         if progress is not None:
@@ -462,19 +462,13 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
                          duplicates=duplicates)
     missing: List[RunSpec] = []
     for spec in unique:
-        result = _MEMORY.get(spec.key)
-        if result is not None:
-            report.results[spec.key] = result
-            report.hits_memory += 1
+        result, from_disk = _lookup(spec, disk)
+        if result is None:
+            missing.append(spec)
             continue
-        if _DISK is not None:
-            result = _DISK.load(spec.key)
-            if result is not None:
-                _MEMORY[spec.key] = result
-                report.results[spec.key] = result
-                report.hits_disk += 1
-                continue
-        missing.append(spec)
+        report.results[spec.key] = result
+        report.hits_disk += from_disk
+        report.hits_memory += not from_disk
 
     say(f"{len(unique)} cells: {report.hits_memory + report.hits_disk} "
         f"cached, {len(missing)} to run (jobs={report.jobs})")
@@ -484,11 +478,11 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
         with multiprocessing.Pool(processes=report.jobs) as pool:
             outcomes = pool.imap_unordered(_pool_execute, missing)
             for key, result, error in outcomes:
-                _finish_cell(report, by_key[key], result, error, say)
+                _finish_cell(report, by_key[key], result, error, disk, say)
     else:
         for spec in missing:
             _key, result, error = _pool_execute(spec)
-            _finish_cell(report, spec, result, error, say)
+            _finish_cell(report, spec, result, error, disk, say)
 
     report.wall_seconds = time.perf_counter() - t0
     return report
@@ -496,15 +490,13 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
 
 def _finish_cell(report: SweepReport, spec: RunSpec,
                  result: Optional[RunResult], error: Optional[str],
+                 disk: Optional[DiskCache],
                  say: Callable[[str], None]) -> None:
     if result is None:
         report.failures.append((spec, error or "unknown error"))
         say(f"FAILED {spec.name}: {error}")
         return
-    _MEMORY[spec.key] = result
-    if _DISK is not None:
-        _DISK.store(spec, result)
-    report.results[spec.key] = result
+    report.results[spec.key] = _store(spec, result, disk)
     report.executed += 1
     say(f"ran {spec.label} "
         f"(T={result.execution_time / 1e6:.2f}Mcy, "

@@ -1,11 +1,13 @@
 """Plain-text renderers that print the paper's tables and figures."""
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.config import MachineParams
-from repro.harness import experiments as ex
 from repro.stats.breakdown import Breakdown
+
+if TYPE_CHECKING:  # runtime import would cycle: experiments imports tables
+    from repro.harness import experiments as ex
 
 
 def _pct(x: Optional[float]) -> str:
@@ -108,6 +110,46 @@ def render_update_set(rows: List[ex.UpdateSetRow]) -> str:
         rate = "-" if r.lap_rate is None else f"{100 * r.lap_rate:.1f}%"
         out.append(f"  {r.app:<10} {r.size:>4} {rate:>9} "
                    f"{r.execution_time / 1e6:>10.2f}M")
+    return "\n".join(out)
+
+
+def render_traffic(rows: List[ex.TrafficRow]) -> str:
+    out = ["Ablation: communication across the update/invalidate spectrum.",
+           f"  {'Appl':<10} {'protocol':<10} {'messages':>9} {'KB':>9} "
+           f"{'Mcycles':>9}"]
+    for r in rows:
+        out.append(f"  {r.app:<10} {r.protocol:<10} {r.messages:>9} "
+                   f"{r.kbytes:>9.0f} {r.execution_time / 1e6:>9.2f}")
+    return "\n".join(out)
+
+
+def render_scalability(rows: List[ex.ScalingRow]) -> str:
+    procs = sorted({r.procs for r in rows})
+    times: Dict[Tuple[str, str], Dict[int, float]] = {}
+    for r in rows:
+        times.setdefault((r.app, r.protocol), {})[r.procs] = r.execution_time
+    out = ["Ablation: execution time as the machine grows (Mcycles).",
+           f"  {'Appl':<10} {'proto':<6} "
+           + " ".join(f"{f'{p} procs':>10}" for p in procs)]
+    for (app, protocol), by_procs in times.items():
+        out.append(f"  {app:<10} {protocol:<6} " + " ".join(
+            f"{by_procs[p] / 1e6:>9.2f}M" for p in procs))
+    return "\n".join(out)
+
+
+def render_sensitivity(rows: List[ex.SensitivityRow]) -> str:
+    """TreadMarks vs AEC per messaging overhead (rows of both protocols)."""
+    times: Dict[Tuple[str, int], Dict[str, float]] = {}
+    for r in rows:
+        times.setdefault((r.app, r.messaging_overhead),
+                         {})[r.protocol] = r.execution_time
+    out = ["Ablation: sensitivity to the per-message software overhead.",
+           f"  {'Appl':<10} {'overhead':>9} {'TM (Mcy)':>10} "
+           f"{'AEC (Mcy)':>10} {'TM/AEC':>7}"]
+    for (app, overhead), t in times.items():
+        tm, aec = t["tmk"], t["aec"]
+        out.append(f"  {app:<10} {overhead:>9} {tm / 1e6:>10.2f} "
+                   f"{aec / 1e6:>10.2f} {tm / aec:>7.2f}")
     return "\n".join(out)
 
 

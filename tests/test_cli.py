@@ -68,8 +68,9 @@ SURFACE = {
         '--scale': ('scale', 'test', SCALES, None, False),
         'name':
             ('name', None, ('table1', 'table2', 'table3', 'table4', 'fig3',
-             'fig4', 'fig5', 'fig6', 'ablation-upset', 'ablation-robustness',
-             'all'), None, True),
+             'fig4', 'fig5', 'fig6', 'ablation-upset', 'ablation-traffic',
+             'ablation-scalability', 'ablation-sensitivity',
+             'ablation-robustness', 'all'), None, True),
     },
     'explain': {
         '--app': ('app', None, APPS, None, True),

@@ -437,10 +437,8 @@ class TestBrokenVariantFailsLoudly:
 @pytest.fixture()
 def _isolated_sweep_caches():
     sw.clear_memory()
-    sw.set_cache_dir(None)
     yield
     sw.clear_memory()
-    sw.set_cache_dir(None)
 
 
 class TestSweepDeterminism:

@@ -81,7 +81,6 @@ def _fresh_memo():
     sw.clear_memory()
     yield
     sw.clear_memory()
-    sw.set_cache_dir(None)
 
 
 # ------------------------------------------------------------- generator
@@ -455,7 +454,6 @@ class TestCampaign:
         serial = run_campaign(range(2), protocols=("aec",), plans=("none",),
                               cache_dir=str(tmp_path / "c1"))
         sw.clear_memory()
-        sw.set_cache_dir(None)
         parallel = run_campaign(range(2), protocols=("aec",),
                                 plans=("none",), jobs=2,
                                 cache_dir=str(tmp_path / "c2"))

@@ -149,13 +149,12 @@ class TestExperiments:
         assert wins >= 5, [(r.app, r.normalized) for r in rows]
 
     def test_ablation_upset_sizes(self):
-        rows = ex.ablation_update_set_size("test", sizes=(1, 2),
-                                           apps=("is",))
-        assert len(rows) == 2
-        assert {r.size for r in rows} == {1, 2}
+        rows = ex.ablation_update_set_size("test")
+        assert len(rows) == 9
+        assert {r.size for r in rows} == {1, 2, 3}
 
     def test_ablation_robustness(self):
-        rows = ex.ablation_lap_robustness("test", apps=("is",))
+        rows = ex.ablation_lap_robustness("test")
         protos = {r.protocol for r in rows}
         assert protos == {"aec", "tmk"}
 
@@ -172,9 +171,9 @@ class TestTables:
         out = tables.render_compare("Figure 4", ex.figure4("test"))
         assert "noLAP=100.0" in out
         assert "|U|" in tables.render_update_set(
-            ex.ablation_update_set_size("test", sizes=(2,), apps=("is",)))
+            ex.ablation_update_set_size("test"))
         assert "robustness" in tables.render_robustness(
-            ex.ablation_lap_robustness("test", apps=("is",)))
+            ex.ablation_lap_robustness("test"))
 
 
 class TestBreakdown:

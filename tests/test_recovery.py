@@ -491,10 +491,8 @@ class TestLockRebuildDeferral:
 @pytest.fixture()
 def _isolated_sweep_caches():
     sw.clear_memory()
-    sw.set_cache_dir(None)
     yield
     sw.clear_memory()
-    sw.set_cache_dir(None)
 
 
 class TestSweepDeterminismUnderCrashes:

@@ -1,4 +1,6 @@
 """Tests for the parallel, disk-cached experiment runner (harness.sweep)."""
+import argparse
+import ast
 import pickle
 
 import pytest
@@ -6,17 +8,21 @@ import pytest
 from repro.config import MachineParams, SimConfig, config_digest
 from repro.harness import experiments as ex
 from repro.harness import sweep as sw
-from repro.harness.cli import main
+from repro.harness.cli import build_parser, main
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
 
 
 @pytest.fixture(autouse=True)
 def _isolated_caches():
-    """Each test starts with an empty memo and no attached disk cache."""
+    """Each test starts with an empty memo."""
     sw.clear_memory()
-    sw.set_cache_dir(None)
     yield
     sw.clear_memory()
-    sw.set_cache_dir(None)
 
 
 def assert_results_equal(a, b):
@@ -188,13 +194,23 @@ class TestDeterminismAndCache:
         assert names[0] != names[1]
         assert "update_set_size=3" in names[1]
 
+    def test_disk_cache_belongs_to_one_call(self, tmp_path):
+        """A sweep's cache_dir is not attached to later lookups: neither
+        a later sweep without one nor get_result writes to it."""
+        cache_dir = str(tmp_path / "cache")
+        sw.run_sweep([sw.make_spec("is", "test", "aec")],
+                     cache_dir=cache_dir)
+        sw.run_sweep([sw.make_spec("fft", "test", "aec")])
+        sw.get_result(sw.make_spec("fft", "test", "tmk"))
+        assert len(sw.DiskCache(cache_dir).keys()) == 1
+
 
 class TestExperimentCells:
     def test_cells_are_deduplicated_across_experiments(self):
         # app-under-AEC cells are shared by table2/3/4 and fig3-6
-        all_names = list(ex.EXPERIMENT_CELLS)
+        all_names = list(ex.EXPERIMENTS)
         deduped = ex.experiment_cells(all_names, "test")
-        raw = sum(len(ex.EXPERIMENT_CELLS[n]("test")) for n in all_names)
+        raw = sum(len(ex.EXPERIMENTS[n].cells("test")) for n in all_names)
         assert len(deduped) < raw
         assert len({s.key for s in deduped}) == len(deduped)
 
@@ -216,11 +232,10 @@ class TestExperimentCells:
         assert again.executed == 0
 
     def test_scalability_cells_carry_custom_machines(self):
-        cells = ex.ablation_scalability_cells("test", apps=("is",),
-                                              procs=(4, 8),
-                                              protocols=("aec",))
-        assert [c.config.machine.num_procs for c in cells] == [4, 8]
-        assert len({c.key for c in cells}) == 2
+        cells = ex.ablation_scalability_cells("test")
+        assert [c.config.machine.num_procs for c in cells
+                if (c.app, c.protocol) == ("is", "aec")] == [4, 8, 16]
+        assert len({c.key for c in cells}) == len(cells) == 12
 
 
 class TestSweepCLI:
@@ -231,7 +246,6 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert "6 executed" in out
         sw.clear_memory()
-        sw.set_cache_dir(None)
         assert main(["sweep", "table2", "--scale", "test",
                      "--jobs", "1", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
@@ -253,6 +267,49 @@ class TestSweepCLI:
     def test_sweep_rejects_unknown_experiment(self, capsys):
         assert main(["sweep", "tableX", "--scale", "test"]) == 2
 
+    def test_experiment_renders_every_name_sweep_accepts(self, capsys):
+        experiment = {action.dest: action for action in
+                      _subparser(build_parser(), "experiment")._actions}
+        rendered = set(experiment["name"].choices) - {"all"}
+        # sweep names the experiments it accepts when it rejects one
+        assert main(["sweep", "tableX", "--scale", "test"]) == 2
+        err = capsys.readouterr().err
+        accepted = ast.literal_eval(err[err.index("["):err.rindex("]") + 1])
+        assert rendered == set(accepted)
+
+    def test_experiment_all_renders_a_warm_sweep(self, tmp_path, capsys,
+                                                monkeypatch):
+        """Every cell ``experiment all`` renders is one ``sweep`` ran:
+        after a full sweep into a cache it runs no simulation."""
+        cache_dir = str(tmp_path / "cache")
+        assert main(["sweep", "--scale", "test",
+                     "--cache-dir", cache_dir]) == 0
+        sw.clear_memory()
+        capsys.readouterr()
+
+        def no_runs(spec):
+            raise AssertionError(f"{spec.name} was simulated")
+
+        monkeypatch.setattr(sw, "execute_spec", no_runs)
+        assert main(["experiment", "all", "--scale", "test",
+                     "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        for title in ("Table 1", "Table 4", "Figure 6", "update set size",
+                      "update/invalidate spectrum", "machine grows",
+                      "per-message software overhead", "robustness"):
+            assert title in out, title
+
+    def test_experiment_failed_cell_exits_1(self, capsys, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sw, "execute_spec", broken)
+        assert main(["experiment", "table2", "--scale", "test"]) == 1
+        captured = capsys.readouterr()
+        assert "Table 2" not in captured.out
+        assert "FAILED is/test/aec" in captured.err
+        assert "RuntimeError: boom" in captured.err
+
     def test_experiment_command_with_jobs_and_cache(self, tmp_path,
                                                     capsys):
         cache_dir = str(tmp_path / "cache")
@@ -269,7 +326,6 @@ class TestSweepMetricsMerge:
 
     def _report(self, jobs=1):
         sw.clear_memory()
-        sw.set_cache_dir(None)
         specs = [sw.make_spec("is", "test", p) for p in ("aec", "tmk")]
         return sw.run_sweep(specs, jobs=jobs), specs
 
