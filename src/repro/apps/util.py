@@ -12,8 +12,3 @@ def block_range(n: int, nprocs: int, p: int) -> Tuple[int, int]:
     start = p * base + min(p, extra)
     stop = start + base + (1 if p < extra else 0)
     return start, stop
-
-
-def block_size(n: int, nprocs: int, p: int) -> int:
-    start, stop = block_range(n, nprocs, p)
-    return stop - start

@@ -35,7 +35,6 @@ identical simulated timing.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import sub
@@ -155,9 +154,6 @@ class CheckReport:
             "transfers": dict(self.transfers),
             "violations": [v.to_dict() for v in self.violations],
         }
-
-    def to_json(self, **kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 class _ShadowPage:

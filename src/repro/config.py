@@ -183,12 +183,6 @@ class MachineParams:
     def list_cycles(self, nelements: int) -> float:
         return self.list_cycles_per_element * nelements
 
-    def network_transit_cycles(self, hops: int, nbytes: int) -> float:
-        """Wormhole transit: per-hop header latency plus flit streaming."""
-        header = hops * (self.switch_cycles + self.wire_cycles)
-        stream = math.ceil(nbytes / self.net_bytes_per_cycle)
-        return header + stream
-
 
 @dataclass
 class SimConfig:

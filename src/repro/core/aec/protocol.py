@@ -418,7 +418,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 wait_fut = self.new_future(f"upset{lock_id}")
                 self._upset_expect = (lock_id, grant.last_owner,
                                       grant.last_owner_counter, wait_fut)
-                if self.sim.transport.enabled:
+                if self.sim.transport is not None:
                     # faulty network: the push is best-effort and may be
                     # gone — bound the wait, then recover via the fallback
                     self._arm_upset_timeout(wait_fut)
@@ -537,9 +537,9 @@ class AECNode(AECReconfiguration, ProtocolNode):
         memory ends up word-identical to the push having arrived, at the
         price of the LAP benefit for this acquire.
         """
-        stats = self.sim.net_stats
-        if stats is not None:
-            stats.lap_fallbacks += 1
+        transport = self.sim.transport
+        if transport is not None:
+            transport.stats.lap_fallbacks += 1
         stale = self.pending_updates.pop(lock_id, None)
         if stale is not None:
             self._discard_update(stale, "unused")
@@ -729,7 +729,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
     def _send_grant(self, dst: int, grant: GrantInfo, predictions) -> Generator:
         self._score_grant(grant.lock_id, dst, grant.last_owner, predictions)
         nbytes = 16 + 8 * len(grant.invalidate) + 4 * len(grant.update_set)
-        if self.sim.transport.enabled:
+        if self.sim.transport is not None:
             # faulty mode only (keeps fault-free timing untouched): the
             # grant also names the pages the push covered, so a lost push
             # can be recovered page-by-page

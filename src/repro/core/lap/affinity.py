@@ -3,9 +3,8 @@
 ``aff(l, p, q)`` counts past ownership transfers of lock ``l`` from processor
 ``p`` to processor ``q``.  The *affinity set* ``A_l(p)`` contains every
 processor whose affinity is at least 60 % greater than the average affinity
-``p`` has for the other processors (``LapPredictor`` takes the threshold and
-defaults to the paper's ``AFFINITY_THRESHOLD``, which it calls "admittedly
-arbitrary").
+``p`` has for the other processors (``LapPredictor`` uses the paper's
+``AFFINITY_THRESHOLD``, which the paper calls "admittedly arbitrary").
 """
 from __future__ import annotations
 

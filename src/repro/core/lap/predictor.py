@@ -22,12 +22,10 @@ AFFINITY_THRESHOLD = 0.60
 
 
 class LapPredictor:
-    def __init__(self, update_set_size: int,
-                 affinity_threshold: float = AFFINITY_THRESHOLD) -> None:
+    def __init__(self, update_set_size: int) -> None:
         if update_set_size < 1:
             raise ValueError("update set size must be >= 1")
         self.size = update_set_size
-        self.threshold = affinity_threshold
 
     def predict(self, state: LockPredictionState, releaser: int) -> List[int]:
         """Update set for ``releaser``'s next release of this lock."""
@@ -43,7 +41,7 @@ class LapPredictor:
                         return True
             return False
 
-        if fill(state.affinity.affinity_set(releaser, self.threshold)):
+        if fill(state.affinity.affinity_set(releaser, AFFINITY_THRESHOLD)):
             return upset
         positive = set(state.affinity.positive_set(releaser))
         if fill([q for q in state.virtual_queue if q in positive]):
@@ -72,7 +70,7 @@ class LapPredictor:
         if state.waiting_queue:
             return [state.waiting_queue[0]]
         out: List[int] = []
-        for q in state.affinity.affinity_set(releaser, self.threshold):
+        for q in state.affinity.affinity_set(releaser, AFFINITY_THRESHOLD):
             if q != releaser and q not in out:
                 out.append(q)
             if len(out) >= self.size:

@@ -32,15 +32,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Optional)
 
 from repro.config import MachineParams, SimConfig
 from repro.engine.events import CATEGORIES, Delay, Resolve, Send, Wait
 from repro.engine.future import Future
-from repro.faults.injector import make_injector
-from repro.faults.stats import NetFaultStats
 from repro.network.message import Message
 from repro.network.network import Network
+
+if TYPE_CHECKING:  # runtime import would cycle: protocols.base imports us
+    from repro.protocols.base import ReliableTransport
 
 #: interned event kinds: heap/ready entries carry one of these integers
 EV_DELAY_END = 0
@@ -51,24 +53,6 @@ EV_CALL = 3
 
 class SimulationError(RuntimeError):
     pass
-
-
-class _NullTransport:
-    """Faults-off transport: no seq numbers, no acks, no retransmission.
-
-    The real ``ReliableTransport`` lives in ``repro.protocols.base`` (it
-    needs protocol context); ``World`` installs it on ``sim.transport``
-    when ``config.faults`` is set.  The engine only ever consults
-    ``transport.enabled`` / ``on_send`` / ``on_arrival``.
-    """
-
-    enabled = False
-
-    def on_send(self, msg: Message, time: float) -> None:  # pragma: no cover
-        raise SimulationError("null transport should never see a send")
-
-    def on_arrival(self, msg: Message) -> bool:  # pragma: no cover
-        raise SimulationError("null transport should never see an arrival")
 
 
 Handler = Callable[[Message], Optional[Generator]]
@@ -104,7 +88,8 @@ class _NodeRuntime:
         self.done_time: Optional[float] = None
         self.messages_received = 0
         self.messages_sent = 0
-        #: crash-stop window active: NIC black-holes in both directions
+        #: crash-stop window active (set only by the crash controller):
+        #: the transport black-holes the node's NIC in both directions
         self.dead = False
 
     def charge(self, category: str, cycles: float) -> None:
@@ -138,20 +123,10 @@ class Simulator:
         #: payload_bytes -> sender-side cost (overhead + I/O transfer)
         self._send_cost_cache: Dict[int, float] = {
             0: self._messaging_overhead}
-        #: network-fault counters; None unless a fault plan is configured
-        self.net_stats: Optional[NetFaultStats] = (
-            NetFaultStats(plan=config.faults.name,
-                          fault_seed=config.faults.seed)
-            if config.faults is not None else None)
-        self.injector = make_injector(config, self.net_stats)
-        #: replaced with a ``ReliableTransport`` by ``World`` when faults on
-        self.transport: Any = _NullTransport()
-        #: crash plan armed (``repro.recovery``): enables the dead-node
-        #: checks in transmit/_deliver; one boolean test on the fault-free
-        #: hot path, zero effect on any simulated number while False
-        self.crash_mode = False
-        #: the controller's ``RecoveryStats`` (shared by reference)
-        self.crash_stats: Any = None
+        #: the faulty network: None on the paper's lossless network, else
+        #: the ``ReliableTransport`` that ``World`` installs when
+        #: ``config.faults`` is set (it owns injection and crash guards)
+        self.transport: Optional[ReliableTransport] = None
 
     # ------------------------------------------------------------------ API
 
@@ -173,11 +148,6 @@ class Simulator:
             if node.gen is None:
                 node.state = "done"
                 node.done_time = 0.0
-        if self.injector.enabled:
-            for stall in self.config.faults.stalls:
-                if stall.node < len(self.nodes):
-                    self._push(stall.at, EV_CALL,
-                               lambda s=stall: self._apply_stall(s))
         for node in self.nodes:
             if node.gen is not None:
                 self._step_program(node, None)
@@ -269,11 +239,12 @@ class Simulator:
         """
         self._push(max(time, self.now), EV_CALL, fn)
 
-    def _apply_interruption(self, node: _NodeRuntime, cycles: float) -> float:
+    def interrupt(self, node: _NodeRuntime, cycles: float) -> float:
         """Occupy ``node``'s interrupt engine for ``cycles`` starting now.
 
-        The shared core of every scheduled interruption — fault-plan
-        stalls and crash outage/restore/replay windows: an uninterruptible
+        The shared core of every scheduled interruption — the fault
+        injector's plan stalls and the crash controller's outage/restore/
+        replay windows, both outside the engine: an uninterruptible
         zero-work ISR that queues incoming handlers behind it and
         stretches an in-progress delay, exactly like a real ISR would.
         Returns the window's start time.
@@ -288,20 +259,6 @@ class Simulator:
             self._push(node.delay_end, EV_DELAY_END,
                        (node.node_id, node.delay_seq))
         return start
-
-    def _apply_stall(self, stall: Any) -> None:
-        """Freeze a node per a fault-plan ``NodeStall`` (NIC keeps acking)."""
-        node = self.nodes[stall.node]
-        start = self._apply_interruption(node, stall.cycles)
-        stats = self.net_stats
-        if stats is not None:
-            stats.stalls += 1
-            stats.stall_cycles += stall.cycles
-        spans = self.injector.spans
-        if spans is not None and spans.enabled:
-            sid = spans.begin(stall.node, "fault",
-                              f"fault.stall n{stall.node}", start)
-            spans.end(sid, start + stall.cycles)
 
     def _step_program(self, node: _NodeRuntime, value: Any) -> None:
         """Advance a node's program task until it blocks, delays or finishes."""
@@ -409,8 +366,9 @@ class Simulator:
             # lost, duplicated or reordered
             self._push(time, EV_ARRIVAL, msg)
             return
-        if self.transport.enabled:
-            self.transport.on_send(msg, time)
+        transport = self.transport
+        if transport is not None:
+            transport.on_send(msg, time)
         self.transmit(msg, time)
 
     def transmit(self, msg: Message, time: float) -> None:
@@ -418,38 +376,30 @@ class Simulator:
 
         Called by ``_inject`` for first transmissions and directly by the
         reliable transport for retransmissions and acks (which bypass the
-        per-node send accounting — they are NIC-level frames).  The fault
-        injector decides each copy's fate; a dropped copy still reserved
-        the links (the frame was transmitted and lost in flight), so the
-        contention model charges it either way.
+        per-node send accounting — they are NIC-level frames).  On a faulty
+        network the transport decides each copy's fate; a dropped copy
+        still reserved the links (the frame was transmitted and lost in
+        flight), so the contention model charges it either way.
         """
-        if self.crash_mode and self.nodes[msg.src].dead:
-            # a crashed node's NIC transmits nothing (retransmission
-            # timers keep firing and re-arm once the node is back up)
-            self.crash_stats.sends_suppressed += 1
-            return
-        if not self.injector.enabled:
+        transport = self.transport
+        if transport is None:
             arrival = self.network.deliver(msg.src, msg.dst,
                                            msg.total_bytes, time)
             self._push(arrival, EV_ARRIVAL, msg)
             return
-        for delivered, extra in self.injector.fates(msg, time):
+        for delivered, extra in transport.fates(msg, time):
             arrival = self.network.deliver(msg.src, msg.dst,
                                            msg.total_bytes, time)
             if delivered:
                 self._push(arrival + extra, EV_ARRIVAL, msg)
 
     def _deliver(self, msg: Message) -> None:
-        if self.crash_mode and self.nodes[msg.dst].dead:
-            # frames reaching a crashed node vanish: no ack, no dedup
-            # record, no CPU — the sender's retransmissions heal the gap
-            self.crash_stats.frames_blackholed += 1
-            return
         transport = self.transport
-        if transport.enabled and not transport.on_arrival(msg):
-            # NIC-level frame: an ack, a duplicate, or a late retransmission
-            # of something already applied — suppressed below the CPU, so
-            # no interrupt cost and no message counted for the node
+        if transport is not None and not transport.on_arrival(msg):
+            # NIC-level frame: an ack, a duplicate, a late retransmission of
+            # something already applied, or a frame reaching a crashed node
+            # — suppressed below the CPU, so no interrupt cost and no
+            # message counted for the node
             return
         node = self.nodes[msg.dst]
         node.messages_received += 1

@@ -1,15 +1,15 @@
 """Seeded interpretation of a :class:`~repro.faults.plan.FaultPlan`.
 
-The injector sits on the simulator's injection path: for every message
-handed to the network it decides the *fates* of that message — delivered or
-dropped, with how much extra delivery delay, and whether a duplicate copy
-follows.  All randomness comes from one dedicated ``random.Random`` stream
-seeded by ``plan.seed``, so a given (plan, seed, workload) is exactly
-reproducible and independent of the application's own seed.
+The reliable transport owns one injector and asks it, for every wire copy
+the simulator puts on the network, for the *fates* of that message —
+delivered or dropped, with how much extra delivery delay, and whether a
+duplicate copy follows.  The injector also arms the plan's node stalls.
+All randomness comes from one dedicated ``random.Random`` stream seeded by
+``plan.seed``, so a given (plan, seed, workload) is exactly reproducible
+and independent of the application's own seed.
 
-``NullInjector`` is the faults-off fast path: a single ``enabled`` check in
-``Simulator._inject`` is the only cost, keeping zero-fault runs bit-identical
-to a build without this subsystem at all.
+Fault-free runs build no injector at all: ``Simulator.transport`` is None
+and the engine puts every message on the network once, on time.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from repro.config import MachineParams, SimConfig
-from repro.faults.plan import FaultPlan, FaultRule
+from repro.config import MachineParams
+from repro.faults.plan import FaultPlan, FaultRule, NodeStall
 from repro.faults.stats import NetFaultStats
+from repro.obs.spans import SpanRecorder
 
 #: fate of one wire copy: (delivered?, extra delivery delay in cycles)
 Fate = Tuple[bool, float]
@@ -31,30 +32,18 @@ _CLEAN: Tuple[Fate, ...] = ((True, 0.0),)
 DUP_SKEW_CYCLES = 512.0
 
 
-class NullInjector:
-    """Faults off: every message is delivered exactly once, on time."""
-
-    enabled = False
-    spans = None
-
-    def fates(self, msg, time: float) -> Tuple[Fate, ...]:  # pragma: no cover
-        return _CLEAN
-
-
 class FaultInjector:
     """Applies a :class:`FaultPlan`'s rules from a dedicated RNG stream."""
 
-    enabled = True
-
     def __init__(self, plan: FaultPlan, machine: MachineParams,
-                 stats: NetFaultStats) -> None:
+                 stats: NetFaultStats, spans: SpanRecorder) -> None:
         self.plan = plan
         self.machine = machine
         self.stats = stats
         self.rng = random.Random(plan.seed)
-        #: set by ``World`` when span recording is on; fault events then
-        #: land on the affected node's timeline as instant ``fault`` spans
-        self.spans = None
+        #: fault events land on the affected node's timeline as ``fault``
+        #: spans when the run records spans
+        self.spans = spans
 
     def _rule_for(self, kind: str, src: int, dst: int) -> Optional[FaultRule]:
         for rule in self.plan.rules:
@@ -85,7 +74,7 @@ class FaultInjector:
 
     def _note_span(self, msg, time: float, what: str) -> None:
         spans = self.spans
-        if spans is not None and spans.enabled:
+        if spans.enabled:
             spans.instant(msg.src, "fault", f"fault.{what} {msg.kind}",
                           time, msg=msg.kind, dst=msg.dst)
 
@@ -114,11 +103,20 @@ class FaultInjector:
             fates.append((True, extra + skew))
         return tuple(fates)
 
+    def arm_stalls(self, sim) -> None:
+        """Schedule the plan's node stalls on ``sim``'s event loop."""
+        for stall in self.plan.stalls:
+            if stall.node < len(sim.nodes):
+                sim.schedule_call(stall.at,
+                                  lambda s=stall: self._stall(sim, s))
 
-def make_injector(config: SimConfig, stats: Optional[NetFaultStats]):
-    """The simulator's one entry point: plan in config -> live injector."""
-    plan = config.faults
-    if plan is None:
-        return NullInjector()
-    assert stats is not None
-    return FaultInjector(plan, config.machine, stats)
+    def _stall(self, sim, stall: NodeStall) -> None:
+        """Freeze a node per a ``NodeStall`` (its NIC keeps acking)."""
+        start = sim.interrupt(sim.nodes[stall.node], stall.cycles)
+        self.stats.stalls += 1
+        self.stats.stall_cycles += stall.cycles
+        spans = self.spans
+        if spans.enabled:
+            sid = spans.begin(stall.node, "fault",
+                              f"fault.stall n{stall.node}", start)
+            spans.end(sid, start + stall.cycles)

@@ -7,7 +7,7 @@ count protocol page faults, not network failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Dict
 
 
 @dataclass
@@ -52,27 +52,6 @@ class NetFaultStats:
     def note_retry(self, kind: str) -> None:
         self.retries += 1
         self.retries_by_kind[kind] = self.retries_by_kind.get(kind, 0) + 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "plan": self.plan,
-            "fault_seed": self.fault_seed,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "jittered": self.jittered,
-            "jitter_cycles": self.jitter_cycles,
-            "degraded_cycles": self.degraded_cycles,
-            "stalls": self.stalls,
-            "stall_cycles": self.stall_cycles,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "acks_sent": self.acks_sent,
-            "acks_received": self.acks_received,
-            "dup_suppressed": self.dup_suppressed,
-            "lap_fallbacks": self.lap_fallbacks,
-            "drops_by_kind": dict(sorted(self.drops_by_kind.items())),
-            "retries_by_kind": dict(sorted(self.retries_by_kind.items())),
-        }
 
     def summary(self) -> str:
         return (

@@ -134,7 +134,8 @@ def run_app(app: Application, protocol: str = "aec",
         events_processed=world.sim.events_processed,
         wall_seconds=wall,
         check_report=check_report,
-        net_faults=world.sim.net_stats,
+        net_faults=(world.sim.transport.stats
+                    if world.sim.transport is not None else None),
         recovery=(world.recovery.stats if world.recovery is not None
                   else None),
         clock_hz=machine.clock_hz,

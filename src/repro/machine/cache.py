@@ -40,11 +40,6 @@ class DirectMappedCache:
         self._line_fill_cycles = machine.mem_access_cycles(
             self.words_per_line)
 
-    def _lines_of(self, addr: int, nwords: int) -> np.ndarray:
-        first = addr // self.words_per_line
-        last = (addr + nwords - 1) // self.words_per_line
-        return self._line_range(first, last)[0]
-
     def _line_range(self, first: int,
                     last: int) -> Tuple[np.ndarray, np.ndarray]:
         key = (first, last)

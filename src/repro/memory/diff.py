@@ -157,11 +157,3 @@ def apply_diffs(page: np.ndarray, diffs: Iterable[Diff]) -> None:
     offsets = np.concatenate([d.offsets for d in nonempty])
     values = np.concatenate([d.values for d in nonempty])
     page[offsets] = values
-
-
-def total_diff_words(diffs: Iterable[Diff]) -> int:
-    return sum(d.nwords for d in diffs)
-
-
-def total_diff_bytes(diffs: Iterable[Diff]) -> int:
-    return sum(d.size_bytes for d in diffs)

@@ -71,9 +71,6 @@ class Layout:
     def total_pages(self) -> int:
         return self._next // self.words_per_page
 
-    def page_of(self, addr: int) -> int:
-        return addr // self.words_per_page
-
     def pages_of_range(self, addr: int, nwords: int) -> range:
         if nwords <= 0:
             return range(0)

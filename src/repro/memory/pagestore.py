@@ -65,19 +65,6 @@ class PageStore:
         self._gather(addr, nwords, out)
         return out
 
-    def read_view(self, addr: int, nwords: int) -> np.ndarray:
-        """Zero-copy view of a word range that fits within one page.
-
-        The returned array aliases the live page: treat it as **read-only**
-        and consume it before the page can change (no yielding back into
-        the simulator while holding it).  Callers whose range may span a
-        page boundary must use :meth:`read`, which this falls back to.
-        """
-        wpp = self.words_per_page
-        pn, off = divmod(addr, wpp)
-        if off + nwords <= wpp:
-            return self.page(pn)[off:off + nwords]
-        return self.read(addr, nwords)
 
     def _gather(self, addr: int, nwords: int, out: np.ndarray) -> None:
         wpp = self.words_per_page

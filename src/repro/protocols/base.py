@@ -20,6 +20,8 @@ from repro.core.lap.stats import LapStats
 from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
 from repro.engine.simulator import SimulationError, Simulator
+from repro.faults.injector import Fate, FaultInjector
+from repro.faults.stats import NetFaultStats
 from repro.machine.node import NodeHardware
 from repro.memory.diff import Diff, create_diff
 from repro.memory.layout import Layout
@@ -89,7 +91,10 @@ class TransportTimeoutError(SimulationError):
 class ReliableTransport:
     """Exactly-once messaging over a faulty network.
 
-    Installed on ``Simulator.transport`` whenever ``config.faults`` is set.
+    Installed on ``Simulator.transport`` whenever ``config.faults`` is set,
+    it owns everything a faulty network does: the run's ``NetFaultStats``,
+    the plan's ``FaultInjector`` (message fates and node stalls) and, once
+    a crash controller attaches itself, the black-holing of crashed NICs.
     Sender side stamps a per-(src, dst, kind) sequence number on every
     non-loopback message and, for reliable kinds, keeps the message buffered
     until the destination NIC acks it — retransmitting on a timeout that
@@ -105,12 +110,12 @@ class ReliableTransport:
     of their own.
     """
 
-    enabled = True
-
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, spans: SpanRecorder) -> None:
         self.sim = sim
         self.machine = sim.machine
-        self.stats = sim.net_stats
+        plan = sim.config.faults
+        self.stats = NetFaultStats(plan=plan.name, fault_seed=plan.seed)
+        self.injector = FaultInjector(plan, self.machine, self.stats, spans)
         #: next sequence number per (src, dst, kind)
         self._send_seq: Dict[Any, int] = {}
         #: unacked reliable messages keyed by (src, dst, kind, seq)
@@ -119,11 +124,21 @@ class ReliableTransport:
         #: watermark plus the out-of-order seqs above it
         self._recv_high: Dict[Any, int] = {}
         self._recv_gaps: Dict[Any, set] = {}
-        #: installed by ``repro.recovery`` when the plan schedules crashes
-        self.detector: Any = None
+        #: the ``CrashController`` when the plan schedules crashes; its
+        #: detector's leases and its dead-node flags gate the NIC
         self.controller: Any = None
 
     # --------------------------------------------------------- sender side
+
+    def fates(self, msg: Message, time: float) -> Tuple[Fate, ...]:
+        """Per-copy fates of one wire copy of ``msg`` sent at ``time``."""
+        ctrl = self.controller
+        if ctrl is not None and self.sim.nodes[msg.src].dead:
+            # a crashed node's NIC transmits nothing (retransmission
+            # timers keep firing and re-arm once the node is back up)
+            ctrl.stats.sends_suppressed += 1
+            return ()
+        return self.injector.fates(msg, time)
 
     def on_send(self, msg: Message, time: float) -> None:
         key3 = (msg.src, msg.dst, msg.kind)
@@ -164,7 +179,7 @@ class ReliableTransport:
                     now + self.machine.peer_probe_cycles,
                     lambda: self._on_timeout(key, attempt, first_sent))
                 return
-            if not self.detector.alive(msg.src, msg.dst, now):
+            if not ctrl.detector.alive(msg.src, msg.dst, now):
                 # the peer's lease expired: it is dead as far as this
                 # sender can tell.  Exponential backoff would retry into
                 # the void at ever-longer intervals; instead park the
@@ -229,10 +244,15 @@ class ReliableTransport:
 
     def on_arrival(self, msg: Message) -> bool:
         """NIC-level arrival filter; True iff the CPU should see ``msg``."""
-        det = self.detector
-        if det is not None:
+        ctrl = self.controller
+        if ctrl is not None:
+            if self.sim.nodes[msg.dst].dead:
+                # frames reaching a crashed node vanish: no ack, no dedup
+                # record, no CPU — the sender's retransmissions heal the gap
+                ctrl.stats.frames_blackholed += 1
+                return False
             # every frame the NIC sees renews its sender's lease
-            det.note_frame(msg.dst, msg.src, self.sim.now)
+            ctrl.detector.note_frame(msg.dst, msg.src, self.sim.now)
             if msg.kind == HEARTBEAT_KIND:
                 return False  # pure liveness traffic, never CPU work
         if msg.kind == ACK_KIND:
@@ -242,7 +262,7 @@ class ReliableTransport:
             self.stats.acks_received += 1
             return False
         if msg.seq < 0:
-            return True  # untracked (loopback never gets here; defensive)
+            return True  # loopback: never stamped, acked or deduped
         key3 = (msg.src, msg.dst, msg.kind)
         fresh = self._first_delivery(key3, msg.seq)
         if msg.kind not in BEST_EFFORT_KINDS:
@@ -273,14 +293,15 @@ class World:
         self.spans: SpanRecorder = spans if spans is not None else NULL_SPANS
         self.recovery: Optional[Any] = None
         if config.faults is not None:
-            # faulty network: engage the reliable transport and let the
-            # injector land fault events on the span timeline
-            self.sim.transport = ReliableTransport(self.sim)
-            if self.spans.enabled:
-                self.sim.injector.spans = self.spans
+            # faulty network: engage the reliable transport; stalls are
+            # armed after the crash schedule so every event keeps its
+            # place in (time, seq) order
+            transport = ReliableTransport(self.sim, self.spans)
+            self.sim.transport = transport
             if config.faults.crashes:
                 from repro.recovery import install_recovery
                 self.recovery = install_recovery(self)
+            transport.injector.arm_stalls(self.sim)
         from repro.check import make_checker
         self.checker = make_checker(config, layout, self.machine.num_procs)
         #: app-level event recorder writing to ``record_trace``; None when off

@@ -3,7 +3,7 @@
 Public surface:
 
 - :func:`install_recovery` — called by ``World`` when the fault plan
-  schedules crashes; wires the controller into simulator + transport.
+  schedules crashes; attaches the controller to the reliable transport.
 - :class:`CrashController` / :func:`resolve_crashes` — seeded schedule,
   crash/revive events, coordinated checkpoints, permanent-death protocol.
 - ``repro.recovery.aec`` — AEC's reconfiguration around a permanently

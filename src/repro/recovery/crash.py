@@ -96,13 +96,7 @@ class CrashController:
 
     def install(self) -> None:
         sim = self.sim
-        sim.crash_mode = True
-        sim.crash_stats = self.stats
-        transport = sim.transport
-        if transport is None:  # pragma: no cover - World always installs it
-            raise RuntimeError("crash plans require the reliable transport")
-        transport.detector = self.detector
-        transport.controller = self
+        sim.transport.controller = self
         for c in self.crashes:
             sim.schedule_call(c.at, lambda c=c: self._crash(c))
         self.detector.start()
@@ -144,8 +138,7 @@ class CrashController:
             # one busy window covers the whole incident: outage, then
             # checkpoint restore, then deterministic replay to the point
             # of the crash (identical machinery to a scheduled stall)
-            start = sim._apply_interruption(node, c.down_cycles + restore
-                                            + replay)
+            start = sim.interrupt(node, c.down_cycles + restore + replay)
             sim.schedule_call(
                 sim.now + c.down_cycles,
                 lambda: self._revive(c.node, restore, replay, restore_pages))

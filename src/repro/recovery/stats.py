@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
 
 
 @dataclass
@@ -10,8 +9,8 @@ class RecoveryStats:
     """What the crash controller, detector and recovery protocol did.
 
     A plain mutable dataclass (like ``NetFaultStats``): shared by reference
-    between the simulator, the transport and the controller, then attached
-    to the run result and pickled across the sweep fan-out.
+    between the transport and the controller, then attached to the run
+    result and pickled across the sweep fan-out.
     """
 
     plan: str = ""
@@ -53,35 +52,6 @@ class RecoveryStats:
     #: locks whose manager died and was rebuilt on node 0 from survivor
     #: reports
     locks_rehomed: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "plan": self.plan,
-            "fault_seed": self.fault_seed,
-            "schedule": [list(entry) for entry in self.schedule],
-            "crashes": self.crashes,
-            "crashes_skipped": self.crashes_skipped,
-            "revivals": self.revivals,
-            "down_cycles": self.down_cycles,
-            "restore_cycles": self.restore_cycles,
-            "replay_cycles": self.replay_cycles,
-            "restored_pages": self.restored_pages,
-            "checkpoints": self.checkpoints,
-            "checkpoint_pages": self.checkpoint_pages,
-            "heartbeats_sent": self.heartbeats_sent,
-            "leases_expired": self.leases_expired,
-            "peers_declared_dead": self.peers_declared_dead,
-            "frames_blackholed": self.frames_blackholed,
-            "sends_suppressed": self.sends_suppressed,
-            "parked_probes": self.parked_probes,
-            "cancelled_sends": self.cancelled_sends,
-            "tokens_regenerated": self.tokens_regenerated,
-            "waiters_purged": self.waiters_purged,
-            "barrier_reconfigs": self.barrier_reconfigs,
-            "orphan_pages_restored": self.orphan_pages_restored,
-            "rerouted_requests": self.rerouted_requests,
-            "locks_rehomed": self.locks_rehomed,
-        }
 
     def summary(self) -> str:
         bits = [f"recovery[{self.plan}@{self.fault_seed}]:",

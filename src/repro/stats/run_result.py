@@ -1,6 +1,7 @@
 """The result of simulating one (application, protocol) pair."""
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -60,9 +61,9 @@ class RunResult:
             "wall_seconds": self.wall_seconds,
             "check_violations": (self.check_report.total_violations
                                  if self.check_report is not None else None),
-            "net_faults": (self.net_faults.to_dict()
+            "net_faults": (dataclasses.asdict(self.net_faults)
                            if self.net_faults is not None else None),
-            "recovery": (self.recovery.to_dict()
+            "recovery": (dataclasses.asdict(self.recovery)
                          if self.recovery is not None else None),
         }
 

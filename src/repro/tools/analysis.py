@@ -194,5 +194,5 @@ def metrics_report(result, spans: SpanRecorder) -> str:
                          ("recovery", result.recovery)):
         if stats is not None:
             out.append(f"\n{title}:")
-            out.extend(_counter_lines(stats.to_dict()))
+            out.extend(_counter_lines(dataclasses.asdict(stats)))
     return "\n".join(out)

@@ -8,7 +8,7 @@ from repro.core.lap.predictor import LapPredictor
 
 
 def make_mgr(use_lap=True, num_procs=4):
-    return AECLockManager(0, num_procs, LapPredictor(2, 0.6), use_lap)
+    return AECLockManager(0, num_procs, LapPredictor(2), use_lap)
 
 
 class TestLockManager:

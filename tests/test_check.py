@@ -193,7 +193,7 @@ class TestCheckerUnits:
         ck = _checker()
         ck.on_write(0, 3, _arr(1.0), 10.0)
         ck.on_write(1, 3, _arr(2.0), 20.0)
-        doc = json.loads(ck.finish().to_json())
+        doc = json.loads(json.dumps(ck.finish().to_dict()))
         assert doc["total_violations"] == 1
         assert doc["violations"][0]["kind"] == "race:ww"
         assert doc["violations"][0]["addr"] == 3

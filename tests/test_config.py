@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import SimConfig
-from repro.core.lap import AFFINITY_THRESHOLD, LapPredictor
+from repro.core.lap import AFFINITY_THRESHOLD
 
 
 class TestTable1Defaults:
@@ -64,20 +64,12 @@ class TestCostHelpers:
     def test_list_cycles(self, machine):
         assert machine.list_cycles(10) == 60
 
-    def test_network_transit(self, machine):
-        # 3 hops, 100 bytes: 3*(4+2) + ceil(100/2)
-        assert machine.network_transit_cycles(3, 100) == 18 + 50
-
-    def test_network_transit_zero_hops(self, machine):
-        assert machine.network_transit_cycles(0, 2) == 1
-
 
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.update_set_size == 2
         assert AFFINITY_THRESHOLD == 0.60
-        assert LapPredictor(2).threshold == AFFINITY_THRESHOLD
 
     def test_every_field_is_a_knob_some_caller_sets(self):
         # protocol variants are node classes (harness.runner.PROTOCOLS),

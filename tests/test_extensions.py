@@ -177,7 +177,7 @@ class TestAdsmBehaviour:
         for _ in range(3):
             st.affinity.record_transfer(1, 2)
         st.affinity.record_transfer(2, 5)
-        pred = ConsumerSetPredictor(2, 0.6)
+        pred = ConsumerSetPredictor(2)
         out = pred.predict(st, releaser=1)
         assert 2 in out          # the heaviest consumer
         assert 1 not in out      # never the releaser
@@ -188,4 +188,4 @@ class TestAdsmBehaviour:
         from repro.protocols.adsm import ConsumerSetPredictor
 
         st = LockPredictionState(0, 8)
-        assert ConsumerSetPredictor(2, 0.6).predict(st, 0) == []
+        assert ConsumerSetPredictor(2).predict(st, 0) == []

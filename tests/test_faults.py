@@ -23,11 +23,11 @@ from repro.config import MachineParams, SimConfig, config_digest
 from repro.engine.simulator import Simulator
 from repro.faults import (BUILTIN_PLANS, FaultPlan, FaultRule, NodeStall,
                           get_plan)
-from repro.faults.injector import FaultInjector, NullInjector, make_injector
+from repro.faults.injector import FaultInjector
 from repro.harness import sweep as sw
 from repro.harness.runner import PROTOCOLS, run_app
 from repro.network.message import Message
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.protocols.base import (ACK_KIND, BEST_EFFORT_KINDS,
                                   ReliableTransport, TransportTimeoutError)
 
@@ -70,7 +70,7 @@ class TestFaultPlans:
         blanket = FaultRule(drop_p=0.1)
         plan = FaultPlan(rules=(specific, blanket))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats)
+        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
         assert inj._rule_for("aec.reply", 1, 2) is specific
         assert inj._rule_for("aec.reply", 2, 1) is blanket
 
@@ -113,29 +113,26 @@ def _msg(kind="aec.reply", src=0, dst=1, nbytes=100):
 
 
 class TestInjector:
-    def test_null_injector_when_faults_off(self):
-        inj = make_injector(SimConfig(), None)
-        assert isinstance(inj, NullInjector) and not inj.enabled
-
     def test_seeded_determinism(self):
         plan = FaultPlan(seed=5, rules=(FaultRule(drop_p=0.5, dup_p=0.3),))
         runs = []
         for _ in range(2):
-            inj = FaultInjector(plan, MachineParams(), _stats())
+            inj = FaultInjector(plan, MachineParams(), _stats(), NULL_SPANS)
             runs.append([inj.fates(_msg(), 0.0) for _ in range(200)])
         assert runs[0] == runs[1]
-        other = FaultInjector(plan.with_seed(6), MachineParams(), _stats())
+        other = FaultInjector(plan.with_seed(6), MachineParams(), _stats(),
+                              NULL_SPANS)
         assert runs[0] != [other.fates(_msg(), 0.0) for _ in range(200)]
 
     def test_drop_and_dup_counting(self):
         plan = FaultPlan(seed=1, rules=(FaultRule(drop_p=1.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats)
+        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
         assert inj.fates(_msg(), 0.0) == ((False, 0.0),)
         assert stats.dropped == 1 and stats.drops_by_kind == {"aec.reply": 1}
         plan = FaultPlan(seed=1, rules=(FaultRule(dup_p=1.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats)
+        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
         fates = inj.fates(_msg(), 0.0)
         assert len(fates) == 2 and all(d for d, _ in fates)
         assert stats.duplicated == 1
@@ -144,7 +141,7 @@ class TestInjector:
     def test_degraded_link_slows_streaming(self):
         plan = FaultPlan(seed=1, rules=(FaultRule(delay_multiplier=3.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats)
+        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
         ((delivered, extra),) = inj.fates(_msg(nbytes=968), 0.0)
         # 968 + 32 header = 1000 bytes -> 500 stream cycles, x3 => +1000
         assert delivered and extra == pytest.approx(1000.0)
@@ -153,7 +150,7 @@ class TestInjector:
     def test_unmatched_kind_untouched(self):
         plan = FaultPlan(seed=1, rules=(
             FaultRule(kinds=("tmk.*",), drop_p=1.0),))
-        inj = FaultInjector(plan, MachineParams(), _stats())
+        inj = FaultInjector(plan, MachineParams(), _stats(), NULL_SPANS)
         assert inj.fates(_msg("aec.reply"), 0.0) == ((True, 0.0),)
         assert inj.fates(_msg("tmk.reply"), 0.0) == ((False, 0.0),)
 
@@ -165,7 +162,7 @@ def _transport(**machine_overrides):
     machine = dataclasses.replace(MachineParams(), **machine_overrides)
     config = SimConfig(machine=machine, faults=FaultPlan(name="quiet"))
     sim = Simulator(config)
-    tr = ReliableTransport(sim)
+    tr = ReliableTransport(sim, NULL_SPANS)
     sim.transport = tr
     return sim, tr
 
@@ -321,6 +318,18 @@ FAULTED_GOLDEN = {
     ("ocean", "tmk", "lossy-1pct"): (17865995.0, 13813, 1343608),
     ("ocean", "aec", "crash-one-node"): (9121583.135972215, 16959, 1352916),
     ("ocean", "tmk", "crash-one-node"): (17007188.135972217, 18800, 1549988),
+    ("is", "aec", "lossy-1pct"): (3900495.0, 4479, 432744),
+    ("is", "aec", "dup-heavy"): (3867328.5, 5951, 528164),
+    ("is", "aec", "jitter"): (3770541.142022038, 4406, 425916),
+    ("is", "aec", "stall-one-node"): (3870154.25, 4396, 424916),
+    ("is", "aec", "crash-one-node"): (4135432.3786574053, 5618, 473724),
+    ("is", "aec", "crash-restart"): (3884875.0, 5546, 471196),
+    ("is", "tmk", "lossy-1pct"): (6032793.25, 4863, 747612),
+    ("is", "tmk", "dup-heavy"): (5810515.0, 6331, 910264),
+    ("is", "tmk", "jitter"): (6003866.862992355, 4780, 744748),
+    ("is", "tmk", "stall-one-node"): (6275529.25, 4788, 745280),
+    ("is", "tmk", "crash-one-node"): (6201000.635972215, 6625, 818624),
+    ("is", "tmk", "crash-restart"): (6504850.696674999, 6712, 830208),
 }
 
 
@@ -354,9 +363,7 @@ class TestFaultFreeBitIdentical:
 
     def test_no_fault_machinery_without_plan(self):
         sim = Simulator(SimConfig())
-        assert isinstance(sim.injector, NullInjector)
-        assert not sim.transport.enabled
-        assert sim.net_stats is None
+        assert sim.transport is None
 
 
 # =========================================== headline guarantee under faults

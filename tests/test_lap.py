@@ -91,7 +91,7 @@ class TestLockPredictionState:
 
 class TestLapPredictor:
     def make(self, size=2):
-        return LapPredictor(size, 0.60)
+        return LapPredictor(size)
 
     def test_waiting_queue_dominates(self):
         """Step 1 of the algorithm: non-empty queue -> exactly its head."""
@@ -142,7 +142,7 @@ class TestLapPredictor:
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
-            LapPredictor(0, 0.6)
+            LapPredictor(0)
 
     def test_low_level_variants(self):
         st = LockPredictionState(0, 8)

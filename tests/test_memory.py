@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from repro.memory.diff import (BYTES_PER_ENTRY, Diff, apply_diffs,
-                               create_diff, merge_diffs, total_diff_bytes,
-                               total_diff_words)
+                               create_diff, merge_diffs)
 from repro.memory.layout import Layout
 from repro.memory.pagestore import PageStore
 from repro.memory.write_notice import WriteNotice
@@ -195,8 +194,6 @@ class TestDiff:
         ds = [Diff(0, np.array([0], dtype=np.int32), np.array([1.0])),
               Diff(0, np.array([1, 2], dtype=np.int32),
                    np.array([2.0, 3.0]))]
-        assert total_diff_words(ds) == 3
-        assert total_diff_bytes(ds) == 3 * BYTES_PER_ENTRY
         page = np.zeros(WPP)
         apply_diffs(page, ds)
         assert page[2] == 3.0

@@ -168,7 +168,7 @@ class TestLapProperties:
         for src, dst in transfers:
             state.affinity.record_transfer(src, dst)
         state.virtual_queue.extend([t[0] for t in transfers[:5]])
-        pred = LapPredictor(size, 0.6)
+        pred = LapPredictor(size)
         for fn in (pred.predict, pred.predict_waitq,
                    pred.predict_waitq_affinity, pred.predict_waitq_virtualq):
             out = fn(state, releaser)

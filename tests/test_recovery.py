@@ -158,7 +158,7 @@ class TestFailureDetector:
 
 
 def _lock_mgr():
-    return AECLockManager(0, 4, LapPredictor(2, 0.5), use_lap=True)
+    return AECLockManager(0, 4, LapPredictor(2), use_lap=True)
 
 
 class TestLockManagerPeerDead:
@@ -284,7 +284,7 @@ class TestRestartRecovery:
         names = [s.name for s in spans.of_kind("fault")]
         assert f"fault.crash n{victim}" in names
         assert f"fault.recover n{victim}" in names
-        doc = rec.to_dict()
+        doc = dataclasses.asdict(rec)
         assert doc["plan"] == "crash-restart" and doc["crashes"] == 2
 
     def test_no_recovery_state_without_crashes(self):
@@ -359,7 +359,7 @@ class TestPermanentDeath:
         cycles, msgs, nbytes, counters = self.PINS[(app_name, node, at)]
         assert (result.execution_time, result.messages_total,
                 result.network_bytes) == (cycles, msgs, nbytes)
-        doc = result.recovery.to_dict()
+        doc = dataclasses.asdict(result.recovery)
         for key in ("plan", "fault_seed", "schedule"):
             doc.pop(key)
         assert {k: v for k, v in doc.items() if v} == counters
