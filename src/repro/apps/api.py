@@ -41,6 +41,7 @@ class AppContext:
 
     def __init__(self, node: ProtocolNode, seed: int) -> None:
         self._node = node
+        #: the happens-before checker; None unless the run checks
         self._checker = node.world.checker
         #: app-level event recorder (``repro.fuzz.trace``); None when off
         self._tap = node.world.app_tap
@@ -57,18 +58,28 @@ class AppContext:
         yield Delay(float(cycles), "busy")
 
     # ---- shared memory -----------------------------------------------------
+    #
+    # The checker observes each access right after the protocol completes
+    # it: nothing yields in between, so the node's clock and the data are
+    # exactly those of the access.
 
     def read(self, seg: Segment, start: int, n: int) -> Generator:
         seg.check_range(start, n)
         if self._tap is not None:
             self._tap.rec(self.proc, ("rd", seg.name, start, n))
-        data = yield from self._node.read(seg.base + start, n)
+        addr = seg.base + start
+        data = yield from self._node.read(addr, n)
+        if self._checker is not None:
+            self._checker.on_read(self.proc, addr, data, self._node.now())
         return data
 
     def read1(self, seg: Segment, index: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("rd", seg.name, index, 1))
-        data = yield from self._node.read(seg.addr(index), 1)
+        addr = seg.addr(index)
+        data = yield from self._node.read(addr, 1)
+        if self._checker is not None:
+            self._checker.on_read(self.proc, addr, data, self._node.now())
         return float(data[0])
 
     def write(self, seg: Segment, start: int,
@@ -78,13 +89,19 @@ class AppContext:
         if self._tap is not None:
             self._tap.rec(self.proc,
                           ("wr", seg.name, start, tuple(map(float, values))))
-        yield from self._node.write(seg.base + start, values)
+        addr = seg.base + start
+        yield from self._node.write(addr, values)
+        if self._checker is not None:
+            self._checker.on_write(self.proc, addr, values, self._node.now())
 
     def write1(self, seg: Segment, index: int, value: float) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("wr", seg.name, index, (float(value),)))
-        yield from self._node.write(seg.addr(index),
-                                    np.asarray([value], dtype=np.float64))
+        addr = seg.addr(index)
+        values = np.asarray([value], dtype=np.float64)
+        yield from self._node.write(addr, values)
+        if self._checker is not None:
+            self._checker.on_write(self.proc, addr, values, self._node.now())
 
     def fill(self, seg: Segment, start: int, n: int,
              value: float) -> Generator:
@@ -93,33 +110,34 @@ class AppContext:
     # ---- synchronization -----------------------------------------------------
     #
     # The consistency checker's happens-before edges hang off these calls:
-    # every protocol's sync ops funnel through here, so hooking the context
-    # (rather than each protocol) covers AEC, TreadMarks, Munin and SC
-    # alike.  Hook placement mirrors the HB semantics — release is ordered
-    # before the protocol publishes the lock, acquire after the grant
-    # completes, barrier arrival before entering / departure after leaving.
+    # every protocol's program operations funnel through here, so hooking
+    # the context (rather than each protocol) covers AEC, TreadMarks, Munin
+    # and SC alike.  Hook placement mirrors the HB semantics — release is
+    # ordered before the protocol publishes the lock, acquire after the
+    # grant completes, barrier arrival before entering / departure after
+    # leaving.
 
     def acquire(self, lock_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("acq", lock_id))
         yield from self._node.acquire(lock_id)
-        if self._checker.enabled:
+        if self._checker is not None:
             self._checker.on_acquire(self.proc, lock_id)
 
     def release(self, lock_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("rel", lock_id))
-        if self._checker.enabled:
+        if self._checker is not None:
             self._checker.on_release(self.proc, lock_id)
         yield from self._node.release(lock_id)
 
     def barrier(self, barrier_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("bar", barrier_id))
-        if self._checker.enabled:
+        if self._checker is not None:
             self._checker.on_barrier_arrive(self.proc)
         yield from self._node.barrier(barrier_id)
-        if self._checker.enabled:
+        if self._checker is not None:
             self._checker.on_barrier_depart(self.proc)
 
     def acquire_notice(self, lock_id: int) -> Generator:

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.config import SimConfig
 from repro.memory.layout import Layout
 
 if TYPE_CHECKING:
@@ -187,19 +186,8 @@ class _ShadowPage:
         self.r_max = [0] * nprocs
 
 
-class NullChecker:
-    """Disabled checker: one attribute test per access site, nothing more."""
-
-    enabled = False
-
-    def finish(self) -> None:
-        return None
-
-
 class ConsistencyChecker:
     """Vector-clock happens-before tracker + shadow memory (see module doc)."""
-
-    enabled = True
 
     def __init__(self, layout: Layout, num_procs: int,
                  max_reports: int = 200) -> None:
@@ -497,9 +485,3 @@ class ConsistencyChecker:
         self.report.pages_tracked = len(self._shadow)
         return self.report
 
-
-def make_checker(config: SimConfig, layout: Layout, num_procs: int):
-    """Checker factory: a real checker when enabled, else the null object."""
-    if config.check_consistency:
-        return ConsistencyChecker(layout, num_procs)
-    return NullChecker()

@@ -756,7 +756,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         pu = PendingUpdate(
             lock_id=lock_id, acquire_counter=counter, sender=sender,
             diffs=p["diffs"])
-        if self.spans.enabled:
+        if self.spans is not None:
             # ISR context: stamp with the global simulated time (the node's
             # program clock does not advance inside interrupt handlers)
             pu.span = self.spans.begin(
@@ -883,7 +883,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                     diff.apply(meta.twin)
                 self.hw.page_updated(self.page_addr(pn), self.page_words())
                 checker = self.world.checker
-                if checker.enabled:
+                if checker is not None:
                     checker.note_transfer("diff", self.node_id, pn,
                                           diff.origin, self.sim.now)
                 # the program task is blocked at the barrier: fully hidden

@@ -66,7 +66,7 @@ class _NodeRuntime:
         "node_id", "gen", "state", "clock", "delay_end", "delay_seq",
         "isr_busy_until", "isr_cycles_total", "breakdown",
         "wait_start", "wait_isr_snapshot", "wait_category", "done_time",
-        "handler", "messages_received", "messages_sent", "dead",
+        "handler", "dead",
     )
 
     def __init__(self, node_id: int) -> None:
@@ -86,8 +86,6 @@ class _NodeRuntime:
         self.wait_isr_snapshot = 0.0
         self.wait_category = "synch"
         self.done_time: Optional[float] = None
-        self.messages_received = 0
-        self.messages_sent = 0
         #: crash-stop window active (set only by the crash controller):
         #: the transport black-holes the node's NIC in both directions
         self.dead = False
@@ -357,7 +355,6 @@ class Simulator:
         return cost
 
     def _inject(self, src: int, dst: int, msg: Message, time: float) -> None:
-        self.nodes[src].messages_sent += 1
         msg.src = src
         msg.dst = dst
         if src == dst:
@@ -375,11 +372,11 @@ class Simulator:
         """Put one wire copy of ``msg`` on the network at ``time``.
 
         Called by ``_inject`` for first transmissions and directly by the
-        reliable transport for retransmissions and acks (which bypass the
-        per-node send accounting — they are NIC-level frames).  On a faulty
-        network the transport decides each copy's fate; a dropped copy
-        still reserved the links (the frame was transmitted and lost in
-        flight), so the contention model charges it either way.
+        reliable transport for retransmissions and acks (NIC-level
+        frames).  On a faulty network the transport decides each copy's
+        fate; a dropped copy still reserved the links (the frame was
+        transmitted and lost in flight), so the contention model charges
+        it either way.
         """
         transport = self.transport
         if transport is None:
@@ -398,11 +395,9 @@ class Simulator:
         if transport is not None and not transport.on_arrival(msg):
             # NIC-level frame: an ack, a duplicate, a late retransmission of
             # something already applied, or a frame reaching a crashed node
-            # — suppressed below the CPU, so no interrupt cost and no
-            # message counted for the node
+            # — suppressed below the CPU, so no interrupt cost
             return
         node = self.nodes[msg.dst]
-        node.messages_received += 1
         handler = node.handler
         if handler is None:
             raise SimulationError(f"node {msg.dst} has no message handler")

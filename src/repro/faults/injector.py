@@ -36,7 +36,8 @@ class FaultInjector:
     """Applies a :class:`FaultPlan`'s rules from a dedicated RNG stream."""
 
     def __init__(self, plan: FaultPlan, machine: MachineParams,
-                 stats: NetFaultStats, spans: SpanRecorder) -> None:
+                 stats: NetFaultStats,
+                 spans: Optional[SpanRecorder]) -> None:
         self.plan = plan
         self.machine = machine
         self.stats = stats
@@ -74,9 +75,9 @@ class FaultInjector:
 
     def _note_span(self, msg, time: float, what: str) -> None:
         spans = self.spans
-        if spans.enabled:
-            spans.instant(msg.src, "fault", f"fault.{what} {msg.kind}",
-                          time, msg=msg.kind, dst=msg.dst)
+        if spans is not None:
+            spans.record(msg.src, "fault", f"fault.{what} {msg.kind}",
+                         time, time, msg=msg.kind, dst=msg.dst)
 
     def fates(self, msg, time: float) -> Tuple[Fate, ...]:
         """Decide delivery of ``msg``: a tuple of per-copy fates.
@@ -116,7 +117,6 @@ class FaultInjector:
         self.stats.stalls += 1
         self.stats.stall_cycles += stall.cycles
         spans = self.spans
-        if spans.enabled:
-            sid = spans.begin(stall.node, "fault",
-                              f"fault.stall n{stall.node}", start)
-            spans.end(sid, start + stall.cycles)
+        if spans is not None:
+            spans.record(stall.node, "fault", f"fault.stall n{stall.node}",
+                         start, start + stall.cycles)

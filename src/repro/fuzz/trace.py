@@ -48,7 +48,6 @@ class TraceRecorder:
         self.path = path
         #: (proc, op) tuples; op uses segment *names* until close
         self.events: List[Tuple[int, Tuple]] = []
-        self.closed = False
 
     def rec(self, proc: int, op: Tuple) -> None:
         self.events.append((proc, op))
@@ -78,7 +77,6 @@ class TraceRecorder:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for proc, op in self.events:
                 fh.write(json.dumps(_event_doc(proc, op, seg_index)) + "\n")
-        self.closed = True
         return self.path
 
 

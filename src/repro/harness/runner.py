@@ -96,7 +96,7 @@ def run_app(app: Application, protocol: str = "aec",
 
     for node in nodes:
         node.finalize()
-    check_report = world.checker.finish()
+    check_report = None if world.checker is None else world.checker.finish()
     if world.app_tap is not None:
         # written before app.check so a semantically-failing run still
         # leaves a replayable trace behind
@@ -109,7 +109,8 @@ def run_app(app: Application, protocol: str = "aec",
                       "events_processed": world.sim.events_processed})
     if check:
         app.check(results)
-    world.spans.finish(execution_time)
+    if world.spans is not None:
+        world.spans.finish(execution_time)
 
     node_breakdowns = [Breakdown.from_dict(b) for b in world.sim.breakdowns()]
     fault_total = AccessFaultStats()

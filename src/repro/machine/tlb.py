@@ -20,7 +20,6 @@ class TLB:
         self.machine = machine
         self.entries = machine.tlb_entries
         self._tags = np.full(self.entries, -1, dtype=np.int64)
-        self.fills = 0
         self._words_per_page = machine.words_per_page
         self._fill_cycles = float(machine.tlb_fill_cycles)
         #: (first, last) -> (pages, slots) index arrays, shared and read-only
@@ -43,7 +42,6 @@ class TLB:
                 if tags[slot] != page:
                     tags[slot] = page
                     nmiss += 1
-            self.fills += nmiss
             return nmiss
         key = (first, last)
         cached = self._range_cache.get(key)
@@ -56,7 +54,6 @@ class TLB:
         nmiss = int(miss_mask.sum())
         if nmiss:
             tags[slots[miss_mask]] = pages[miss_mask]
-        self.fills += nmiss
         return nmiss
 
     def flush_page(self, page_number: int) -> None:

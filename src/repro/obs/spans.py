@@ -53,8 +53,6 @@ class Span:
 class SpanRecorder:
     """Records spans keyed by integer handles; ring-buffers finished ones."""
 
-    enabled = True
-
     def __init__(self, capacity: Optional[int] = 1_000_000) -> None:
         self.spans: Deque[Span] = deque(maxlen=capacity)
         self.capacity = capacity
@@ -83,10 +81,11 @@ class SpanRecorder:
         self._store(span)
         return span
 
-    def instant(self, track: int, kind: str, name: str, ts: float,
-                **args: Any) -> None:
-        """A zero-duration marker event."""
-        self._store(Span(track, kind, name, ts, ts, args))
+    def record(self, track: int, kind: str, name: str, start: float,
+               end: float, **args: Any) -> None:
+        """A span whose two ends are already known (``start == end`` is a
+        zero-duration marker)."""
+        self._store(Span(track, kind, name, start, end, args))
 
     def _store(self, span: Span) -> None:
         if self.capacity is not None and len(self.spans) >= self.capacity:
@@ -135,30 +134,3 @@ class SpanRecorder:
     def total_time(self, kind: str) -> float:
         return sum(self.durations(kind))
 
-
-class NullSpanRecorder(SpanRecorder):
-    """The default recorder: records nothing, all calls are no-ops."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=0)
-
-    def begin(self, track: int, kind: str, name: str, start: float,
-              **args: Any) -> int:  # pragma: no cover - hot-path no-op
-        return 0
-
-    def end(self, span_id: int, end: float,
-            **args: Any) -> Optional[Span]:  # pragma: no cover
-        return None
-
-    def instant(self, track: int, kind: str, name: str, ts: float,
-                **args: Any) -> None:  # pragma: no cover
-        return
-
-    def finish(self, at: float) -> int:
-        return 0
-
-
-#: the shared recorder of every run that was not handed one
-NULL_SPANS = NullSpanRecorder()

@@ -27,7 +27,7 @@ from repro.memory.diff import Diff, create_diff
 from repro.memory.layout import Layout
 from repro.memory.pagestore import PageStore
 from repro.network.message import Message
-from repro.obs.spans import NULL_SPANS, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.recovery.detector import HEARTBEAT_KIND
 from repro.stats.diff_stats import DiffStats
 from repro.stats.fault_stats import AccessFaultStats
@@ -110,7 +110,8 @@ class ReliableTransport:
     of their own.
     """
 
-    def __init__(self, sim: Simulator, spans: SpanRecorder) -> None:
+    def __init__(self, sim: Simulator,
+                 spans: Optional[SpanRecorder]) -> None:
         self.sim = sim
         self.machine = sim.machine
         plan = sim.config.faults
@@ -289,8 +290,8 @@ class World:
         self.sync = sync
         self.sim = Simulator(config)
         self.nodes: List["ProtocolNode"] = []
-        #: the caller's span recorder (the shared null recorder when none)
-        self.spans: SpanRecorder = spans if spans is not None else NULL_SPANS
+        #: the caller's span recorder; None when the run is not observed
+        self.spans = spans
         self.recovery: Optional[Any] = None
         if config.faults is not None:
             # faulty network: engage the reliable transport; stalls are
@@ -302,8 +303,11 @@ class World:
                 from repro.recovery import install_recovery
                 self.recovery = install_recovery(self)
             transport.injector.arm_stalls(self.sim)
-        from repro.check import make_checker
-        self.checker = make_checker(config, layout, self.machine.num_procs)
+        #: the happens-before checker; None unless ``check_consistency``
+        self.checker: Optional[Any] = None
+        if config.check_consistency:
+            from repro.check.checker import ConsistencyChecker
+            self.checker = ConsistencyChecker(layout, self.machine.num_procs)
         #: app-level event recorder writing to ``record_trace``; None when off
         self.app_tap: Optional[Any] = None
         if record_trace:
@@ -315,9 +319,6 @@ class World:
         self.lock_acquires: Dict[int, int] = {}
         #: number of completed global barrier episodes
         self.barrier_events: int = 0
-        #: slots used by the SC oracle protocol (single shared store)
-        self.shared_oracle_store: Optional[Any] = None
-        self.central_sync: Optional[Any] = None
 
     def register(self, node: "ProtocolNode") -> None:
         assert node.node_id == len(self.nodes)
@@ -432,11 +433,11 @@ class ProtocolNode:
     def in_critical_section(self) -> bool:
         return bool(self.locks_held)
 
-    # ---- observability helpers (no-ops when spans are disabled) ----------
+    # ---- observability helpers (no-ops when the run records no spans) ----
 
     def span_begin(self, kind: str, name: str, **args: Any) -> int:
         spans = self.spans
-        if not spans.enabled:
+        if spans is None:
             return 0
         return spans.begin(self.node_id, kind, name, self.now(), **args)
 
@@ -506,7 +507,7 @@ class ProtocolNode:
         self.store.ensure(pn, reply["content"])
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
-        if checker.enabled:
+        if checker is not None:
             checker.note_transfer("page", self.node_id, pn, home, self.now())
         return reply
 
@@ -668,10 +669,10 @@ class ProtocolNode:
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_create(diff.size_bytes, cycles, hidden)
         spans = self.spans
-        if spans.enabled:
-            sid = spans.begin(self.node_id, "diff.create",
-                              f"diff.create p{pn}", start, page=pn)
-            spans.end(sid, end, bytes=diff.size_bytes, hidden=hidden > 0)
+        if spans is not None:
+            spans.record(self.node_id, "diff.create", f"diff.create p{pn}",
+                         start, end, page=pn, bytes=diff.size_bytes,
+                         hidden=hidden > 0)
         return diff
 
     def apply_diff_timed(self, diff: Diff, category: str,
@@ -686,15 +687,14 @@ class ProtocolNode:
         diff.apply(page)
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
-        if checker.enabled:
+        if checker is not None:
             checker.note_transfer("diff", self.node_id, pn, diff.origin, end)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_apply(cycles, hidden)
         spans = self.spans
-        if spans.enabled:
-            sid = spans.begin(self.node_id, "diff.apply",
-                              f"diff.apply p{pn}", start, page=pn)
-            spans.end(sid, end, hidden=hidden > 0)
+        if spans is not None:
+            spans.record(self.node_id, "diff.apply", f"diff.apply p{pn}",
+                         start, end, page=pn, hidden=hidden > 0)
 
     def invalidate(self, pn: int) -> bool:
         """Drop the local copy's access rights; True if it was valid."""
@@ -773,7 +773,7 @@ class ProtocolNode:
         if updated:
             self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
-        if checker.enabled:
+        if checker is not None:
             checker.note_transfer("diff", self.node_id, pn, diff.origin,
                                   self.now())
         self.world.diff_stats.record_apply(cycles, 0.0)
@@ -802,11 +802,7 @@ class ProtocolNode:
         yield Delay(cost.busy, "busy")
         if cost.others:
             yield Delay(cost.others, "others")
-        data = self.store.read(addr, nwords)
-        checker = self.world.checker
-        if checker.enabled:
-            checker.on_read(self.node_id, addr, data, self.now())
-        return data
+        return self.store.read(addr, nwords)
 
     def write(self, addr: int, values: np.ndarray) -> Generator:
         """Application-level ranged write.
@@ -837,11 +833,7 @@ class ProtocolNode:
                 yield Delay(cost.others, "others")
             if all(self.pages[pn].valid and self.pages[pn].writable
                    for pn in pages):
-                data = np.asarray(values, dtype=np.float64)
-                self.store.write(addr, data)
-                checker = self.world.checker
-                if checker.enabled:
-                    checker.on_write(self.node_id, addr, data, self.now())
+                self.store.write(addr, values)
                 return
 
     def _timed_fault(self, pn: int, is_write: bool) -> Generator:

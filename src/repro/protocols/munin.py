@@ -146,7 +146,7 @@ class MuninNode(ProtocolNode):
         self.store.ensure(pn, reply["content"])
         self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
-        if checker.enabled:
+        if checker is not None:
             checker.note_transfer("page", self.node_id, pn, directory,
                                   self.now())
         if meta.twin is not None:
@@ -273,7 +273,7 @@ class MuninNode(ProtocolNode):
                 diff.apply(meta.twin)
             self.hw.page_updated(self.page_addr(pn), self.page_words())
             checker = self.world.checker
-            if checker.enabled:
+            if checker is not None:
                 checker.note_transfer("diff", self.node_id, pn, diff.origin,
                                       self.sim.now)
         # no local content: the update raced with our in-flight fetch — and

@@ -15,15 +15,13 @@ import numpy as np
 
 from repro.engine.events import Delay, Resolve, Wait
 from repro.engine.future import Future
-from repro.memory.pagestore import PageStore
 from repro.protocols.base import ProtocolNode, World
 
 
 class _CentralSync:
     """Zero-latency central lock/barrier state shared by all SC nodes."""
 
-    def __init__(self, world: World) -> None:
-        self.world = world
+    def __init__(self) -> None:
         self.lock_holder: Dict[int, Optional[int]] = {}
         self.lock_queue: Dict[int, Deque[Future]] = {}
         self.barrier_count: Dict[int, int] = {}
@@ -36,35 +34,24 @@ class SCNode(ProtocolNode):
     def __init__(self, world: World, node_id: int) -> None:
         super().__init__(world, node_id)
         if node_id == 0:
-            store = PageStore(self.machine.words_per_page)
-            for pn in range(self.layout.total_pages):
-                store.ensure(pn)
-            world.shared_oracle_store = store
-            world.central_sync = _CentralSync(world)
-        # every node aliases the single shared store
-        self.store = world.shared_oracle_store
-
-    @property
-    def central(self) -> _CentralSync:
-        return self.world.central_sync
+            # node 0 already holds a copy of every page: it is the single
+            # store, and it owns the central lock/barrier state
+            self.central = _CentralSync()
+        else:
+            # node 0 registered first; every node aliases its state
+            hub = world.nodes[0]
+            self.store = hub.store
+            self.central = hub.central
 
     # ---- memory: single copy, no faults ---------------------------------
 
     def read(self, addr: int, nwords: int) -> Generator:
         yield Delay(float(nwords), "busy")
-        data = self.store.read(addr, nwords)
-        checker = self.world.checker
-        if checker.enabled:
-            checker.on_read(self.node_id, addr, data, self.now())
-        return data
+        return self.store.read(addr, nwords)
 
     def write(self, addr: int, values: np.ndarray) -> Generator:
         yield Delay(float(len(values)), "busy")
-        data = np.asarray(values, dtype=np.float64)
-        self.store.write(addr, data)
-        checker = self.world.checker
-        if checker.enabled:
-            checker.on_write(self.node_id, addr, data, self.now())
+        self.store.write(addr, values)
 
     # ---- synchronization: central, zero latency ---------------------------
 

@@ -142,21 +142,15 @@ class CrashController:
             sim.schedule_call(
                 sim.now + c.down_cycles,
                 lambda: self._revive(c.node, restore, replay, restore_pages))
-            if spans.enabled:
-                sid = spans.begin(c.node, "fault",
-                                  f"fault.crash n{c.node}", start)
-                spans.end(sid, start + c.down_cycles)
-                sid = spans.begin(c.node, "fault",
-                                  f"fault.recover n{c.node}",
-                                  start + c.down_cycles,
-                                  pages=restore_pages)
-                spans.end(sid, start + c.down_cycles + restore + replay)
-        else:
-            if spans.enabled:
-                sid = spans.begin(c.node, "fault",
-                                  f"fault.crash n{c.node} (permanent)",
-                                  sim.now)
-                spans.end(sid, sim.now)
+            if spans is not None:
+                up = start + c.down_cycles
+                spans.record(c.node, "fault", f"fault.crash n{c.node}",
+                             start, up)
+                spans.record(c.node, "fault", f"fault.recover n{c.node}",
+                             up, up + restore + replay, pages=restore_pages)
+        elif spans is not None:
+            spans.record(c.node, "fault", f"fault.crash n{c.node} (permanent)",
+                         sim.now, sim.now)
 
     def _revive(self, node_id: int, restore: float, replay: float,
                 pages: int) -> None:
@@ -199,10 +193,9 @@ class CrashController:
             node.done_time = self._dead_since.get(p, sim.now)
         self.stats.cancelled_sends += sim.transport.cancel_peer(p)
         spans = self.world.spans
-        if spans.enabled:
-            sid = spans.begin(0, "fault", f"fault.declare-dead n{p}",
-                              sim.now)
-            spans.end(sid, sim.now)
+        if spans is not None:
+            spans.record(0, "fault", f"fault.declare-dead n{p}",
+                         sim.now, sim.now)
         # hand the verdict to node 0's protocol ISR: token regeneration,
         # barrier membership, copyset repair and the reconfig broadcast
         # all run as ordinary (charged) protocol work from there

@@ -26,7 +26,7 @@ flags an instrumentation bug, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.spans import SPAN_KINDS, Span, SpanRecorder
 from repro.stats.breakdown import Breakdown
@@ -188,14 +188,15 @@ def attribute_spans(spans: Iterable[Span], num_nodes: int,
                              per_node=per_node, spans_dropped=dropped)
 
 
-def attribute_result(result: Any, spans: SpanRecorder) -> AttributionReport:
+def attribute_result(result: Any,
+                     spans: Optional[SpanRecorder]) -> AttributionReport:
     """Attribution for a :class:`RunResult` from the recorder its run was
     given (``run_app(..., spans=spans)``).
 
     Also fills the Figure-4 cross-check from the result's per-node engine
     breakdowns.
     """
-    if not spans.enabled:
+    if spans is None:
         raise ValueError("no spans recorded; pass run_app(..., "
                          "spans=SpanRecorder())")
     report = attribute_spans(spans.spans, result.num_procs,

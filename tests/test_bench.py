@@ -7,7 +7,7 @@ from repro.config import SimConfig
 from repro.faults import resolve_plan
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
-from repro.obs.spans import NULL_SPANS, Span, SpanRecorder
+from repro.obs.spans import Span, SpanRecorder
 from repro.tools import (ATTRIBUTION_KINDS, attribute_result,
                          attribute_spans, exclusive_stacks, spans_collapsed,
                          write_collapsed)
@@ -101,7 +101,7 @@ class TestAttributionErrors:
     def test_requires_spans(self):
         result = run_app(make_app("is", "test"), "aec", SimConfig())
         with pytest.raises(ValueError, match="no spans recorded"):
-            attribute_result(result, NULL_SPANS)
+            attribute_result(result, None)
 
     def test_cli_attr(self, capsys):
         assert cli_main(["explain", "--app", "is"]) == 0

@@ -21,7 +21,7 @@ import pytest
 from repro.apps.api import Application
 from repro.apps import registry
 from repro.apps.registry import APP_NAMES, SCALES, make_app
-from repro.check import ConsistencyChecker, NullChecker, make_checker
+from repro.check import ConsistencyChecker
 from repro.check.oracle import run_divergence_oracle
 from repro.config import MachineParams, SimConfig, canonical_config_dict, \
     config_digest
@@ -30,6 +30,8 @@ from repro.harness import sweep as sw
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import PROTOCOLS, run_app
 from repro.memory.layout import Layout
+from repro.protocols.base import World
+from repro.sync.objects import SyncRegistry
 
 
 def _checker(num_procs=4, segments=(("data", 2048),)):
@@ -44,13 +46,18 @@ def _arr(*values):
 
 
 class TestCheckerUnits:
-    def test_factory_returns_null_when_off(self):
+    def test_no_checker_when_off(self):
         machine = MachineParams(num_procs=4)
-        layout = Layout(machine.words_per_page)
-        ck = make_checker(SimConfig(machine=machine), layout, 4)
-        assert isinstance(ck, NullChecker)
-        assert not ck.enabled
-        assert ck.finish() is None
+
+        def checker(config):
+            return World(config, Layout(machine.words_per_page),
+                         SyncRegistry(machine.num_procs)).checker
+        assert checker(SimConfig(machine=machine)) is None
+        assert isinstance(checker(SimConfig(machine=machine,
+                                            check_consistency=True)),
+                          ConsistencyChecker)
+        result = run_app(make_app("is", "test"), "aec", SimConfig())
+        assert result.check_report is None
 
     def test_unordered_writes_race(self):
         ck = _checker()
@@ -368,16 +375,41 @@ class TestTransferRecord:
         assert transfers["page"] > 0
 
 
+class TestObservedOperations:
+    """The checker sees the program's operations, observed once in the
+    app context, whatever traffic the protocol generates underneath:
+    every protocol reports the same accesses."""
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("app_id,counts", [
+        ("is", (112, 64, 20512, 8224)),
+        ("fuzz:42", (100, 55, 1505, 705)),
+    ], ids=["is", "fuzz:42"])
+    def test_every_protocol_reports_the_programs_accesses(
+            self, app_id, counts, protocol):
+        from repro.fuzz.generator import config_for_spec, generate_spec
+        config = SimConfig(check_consistency=True)
+        if app_id.startswith("fuzz:"):
+            config = config_for_spec(generate_spec(42, "test"), config)
+        result = run_app(make_app(app_id, "test", config=config), protocol,
+                         config)
+        rep = result.check_report
+        assert rep.clean, rep.summary()
+        assert (rep.reads_checked, rep.writes_checked, rep.words_read,
+                rep.words_written) == counts
+
+
 class TestPermanentDeath:
     def test_no_barrier_episode_outlives_a_dead_node(self, monkeypatch):
-        import repro.check
+        import repro.check.checker
         made = []
 
-        def spy(*args):
-            made.append(make_checker(*args))
-            return made[-1]
+        class Spy(ConsistencyChecker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
 
-        monkeypatch.setattr(repro.check, "make_checker", spy)
+        monkeypatch.setattr(repro.check.checker, "ConsistencyChecker", Spy)
         plan = FaultPlan(name="perm", seed=1, crashes=(
             NodeCrash(node=3, at=300_000.0, down_cycles=150_000.0,
                       restart=False),))

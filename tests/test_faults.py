@@ -27,7 +27,7 @@ from repro.faults.injector import FaultInjector
 from repro.harness import sweep as sw
 from repro.harness.runner import PROTOCOLS, run_app
 from repro.network.message import Message
-from repro.obs.spans import NULL_SPANS, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.protocols.base import (ACK_KIND, BEST_EFFORT_KINDS,
                                   ReliableTransport, TransportTimeoutError)
 
@@ -70,7 +70,7 @@ class TestFaultPlans:
         blanket = FaultRule(drop_p=0.1)
         plan = FaultPlan(rules=(specific, blanket))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
+        inj = FaultInjector(plan, MachineParams(), stats, None)
         assert inj._rule_for("aec.reply", 1, 2) is specific
         assert inj._rule_for("aec.reply", 2, 1) is blanket
 
@@ -117,22 +117,22 @@ class TestInjector:
         plan = FaultPlan(seed=5, rules=(FaultRule(drop_p=0.5, dup_p=0.3),))
         runs = []
         for _ in range(2):
-            inj = FaultInjector(plan, MachineParams(), _stats(), NULL_SPANS)
+            inj = FaultInjector(plan, MachineParams(), _stats(), None)
             runs.append([inj.fates(_msg(), 0.0) for _ in range(200)])
         assert runs[0] == runs[1]
         other = FaultInjector(plan.with_seed(6), MachineParams(), _stats(),
-                              NULL_SPANS)
+                              None)
         assert runs[0] != [other.fates(_msg(), 0.0) for _ in range(200)]
 
     def test_drop_and_dup_counting(self):
         plan = FaultPlan(seed=1, rules=(FaultRule(drop_p=1.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
+        inj = FaultInjector(plan, MachineParams(), stats, None)
         assert inj.fates(_msg(), 0.0) == ((False, 0.0),)
         assert stats.dropped == 1 and stats.drops_by_kind == {"aec.reply": 1}
         plan = FaultPlan(seed=1, rules=(FaultRule(dup_p=1.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
+        inj = FaultInjector(plan, MachineParams(), stats, None)
         fates = inj.fates(_msg(), 0.0)
         assert len(fates) == 2 and all(d for d, _ in fates)
         assert stats.duplicated == 1
@@ -141,7 +141,7 @@ class TestInjector:
     def test_degraded_link_slows_streaming(self):
         plan = FaultPlan(seed=1, rules=(FaultRule(delay_multiplier=3.0),))
         stats = _stats()
-        inj = FaultInjector(plan, MachineParams(), stats, NULL_SPANS)
+        inj = FaultInjector(plan, MachineParams(), stats, None)
         ((delivered, extra),) = inj.fates(_msg(nbytes=968), 0.0)
         # 968 + 32 header = 1000 bytes -> 500 stream cycles, x3 => +1000
         assert delivered and extra == pytest.approx(1000.0)
@@ -150,7 +150,7 @@ class TestInjector:
     def test_unmatched_kind_untouched(self):
         plan = FaultPlan(seed=1, rules=(
             FaultRule(kinds=("tmk.*",), drop_p=1.0),))
-        inj = FaultInjector(plan, MachineParams(), _stats(), NULL_SPANS)
+        inj = FaultInjector(plan, MachineParams(), _stats(), None)
         assert inj.fates(_msg("aec.reply"), 0.0) == ((True, 0.0),)
         assert inj.fates(_msg("tmk.reply"), 0.0) == ((False, 0.0),)
 
@@ -162,7 +162,7 @@ def _transport(**machine_overrides):
     machine = dataclasses.replace(MachineParams(), **machine_overrides)
     config = SimConfig(machine=machine, faults=FaultPlan(name="quiet"))
     sim = Simulator(config)
-    tr = ReliableTransport(sim, NULL_SPANS)
+    tr = ReliableTransport(sim, None)
     sim.transport = tr
     return sim, tr
 

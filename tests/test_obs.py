@@ -10,8 +10,7 @@ from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_app
 from repro.obs.export import DEFAULT_CYCLE_NS, chrome_trace, write_chrome_trace
 from repro.obs.host import host_metadata
-from repro.obs.spans import (NULL_SPANS, SPAN_KINDS, NullSpanRecorder, Span,
-                             SpanRecorder)
+from repro.obs.spans import SPAN_KINDS, Span, SpanRecorder
 from repro.protocols.base import World
 from repro.tools import episode_stats, lock_report, metrics_report
 
@@ -69,13 +68,6 @@ class TestSpans:
         assert len(rec.of_kind("barrier")) == 2
         assert rec.total_time("barrier") == 8.0
         assert rec.durations("lock.hold") == [4.0]
-
-    def test_null_recorder(self):
-        rec = NullSpanRecorder()
-        assert not rec.enabled
-        assert rec.begin(0, "barrier", "b", 0.0) == 0
-        rec.end(0, 1.0)
-        assert len(rec) == 0 and rec.finish(5.0) == 0
 
     def test_span_kinds_map_to_figure4_categories(self):
         assert set(SPAN_KINDS.values()) <= {"busy", "data", "synch", "ipc",
@@ -187,7 +179,6 @@ class TestRunWithObs:
         r = run_app(make_app("is", "test"), "aec", SimConfig())
         assert "spans" not in r.extra
         assert not hasattr(r, "metrics")
-        assert len(NULL_SPANS) == 0
 
     def test_clock_hz_from_machine(self):
         import dataclasses
@@ -205,7 +196,7 @@ class TestRunWithObs:
 
     def test_world_spans_follow_config(self):
         """The world records into the recorder it is handed, else into
-        the shared null recorder; no config field switches spans on."""
+        none; no config field switches spans on."""
         from repro.memory.layout import Layout
         from repro.sync.objects import SyncRegistry
 
@@ -214,7 +205,7 @@ class TestRunWithObs:
             return World(cfg, Layout(cfg.machine.words_per_page),
                          SyncRegistry(cfg.machine.num_procs),
                          spans=recorder).spans
-        assert spans() is NULL_SPANS
+        assert spans() is None
         mine = SpanRecorder()
         assert spans(mine) is mine and mine.capacity == 1_000_000
 
@@ -349,7 +340,7 @@ class TestTraceExportContract:
         rec.end(a, 400.0)
         c = rec.begin(0, "diff.create", "d", 10.0)
         rec.end(c, 20.0)
-        rec.instant(1, "fault", "drop", 60.0)
+        rec.record(1, "fault", "drop", 60.0, 60.0)
         return rec
 
     def test_schema_valid_json(self):

@@ -342,7 +342,7 @@ class TestPermanentDeath:
             "barrier_reconfigs": 1}),
     }
 
-    def _run(self, app_name, node=3, at=500_000.0):
+    def _run(self, app_name, node=3, at=500_000.0, spans=None):
         plan = FaultPlan(name="perm", seed=1, crashes=(
             NodeCrash(node=node, at=at, down_cycles=150_000.0,
                       restart=False),))
@@ -353,7 +353,7 @@ class TestPermanentDeath:
         # (inherent to unreplicated crash-stop, DESIGN.md §13) — this test
         # certifies liveness and reconfiguration, not data recency
         return run_app(make_app(app_name, "test"), "aec", config,
-                       check=False)
+                       check=False, spans=spans)
 
     def _assert_pinned(self, result, app_name, node, at):
         cycles, msgs, nbytes, counters = self.PINS[(app_name, node, at)]
@@ -365,7 +365,8 @@ class TestPermanentDeath:
         assert {k: v for k, v in doc.items() if v} == counters
 
     def test_survivors_finish_after_declaration(self):
-        result = self._run("ocean", node=2, at=200_000.0)
+        spans = SpanRecorder()
+        result = self._run("ocean", node=2, at=200_000.0, spans=spans)
         rec = result.recovery
         assert rec.crashes == 1 and rec.revivals == 0
         assert rec.peers_declared_dead == 1
@@ -379,6 +380,13 @@ class TestPermanentDeath:
         # cycles), not some detector tail
         assert result.execution_time < 20_000_000
         self._assert_pinned(result, "ocean", 2, 200_000.0)
+        # the two markers only a permanent crash records: the crash on
+        # the dead node's track, the declaration on the coordinator's
+        markers = {(s.track, s.name): s for s in spans.of_kind("fault")}
+        crash = markers[(2, "fault.crash n2 (permanent)")]
+        declared = markers[(0, "fault.declare-dead n2")]
+        assert crash.start == crash.end == 200_000.0
+        assert declared.start == declared.end > crash.start
 
     def test_dead_lock_manager_rehomed_to_node_zero(self):
         # raytrace hashes locks across all nodes; killing node 3 orphans
