@@ -18,23 +18,27 @@ on scheduling, e.g. Raytrace's work-stealing queue heads) are excluded from
 the comparison.
 
 :func:`judge` is the only code that decides whether a run is right: its
-checker report, then the app's own check, then the image diff.  ``repro
-check`` and the fuzz shrinker reach it through
-:func:`run_divergence_oracle`; the fuzz campaign calls it on the results
-of its sweep.
+checker report, then the app's own check, then the image diff.
+:func:`certify` is the only code that runs what it judges: ``repro
+check``, the fuzz campaign, the shrinker and corpus replay all certify
+their cells through it, in one sweep per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.apps.api import Application, AppContext
-from repro.config import SimConfig, config_digest
+from repro.config import SimConfig
 from repro.memory.layout import Layout
 from repro.stats.run_result import RunResult
 from repro.sync.objects import SyncRegistry
+
+if TYPE_CHECKING:
+    from repro.harness.sweep import RunSpec, SweepReport
 
 
 class MemoryImageApp(Application):
@@ -210,38 +214,67 @@ def judge(result: RunResult, app: MemoryImageApp,
     return report, None
 
 
-def run_divergence_oracle(app_id: str, protocol: str, config: SimConfig, *,
-                          scale: str = "test",
-                          images: Optional[Dict[tuple, Any]] = None,
-                          ) -> Tuple[Optional[RunResult],
-                                     Optional[DivergenceReport],
-                                     Optional[str]]:
-    """Certify one run: ``app_id`` under ``protocol`` with ``config``,
-    judged (:func:`judge`) against the same app+seed under SC.
+class Verdict(NamedTuple):
+    """One certified cell: its sweep cell, run result, image diff and
+    failure signature (``None`` when healthy).  ``result`` is ``None``
+    when the cell's own run raised, ``report`` when either run did."""
 
-    Returns ``(result, report, failure)``; ``failure`` is ``None`` for a
-    healthy run.  The certified run skips the app's check, so the judge
-    turns a failed check into a signature instead of an exception.  The
-    SC run is fault-free and checker-off; its image is looked up in, and
-    stored into, ``images``, so certifying several protocols or fault
-    plans against one app+seed runs SC once.  A run that raises gives
-    ``(None, None, "error: ...")``.
+    cell: "RunSpec"
+    result: Optional[RunResult]
+    report: Optional[DivergenceReport]
+    failure: Optional[str]
+
+
+def certify(cells: Sequence[Tuple[str, str, SimConfig]], *,
+            scale: str = "test", jobs: int = 1,
+            cache_dir: Optional[str] = None,
+            progress: Optional[Callable[[str], None]] = None,
+            ) -> Tuple[List[Verdict], "SweepReport"]:
+    """Certify every ``(app_id, protocol, config)`` cell in one sweep.
+
+    Each cell runs as ``image:APP`` with the app's check off, so
+    :func:`judge` turns a failed check into a signature instead of an
+    exception.  Its oracle is the SC run of the same app and config:
+    checker off, fault-free, app check on, run once per distinct key
+    however many cells share it.  Every run goes through
+    :func:`~repro.harness.sweep.run_sweep` (memo, ``cache_dir``,
+    ``jobs``).  Returns the verdicts in cell order and the sweep's
+    report; a cell whose own or SC run raised fails ``error: ...``.
     """
     from repro.apps.registry import make_app
-    from repro.harness.runner import run_app
+    from repro.harness import sweep as sw
 
-    sc_cfg = config.replace(check_consistency=False, faults=None)
-    key = (app_id, scale, config_digest(sc_cfg))
-    images = images if images is not None else {}
-    try:
-        app = MemoryImageApp(make_app(app_id, scale, config=config))
-        result = run_app(app, protocol, config=config, check=False)
-        if key not in images:
-            sc_app = MemoryImageApp(make_app(app_id, scale, config=sc_cfg))
-            images[key] = run_app(sc_app, "sc",
-                                  config=sc_cfg).app_results[0][1]
-    except Exception as exc:  # noqa: BLE001 - a crash IS the failure
-        return None, None, f"error: {type(exc).__name__}: {exc}"
-    report, failure = judge(result, app, images[key], app_id=app_id,
-                            seed=config.seed)
-    return result, report, failure
+    pairs = []
+    for app_id, protocol, config in cells:
+        image_id = f"image:{app_id}"
+        pairs.append((
+            sw.make_spec(image_id, scale, protocol, config=config,
+                         check=False),
+            sw.make_spec(image_id, scale, "sc", config=config.replace(
+                check_consistency=False, faults=None))))
+    oracles = {sc.key: sc for _cell, sc in pairs}
+    sweep = sw.run_sweep([cell for cell, _sc in pairs] + list(
+        oracles.values()), jobs=jobs, cache_dir=cache_dir,
+        progress=progress)
+
+    errors = {spec.key: error for spec, error in sweep.failures}
+    #: SC cell key -> its app, declared: the layout and check of every
+    #: cell judged against that oracle
+    apps: Dict[str, MemoryImageApp] = {}
+    verdicts = []
+    for (app_id, _protocol, config), (cell, sc) in zip(cells, pairs):
+        result = sweep.results.get(cell.key)
+        error = errors.get(cell.key) or errors.get(sc.key)
+        if error is not None:
+            verdicts.append(Verdict(cell, result, None, f"error: {error}"))
+            continue
+        if sc.key not in apps:
+            machine = sc.config.machine
+            apps[sc.key] = make_app(sc.app, scale, config=sc.config)
+            apps[sc.key].declare(Layout(machine.words_per_page),
+                                 SyncRegistry(machine.num_procs))
+        report, failure = judge(
+            result, apps[sc.key], sweep.results[sc.key].app_results[0][1],
+            app_id=app_id, seed=config.seed)
+        verdicts.append(Verdict(cell, result, report, failure))
+    return verdicts, sweep

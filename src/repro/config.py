@@ -40,8 +40,6 @@ class MachineParams:
     io_cycles_per_word: float = 3.0
     #: network path width in bits (bidirectional links)
     net_path_bits: int = 16
-    #: interconnect topology: "mesh" (the paper's), "ring" or "crossbar"
-    topology: str = "mesh"
     messaging_overhead_cycles: int = 400
     switch_cycles: int = 4
     wire_cycles: int = 2

@@ -11,7 +11,6 @@ the loss must surface as a stale read in a later critical section.
 from __future__ import annotations
 
 from repro.core.aec.protocol import AECNode
-from repro.harness.runner import PROTOCOLS
 
 #: registry key for the broken variant
 BROKEN_PROTOCOL = "aec-broken"
@@ -39,12 +38,3 @@ class BrokenAECNode(AECNode):
             return
         yield from super()._apply_cs_diff(pn, diff, category, hidden_behind)
 
-
-def ensure_registered() -> str:
-    """Idempotently register ``aec-broken`` in the protocol table.
-
-    Registered entries are plain dict rows, so under the Linux ``fork``
-    start method they survive into multiprocessing sweep workers.
-    """
-    PROTOCOLS.setdefault(BROKEN_PROTOCOL, BrokenAECNode)
-    return BROKEN_PROTOCOL

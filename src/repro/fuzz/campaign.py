@@ -1,13 +1,13 @@
 """Fuzzing campaign driver: seeds x protocols x fault plans, certified.
 
-A campaign fans generated workloads through the sweep runner (so cells are
-disk-cached, multiprocessing-parallel, and content-addressed by their full
-config — every (spec, protocol, fault-seed) is a distinct cache cell) with
-the consistency checker armed, then certifies each cell with
-:func:`repro.check.oracle.judge`: the happens-before checker's report must
-be clean, every processor's checksum must equal the analytic expectation,
-and the final memory image must be word-identical to the same workload's
-fault-free SC oracle image.
+A campaign certifies generated workloads with the consistency checker
+armed through :func:`repro.check.oracle.certify`, one sweep for the whole
+grid (so cells are disk-cached, multiprocessing-parallel, and
+content-addressed by their full config — every (spec, protocol,
+fault-seed) is a distinct cache cell): the happens-before checker's report
+must be clean, every processor's checksum must equal the analytic
+expectation, and the final memory image must be word-identical to the
+same workload's fault-free SC oracle image.
 
 Failures are minimized inline by :mod:`repro.fuzz.shrink` and can be filed
 directly into a corpus directory as JSON reproducers (see
@@ -21,15 +21,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.registry import make_app
-from repro.check.oracle import judge
+from repro.check.oracle import certify
 from repro.faults.plan import NO_FAULTS, resolve_plan
-from repro.fuzz.broken import BROKEN_PROTOCOL, ensure_registered
-from repro.fuzz.generator import (WorkloadSpec, config_for_spec, generate_spec,
-                                  spec_from_dict, spec_to_dict)
-from repro.fuzz.shrink import shrink_spec, spec_failure
-from repro.memory.layout import Layout
-from repro.sync.objects import SyncRegistry
+from repro.fuzz.broken import BROKEN_PROTOCOL
+from repro.fuzz.generator import (WorkloadSpec, generate_spec, spec_from_dict,
+                                  spec_to_dict)
+from repro.fuzz.shrink import shrink_spec, spec_cell
 
 @dataclass
 class CampaignCell:
@@ -150,15 +147,15 @@ def replay_corpus_entry(doc: Dict[str, Any],
     ``aec-broken``, which must keep failing (else the checker lost
     detection power).
     """
-    ensure_registered()
     spec = spec_from_dict(doc.get("spec", doc))
     found = doc.get("found", {})
     plan = resolve_plan(found.get("plan"))
     runs = list(protocols)
     if found.get("protocol") and found["protocol"] not in runs:
         runs.append(found["protocol"])
-    return [CorpusRun(p, spec_failure(spec, p, faults=plan),
-                      p == BROKEN_PROTOCOL) for p in runs]
+    verdicts, _sweep = certify([spec_cell(spec, p, plan) for p in runs])
+    return [CorpusRun(p, v.failure, p == BROKEN_PROTOCOL)
+            for p, v in zip(runs, verdicts)]
 
 
 def run_campaign(seeds: Sequence[int],
@@ -172,44 +169,28 @@ def run_campaign(seeds: Sequence[int],
                  max_shrink_runs: int = 300,
                  corpus_dir: Optional[str] = None,
                  progress=None) -> CampaignReport:
-    """Fan ``seeds x protocols x plans`` through the sweep and certify.
+    """Certify ``seeds x protocols x plans`` in one
+    :func:`~repro.check.oracle.certify` sweep.
 
-    Per seed, one extra fault-free SC cell provides the oracle image; all
-    cells go through the sweep cache, so re-running a campaign (or
-    widening it with more seeds) only executes new cells.  With
+    Per seed, one fault-free SC cell provides the oracle image; all cells
+    go through the sweep cache, so re-running a campaign (or widening it
+    with more seeds) only executes new cells.  With
     ``shrink=True`` every failing cell's spec is minimized inline; with
     ``corpus_dir`` the minimized reproducers are also written there as
     JSON corpus documents.
     """
-    import repro.harness.sweep as sw
-
     def say(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
     plan_objs = {name: resolve_plan(name) for name in plans}
     specs = {int(seed): generate_spec(int(seed), scale) for seed in seeds}
-
-    run_specs = []
-    #: seed -> (its SC cell, [(protocol, plan, cell)])
-    grid: Dict[int, Tuple[Any, List[Tuple[str, str, Any]]]] = {}
-    for seed, spec in specs.items():
-        sc_cell = sw.make_spec(f"image:fuzz:{seed}", scale, "sc",
-                               config=config_for_spec(spec), check=False)
-        run_specs.append(sc_cell)
-        cells = []
-        for protocol in protocols:
-            for plan_name in plans:
-                cfg = config_for_spec(spec).replace(
-                    check_consistency=True, faults=plan_objs[plan_name])
-                cell = sw.make_spec(f"image:fuzz:{seed}", scale, protocol,
-                                    config=cfg, check=False)
-                cells.append((protocol, plan_name, cell))
-                run_specs.append(cell)
-        grid[seed] = (sc_cell, cells)
-
-    sweep = sw.run_sweep(run_specs, jobs=jobs, cache_dir=cache_dir,
-                         progress=progress)
+    grid = [(seed, protocol, plan_name) for seed in specs
+            for protocol in protocols for plan_name in plans]
+    verdicts, sweep = certify(
+        [spec_cell(specs[seed], protocol, plan_objs[plan_name])
+         for seed, protocol, plan_name in grid],
+        scale=scale, jobs=jobs, cache_dir=cache_dir, progress=progress)
 
     report = CampaignReport(scale=scale, protocols=tuple(protocols),
                             plans=tuple(plans),
@@ -217,52 +198,27 @@ def run_campaign(seeds: Sequence[int],
                             executed=sweep.executed,
                             cached=sweep.hits_memory + sweep.hits_disk,
                             wall_seconds=sweep.wall_seconds)
-
-    errors = {spec.key: error for spec, error in sweep.failures}
-    for seed, (sc_cell, cells) in grid.items():
-        # every cell of a seed runs on one machine, so one declared app
-        # gives the judge the layout all of them read their image through
-        machine = sc_cell.config.machine
-        app = make_app(sc_cell.app, scale, config=sc_cell.config)
-        app.declare(Layout(machine.words_per_page),
-                    SyncRegistry(machine.num_procs))
-        sc_result = sweep.results.get(sc_cell.key)
-        for protocol, plan_name, cell in cells:
-            result = sweep.results.get(cell.key)
-            if result is None:
-                failure = "error: " + errors.get(cell.key, "run failed")
-            elif sc_result is None:
-                failure = "error: sc oracle cell failed"
-            else:
-                _report, failure = judge(
-                    result, app, sc_result.app_results[0][1],
-                    app_id=f"fuzz:{seed}", seed=cell.config.seed)
-            report.cells.append(CampaignCell(
-                seed=seed, protocol=protocol, plan=plan_name, key=cell.key,
-                failure=failure,
-                execution_time=result.execution_time if result else 0.0))
+    for (seed, protocol, plan_name), verdict in zip(grid, verdicts):
+        result = verdict.result
+        report.cells.append(CampaignCell(
+            seed=seed, protocol=protocol, plan=plan_name,
+            key=verdict.cell.key, failure=verdict.failure,
+            execution_time=result.execution_time if result else 0.0))
 
     if shrink and report.failures:
         # one minimized reproducer per distinct (seed, protocol, plan)
         for cell in report.failures:
             say(f"shrinking seed {cell.seed} under {cell.protocol}"
                 f"/{cell.plan}: {cell.failure}")
-            try:
-                res = shrink_spec(specs[cell.seed], cell.protocol,
-                                  faults=plan_objs[cell.plan],
-                                  max_runs=max_shrink_runs)
-            except ValueError:
-                # failure not reproducible outside the sweep context
-                # (e.g. the sweep cell itself errored); file it unshrunk
-                doc = corpus_doc(specs[cell.seed], cell.protocol, cell.plan,
-                                 scale, cell.failure or "unknown")
-            else:
-                doc = corpus_doc(res.minimal, cell.protocol, cell.plan,
-                                 scale, res.minimal_failure,
-                                 shrunk_from=specs[cell.seed],
-                                 shrink_runs=res.runs)
-                say("  " + res.summary())
-            report.reproducers.append(doc)
+            # the shrinker certifies the same cell, so it fails there too
+            res = shrink_spec(specs[cell.seed], cell.protocol,
+                              faults=plan_objs[cell.plan],
+                              max_runs=max_shrink_runs)
+            say("  " + res.summary())
+            report.reproducers.append(corpus_doc(
+                res.minimal, cell.protocol, cell.plan, scale,
+                res.minimal_failure, shrunk_from=specs[cell.seed],
+                shrink_runs=res.runs))
 
     if corpus_dir and report.reproducers:
         os.makedirs(corpus_dir, exist_ok=True)

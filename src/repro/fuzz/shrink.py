@@ -26,23 +26,31 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
+from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
 from repro.fuzz.generator import PhaseSpec, WorkloadSpec, config_for_spec
 
 
+def spec_cell(spec: WorkloadSpec, protocol: str,
+              faults: Optional[FaultPlan] = None
+              ) -> Tuple[str, str, SimConfig]:
+    """``spec`` under ``protocol`` and ``faults`` with the checker armed,
+    as a :func:`repro.check.oracle.certify` cell."""
+    return (f"fuzz:{spec.seed}", protocol, config_for_spec(spec).replace(
+        check_consistency=True, faults=faults))
+
+
 def spec_failure(spec: WorkloadSpec, protocol: str,
                  faults: Optional[FaultPlan] = None) -> Optional[str]:
-    """Run ``spec`` under ``protocol`` with the checker armed and certify
-    it (:func:`repro.check.oracle.run_divergence_oracle`): ``None`` when
-    the run is completely healthy, otherwise its failure signature
-    (``check:``, ``appcheck:``, ``diverge:`` or ``error:``)."""
-    from repro.check.oracle import run_divergence_oracle
+    """Certify ``spec``'s cell (:func:`spec_cell`): ``None`` when the run
+    is completely healthy, otherwise its failure signature (``check:``,
+    ``appcheck:``, ``diverge:`` or ``error:``)."""
+    from repro.check.oracle import certify
 
-    cfg = config_for_spec(spec).replace(
-        check_consistency=True, faults=faults)
-    return run_divergence_oracle(f"fuzz:{spec.seed}", protocol, cfg)[2]
+    verdicts, _sweep = certify([spec_cell(spec, protocol, faults)])
+    return verdicts[0].failure
 
 
 @dataclass

@@ -12,7 +12,7 @@ sim-side number (execution cycles, messages, bytes, events).
 
 File format (one JSON object per line):
 
-* line 1 — header: ``{"format": "repro-app-trace", "version": 2, "app",
+* line 1 — header: ``{"format": "repro-app-trace", "version": 3, "app",
   "protocol", "num_procs", "volatile_segments", "segments": [[name,
   nwords], ...], "locks": [[name, group], ...], "barriers": [name, ...],
   "config": <canonical config dict>, "baseline": {execution_time,
@@ -37,8 +37,9 @@ from repro.memory.layout import Layout
 from repro.sync.objects import SyncRegistry
 
 TRACE_FORMAT = "repro-app-trace"
-#: v2: ``config`` no longer carries the trace's own output path
-TRACE_VERSION = 2
+#: v2: ``config`` no longer carries the trace's own output path.
+#: v3: the machine dict lost ``topology`` (every run is on the mesh)
+TRACE_VERSION = 3
 
 
 class TraceRecorder:

@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.apps.registry import APP_NAMES, SCALES, make_app
 from repro.config import SimConfig
 from repro.faults import BUILTIN_PLANS, NO_FAULTS, get_plan, resolve_plan
-from repro.fuzz.broken import ensure_registered
 from repro.fuzz.generator import (config_for_spec, generate_spec, load_spec,
                                   spec_from_dict)
 from repro.harness import experiments as ex
@@ -149,39 +148,40 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     """Certify apps: in-run HB sanitizer, the app's own check and the
     cross-protocol memory oracle."""
-    from repro.check.oracle import run_divergence_oracle
+    from repro.check.oracle import certify
 
     # resolve every id before running any: a bad one exits 2 up front
-    cells = [(app_id, _resolve_app(app_id, args, check_consistency=True)[1])
-             for app_id in args.apps or APP_NAMES]
+    configs = [(app_id, _resolve_app(app_id, args,
+                                     check_consistency=True)[1])
+               for app_id in args.apps or APP_NAMES]
+    cells = [(app_id, protocol, config) for app_id, config in configs
+             for protocol in args.protocols]
+    verdicts, _sweep = certify(cells, scale=args.scale)
     doc = {"scale": args.scale, "seed": args.seed, "runs": []}
-    images: Dict[tuple, Any] = {}
     failed = 0
-    for app_id, config in cells:
-        for protocol in args.protocols:
-            result, div, failure = run_divergence_oracle(
-                app_id, protocol, config, scale=args.scale, images=images)
-            failed += failure is not None
-            if result is None:  # the run raised: "error: <exception>"
-                error = failure.split(": ", 1)[1]
-                doc["runs"].append({"app": app_id, "protocol": protocol,
-                                    "error": error})
-                print(f"FAIL {app_id:<10} {protocol:<9} {error}")
-                continue
-            rep = result.check_report
+    for (app_id, protocol, _config), (_cell, result, div, failure) in zip(
+            cells, verdicts):
+        failed += failure is not None
+        if div is None:  # a run raised: "error: <exception>"
+            error = failure.split(": ", 1)[1]
             doc["runs"].append({"app": app_id, "protocol": protocol,
-                                "failure": failure, "check": rep.to_dict(),
-                                "divergence": div.to_dict()})
-            print(f"{'ok  ' if failure is None else 'FAIL'} {app_id:<10} "
-                  f"{protocol:<9} {rep.summary()}")
-            if not rep.clean:
-                for v in (rep.violations if args.verbose
-                          else rep.violations[:10]):
-                    print(f"       {v.describe()}")
-            if failure is not None and failure.startswith("appcheck:"):
-                print(f"       {failure}")
-            if not div.clean:
-                print("       " + div.summary().replace("\n", "\n       "))
+                                "error": error})
+            print(f"FAIL {app_id:<10} {protocol:<9} {error}")
+            continue
+        rep = result.check_report
+        doc["runs"].append({"app": app_id, "protocol": protocol,
+                            "failure": failure, "check": rep.to_dict(),
+                            "divergence": div.to_dict()})
+        print(f"{'ok  ' if failure is None else 'FAIL'} {app_id:<10} "
+              f"{protocol:<9} {rep.summary()}")
+        if not rep.clean:
+            for v in (rep.violations if args.verbose
+                      else rep.violations[:10]):
+                print(f"       {v.describe()}")
+        if failure is not None and failure.startswith("appcheck:"):
+            print(f"       {failure}")
+        if not div.clean:
+            print("       " + div.summary().replace("\n", "\n       "))
     doc["failed_runs"] = failed
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -243,7 +243,6 @@ def _fuzz_target(args):
     """``(spec, protocol, plan name, plan)`` for ``fuzz replay|shrink``.
     SPEC is a seed or a spec/corpus JSON file; the command line wins over
     a corpus entry's ``found`` record."""
-    ensure_registered()  # corpus entries may reference aec-broken
     try:
         try:
             spec, doc = generate_spec(int(args.spec), args.scale), {}
@@ -261,7 +260,6 @@ def _fuzz_target(args):
 
 def _cmd_fuzz_run(args) -> int:
     from repro.fuzz.campaign import run_campaign
-    ensure_registered()
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     report = run_campaign(
         seeds, protocols=tuple(args.protocols),
@@ -515,7 +513,7 @@ def _arg(*flags: str, **kwargs: Any) -> Arg:
 def _shared_options() -> Dict[str, Arg]:
     """Every option that two or more subcommands take, declared once and
     keyed by its first flag.  Built per parser, not at import: protocols
-    registered at runtime (``aec-broken``, test fixtures) are choices."""
+    registered at runtime (test fixtures) are choices."""
     protocols = sorted(PROTOCOLS)
     return {flags[0]: (flags, kwargs) for flags, kwargs in [
         # no choices=: prefixed ids (fuzz:SEED, trace:PATH) resolve lazily
@@ -612,9 +610,9 @@ COMMANDS: Dict[str, tuple] = {
              help="number of generated workloads (default 25)"),
         _arg("--seed-start", type=int, default=0, metavar="S",
              help="first seed (default 0)"),
-        _arg("--protocols", choices=None, metavar="PROTO",
+        _arg("--protocols", metavar="PROTO",
              help="protocols to fuzz (default: aec tmk)"),
-        _arg("--plans", nargs="+",
+        _arg("--plans", nargs="+", type=_fault_plan_arg,
              default=["none", "lossy-1pct", "crash-one-node"],
              metavar="PLAN",
              help="fault plans per cell; 'none' = fault-free "
@@ -633,14 +631,14 @@ COMMANDS: Dict[str, tuple] = {
     "fuzz replay": ("run one generated workload or corpus entry and "
                     "certify it", _cmd_fuzz_replay, [
         "spec",
-        _arg("--protocol", choices=None, default=None,
+        _arg("--protocol", default=None,
              help="protocol (default: the corpus entry's, else aec)"),
         "--scale", "--faults",
     ]),
     "fuzz shrink": ("delta-debug a failing spec to a minimal reproducer",
                     _cmd_fuzz_shrink, [
         "spec",
-        _arg("--protocol", choices=None, default=None,
+        _arg("--protocol", default=None,
              help="protocol to shrink against (default: the "
                   "corpus entry's, else aec)"),
         "--scale", "--faults",
@@ -652,7 +650,7 @@ COMMANDS: Dict[str, tuple] = {
     "fuzz corpus": ("replay a reproducer corpus as regression tests",
                     _cmd_fuzz_corpus, [
         _arg("dir", nargs="?", default="tests/corpus", metavar="DIR"),
-        _arg("--protocols", choices=None, metavar="PROTO",
+        _arg("--protocols", metavar="PROTO",
              help="healthy protocols that must stay clean "
                   "(default: aec tmk)"),
     ]),

@@ -43,6 +43,9 @@ PROTOCOLS: Dict[str, NodeFactory] = {
     "munin-lap": _imported_on_first_use("repro.protocols.munin",
                                         "MuninLapNode"),
     "sc": SCNode,
+    # fuzzing ground truth: AEC with one diff apply skipped (must fail)
+    "aec-broken": _imported_on_first_use("repro.fuzz.broken",
+                                         "BrokenAECNode"),
 }
 
 

@@ -43,43 +43,3 @@ class Mesh:
         dx, dy = self.coords(dst)
         return abs(sx - dx) + abs(sy - dy)
 
-
-class Ring:
-    """Bidirectional ring: hops = shortest way around."""
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        self.num_nodes = num_nodes
-
-    def hops(self, src: int, dst: int) -> int:
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise ValueError("node out of range")
-        d = abs(src - dst)
-        return min(d, self.num_nodes - d)
-
-
-class Crossbar:
-    """Single-stage crossbar: every pair is one switch hop away."""
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        self.num_nodes = num_nodes
-
-    def hops(self, src: int, dst: int) -> int:
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise ValueError("node out of range")
-        return 0 if src == dst else 1
-
-
-TOPOLOGIES = {"mesh": Mesh, "ring": Ring, "crossbar": Crossbar}
-
-
-def make_topology(name: str, num_nodes: int):
-    try:
-        cls = TOPOLOGIES[name]
-    except KeyError:
-        raise ValueError(f"unknown topology {name!r}; "
-                         f"choose from {sorted(TOPOLOGIES)}") from None
-    return cls(num_nodes)

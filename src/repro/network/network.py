@@ -8,7 +8,7 @@ messages"): the source injection link is held for the streaming duration, and
 the destination ejection link drains messages one at a time.
 
 ``deliver`` sits on the per-message hot path, so the invariant parts of the
-timing are memoized: header latency per (src, dst) pair (topology distance
+timing are memoized: header latency per (src, dst) pair (mesh distance
 never changes) and streaming cycles per message size (a run uses a handful
 of distinct sizes).  Per-pair traffic counters accumulate in a plain dict
 and materialize into NumPy matrices on demand — a dict upsert is several
@@ -20,14 +20,13 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.config import MachineParams
+from repro.network.mesh import Mesh
 
 
 class Network:
     def __init__(self, machine: MachineParams) -> None:
         self.machine = machine
-        from repro.network.mesh import make_topology
-        # topology is a first-class MachineParams field; no fallback
-        self.mesh = make_topology(machine.topology, machine.num_procs)
+        self.mesh = Mesh(machine.num_procs)
         self._src_free: List[float] = [0.0] * machine.num_procs
         self._dst_free: List[float] = [0.0] * machine.num_procs
         self.messages = 0

@@ -22,10 +22,11 @@ from repro.apps.api import Application
 from repro.apps import registry
 from repro.apps.registry import APP_NAMES, SCALES, make_app
 from repro.check import ConsistencyChecker
-from repro.check.oracle import run_divergence_oracle
+from repro.check.oracle import certify
 from repro.config import MachineParams, SimConfig, canonical_config_dict, \
     config_digest
 from repro.faults.plan import FaultPlan, NodeCrash
+from repro.fuzz.broken import BROKEN_PROTOCOL
 from repro.harness import sweep as sw
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import PROTOCOLS, run_app
@@ -218,30 +219,40 @@ class TestAppsAreClean:
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_app_clean_and_matches_sc_oracle(self, app_name):
-        images = {}
-        for seed in CERT_SEEDS:
-            config = SimConfig(seed=seed, check_consistency=True)
-            for protocol in CERT_PROTOCOLS:
-                result, div, failure = run_divergence_oracle(
-                    app_name, protocol, config, images=images)
-                assert failure is None, (
-                    f"{app_name}/{protocol}/seed={seed}: {failure}")
-                rep = result.check_report
-                assert rep is not None and rep.clean, (
-                    f"{app_name}/{protocol}/seed={seed}: {rep.summary()}\n"
-                    + "\n".join(v.describe() for v in rep.violations[:10]))
-                assert div.clean, (
-                    f"{app_name}/{protocol}/seed={seed}:\n{div.summary()}")
-                assert div.words_compared > 0
+        cells = [(app_name, protocol,
+                  SimConfig(seed=seed, check_consistency=True))
+                 for seed in CERT_SEEDS for protocol in CERT_PROTOCOLS]
+        verdicts, _sweep = certify(cells)
+        for (_app, protocol, config), (_cell, result, div, failure) in zip(
+                cells, verdicts):
+            seed = config.seed
+            assert failure is None, (
+                f"{app_name}/{protocol}/seed={seed}: {failure}")
+            rep = result.check_report
+            assert rep is not None and rep.clean, (
+                f"{app_name}/{protocol}/seed={seed}: {rep.summary()}\n"
+                + "\n".join(v.describe() for v in rep.violations[:10]))
+            assert div.clean, (
+                f"{app_name}/{protocol}/seed={seed}:\n{div.summary()}")
+            assert div.words_compared > 0
 
 
 # ------------------------------------------------- broken-protocol detection
 #
-# The broken variant itself moved to repro.fuzz.broken so the fuzzing
-# campaign can use it as ground truth; these tests keep certifying that
-# the checker detects it.
+# The broken variant is ``aec-broken`` (repro.fuzz.broken), the fuzzing
+# campaign's ground truth; these tests keep certifying that the checker
+# detects it.
 
-from repro.fuzz.broken import BrokenAECNode  # noqa: E402
+
+@pytest.fixture
+def fresh_memo():
+    """Certifying under a name registered at runtime starts and ends with
+    an empty sweep memo: the memo is keyed by app and protocol name, so a
+    result cached under one test's ``counter`` or ``aec-raises`` must
+    not answer another's."""
+    sw.clear_memory()
+    yield
+    sw.clear_memory()
 
 
 class CounterApp(Application):
@@ -273,7 +284,7 @@ class CounterApp(Application):
 
 
 @pytest.fixture
-def counter_app(monkeypatch):
+def counter_app(monkeypatch, fresh_memo):
     """Register ``counter`` as an app id; yields the instances it builds."""
     built = []
 
@@ -286,24 +297,14 @@ def counter_app(monkeypatch):
     return built
 
 
-@pytest.fixture
-def broken_aec_protocol():
-    PROTOCOLS["aec-broken"] = BrokenAECNode
-    try:
-        yield "aec-broken"
-    finally:
-        del PROTOCOLS["aec-broken"]
-
-
 class TestBrokenProtocolDetected:
     def test_healthy_counter_is_clean(self):
         r = run_app(CounterApp(), "aec", SimConfig(check_consistency=True))
         assert r.check_report.clean
 
-    def test_skipped_diff_apply_detected_as_stale_read(
-            self, broken_aec_protocol):
+    def test_skipped_diff_apply_detected_as_stale_read(self):
         app = CounterApp()
-        r = run_app(app, broken_aec_protocol,
+        r = run_app(app, BROKEN_PROTOCOL,
                     SimConfig(check_consistency=True), check=False)
         rep = r.check_report
         assert not rep.clean
@@ -318,10 +319,10 @@ class TestBrokenProtocolDetected:
         expected = float(app.increments * r.num_procs)
         assert any(res != expected for res in r.app_results)
 
-    def test_broken_protocol_also_diverges_from_sc(self, broken_aec_protocol,
-                                                   counter_app):
-        _r, div, _failure = run_divergence_oracle(
-            "counter", broken_aec_protocol, SimConfig())
+    def test_broken_protocol_also_diverges_from_sc(self, counter_app):
+        (verdict,), _sweep = certify(
+            [("counter", BROKEN_PROTOCOL, SimConfig())])
+        div = verdict.report
         app = counter_app[0]  # the certified run's app, declared by it
         assert not div.clean
         assert div.first_divergent_page == app.seg.base // \
@@ -380,7 +381,8 @@ class TestObservedOperations:
     app context, whatever traffic the protocol generates underneath:
     every protocol reports the same accesses."""
 
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", sorted(set(PROTOCOLS) - {
+        BROKEN_PROTOCOL}))  # skips one diff apply on purpose
     @pytest.mark.parametrize("app_id,counts", [
         ("is", (112, 64, 20512, 8224)),
         ("fuzz:42", (100, 55, 1505, 705)),
@@ -445,14 +447,13 @@ class TestCheckCli:
         assert cli_main(["check", "no-such-app"]) == 2
 
     def test_check_subcommand_fails_on_violations(
-            self, broken_aec_protocol, counter_app, tmp_path, capsys,
-            monkeypatch):
+            self, counter_app, tmp_path, capsys, monkeypatch):
         # certify the counter app through the CLI path against the broken
         # protocol: nonzero exit and the JSON report names the stale read
         import repro.harness.cli as cli
         monkeypatch.setattr(cli, "APP_NAMES", ("counter",))
         out = tmp_path / "report.json"
-        rc = cli_main(["check", "counter", "--protocols", broken_aec_protocol,
+        rc = cli_main(["check", "counter", "--protocols", BROKEN_PROTOCOL,
                        "--json", str(out)])
         assert rc == 1
         doc = json.loads(out.read_text())
@@ -462,7 +463,7 @@ class TestCheckCli:
         assert kinds == {"stale-read"}
 
     def test_check_reports_a_protocol_exception_as_a_failed_cell(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, fresh_memo):
         # a handler that raises must not abort the command with a
         # traceback: the cell fails, the report says why, the next runs
         from repro.core.aec.protocol import AECNode
@@ -493,16 +494,16 @@ class TestCheckCli:
         # fuzz:N fixes the machine size; both the certified run and its SC
         # oracle run must use it, exactly as 'repro run --app fuzz:N' does
         from repro.fuzz.generator import generate_spec
-        import repro.harness.runner as runner
         sizes = []
-        real_run_app = runner.run_app
+        real_execute = sw.execute_spec
 
-        def spy(app, protocol="aec", config=None, check=True):
-            result = real_run_app(app, protocol, config, check)
+        def spy(spec):
+            result = real_execute(spec)
             sizes.append(result.num_procs)
             return result
 
-        monkeypatch.setattr(runner, "run_app", spy)
+        sw.clear_memory()
+        monkeypatch.setattr(sw, "execute_spec", spy)
         assert cli_main(["check", "fuzz:3", "--protocols", "aec"]) == 0
         assert sizes == [generate_spec(3, "test").num_procs] * 2
 

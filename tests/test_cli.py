@@ -16,10 +16,9 @@ import os
 import pytest
 
 from repro.harness.cli import build_parser, main as cli_main
-from repro.harness.runner import PROTOCOLS
 
-PROTOS = ("adsm", "aec", "aec-nolap", "munin", "munin-lap", "sc", "tmk",
-          "tmk-lh")
+PROTOS = ("adsm", "aec", "aec-broken", "aec-nolap", "munin", "munin-lap",
+          "sc", "tmk", "tmk-lh")
 SCALES = ("paper", "bench", "test")
 APPS = ("is", "raytrace", "water-ns", "fft", "ocean", "water-sp")
 
@@ -93,12 +92,12 @@ SURFACE = {
              True),
     },
     'fuzz corpus': {
-        '--protocols': ('protocols', ['aec', 'tmk'], None, '+', False),
+        '--protocols': ('protocols', ['aec', 'tmk'], PROTOS, '+', False),
         'dir': ('dir', 'tests/corpus', None, '?', False),
     },
     'fuzz replay': {
         '--faults': ('faults', None, None, None, False),
-        '--protocol': ('protocol', None, None, None, False),
+        '--protocol': ('protocol', None, PROTOS, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
         'spec': ('spec', None, None, None, True),
     },
@@ -112,7 +111,7 @@ SURFACE = {
         '--plans':
             ('plans', ['none', 'lossy-1pct', 'crash-one-node'], None, '+',
              False),
-        '--protocols': ('protocols', ['aec', 'tmk'], None, '+', False),
+        '--protocols': ('protocols', ['aec', 'tmk'], PROTOS, '+', False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--seed-start': ('seed_start', 0, None, None, False),
         '--seeds': ('seeds', 25, None, None, False),
@@ -122,7 +121,7 @@ SURFACE = {
         '--faults': ('faults', None, None, None, False),
         '--max-runs': ('max_runs', 400, None, None, False),
         '--out': ('out', None, None, None, False),
-        '--protocol': ('protocol', None, None, None, False),
+        '--protocol': ('protocol', None, PROTOS, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
         '--verbose -v': ('verbose', False, None, 0, False),
         'spec': ('spec', None, None, None, True),
@@ -190,11 +189,6 @@ def _surface(parser, path=()):
 
 
 class TestParserSurface:
-    @pytest.fixture(autouse=True)
-    def _builtin_protocols_only(self, monkeypatch):
-        # fuzz commands register aec-broken for the rest of the process
-        monkeypatch.delitem(PROTOCOLS, "aec-broken", raising=False)
-
     def test_every_subcommand_and_option_is_pinned(self):
         got = _surface(build_parser())
         assert sorted(got) == sorted(SURFACE)
@@ -214,6 +208,23 @@ class TestParserSurface:
             argv = path.split() + rest + ["--app", "fuzz:3"]
             assert parser.parse_args(argv).app == "fuzz:3", path
 
+
+
+class TestFuzzArguments:
+    """The fuzz commands validate protocols and plans as every other
+    command does: a bad one is an argparse error (exit 2) before any
+    run, not a failed cell or a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "run", "--protocols", "nope"],
+        ["fuzz", "replay", "3", "--protocol", "nope"],
+        ["fuzz", "run", "--plans", "nope"],
+    ], ids=["run-protocols", "replay-protocol", "run-plans"])
+    def test_bad_argument_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "nope" in capsys.readouterr().err
 
 
 class TestFaultsNone:

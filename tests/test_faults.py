@@ -18,7 +18,7 @@ import pickle
 import pytest
 
 from repro.apps.registry import APP_NAMES, make_app
-from repro.check.oracle import run_divergence_oracle
+from repro.check.oracle import certify
 from repro.config import MachineParams, SimConfig, config_digest
 from repro.engine.simulator import Simulator
 from repro.faults import (BUILTIN_PLANS, FaultPlan, FaultRule, NodeStall,
@@ -375,25 +375,28 @@ class TestSurvivesBuiltinPlans:
     fault-free SC oracle."""
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
-    def test_checker_clean_and_sc_word_identical(self, app_name):
-        images = {}
-        for protocol in ("aec", "tmk"):
-            for plan_name in BUILTIN_NAMES:
-                config = SimConfig(seed=42, check_consistency=True,
-                                   faults=get_plan(plan_name))
-                result, div, failure = run_divergence_oracle(
-                    app_name, protocol, config, images=images)
-                assert failure is None, (
-                    f"{app_name}/{protocol}/{plan_name}: {failure}")
-                rep = result.check_report
-                assert rep is not None and rep.clean, (
-                    f"{app_name}/{protocol}/{plan_name}: {rep.summary()}\n"
-                    + "\n".join(v.describe() for v in rep.violations[:10]))
-                assert div.clean, (f"{app_name}/{protocol}/{plan_name}:\n"
-                                   f"{div.summary()}")
-                assert div.words_compared > 0
-                nf = result.net_faults
-                assert nf is not None and nf.plan == plan_name
+    def test_checker_clean_and_sc_word_identical(self, app_name,
+                                                 _isolated_sweep_caches):
+        cells = [(app_name, protocol,
+                  SimConfig(seed=42, check_consistency=True,
+                            faults=get_plan(plan_name)))
+                 for protocol in ("aec", "tmk")
+                 for plan_name in BUILTIN_NAMES]
+        verdicts, _sweep = certify(cells)
+        for (_app, protocol, config), (_cell, result, div, failure) in zip(
+                cells, verdicts):
+            plan_name = config.faults.name
+            assert failure is None, (
+                f"{app_name}/{protocol}/{plan_name}: {failure}")
+            rep = result.check_report
+            assert rep is not None and rep.clean, (
+                f"{app_name}/{protocol}/{plan_name}: {rep.summary()}\n"
+                + "\n".join(v.describe() for v in rep.violations[:10]))
+            assert div.clean, (f"{app_name}/{protocol}/{plan_name}:\n"
+                               f"{div.summary()}")
+            assert div.words_compared > 0
+            nf = result.net_faults
+            assert nf is not None and nf.plan == plan_name
 
     def test_lap_fallback_path_is_exercised(self):
         # water-ns/aec under lossy-1pct deterministically loses several

@@ -22,7 +22,6 @@ from repro.apps.registry import APP_NAMES, make_app, register_app
 from repro.config import SimConfig, config_digest, config_from_dict, \
     canonical_config_dict
 from repro.fuzz import generator
-from repro.fuzz.broken import ensure_registered
 from repro.fuzz.campaign import replay_corpus_entry, run_campaign
 from repro.fuzz.generator import (GeneratedApp, PhaseSpec, WorkloadSpec,
                                   compile_schedule, config_for_spec,
@@ -332,8 +331,9 @@ class TestTraceRoundtrip:
         assert app.baseline["execution_time"] == result.execution_time
         assert app.baseline["messages_total"] == result.messages_total
         # the header's config holds simulation knobs only, not the path
-        assert app.header["version"] == 2
+        assert app.header["version"] == 3
         assert path not in json.dumps(app.header["config"])
+        assert "topology" not in app.header["config"]["machine"]
 
     def test_replay_rejects_wrong_machine_size(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -356,7 +356,6 @@ class TestShrink:
             shrink_spec(generate_spec(0, "test"), "aec", max_runs=10)
 
     def test_shrinks_broken_aec_to_tiny_reproducer(self):
-        ensure_registered()
         spec = generate_spec(24, "test")
         res = shrink_spec(spec, "aec-broken", max_runs=120)
         m = res.minimal
@@ -428,6 +427,24 @@ class TestCorpus:
                 f"{name}: reproducer lost — no longer fails under "
                 f"{run.protocol}")
 
+    def test_replay_runs_the_sc_oracle_once(self, monkeypatch):
+        # the entry replays on aec, tmk and aec-broken against one oracle
+        sc = PROTOCOLS["sc"]
+        built = []
+
+        def counting_sc(world, node_id):
+            if node_id == 0:
+                built.append(world)
+            return sc(world, node_id)
+
+        monkeypatch.setitem(PROTOCOLS, "sc", counting_sc)
+        with open(os.path.join(CORPUS_DIR, "broken-aec-stale-read.json"),
+                  "r", encoding="utf-8") as fh:
+            runs = replay_corpus_entry(json.load(fh))
+        assert [run.protocol for run in runs] == ["aec", "tmk", "aec-broken"]
+        assert all(run.ok for run in runs)
+        assert len(built) == 1
+
     def test_corpus_cli(self, capsys):
         assert cli_main(["fuzz", "corpus", CORPUS_DIR]) == 0
         out = capsys.readouterr().out
@@ -462,7 +479,6 @@ class TestCampaign:
         assert a == b
 
     def test_campaign_catches_broken_protocol_and_shrinks(self, tmp_path):
-        ensure_registered()
         corpus = str(tmp_path / "corpus")
         rep = run_campaign([24], protocols=("aec-broken",), plans=("none",),
                            cache_dir=str(tmp_path / "cache"),
@@ -569,3 +585,17 @@ class TestFuzzCli:
         capsys.readouterr()
         assert cli_main(["trace", "replay", str(path)]) == 2
         assert stale in capsys.readouterr().err
+
+    def test_trace_replay_refuses_an_older_version(self, tmp_path, capsys):
+        # a v2 header's machine dict still has the removed topology field
+        path = tmp_path / "t.jsonl"
+        assert cli_main(["trace", "record", str(path), "--app", "is",
+                         "--scale", "test"]) == 0
+        header, *body = path.read_text().splitlines()
+        doc = json.loads(header)
+        doc["version"] = 2
+        doc["config"]["machine"]["topology"] = "mesh"
+        path.write_text("\n".join([json.dumps(doc)] + body) + "\n")
+        capsys.readouterr()
+        assert cli_main(["trace", "replay", str(path)]) == 2
+        assert "unsupported trace version 2" in capsys.readouterr().err

@@ -1,10 +1,8 @@
 """Unit tests for the mesh topology and the contention-aware network."""
-import dataclasses
-
 import pytest
 
 from repro.config import MachineParams
-from repro.network.mesh import Crossbar, Mesh, Ring, make_topology
+from repro.network.mesh import Mesh
 from repro.network.network import Network
 
 
@@ -56,7 +54,7 @@ class TestMesh:
 
 class TestRaggedMesh:
     """Prime node counts force a ragged last row; the metric must stay a
-    metric there (pinned after the topology field became first-class)."""
+    metric there."""
 
     PRIMES = (5, 7, 13)
 
@@ -80,42 +78,6 @@ class TestRaggedMesh:
                 for c in range(n):
                     assert (mesh.hops(a, c)
                             <= mesh.hops(a, b) + mesh.hops(b, c))
-
-
-class TestTopologies:
-    def test_ring_shortest_way_around(self):
-        r = Ring(8)
-        assert r.hops(0, 1) == 1
-        assert r.hops(0, 7) == 1
-        assert r.hops(0, 4) == 4
-        assert r.hops(3, 3) == 0
-
-    def test_crossbar_single_hop(self):
-        x = Crossbar(16)
-        assert x.hops(0, 15) == 1
-        assert x.hops(5, 5) == 0
-
-    def test_make_topology(self):
-        assert isinstance(make_topology("mesh", 16), Mesh)
-        assert isinstance(make_topology("ring", 16), Ring)
-        assert isinstance(make_topology("crossbar", 16), Crossbar)
-        with pytest.raises(ValueError):
-            make_topology("torus", 16)
-
-    def test_topology_changes_latency(self):
-        def far(topo):
-            return Network(dataclasses.replace(
-                MachineParams(num_procs=16),
-                topology=topo)).deliver(0, 15, 256, 0.0)
-        assert far("crossbar") < far("mesh")
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            Ring(8).hops(0, 8)
-        with pytest.raises(ValueError):
-            Crossbar(8).hops(-1, 0)
-        with pytest.raises(ValueError):
-            Ring(0)
 
 
 class TestNetwork:
