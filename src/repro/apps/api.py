@@ -39,7 +39,7 @@ from repro.sync.objects import SyncRegistry
 class AppContext:
     """Per-processor handle through which a program touches the machine."""
 
-    def __init__(self, node: ProtocolNode, seed: int) -> None:
+    def __init__(self, node: ProtocolNode) -> None:
         self._node = node
         #: the happens-before checker; None unless the run checks
         self._checker = node.world.checker
@@ -47,7 +47,6 @@ class AppContext:
         self._tap = node.world.app_tap
         self.proc = node.node_id
         self.nprocs = node.machine.num_procs
-        self.rng = np.random.default_rng((seed, node.node_id))
 
     # ---- computation ------------------------------------------------------
 
@@ -61,16 +60,22 @@ class AppContext:
     #
     # The checker observes each access right after the protocol completes
     # it: nothing yields in between, so the node's clock and the data are
-    # exactly those of the access.
+    # exactly those of the access.  Unobserved, ``read`` and ``write`` hand
+    # back the protocol's access generator itself (no pass-through frame
+    # per access, DESIGN §11.9).
 
     def read(self, seg: Segment, start: int, n: int) -> Generator:
         seg.check_range(start, n)
         if self._tap is not None:
             self._tap.rec(self.proc, ("rd", seg.name, start, n))
         addr = seg.base + start
+        if self._checker is None:
+            return self._node.read(addr, n)
+        return self._observed_read(addr, n)
+
+    def _observed_read(self, addr: int, n: int) -> Generator:
         data = yield from self._node.read(addr, n)
-        if self._checker is not None:
-            self._checker.on_read(self.proc, addr, data, self._node.now())
+        self._checker.on_read(self.proc, addr, data, self._node.now())
         return data
 
     def read1(self, seg: Segment, index: int) -> Generator:
@@ -89,23 +94,26 @@ class AppContext:
         if self._tap is not None:
             self._tap.rec(self.proc,
                           ("wr", seg.name, start, tuple(map(float, values))))
-        addr = seg.base + start
-        yield from self._node.write(addr, values)
-        if self._checker is not None:
-            self._checker.on_write(self.proc, addr, values, self._node.now())
+        return self._write(seg.base + start, values)
 
     def write1(self, seg: Segment, index: int, value: float) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("wr", seg.name, index, (float(value),)))
-        addr = seg.addr(index)
-        values = np.asarray([value], dtype=np.float64)
+        return self._write(seg.addr(index),
+                           np.asarray([value], dtype=np.float64))
+
+    def _write(self, addr: int, values: np.ndarray) -> Generator:
+        if self._checker is None:
+            return self._node.write(addr, values)
+        return self._observed_write(addr, values)
+
+    def _observed_write(self, addr: int, values: np.ndarray) -> Generator:
         yield from self._node.write(addr, values)
-        if self._checker is not None:
-            self._checker.on_write(self.proc, addr, values, self._node.now())
+        self._checker.on_write(self.proc, addr, values, self._node.now())
 
     def fill(self, seg: Segment, start: int, n: int,
              value: float) -> Generator:
-        yield from self.write(seg, start, np.full(n, value, dtype=np.float64))
+        return self.write(seg, start, np.full(n, value, dtype=np.float64))
 
     # ---- synchronization -----------------------------------------------------
     #

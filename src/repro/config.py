@@ -189,7 +189,8 @@ class SimConfig:
     machine: MachineParams = field(default_factory=MachineParams)
     #: LAP update-set size |U| (the paper evaluates 1..3, uses 2)
     update_set_size: int = 2
-    #: deterministic seed for applications that randomize (task stealing etc.)
+    #: names the run: it is part of every sweep cache key and verdict, but
+    #: no simulation code reads it (nothing simulated is randomized by it)
     seed: int = 42
     #: run the happens-before sanitizer / consistency oracle alongside the
     #: simulation (``repro.check``): shadow memory tracks the last writer of

@@ -150,15 +150,17 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     # ===================================================== access tracking
 
+    # both note the pages and hand back the substrate's access generator
+    # itself (no pass-through frame per access, DESIGN §11.9)
+
     def read(self, addr: int, nwords: int) -> Generator:
         self.accessed_step.update(self.layout.pages_of_range(addr, nwords))
-        data = yield from super().read(addr, nwords)
-        return data
+        return super().read(addr, nwords)
 
     def write(self, addr: int, values: np.ndarray) -> Generator:
         self.accessed_step.update(
             self.layout.pages_of_range(addr, len(values)))
-        yield from super().write(addr, values)
+        return super().write(addr, values)
 
     # ===================================================== outside-diff engine
 
@@ -178,7 +180,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         each frozen diff holds exactly one epoch's worth of modifications —
         write-notice holders fetch the epochs they are missing on faults.
         """
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         if pn in self.outside_dirty_set and meta.twin is not None:
             diff = yield from self.create_diff_timed(pn, category, hidden_behind)
             diff.acquire_counter = self._outside_stamp(meta.dirty_since_step)
@@ -198,7 +200,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     def _serve_outside_diffs(self, pn: int, floor: int) -> Generator:
         """On-demand freeze + serve, used in ISRs (cost exposed, ipc)."""
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         if pn in self.outside_dirty_set and meta.twin is not None:
             yield from self._freeze_outside_diff(pn, "ipc")
         return [d for d in meta.frozen_outside if d.acquire_counter > floor]
@@ -216,7 +218,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         """
         yield from self.apply_diff_timed(diff, category, hidden_behind)
         if diff.nwords:
-            self.stamp_words(self.page(pn), diff.offsets, self.step << 24)
+            self.stamp_words(self.pages[pn], diff.offsets, self.step << 24)
 
     def _twin_guards(self, pn: int, meta: AECPageMeta, stamp: int) -> bool:
         # don't clobber words we modified locally in this epoch or later
@@ -231,7 +233,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         yield from self._make_valid(pn)
 
     def handle_write_fault(self, pn: int) -> Generator:
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         if not meta.valid:
             yield from self._make_valid(pn)
         if self.lock_stack:
@@ -272,7 +274,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     def _make_valid(self, pn: int) -> Generator:
         """Bring the local copy of ``pn`` up to date (fault resolution)."""
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         had_copy = self.store.has(pn)
         notices = list(meta.pending_notices)
         refetch = (not had_copy or meta.needs_refetch
@@ -484,7 +486,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                       hidden_behind: Optional[Future] = None) -> Generator:
         """Apply a pushed merged diff if we hold a valid copy of its page
         (invalid pages apply it at fault time); returns whether it did."""
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         if not (meta.valid and self.store.has(pn)):
             return False
         yield from self._apply_cs_diff(pn, pu.diffs[pn], "synch",
@@ -506,7 +508,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         barrier's per-page reconciliation with stale words.
         """
         self.invalidate(pg)
-        self.page(pg).cs_diff_source = (lock_id, modifier)
+        self.pages[pg].cs_diff_source = (lock_id, modifier)
         sess = self.session(lock_id)
         sess.diff_store.pop(pg, None)
         sess.step_mods.discard(pg)
@@ -558,7 +560,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         # 1. create diffs for pages modified inside the CS (not overlappable:
         #    the next acquirer must not see stale data)
         for pn in sorted(sess.current_cs_mods):
-            meta: AECPageMeta = self.page(pn)
+            meta: AECPageMeta = self.pages[pn]
             if meta.twin is None:
                 raise RuntimeError(f"inside-modified page {pn} lost its twin")
             diff = yield from self.create_diff_timed(pn, "synch", None)
@@ -806,11 +808,11 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 f"node {self.node_id}: page request for {pn} but no copy "
                 "(home table stale?)")
         # make our copy as current as we cheaply can before serving
-        meta: AECPageMeta = self.page(pn)
+        meta: AECPageMeta = self.pages[pn]
         content = self.store.page(pn).copy()
         notices = list(meta.pending_notices)
         stamps = None if meta.word_stamps is None else meta.word_stamps.copy()
-        yield Delay(self.machine.mem_access_cycles(self.page_words()), "ipc")
+        yield Delay(self.machine.mem_access_cycles(self.words_per_page), "ipc")
         yield Send(msg.payload["requester"],
                    self._reply(msg, {"pn": pn, "content": content,
                                      "notices": notices,
@@ -844,7 +846,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         # stale copies that lazy recovery cannot repair: drop recovery state
         # so the next fault refetches the page from its home
         for pn in sorted(instr.stale_pages):
-            meta: AECPageMeta = self.page(pn)
+            meta: AECPageMeta = self.pages[pn]
             meta.pending_notices.clear()
             meta.cs_diff_source = None
             meta.needs_refetch = True
@@ -878,10 +880,11 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
                 yield Delay(cycles, "ipc")
                 diff.apply(self.store.page(pn))
-                meta: AECPageMeta = self.page(pn)
+                meta: AECPageMeta = self.pages[pn]
                 if meta.twin is not None:
                     diff.apply(meta.twin)
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
+                wpp = self.words_per_page
+                self.cache.invalidate_range(pn * wpp, wpp)
                 checker = self.world.checker
                 if checker is not None:
                     checker.note_transfer("diff", self.node_id, pn,
@@ -894,13 +897,13 @@ class AECNode(AECReconfiguration, ProtocolNode):
         self._bar_recv_wns += 1
         self._bar_recv_from.setdefault(msg.src, [0, 0])[1] += 1
         for wn in msg.payload["notices"]:
-            meta: AECPageMeta = self.page(wn.page_number)
+            meta: AECPageMeta = self.pages[wn.page_number]
             if wn.writer == self.node_id:
                 continue
             if not self.store.has(wn.page_number):
                 continue
-            if wn not in meta.pending_notices:
-                meta.pending_notices.append(wn)
+            # a notice already pending keeps its place in arrival order
+            meta.pending_notices[wn] = None
             self.invalidate(wn.page_number)
         yield Delay(self.machine.list_cycles(len(msg.payload["notices"])),
                     "ipc")
@@ -934,7 +937,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         # enter the new step in the manager role *now* (unless a newer-step
         # request or release got here first and did it already)
         self.lock_mgr.reset_step_state(msg.payload["step"])
-        yield from self._on_bar_release(msg)
+        return self._on_bar_release(msg)
 
 
 class AECNoLapNode(AECNode):

@@ -34,8 +34,10 @@ class AECPageMeta(PageMeta):
     #: diffs spanning several steps order *conservatively* (they lose
     #: against any genuinely newer write — correct for race-free programs)
     dirty_since_step: int = -1
-    #: write notices received and not yet resolved (page is invalid)
-    pending_notices: List[WriteNotice] = field(default_factory=list)
+    #: write notices received and not yet resolved (page is invalid), in
+    #: arrival order; a dict keyed by notice (values unused), so the
+    #: barrier's "already pending?" test is a hash lookup, not a list scan
+    pending_notices: Dict[WriteNotice, None] = field(default_factory=dict)
     #: where to fetch lock-protected history on a fault inside a CS:
     #: (lock_id, last_modifier_node)
     cs_diff_source: Optional[Tuple[int, int]] = None

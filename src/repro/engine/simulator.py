@@ -2,7 +2,9 @@
 
 Each simulated node runs one *program task* (a generator yielding engine
 primitives) and services incoming messages with *interrupt service routines*
-(ISRs): generators produced by the node's message handler.  ISRs run to
+(ISRs): what the node's message handler returns for a message, a generator
+of primitives or any other iterable of them (a handler that only resolves a
+future returns it in a tuple), or None.  ISRs run to
 completion on the node's timeline, stealing cycles from whatever the program
 task was doing — an in-progress ``Delay`` is stretched by the service time,
 exactly like an interrupt on a real workstation.
@@ -19,7 +21,7 @@ Timing/accounting model (categories follow Figure 4 of the paper):
   ran during the window (those were already charged to ``ipc``/``others``).
 
 Hot-path architecture (see DESIGN.md §11): event kinds are interned small
-integers, event records are plain ``(time, seq, kind, payload)`` tuples
+integers, event records are plain ``(time, seq, kind, a, b)`` tuples
 ordered by ``(time, seq)``, and scheduling is two-tier — a sorted FIFO
 *ready run* absorbs pushes that arrive in non-decreasing time order (the
 overwhelmingly common case: a node's next delay end, a chain of arrivals)
@@ -30,21 +32,25 @@ is identical to a single-heap implementation.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
-                    Optional)
+from heapq import heappop, heappush
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable,
+                    List, Optional)
 
 from repro.config import MachineParams, SimConfig
 from repro.engine.events import CATEGORIES, Delay, Resolve, Send, Wait
 from repro.engine.future import Future
-from repro.network.message import Message
+from repro.network.message import HEADER_BYTES, Message
 from repro.network.network import Network
 
 if TYPE_CHECKING:  # runtime import would cycle: protocols.base imports us
     from repro.protocols.base import ReliableTransport
 
-#: interned event kinds: heap/ready entries carry one of these integers
+#: interned event kinds: heap/ready entries carry one of these integers;
+#: an entry is ``(time, seq, kind, a, b)`` with the kind's two operands
+#: flattened in (no payload tuple per event):
+#: EV_DELAY_END ``(node_id, delay_seq)``, EV_ARRIVAL ``(msg, None)``,
+#: EV_WAKE ``(node_id, future)``, EV_CALL ``(fn, None)``
 EV_DELAY_END = 0
 EV_ARRIVAL = 1
 EV_WAKE = 2
@@ -55,7 +61,7 @@ class SimulationError(RuntimeError):
     pass
 
 
-Handler = Callable[[Message], Optional[Generator]]
+Handler = Callable[[Message], Optional[Iterable]]
 Program = Generator
 
 
@@ -66,7 +72,7 @@ class _NodeRuntime:
         "node_id", "gen", "state", "clock", "delay_end", "delay_seq",
         "isr_busy_until", "isr_cycles_total", "breakdown",
         "wait_start", "wait_isr_snapshot", "wait_category", "done_time",
-        "handler", "dead",
+        "handler", "dead", "result",
     )
 
     def __init__(self, node_id: int) -> None:
@@ -86,6 +92,8 @@ class _NodeRuntime:
         self.wait_isr_snapshot = 0.0
         self.wait_category = "synch"
         self.done_time: Optional[float] = None
+        #: the program's return value, once it is done
+        self.result: Any = None
         #: crash-stop window active (set only by the crash controller):
         #: the transport black-holes the node's NIC in both directions
         self.dead = False
@@ -104,7 +112,7 @@ class Simulator:
         self.nodes: List[_NodeRuntime] = [
             _NodeRuntime(i) for i in range(self.machine.num_procs)
         ]
-        #: out-of-order event store, entries are (time, seq, kind, payload)
+        #: out-of-order event store, entries are (time, seq, kind, a, b)
         self._heap: List[tuple] = []
         #: sorted FIFO fast path for in-order pushes (same entry layout)
         self._ready: deque = deque()
@@ -117,10 +125,9 @@ class Simulator:
         self._interrupt_cycles = float(m.interrupt_cycles)
         self._messaging_overhead = float(m.messaging_overhead_cycles)
         #: payload_bytes -> receive-side I/O transfer cycles
-        self._io_cost: Dict[int, float] = {0: 0.0}
+        self._recv_io_costs: Dict[int, float] = {0: 0.0}
         #: payload_bytes -> sender-side cost (overhead + I/O transfer)
-        self._send_cost_cache: Dict[int, float] = {
-            0: self._messaging_overhead}
+        self._send_costs: Dict[int, float] = {0: self._messaging_overhead}
         #: the faulty network: None on the paper's lossless network, else
         #: the ``ReliableTransport`` that ``World`` installs when
         #: ``config.faults`` is set (it owns injection and crash guards)
@@ -154,7 +161,7 @@ class Simulator:
         heap = self._heap
         ready = self._ready
         pop_ready = ready.popleft
-        heappop = heapq.heappop
+        pop_heap = heappop
         nodes = self.nodes
         step_program = self._step_program
         deliver = self._deliver
@@ -165,34 +172,31 @@ class Simulator:
             if ready and (not heap or ready[0] < heap[0]):
                 event = pop_ready()
             else:
-                event = heappop(heap)
-            time = event[0]
-            if time < now - 1e-9:
-                raise SimulationError(
-                    f"time went backwards: {time} < {now}")
+                event = pop_heap(heap)
+            time, _seq, kind, a, b = event
             if time > now:
                 now = time
                 self.now = time
+            elif time < now - 1e-9:
+                raise SimulationError(
+                    f"time went backwards: {time} < {now}")
             events += 1
             if events > limit:
                 self.events_processed = events
                 raise SimulationError(f"exceeded max_events={limit}")
-            kind = event[2]
             if kind == EV_DELAY_END:
-                node_id, seq = event[3]
-                node = nodes[node_id]
-                if node.state == "delaying" and seq == node.delay_seq:
+                node = nodes[a]
+                if node.state == "delaying" and b == node.delay_seq:
                     node.clock = node.delay_end
                     node.state = "ready"
                     step_program(node, None)
                 # else stale: the delay was stretched by an ISR
             elif kind == EV_ARRIVAL:
-                deliver(event[3])
+                deliver(a)
             elif kind == EV_WAKE:
-                node_id, fut = event[3]
-                wake(nodes[node_id], fut)
+                wake(nodes[a], b)
             elif kind == EV_CALL:
-                event[3]()
+                a()
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {kind!r}")
         self.events_processed = events
@@ -213,20 +217,22 @@ class Simulator:
 
     # ------------------------------------------------------- program driving
 
-    def _push(self, time: float, kind: int, payload: Any) -> None:
+    def _push(self, time: float, kind: int, a: Any, b: Any = None) -> None:
         """Schedule an event; ``(time, seq)`` totally orders dispatch.
 
         The sorted ready run takes any push that keeps it non-decreasing in
         time (sequence numbers already increase monotonically); everything
         else goes to the heap.  The run loop merges both by ``(time, seq)``,
-        so dispatch order is exactly that of a single heap.
+        so dispatch order is exactly that of a single heap.  The two
+        hottest pushes (a program's delay end, a lossless arrival) are
+        inlined copies of this rule (DESIGN §11.2, §11.9).
         """
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         ready = self._ready
         if not ready or time >= ready[-1][0]:
-            ready.append((time, self._seq, kind, payload))
+            ready.append((time, seq, kind, a, b))
         else:
-            heapq.heappush(self._heap, (time, self._seq, kind, payload))
+            heappush(self._heap, (time, seq, kind, a, b))
 
     def schedule_call(self, time: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` on the event loop at simulated time ``time``.
@@ -254,20 +260,24 @@ class Simulator:
         if node.state == "delaying":
             node.delay_end += cycles
             node.delay_seq += 1
-            self._push(node.delay_end, EV_DELAY_END,
-                       (node.node_id, node.delay_seq))
+            self._push(node.delay_end, EV_DELAY_END, node.node_id,
+                       node.delay_seq)
         return start
 
     def _step_program(self, node: _NodeRuntime, value: Any) -> None:
-        """Advance a node's program task until it blocks, delays or finishes."""
+        """Advance a node's program task until it blocks, delays or finishes.
+
+        A finished program's return value is kept on ``node.result``.
+        """
         send = node.gen.send
         breakdown = node.breakdown
         while True:
             try:
                 op = send(value)
-            except StopIteration:
+            except StopIteration as stop:
                 node.state = "done"
                 node.done_time = node.clock
+                node.result = stop.value
                 return
             value = None
             cls = type(op)
@@ -276,35 +286,21 @@ class Simulator:
                 breakdown[op.category] += cycles
                 if cycles <= 0:
                     continue
-                node.state = "delaying"
-                end = node.clock + cycles
-                node.delay_end = end
-                node.delay_seq += 1
-                self._push(end, EV_DELAY_END, (node.node_id, node.delay_seq))
-                return
-            if cls is Send:
+            elif cls is Send:
                 msg = op.message
-                cost = self._send_cost(msg)
-                breakdown[op.category] += cost
-                if cost > 0:
-                    # model the send as an interruptible delay whose completion
-                    # injects the message
-                    node.state = "delaying"
-                    end = node.clock + cost
-                    node.delay_end = end
-                    node.delay_seq += 1
-                    self._push(end, EV_DELAY_END,
-                               (node.node_id, node.delay_seq))
-                    # inject at the (possibly later, if interrupted) send end;
-                    # we bind injection to nominal end: acceptable approximation
-                    self._inject(node.node_id, op.dst, msg, end)
-                    return
-                self._inject(node.node_id, op.dst, msg, node.clock)
-                continue
-            if cls is Wait:
+                cycles = self._send_costs.get(msg.payload_bytes)
+                if cycles is None:
+                    cycles = self._send_cost(msg.payload_bytes)
+                breakdown[op.category] += cycles
+                if cycles <= 0:
+                    self._inject(node.node_id, op.dst, msg, node.clock)
+                    continue
+                # else the send is an interruptible delay whose completion
+                # injects the message
+            elif cls is Wait:
                 fut = op.future
-                if fut.done:
-                    value = fut.value
+                if fut._done:
+                    value = fut._value
                     continue
                 node.state = "blocked"
                 node.wait_start = node.clock
@@ -312,21 +308,39 @@ class Simulator:
                 node.wait_category = op.category
                 fut.on_resolve(
                     lambda f, nid=node.node_id: self._push(
-                        max(f.resolve_time, self.now), EV_WAKE, (nid, f)
-                    )
+                        max(f._resolve_time, self.now), EV_WAKE, nid, f)
                 )
                 return
-            if cls is Resolve:
+            elif cls is Resolve:
                 op.future.resolve(op.value, node.clock)
                 continue
-            raise SimulationError(f"program yielded unknown op {op!r}")
+            else:
+                raise SimulationError(f"program yielded unknown op {op!r}")
+            node.state = "delaying"
+            end = node.clock + cycles
+            node.delay_end = end
+            dseq = node.delay_seq = node.delay_seq + 1
+            # inlined ``_push``: the ready-run rule of DESIGN §11.2
+            seq = self._seq = self._seq + 1
+            ready = self._ready
+            if not ready or end >= ready[-1][0]:
+                ready.append((end, seq, EV_DELAY_END, node.node_id, dseq))
+            else:
+                heappush(self._heap,
+                         (end, seq, EV_DELAY_END, node.node_id, dseq))
+            if cls is Send:
+                # inject at the (possibly later, if interrupted) send end;
+                # we bind injection to nominal end: acceptable approximation
+                self._inject(node.node_id, op.dst, msg, end)
+            return
 
     def _wake(self, node: _NodeRuntime, fut: Future) -> None:
         if node.state == "dead":
             return  # declared permanently dead while blocked
         if node.state != "blocked":  # pragma: no cover - defensive
             raise SimulationError(f"wake of non-blocked node {node.node_id}")
-        wake_time = max(fut.resolve_time, node.isr_busy_until, node.wait_start)
+        wake_time = max(fut._resolve_time, node.isr_busy_until,
+                        node.wait_start)
         duration = wake_time - node.wait_start
         overlap = node.isr_cycles_total - node.wait_isr_snapshot
         charged = duration - overlap
@@ -334,24 +348,23 @@ class Simulator:
             node.breakdown[node.wait_category] += charged
         node.clock = wake_time
         node.state = "ready"
-        self._step_program(node, fut.value)
+        self._step_program(node, fut._value)
 
     # ----------------------------------------------------------- networking
 
-    def _send_cost(self, msg: Message) -> float:
-        nbytes = msg.payload_bytes
-        cost = self._send_cost_cache.get(nbytes)
-        if cost is None:
-            cost = self._messaging_overhead + \
-                self.machine.io_transfer_cycles(nbytes)
-            self._send_cost_cache[nbytes] = cost
+    def _send_cost(self, nbytes: int) -> float:
+        """Sender-side cost of a ``nbytes`` payload; callers read the memo
+        ``_send_costs`` first and come here only on a miss."""
+        cost = self._messaging_overhead + self.machine.io_transfer_cycles(
+            nbytes)
+        self._send_costs[nbytes] = cost
         return cost
 
     def _recv_io_cost(self, nbytes: int) -> float:
-        cost = self._io_cost.get(nbytes)
-        if cost is None:
-            cost = self.machine.io_transfer_cycles(nbytes)
-            self._io_cost[nbytes] = cost
+        """Receive-side I/O transfer of a ``nbytes`` payload; callers read
+        the memo ``_recv_io_costs`` first and come here only on a miss."""
+        cost = self.machine.io_transfer_cycles(nbytes)
+        self._recv_io_costs[nbytes] = cost
         return cost
 
     def _inject(self, src: int, dst: int, msg: Message, time: float) -> None:
@@ -366,27 +379,31 @@ class Simulator:
         transport = self.transport
         if transport is not None:
             transport.on_send(msg, time)
-        self.transmit(msg, time)
+            self.transmit(msg, time)
+            return
+        # the paper's lossless network: one wire copy, always delivered
+        arrival = self.network.deliver(src, dst, HEADER_BYTES
+                                       + msg.payload_bytes, time)
+        # inlined ``_push``: the ready-run rule of DESIGN §11.2
+        seq = self._seq = self._seq + 1
+        ready = self._ready
+        if not ready or arrival >= ready[-1][0]:
+            ready.append((arrival, seq, EV_ARRIVAL, msg, None))
+        else:
+            heappush(self._heap, (arrival, seq, EV_ARRIVAL, msg, None))
 
     def transmit(self, msg: Message, time: float) -> None:
-        """Put one wire copy of ``msg`` on the network at ``time``.
+        """Put one wire copy of ``msg`` on the faulty network at ``time``.
 
         Called by ``_inject`` for first transmissions and directly by the
         reliable transport for retransmissions and acks (NIC-level
-        frames).  On a faulty network the transport decides each copy's
-        fate; a dropped copy still reserved the links (the frame was
-        transmitted and lost in flight), so the contention model charges
-        it either way.
+        frames).  The transport decides each copy's fate; a dropped copy
+        still reserved the links (the frame was transmitted and lost in
+        flight), so the contention model charges it either way.
         """
-        transport = self.transport
-        if transport is None:
-            arrival = self.network.deliver(msg.src, msg.dst,
-                                           msg.total_bytes, time)
-            self._push(arrival, EV_ARRIVAL, msg)
-            return
-        for delivered, extra in transport.fates(msg, time):
-            arrival = self.network.deliver(msg.src, msg.dst,
-                                           msg.total_bytes, time)
+        nbytes = HEADER_BYTES + msg.payload_bytes
+        for delivered, extra in self.transport.fates(msg, time):
+            arrival = self.network.deliver(msg.src, msg.dst, nbytes, time)
             if delivered:
                 self._push(arrival + extra, EV_ARRIVAL, msg)
 
@@ -410,11 +427,14 @@ class Simulator:
         if msg.src != msg.dst:
             entry = self._interrupt_cycles
             breakdown["others"] += entry
-            recv_io = self._recv_io_cost(msg.payload_bytes)
+            recv_io = self._recv_io_costs.get(msg.payload_bytes)
+            if recv_io is None:
+                recv_io = self._recv_io_cost(msg.payload_bytes)
             breakdown["ipc"] += recv_io
             vtime += entry + recv_io
         gen = handler(msg)
         if gen is not None:
+            send_costs = self._send_costs
             for op in gen:
                 cls = type(op)
                 if cls is Delay:
@@ -422,7 +442,9 @@ class Simulator:
                     vtime += op.cycles
                 elif cls is Send:
                     m = op.message
-                    cost = self._send_cost(m)
+                    cost = send_costs.get(m.payload_bytes)
+                    if cost is None:
+                        cost = self._send_cost(m.payload_bytes)
                     breakdown[op.category] += cost
                     vtime += cost
                     self._inject(node.node_id, op.dst, m, vtime)
@@ -441,5 +463,5 @@ class Simulator:
             # the interrupt stole cycles from the in-progress delay
             node.delay_end += service
             node.delay_seq += 1
-            self._push(node.delay_end, EV_DELAY_END,
-                       (node.node_id, node.delay_seq))
+            self._push(node.delay_end, EV_DELAY_END, node.node_id,
+                       node.delay_seq)

@@ -49,10 +49,6 @@ PROTOCOLS: Dict[str, NodeFactory] = {
 }
 
 
-def _driver(program, results: List[Any], index: int):
-    results[index] = yield from program
-
-
 def run_app(app: Application, protocol: str = "aec",
             config: Optional[SimConfig] = None,
             check: bool = True, *, spans: Optional[SpanRecorder] = None,
@@ -88,15 +84,15 @@ def run_app(app: Application, protocol: str = "aec",
                     f"permanent crash of node {c.node} (restart=False) "
                     f"needs a protocol that reconfigures around dead "
                     f"peers, such as aec")
-    results: List[Any] = [None] * machine.num_procs
     for i, node in enumerate(nodes):
-        ctx = AppContext(node, config.seed)
-        world.sim.add_program(i, _driver(app.program(ctx), results, i))
+        world.sim.add_program(i, app.program(AppContext(node)))
 
     wall0 = time.perf_counter()
     execution_time = world.sim.run()
     wall = time.perf_counter() - wall0
 
+    # each program's return value, kept by the engine when it finished
+    results: List[Any] = [n.result for n in world.sim.nodes]
     for node in nodes:
         node.finalize()
     check_report = None if world.checker is None else world.checker.finish()

@@ -15,10 +15,19 @@ pre-access tag state either way):
 * larger ranges reuse memoized ``(lines, sets)`` index arrays per
   ``(first_line, last_line)`` shape — app loops touch the same block
   shapes over and over, so the ``np.arange``/modulo work is paid once.
+
+Protocols invalidate a whole page every time a diff or a fetch changes it,
+and most of those pages have no line cached.  The cache therefore keeps
+``_resident``: every page that had a line filled since its last
+whole-page invalidation.  Invariant: a page with any valid line in the
+cache is in the set (a line that spans a page boundary puts both pages
+in).  A whole-page ``invalidate_range`` of a page outside the set returns
+at once, which is exact: no tag can equal a line of that page.  Evictions
+never remove pages, so they only leave the set conservative.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -30,6 +39,10 @@ class DirectMappedCache:
         self.machine = machine
         self.num_lines = machine.cache_lines
         self.words_per_line = machine.words_per_line
+        self.words_per_page = machine.words_per_page
+        #: pages with a line filled since their last whole-page
+        #: invalidation (a superset of the pages with cached lines)
+        self._resident: Set[int] = set()
         # tag value -1 == invalid
         self._tags = np.full(self.num_lines, -1, dtype=np.int64)
         self.hits = 0
@@ -71,6 +84,8 @@ class DirectMappedCache:
                 if tags[s] != line:
                     tags[s] = line
                     nmiss += 1
+            if nmiss:
+                self._note_resident(first, last)
             self.hits += last - first + 1 - nmiss
             self.misses += nmiss
             return nmiss
@@ -79,14 +94,35 @@ class DirectMappedCache:
         nmiss = int(miss_mask.sum())
         if nmiss:
             tags[sets[miss_mask]] = lines[miss_mask]
+            self._note_resident(first, last)
         self.hits += len(lines) - nmiss
         self.misses += nmiss
         return nmiss
+
+    def _note_resident(self, first: int, last: int) -> None:
+        """Lines ``first..last`` were filled: their pages are resident.
+        (Pages whose lines all hit are in the set already.)"""
+        wpl = self.words_per_line
+        wpp = self.words_per_page
+        lo = first * wpl // wpp
+        hi = ((last + 1) * wpl - 1) // wpp
+        if lo == hi:
+            self._resident.add(lo)
+        else:
+            self._resident.update(range(lo, hi + 1))
 
     def invalidate_range(self, addr: int, nwords: int) -> None:
         """Drop any cached lines covering the range (page received/updated)."""
         if nwords <= 0:
             return
+        wpp = self.words_per_page
+        if nwords == wpp and addr % wpp == 0:
+            # a whole page: nothing to drop unless it is resident, and
+            # afterwards none of its lines is cached
+            pn = addr // wpp
+            if pn not in self._resident:
+                return
+            self._resident.discard(pn)
         wpl = self.words_per_line
         first = addr // wpl
         last = (addr + nwords - 1) // wpl

@@ -57,10 +57,5 @@ class NodeHardware:
             others += misses * self._line_fill_cycles
         return AccessCost(float(nwords), others)
 
-    def page_updated(self, page_addr: int, nwords: int) -> None:
-        """A page's memory contents changed underneath the cache (diff apply,
-        page fetch): stale lines must be dropped."""
-        self.cache.invalidate_range(page_addr, nwords)
-
     def page_protection_changed(self, page_number: int) -> None:
         self.tlb.flush_page(page_number)

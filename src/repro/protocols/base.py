@@ -9,7 +9,8 @@ engine runs its ``handle_message`` as the node's interrupt service routine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -356,6 +357,25 @@ class PageMeta:
         return self.word_stamps
 
 
+class PageTable(dict):
+    """Page number -> one node's coherence state of the page.
+
+    Indexing a page the node has never touched creates its entry with
+    ``factory()``, so hot paths index ``pages[pn]`` directly instead of
+    calling a getter; ``get`` and ``in`` never create.
+    """
+
+    __slots__ = ("factory",)
+
+    def __init__(self, factory: Callable[[], PageMeta]) -> None:
+        super().__init__()
+        self.factory = factory
+
+    def __missing__(self, pn: int) -> PageMeta:
+        meta = self[pn] = self.factory()
+        return meta
+
+
 class ProtocolNode:
     """Base class for one node's protocol engine.
 
@@ -385,14 +405,20 @@ class ProtocolNode:
         self.layout = world.layout
         self.sync = world.sync
         self.sim = world.sim
+        #: the engine's timeline of this node (its clock is ``now()``)
+        self.timeline = world.sim.nodes[node_id]
         self.spans = world.spans
-        self.store = PageStore(self.machine.words_per_page)
+        #: words per page, read on every fault and diff apply
+        self.words_per_page: int = self.machine.words_per_page
+        self.store = PageStore(self.words_per_page)
         self.hw = NodeHardware(self.machine)
-        self.pages: Dict[int, PageMeta] = {}
+        #: the node's cache model (pages updated underneath it drop lines)
+        self.cache = self.hw.cache
+        self.pages = PageTable(self.page_meta_factory)
         self.fault_stats = AccessFaultStats()
         self.locks_held: Set[int] = set()
         self._futures = 0
-        self._handlers: Dict[str, Callable[[Message], Optional[Generator]]] = {}
+        self._handlers: Dict[str, Callable[[Message], Optional[Iterable]]] = {}
         # ---- request/reply plumbing
         self._req_seq = 0
         #: outstanding request id -> (destination node, reply future); the
@@ -409,29 +435,18 @@ class ProtocolNode:
             # node 0 physically hosts the initial (zero) copy of every page
             for pn in range(self.layout.total_pages):
                 self.store.ensure(pn)
-                meta = self.page_meta_factory()
+                meta = self.pages[pn]
                 meta.valid = True
                 meta.ever_valid = True
-                self.pages[pn] = meta
 
     # ------------------------------------------------------------- utilities
 
     def now(self) -> float:
-        return self.sim.nodes[self.node_id].clock
-
-    def page(self, pn: int) -> PageMeta:
-        meta = self.pages.get(pn)
-        if meta is None:
-            meta = self.page_meta_factory()
-            self.pages[pn] = meta
-        return meta
+        return self.timeline.clock
 
     def new_future(self, label: str = "") -> Future:
         self._futures += 1
-        return Future(label=f"n{self.node_id}/{label}/{self._futures}")
-
-    def in_critical_section(self) -> bool:
-        return bool(self.locks_held)
+        return Future((self.node_id, label, self._futures))
 
     # ---- observability helpers (no-ops when the run records no spans) ----
 
@@ -445,7 +460,7 @@ class ProtocolNode:
         if span_id:
             self.spans.end(span_id, self.now(), **args)
 
-    def handle_message(self, msg: Message) -> Optional[Generator]:
+    def handle_message(self, msg: Message) -> Optional[Iterable]:
         fn = self._handlers.get(msg.kind)
         if fn is None:
             raise RuntimeError(f"{self.name} node {self.node_id}: "
@@ -487,12 +502,17 @@ class ProtocolNode:
             dst = ndst
 
     def _reply(self, msg: Message, payload: dict, nbytes: int) -> Message:
-        return Message(self.reply_kind,
-                       dict(payload, req_id=msg.payload["req_id"]), nbytes)
+        """The reply to request ``msg``; it takes over ``payload`` (a fresh
+        dict) and stamps the request id into it."""
+        payload["req_id"] = msg.payload["req_id"]
+        return Message(self.reply_kind, payload, nbytes)
 
-    def _on_reply(self, msg: Message):
+    # the handlers that only resolve a future return that one primitive in
+    # a tuple: no generator frame per message (DESIGN §11.9)
+
+    def _on_reply(self, msg: Message) -> Tuple[Resolve]:
         _dst, fut = self._replies.pop(msg.payload["req_id"])
-        yield Resolve(fut, msg.payload)
+        return (Resolve(fut, msg.payload),)
 
     def fetch_page(self, pn: int, home: int, kind: str,
                    retarget: Optional[Callable[[int], Optional[int]]] = None
@@ -505,7 +525,8 @@ class ProtocolNode:
                                          category="data", retarget=retarget)
         self.span_end(span)
         self.store.ensure(pn, reply["content"])
-        self.hw.page_updated(self.page_addr(pn), self.page_words())
+        wpp = self.words_per_page
+        self.cache.invalidate_range(pn * wpp, wpp)
         checker = self.world.checker
         if checker is not None:
             checker.note_transfer("page", self.node_id, pn, home, self.now())
@@ -542,14 +563,14 @@ class ProtocolNode:
         self._grant_futs.pop(lock_id, None)
         return grant, wait_span
 
-    def _on_lock_grant(self, msg: Message):
+    def _on_lock_grant(self, msg: Message) -> Tuple[Resolve]:
         grant = msg.payload
         lock_id = grant["lock"] if isinstance(grant, dict) else grant.lock_id
         fut = self._grant_futs.get(lock_id)
         if fut is None:
             raise RuntimeError(f"{self.name} node {self.node_id}: "
                                f"unexpected grant for lock {lock_id}")
-        yield Resolve(fut, grant)
+        return (Resolve(fut, grant),)
 
     def _begin_hold(self, lock_id: int, wait_span: int, **args: Any) -> None:
         """Close the lock's wait span and open its hold span."""
@@ -618,29 +639,23 @@ class ProtocolNode:
         self._bar_fut = None
         return payload, span
 
-    def _on_bar_release(self, msg: Message):
+    def _on_bar_release(self, msg: Message) -> Tuple[Resolve]:
         fut = self._bar_fut
         if fut is None:
             raise RuntimeError(f"{self.name} node {self.node_id}: "
                                f"{msg.kind} outside a barrier")
-        yield Resolve(fut, msg.payload)
+        return (Resolve(fut, msg.payload),)
 
     # ------------------------------------------------- page/diff primitives
 
-    def page_words(self) -> int:
-        return self.machine.words_per_page
-
-    def page_addr(self, pn: int) -> int:
-        return pn * self.machine.words_per_page
-
     def make_twin(self, pn: int, category: str = "data") -> Generator:
         """Copy the page before writing so modifications can be diffed."""
-        meta = self.page(pn)
+        meta = self.pages[pn]
         if meta.twin is not None:
             return
         page = self.store.page(pn)
         meta.twin = page.copy()
-        cycles = self.machine.twin_cycles(self.page_words())
+        cycles = self.machine.twin_cycles(self.words_per_page)
         self.fault_stats.twin_cycles += cycles
         yield Delay(cycles, category)
 
@@ -653,7 +668,7 @@ class ProtocolNode:
         hidden behind the synchronization delay (Table 4's "Hidden" column).
         Returns the Diff via the generator's return value.
         """
-        meta = self.page(pn)
+        meta = self.pages[pn]
         if meta.twin is None:
             raise RuntimeError(f"page {pn} has no twin to diff against")
         # determine the encoding first (bookkeeping), then charge the
@@ -685,7 +700,8 @@ class ProtocolNode:
         yield Delay(cycles, category)
         end = self.now()
         diff.apply(page)
-        self.hw.page_updated(self.page_addr(pn), self.page_words())
+        wpp = self.words_per_page
+        self.cache.invalidate_range(pn * wpp, wpp)
         checker = self.world.checker
         if checker is not None:
             checker.note_transfer("diff", self.node_id, pn, diff.origin, end)
@@ -698,7 +714,7 @@ class ProtocolNode:
 
     def invalidate(self, pn: int) -> bool:
         """Drop the local copy's access rights; True if it was valid."""
-        meta = self.page(pn)
+        meta = self.pages[pn]
         if not meta.valid:
             return False
         meta.valid = False
@@ -707,7 +723,7 @@ class ProtocolNode:
         return True
 
     def write_protect(self, pn: int) -> None:
-        meta = self.page(pn)
+        meta = self.pages[pn]
         if meta.writable:
             meta.writable = False
             self.hw.page_protection_changed(pn)
@@ -716,7 +732,7 @@ class ProtocolNode:
                     stamp: int) -> None:
         """Raise the word stamps at ``offsets`` to at least ``stamp``, so
         that older diffs arriving later cannot overwrite those words."""
-        stamps = meta.stamps(self.page_words())
+        stamps = meta.stamps(self.words_per_page)
         if len(offsets) == 1:
             # scalar fast path: single-word diffs dominate in practice
             off = offsets[0]
@@ -738,12 +754,14 @@ class ProtocolNode:
         modified locally since the twin (an unfrozen local write, which no
         remote diff can legitimately supersede).
         """
-        meta = self.page(pn)
+        meta = self.pages[pn]
         page = self.store.page(pn)
         offsets = diff.offsets
         cycles = self.machine.diff_apply_cycles(max(len(offsets), 1))
         yield Delay(cycles, "data")
-        stamps = meta.stamps(self.page_words())
+        stamps = meta.word_stamps
+        if stamps is None:
+            stamps = meta.stamps(self.words_per_page)
         counter = diff.acquire_counter
         twin = meta.twin
         guard = twin is not None and self._twin_guards(pn, meta, counter)
@@ -771,7 +789,8 @@ class ProtocolNode:
                 if twin is not None:
                     twin[offs] = values
         if updated:
-            self.hw.page_updated(self.page_addr(pn), self.page_words())
+            wpp = self.words_per_page
+            self.cache.invalidate_range(pn * wpp, wpp)
         checker = self.world.checker
         if checker is not None:
             checker.note_transfer("diff", self.node_id, pn, diff.origin,
@@ -794,9 +813,9 @@ class ProtocolNode:
 
     def read(self, addr: int, nwords: int) -> Generator:
         """Application-level ranged read; returns the data."""
+        pages = self.pages
         for pn in self.layout.pages_of_range(addr, nwords):
-            meta = self.page(pn)
-            if not meta.valid:
+            if not pages[pn].valid:
                 yield from self._timed_fault(pn, is_write=False)
         cost = self.hw.access(addr, nwords, is_write=False)
         yield Delay(cost.busy, "busy")
@@ -824,7 +843,7 @@ class ProtocolNode:
                 raise RuntimeError(
                     f"node {self.node_id}: write to {addr} keeps faulting")
             for pn in pages:
-                meta = self.page(pn)
+                meta = self.pages[pn]
                 if not meta.valid or not meta.writable:
                     yield from self._timed_fault(pn, is_write=True)
             cost = self.hw.access(addr, nwords, is_write=True)
@@ -837,12 +856,12 @@ class ProtocolNode:
                 return
 
     def _timed_fault(self, pn: int, is_write: bool) -> Generator:
-        meta = self.page(pn)
-        t0 = self.now()
-        in_cs = self.in_critical_section()
+        meta = self.pages[pn]
+        timeline = self.timeline
+        t0 = timeline.clock
         if not meta.ever_valid:
             self.fault_stats.cold_faults += 1
-        if in_cs:
+        if self.locks_held:
             self.fault_stats.inside_cs_faults += 1
         if is_write:
             if meta.valid:
@@ -858,7 +877,7 @@ class ProtocolNode:
         else:
             yield from self.handle_read_fault(pn)
         meta.ever_valid = meta.ever_valid or meta.valid
-        cycles = self.now() - t0
+        cycles = timeline.clock - t0
         self.fault_stats.fault_cycles += cycles
 
     # --------------------------------------------- protocol-specific pieces

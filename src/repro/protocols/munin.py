@@ -100,7 +100,7 @@ class MuninNode(ProtocolNode):
         yield from self._fetch_page(pn)
 
     def handle_write_fault(self, pn: int) -> Generator:
-        meta = self.page(pn)
+        meta = self.pages[pn]
         while not meta.valid:
             # _fetch_page revalidates; an invalidation racing the twin copy
             # below re-clears the flag and the caller's write loop refaults
@@ -116,7 +116,7 @@ class MuninNode(ProtocolNode):
 
     def _fetch_page(self, pn: int) -> Generator:
         """Cold/invalidated fault: join the sharer set via the directory."""
-        meta: MuninPageMeta = self.page(pn)
+        meta: MuninPageMeta = self.pages[pn]
         # an invalidation may have hit us mid-critical-section with
         # unflushed twin-tracked modifications: carry them over the refetch
         local: Optional[Diff] = None
@@ -144,7 +144,8 @@ class MuninNode(ProtocolNode):
                                "invalidations/updates")
         self.span_end(fetch_span)
         self.store.ensure(pn, reply["content"])
-        self.hw.page_updated(self.page_addr(pn), self.page_words())
+        wpp = self.words_per_page
+        self.cache.invalidate_range(pn * wpp, wpp)
         checker = self.world.checker
         if checker is not None:
             checker.note_transfer("page", self.node_id, pn, directory,
@@ -173,7 +174,7 @@ class MuninNode(ProtocolNode):
         yield Delay(self.machine.list_cycles(len(sharers) + 1), "ipc")
         sharers.add(requester)
         content = self.store.page(pn).copy()
-        yield Delay(self.machine.mem_access_cycles(self.page_words()), "ipc")
+        yield Delay(self.machine.mem_access_cycles(self.words_per_page), "ipc")
         yield Send(requester, self._reply(msg, {"content": content},
                                           self.machine.page_bytes), "ipc")
 
@@ -198,7 +199,7 @@ class MuninNode(ProtocolNode):
         self._sharer_acks_needed = 0
         self._sharer_acks_got = 0
         for pn in dirty:
-            meta = self.page(pn)
+            meta = self.pages[pn]
             lock = self._dirty_lock.pop(pn, None)
             if meta.twin is None:
                 continue
@@ -265,13 +266,14 @@ class MuninNode(ProtocolNode):
     def _apply_update(self, pn: int, diff: Diff) -> Generator:
         cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
         yield Delay(cycles, "ipc")
-        meta: MuninPageMeta = self.page(pn)
+        meta: MuninPageMeta = self.pages[pn]
         meta.upd_epoch += 1
         if self.store.has(pn):
             diff.apply(self.store.page(pn))
             if meta.twin is not None:
                 diff.apply(meta.twin)
-            self.hw.page_updated(self.page_addr(pn), self.page_words())
+            wpp = self.words_per_page
+            self.cache.invalidate_range(pn * wpp, wpp)
             checker = self.world.checker
             if checker is not None:
                 checker.note_transfer("diff", self.node_id, pn, diff.origin,
@@ -291,7 +293,7 @@ class MuninNode(ProtocolNode):
 
     def _on_inval(self, msg: Message):
         pn = msg.payload["pn"]
-        self.page(pn).inval_epoch += 1
+        self.pages[pn].inval_epoch += 1
         self.invalidate(pn)
         yield Delay(self.machine.list_cycles(1), "ipc")
         # dropped from the sharer set: a later access re-faults and rejoins

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import List, Tuple
 
+#: list elements of a record besides its pages: writer, index and stamp
+RECORD_FIELDS = 3
+
 
 @dataclass(frozen=True, slots=True)
 class IntervalRecord:
@@ -18,12 +21,19 @@ class IntervalRecord:
 
     @property
     def element_count(self) -> int:
-        return 3 + len(self.pages)
+        return RECORD_FIELDS + len(self.pages)
 
 
 _INDEX = attrgetter("index")
+_PAGES = attrgetter("pages")
 #: delivery order of a record batch: Lamport stamp, ties broken by writer
 _ORDER = attrgetter("stamp", "writer", "index")
+
+
+def batch_element_count(records: List[IntervalRecord]) -> int:
+    """Summed ``element_count`` of a record batch, as one C-level sum (the
+    batch is sized on every grant and barrier message)."""
+    return RECORD_FIELDS * len(records) + sum(map(len, map(_PAGES, records)))
 
 
 class IntervalLog:

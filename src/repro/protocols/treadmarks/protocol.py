@@ -4,16 +4,28 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.engine.events import Delay, Send
-from repro.memory.diff import Diff, create_diff
+from repro.memory.diff import BYTES_PER_ENTRY, Diff, create_diff
 from repro.network.message import Message
 from repro.protocols.base import PageMeta, ProtocolNode, World
-from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
+from repro.protocols.treadmarks.interval import (IntervalLog, IntervalRecord,
+                                                batch_element_count)
 
 _COUNTER = attrgetter("acquire_counter")
+#: application order of collected diffs: global stamp, ties by writer
+_APPLY_ORDER = attrgetter("acquire_counter", "origin")
+_WRITER = itemgetter(0)
+_OFFSETS = attrgetter("offsets")
+
+
+def _diffs_bytes(diffs: List[Diff]) -> int:
+    """Wire size of a diff batch: each diff's entries plus its 8-byte
+    header (a C-level sum, no per-diff property call)."""
+    return (BYTES_PER_ENTRY * sum(map(len, map(_OFFSETS, diffs)))
+            + 8 * len(diffs))
 
 
 @dataclass
@@ -78,9 +90,6 @@ class TreadMarksNode(ProtocolNode):
             "tmk.bar_release": self._on_bar_release,
         }
 
-    def _bump_lamport(self, stamp: int) -> None:
-        self.lamport = max(self.lamport, stamp)
-
     # ------------------------------------------------------------ intervals
 
     def _close_interval(self) -> Optional[IntervalRecord]:
@@ -105,8 +114,10 @@ class TreadMarksNode(ProtocolNode):
         Returns the number of records that were new.
         """
         fresh = 0
+        pages = self.pages
         for rec in records:
-            self._bump_lamport(rec.stamp)
+            if rec.stamp > self.lamport:
+                self.lamport = rec.stamp
             if not self.log.add(rec):
                 continue
             fresh += 1
@@ -114,22 +125,23 @@ class TreadMarksNode(ProtocolNode):
             if rec.writer == self.node_id:
                 continue
             for pn in rec.pages:
-                meta: TMPageMeta = self.page(pn)
+                meta: TMPageMeta = pages[pn]
                 if meta.applied.get(rec.writer, -1) >= rec.stamp:
                     continue
                 # record the notice even without a local copy: the custodian
                 # serving a later cold fault may itself be stale mid-interval
                 meta.pending.append((rec.writer, rec.index, rec.stamp))
-                self.invalidate(pn)
+                if meta.valid:
+                    self.invalidate(pn)
         return fresh
 
     # ---------------------------------------------------------------- faults
 
     def handle_read_fault(self, pn: int) -> Generator:
-        yield from self._make_valid(pn)
+        return self._make_valid(pn)
 
     def handle_write_fault(self, pn: int) -> Generator:
-        meta: TMPageMeta = self.page(pn)
+        meta: TMPageMeta = self.pages[pn]
         while not meta.valid:
             # _make_valid revalidates; an invalidation racing the twin copy
             # below re-clears the flag and the caller's write loop refaults
@@ -142,7 +154,7 @@ class TreadMarksNode(ProtocolNode):
         self.hw.page_protection_changed(pn)
 
     def _make_valid(self, pn: int) -> Generator:
-        meta: TMPageMeta = self.page(pn)
+        meta: TMPageMeta = self.pages[pn]
         if not self.store.has(pn):
             # cold: fetch the page from its custodian (node 0 hosts the
             # initial copy of every page, as in centrally-initialized
@@ -161,10 +173,10 @@ class TreadMarksNode(ProtocolNode):
                         meta.pending.append(notice)
                 self.fault_stats.remote_resolutions += 1
         # fetch diffs from every writer with unresolved notices
-        writers = sorted({w for (w, _i, _s) in meta.pending
-                          if w != self.node_id})
+        writers = set(map(_WRITER, meta.pending))
+        writers.discard(self.node_id)
         collected: List[Diff] = []
-        for w in writers:
+        for w in sorted(writers):
             floor = meta.applied.get(w, -1)
             reply = yield from self._request(
                 w, "tmk.diff_req", {"pn": pn, "floor": floor},
@@ -172,13 +184,14 @@ class TreadMarksNode(ProtocolNode):
             collected.extend(reply["diffs"])
             self.fault_stats.remote_resolutions += 1
         # apply in global stamp order (lazy-release-consistent merge)
-        collected.sort(key=lambda d: (d.acquire_counter, d.origin))
+        collected.sort(key=_APPLY_ORDER)
         for diff in collected:
             if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
                 continue
             yield from self.apply_diff_stamped(pn, diff)
             meta.applied[diff.origin] = diff.acquire_counter
-            self._bump_lamport(diff.acquire_counter)
+            if diff.acquire_counter > self.lamport:
+                self.lamport = diff.acquire_counter
         meta.pending.clear()
         meta.valid = True
         meta.ever_valid = True
@@ -200,7 +213,7 @@ class TreadMarksNode(ProtocolNode):
         immutable — its arrays are made read-only — because replies and
         lazy-hybrid grants share it by reference instead of copying it.
         """
-        meta: TMPageMeta = self.page(pn)
+        meta: TMPageMeta = self.pages[pn]
         if not meta.dirty or meta.twin is None:
             return
         diff = create_diff(pn, meta.twin, self.store.page(pn),
@@ -230,11 +243,12 @@ class TreadMarksNode(ProtocolNode):
     def _on_diff_req(self, msg: Message):
         pn = msg.payload["pn"]
         floor = msg.payload["floor"]
-        meta: TMPageMeta = self.page(pn)
-        yield from self._freeze_page_diff(pn, "ipc")
+        meta: TMPageMeta = self.pages[pn]
+        if meta.dirty:
+            yield from self._freeze_page_diff(pn, "ipc")
         frozen = meta.frozen
         diffs = frozen[bisect_right(frozen, floor, key=_COUNTER):]
-        nbytes = sum(d.size_bytes + 8 for d in diffs) or 4
+        nbytes = _diffs_bytes(diffs) or 4
         yield Delay(self.machine.list_cycles(max(len(diffs), 1)), "ipc")
         yield Send(msg.payload["requester"],
                    self._reply(msg, {"diffs": diffs}, nbytes), "ipc")
@@ -243,9 +257,9 @@ class TreadMarksNode(ProtocolNode):
         pn = msg.payload["pn"]
         if not self.store.has(pn):
             raise RuntimeError(f"custodian lacks page {pn}")
-        meta: TMPageMeta = self.page(pn)
+        meta: TMPageMeta = self.pages[pn]
         content = self.store.page(pn).copy()
-        yield Delay(self.machine.mem_access_cycles(self.page_words()), "ipc")
+        yield Delay(self.machine.mem_access_cycles(self.words_per_page), "ipc")
         stamps = None if meta.word_stamps is None else meta.word_stamps.copy()
         yield Send(msg.payload["requester"],
                    self._reply(msg, {
@@ -268,7 +282,7 @@ class TreadMarksNode(ProtocolNode):
         records: List[IntervalRecord] = grant["records"]
         if records:
             yield Delay(self.machine.list_cycles(
-                sum(r.element_count for r in records)), "synch")
+                batch_element_count(records)), "synch")
         self._absorb_records(records)
         for w, v in enumerate(grant["vc"]):
             self.vc[w] = max(self.vc[w], v)
@@ -278,19 +292,20 @@ class TreadMarksNode(ProtocolNode):
         # touching them would risk replaying stale cached data over words
         # whose stamps we cannot compare
         for diff in sorted(grant.get("diffs", ()),
-                           key=lambda d: (d.acquire_counter, d.origin)):
+                           key=_APPLY_ORDER):
             pn = diff.page_number
-            meta: TMPageMeta = self.page(pn)
+            meta: TMPageMeta = self.pages[pn]
             if meta.valid or not self.store.has(pn):
                 continue
             if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
                 continue
             yield from self.apply_diff_stamped(pn, diff)
             meta.applied[diff.origin] = diff.acquire_counter
-            self._bump_lamport(diff.acquire_counter)
+            if diff.acquire_counter > self.lamport:
+                self.lamport = diff.acquire_counter
         if grant.get("diffs"):
             for diff in grant["diffs"]:
-                meta = self.page(diff.page_number)
+                meta = self.pages[diff.page_number]
                 if meta.valid or not self.store.has(diff.page_number):
                     continue
                 if all(s <= meta.applied.get(w, -1)
@@ -314,8 +329,7 @@ class TreadMarksNode(ProtocolNode):
         """Close our interval and hand the lock token to ``requester``."""
         self._close_interval()
         records = self.log.newer_than(req_vc)
-        nbytes = 4 * (2 + len(self.vc)) + 4 * sum(
-            r.element_count for r in records)
+        nbytes = 4 * (2 + len(self.vc)) + 4 * batch_element_count(records)
         yield Delay(self.machine.list_cycles(max(len(records), 1)), category)
         piggyback: List[Diff] = []
         if self.lazy_hybrid:
@@ -330,11 +344,11 @@ class TreadMarksNode(ProtocolNode):
                 if rec.writer == self.node_id:
                     pages.update(rec.pages)
             for pn in sorted(pages):
-                meta = self.page(pn)
+                meta = self.pages[pn]
                 if meta.dirty:
                     yield from self._freeze_page_diff(pn, category)
                 piggyback.extend(meta.frozen)
-            nbytes += sum(d.size_bytes + 8 for d in piggyback)
+            nbytes += _diffs_bytes(piggyback)
         yield Send(requester, Message("tmk.lock_grant", {
             "lock": lock_id,
             "records": records,
@@ -420,7 +434,7 @@ class TreadMarksNode(ProtocolNode):
         self._mgr_seen_vc = list(self.vc)
         payload = {"node": self.node_id, "vc": list(self.vc),
                    "records": own}
-        n = sum(r.element_count for r in own) + len(self.vc)
+        n = batch_element_count(own) + len(self.vc)
         yield Delay(self.machine.list_cycles(max(n, 1)), "synch")
         reply, bar_span = yield from self._wait_barrier(
             mgr, Message("tmk.bar_arrive", payload, 4 * max(n, 1)),
@@ -429,7 +443,7 @@ class TreadMarksNode(ProtocolNode):
         records = reply["records"]
         if records:
             yield Delay(self.machine.list_cycles(
-                sum(r.element_count for r in records)), "synch")
+                batch_element_count(records)), "synch")
         self._absorb_records(records)
         for w, v in enumerate(reply["vc"]):
             self.vc[w] = max(self.vc[w], v)
@@ -438,7 +452,7 @@ class TreadMarksNode(ProtocolNode):
         p = msg.payload
         node, vc, records = p["node"], p["vc"], p["records"]
         yield Delay(self.machine.list_cycles(
-            max(sum(r.element_count for r in records) + len(vc), 1)), "ipc")
+            max(batch_element_count(records) + len(vc), 1)), "ipc")
         self._bar_arrivals[node] = (vc, records)
         if len(self._bar_arrivals) < self.machine.num_procs:
             return
@@ -454,7 +468,7 @@ class TreadMarksNode(ProtocolNode):
         self._bar_arrivals = {}
         for node_i, (vc_i, _recs) in sorted(arrivals.items()):
             records_i = self.log.newer_than(vc_i)
-            n = sum(r.element_count for r in records_i) + len(merged_vc)
+            n = batch_element_count(records_i) + len(merged_vc)
             yield Send(node_i, Message("tmk.bar_release", {
                 "records": records_i, "vc": merged_vc,
             }, 4 * max(n, 1)), "ipc")

@@ -60,11 +60,11 @@ class AECReconfiguration:
                 # node did since that epoch is lost (crash-stop without
                 # replication cannot do better)
                 img = rec.checkpoints.page_image(dead, pn)
-                yield Delay(self.machine.mem_access_cycles(self.page_words()),
-                            "ipc")
+                wpp = self.words_per_page
+                yield Delay(self.machine.mem_access_cycles(wpp), "ipc")
                 self.store.ensure(pn, None if img is None else img.copy())
-                self.hw.page_updated(self.page_addr(pn), self.page_words())
-                self._mark_current(pn, self.page(pn))
+                self.cache.invalidate_range(pn * wpp, wpp)
+                self._mark_current(pn, self.pages[pn])
                 rec.stats.orphan_pages_restored += 1
             info = {"dead": dead, "origin": "manager",
                     "homes": minfo["homes"],
@@ -100,8 +100,9 @@ class AECReconfiguration:
                 meta.needs_refetch = True
             if any(wn.writer == dead for wn in meta.pending_notices):
                 # its outside-of-CS diffs are gone too
-                meta.pending_notices[:] = [wn for wn in meta.pending_notices
-                                           if wn.writer != dead]
+                meta.pending_notices = {wn: None
+                                        for wn in meta.pending_notices
+                                        if wn.writer != dead}
                 meta.needs_refetch = True
         # buffered eager pushes from the dead node are garbage
         for lock in [lk for lk, pu in self.pending_updates.items()

@@ -17,7 +17,7 @@ import pytest
 from repro.apps.api import AppContext
 from repro.apps.registry import make_app
 from repro.config import SimConfig
-from repro.harness.runner import PROTOCOLS, _driver
+from repro.harness.runner import PROTOCOLS
 from repro.memory.layout import Layout
 from repro.protocols.base import World
 from repro.sync.objects import SyncRegistry
@@ -39,11 +39,10 @@ def _build_world(app_name: str, protocol: str):
     sync = SyncRegistry(config.machine.num_procs)
     app.declare(layout, sync)
     world = World(config, layout, sync)
-    results = [None] * config.machine.num_procs
+    # as ``run_app`` does: each program runs on the engine directly, which
+    # keeps its return value on the node's runtime
     for i in range(config.machine.num_procs):
-        node = factory(world, i)
-        ctx = AppContext(node, config.seed)
-        world.sim.add_program(i, _driver(app.program(ctx), results, i))
+        world.sim.add_program(i, app.program(AppContext(factory(world, i))))
     return world
 
 

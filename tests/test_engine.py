@@ -371,3 +371,84 @@ class TestDeterminism:
         r2, b2 = build()
         assert r1 == r2
         assert b1 == b2
+
+
+class TestDispatchOrder:
+    """Pins the order in which the engine dispatches events, not only
+    their totals: every program step, delivery, wake and scheduled call is
+    hashed as ``(now, kind, node)`` in dispatch order.  The hot pushes are
+    inlined copies of ``Simulator._push`` (DESIGN §11.9); a copy that broke
+    the ready-run/heap rule of §11.2 could keep every total and still
+    reorder same-time events, and this digest would move."""
+
+    #: sha256 of the dispatched sequence, recorded before the pushes were
+    #: inlined
+    DISPATCH_SHA256 = {
+        ("is", "aec", "none"):
+            "73bd2e7382185024cd3798fdc9911dfd0e3049fadba697b183e360aaaa9653d4",
+        ("is", "tmk", "none"):
+            "9d03cee897aa1805a2398aeb521ef1725ec9d51fb196b9486d295332f18fef8f",
+        ("fuzz:42", "aec", "lossy-1pct"):
+            "bec6987036e5c610b83c5995b92091f1a7415c887d5cc94d1af6b35ef48c61a0",
+        ("ocean", "aec", "crash-one-node"):
+            "61f2dc07ef838634e1ecf1a065272f7772caabf936b780d23930d245a1927261",
+    }
+
+    @staticmethod
+    def _dispatch_digest(monkeypatch, app_id, protocol, plan):
+        import hashlib
+
+        from repro.apps.registry import make_app
+        from repro.faults import get_plan
+        from repro.fuzz.generator import config_for_spec, generate_spec
+        from repro.harness.runner import run_app
+
+        digest = hashlib.sha256()
+        count = [0]
+
+        def note(sim, kind, node):
+            count[0] += 1
+            digest.update(f"{sim.now!r} {kind} {node}\n".encode())
+
+        step = Simulator._step_program
+        deliver = Simulator._deliver
+        wake = Simulator._wake
+        schedule_call = Simulator.schedule_call
+
+        def _step_program(self, node, value):
+            note(self, "step", node.node_id)
+            return step(self, node, value)
+
+        def _deliver(self, msg):
+            note(self, f"deliver {msg.kind} {msg.src}", msg.dst)
+            return deliver(self, msg)
+
+        def _wake(self, node, fut):
+            note(self, "wake", node.node_id)
+            return wake(self, node, fut)
+
+        def _schedule_call(self, time, fn):
+            def call():
+                note(self, "call", -1)
+                fn()
+            return schedule_call(self, time, call)
+
+        monkeypatch.setattr(Simulator, "_step_program", _step_program)
+        monkeypatch.setattr(Simulator, "_deliver", _deliver)
+        monkeypatch.setattr(Simulator, "_wake", _wake)
+        monkeypatch.setattr(Simulator, "schedule_call", _schedule_call)
+        config = SimConfig(faults=None if plan == "none" else get_plan(plan))
+        if app_id.startswith("fuzz:"):
+            config = config_for_spec(
+                generate_spec(int(app_id[5:]), "test"), config)
+        run_app(make_app(app_id, "test", config=config), protocol, config)
+        return digest.hexdigest(), count[0]
+
+    @pytest.mark.parametrize("cell", sorted(DISPATCH_SHA256),
+                             ids=lambda c: "/".join(c))
+    def test_dispatch_sequence_is_pinned(self, monkeypatch, cell):
+        got, dispatched = self._dispatch_digest(monkeypatch, *cell)
+        assert dispatched > 1000, "scenario too small to pin an order"
+        assert got == self.DISPATCH_SHA256[cell], (
+            f"{'/'.join(cell)}: dispatch order moved ({dispatched} "
+            f"dispatches hashed to {got})")

@@ -1,4 +1,8 @@
 """Unit tests for the node hardware model: cache, TLB, write buffer."""
+import random
+
+import numpy as np
+import pytest
 
 from repro.config import MachineParams
 from repro.machine.cache import DirectMappedCache
@@ -117,6 +121,69 @@ class TestWriteBuffer:
         assert wb.stall_cycles_total > 0
 
 
+class FullInvalidationCache(DirectMappedCache):
+    """Reference model: every invalidation compares all the lines of its
+    range with NumPy, with no resident-page skip."""
+
+    def invalidate_range(self, addr, nwords):
+        if nwords <= 0:
+            return
+        wpl = self.words_per_line
+        lines = np.arange(addr // wpl, (addr + nwords - 1) // wpl + 1)
+        sets = lines % self.num_lines
+        tags = self._tags
+        tags[sets[tags[sets] == lines]] = -1
+
+
+class TestResidentPageSkip:
+    """Whole-page invalidations skip pages with no line filled since their
+    last whole-page invalidation; the cache must stay identical to one
+    that always takes the NumPy path."""
+
+    # 32 lines of 8 words; 64-word pages (the cache holds 4 of them), and
+    # 20-word pages, whose lines straddle page boundaries
+    MACHINES = {
+        "aligned": MachineParams(cache_bytes=1024, page_bytes=256),
+        "straddling": MachineParams(cache_bytes=1024, page_bytes=80),
+    }
+
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_invalidation(self, machine, seed):
+        m = self.MACHINES[machine]
+        rng = random.Random(7100 + seed)
+        cache, ref = DirectMappedCache(m), FullInvalidationCache(m)
+        wpp, wpl = m.words_per_page, m.words_per_line
+        # 16 pages: four times the cache, so sets conflict across pages
+        pages = 16
+        skipped = 0
+        for step in range(3000):
+            op = rng.random()
+            if op < 0.55:
+                pn = rng.randrange(pages)
+                addr = pn * wpp + rng.randrange(wpp)
+                # one or two lines (scalar path), a block of lines, or a
+                # range across two or three pages (vector path)
+                n = rng.choice([1, 2, wpl, rng.randint(3, 4 * wpl),
+                                rng.randint(wpp, 3 * wpp)])
+                n = min(n, pages * wpp - addr)
+                assert cache.access(addr, n) == ref.access(addr, n), step
+            elif op < 0.9:
+                pn = rng.randrange(pages)
+                skipped += pn not in cache._resident
+                cache.invalidate_range(pn * wpp, wpp)
+                ref.invalidate_range(pn * wpp, wpp)
+            else:
+                # a partial range or one spanning pages
+                addr = rng.randrange(pages * wpp)
+                n = min(rng.randint(1, 2 * wpp), pages * wpp - addr)
+                cache.invalidate_range(addr, n)
+                ref.invalidate_range(addr, n)
+            assert np.array_equal(cache._tags, ref._tags), step
+            assert (cache.hits, cache.misses) == (ref.hits, ref.misses), step
+        assert skipped > 100, "the stream never exercised the skip"
+
+
 class TestNodeHardware:
     def test_read_cost_components(self):
         hw = NodeHardware(MachineParams())
@@ -134,7 +201,9 @@ class TestNodeHardware:
     def test_page_updated_drops_cache(self):
         hw = NodeHardware(MachineParams())
         hw.access(0, 16, is_write=False)
-        hw.page_updated(0, 1024)
+        # a page's contents changed underneath the cache (diff apply, page
+        # fetch): protocols drop its lines
+        hw.cache.invalidate_range(0, 1024)
         cost = hw.access(0, 16, is_write=False)
         assert cost.others > 0
 

@@ -76,7 +76,7 @@ def drain(gen):
 
 def freeze_writes(node, pn, rng, rounds):
     """Dirty ``pn`` with random writes and freeze it, ``rounds`` times."""
-    meta = node.page(pn)
+    meta = node.pages[pn]
     page = node.store.page(pn)
     words = len(page)
     for _ in range(rounds):
@@ -85,7 +85,7 @@ def freeze_writes(node, pn, rng, rounds):
         for off in rng.sample(range(words), rng.choice([1, 1, 2, 5])):
             page[off] += rng.uniform(0.5, 5.0)
         # unrelated traffic advances the Lamport clock between freezes
-        node._bump_lamport(node.lamport + rng.randint(0, 3))
+        node.lamport += rng.randint(0, 3)
         drain(node._freeze_page_diff(pn, "ipc"))
     return meta.frozen
 
@@ -156,7 +156,7 @@ def test_diff_request_freezes_pending_writes_first():
     _world, nodes = tm_nodes()
     node = nodes[0]
     freeze_writes(node, 2, rng, rounds=2)
-    meta = node.page(2)
+    meta = node.pages[2]
     meta.twin = node.store.page(2).copy()
     meta.dirty = True
     node.store.page(2)[9] += 1.0
@@ -169,7 +169,7 @@ def test_diff_request_freezes_pending_writes_first():
 def test_freeze_interrupted_by_a_diff_request_freezes_once():
     _world, nodes = tm_nodes()
     node = nodes[0]
-    meta = node.page(1)
+    meta = node.pages[1]
     meta.twin = node.store.page(1).copy()
     meta.dirty = True
     node.store.page(1)[4] += 1.0
@@ -248,7 +248,7 @@ class AecStamps:
 
 def _setup_page(node, pn, rng, case, words, proto=TmkStamps):
     """Put ``pn`` at ``node`` into the state ``case`` names."""
-    meta = node.page(pn)
+    meta = node.pages[pn]
     node.store.ensure(pn)
     page = node.store.page(pn)
     page[:] = [rng.uniform(-10, 10) for _ in range(words)]
@@ -284,7 +284,7 @@ def _check_stamped_apply(proto, case, nwords, seed):
     rng = random.Random(6000 + 97 * seed + nwords)
     world, nodes = tm_nodes(node_class=proto.node_class)
     node = nodes[1]
-    words = node.page_words()
+    words = node.words_per_page
     meta, page = _setup_page(node, 3, rng, case, words, proto)
     diff = _random_diff(rng, 3, words, nwords, case, meta, page)
     want_page = page.copy()
