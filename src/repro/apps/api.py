@@ -123,36 +123,47 @@ class AppContext:
     # and SC alike.  Hook placement mirrors the HB semantics — release is
     # ordered before the protocol publishes the lock, acquire after the
     # grant completes, barrier arrival before entering / departure after
-    # leaving.
+    # leaving.  Unobserved, each hands back the protocol's generator itself.
 
     def acquire(self, lock_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("acq", lock_id))
+        if self._checker is None:
+            return self._node.acquire(lock_id)
+        return self._observed_acquire(lock_id)
+
+    def _observed_acquire(self, lock_id: int) -> Generator:
         yield from self._node.acquire(lock_id)
-        if self._checker is not None:
-            self._checker.on_acquire(self.proc, lock_id)
+        self._checker.on_acquire(self.proc, lock_id)
 
     def release(self, lock_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("rel", lock_id))
-        if self._checker is not None:
-            self._checker.on_release(self.proc, lock_id)
+        if self._checker is None:
+            return self._node.release(lock_id)
+        return self._observed_release(lock_id)
+
+    def _observed_release(self, lock_id: int) -> Generator:
+        self._checker.on_release(self.proc, lock_id)
         yield from self._node.release(lock_id)
 
     def barrier(self, barrier_id: int) -> Generator:
         if self._tap is not None:
             self._tap.rec(self.proc, ("bar", barrier_id))
-        if self._checker is not None:
-            self._checker.on_barrier_arrive(self.proc)
+        if self._checker is None:
+            return self._node.barrier(barrier_id)
+        return self._observed_barrier(barrier_id)
+
+    def _observed_barrier(self, barrier_id: int) -> Generator:
+        self._checker.on_barrier_arrive(self.proc)
         yield from self._node.barrier(barrier_id)
-        if self._checker is not None:
-            self._checker.on_barrier_depart(self.proc)
+        self._checker.on_barrier_depart(self.proc)
 
     def acquire_notice(self, lock_id: int) -> Generator:
         """Announce intent to acquire soon (LAP's virtual-queue input)."""
         if self._tap is not None:
             self._tap.rec(self.proc, ("ntc", lock_id))
-        yield from self._node.acquire_notice(lock_id)
+        return self._node.acquire_notice(lock_id)
 
 
 class Application:

@@ -63,14 +63,24 @@ class WaterNsquaredApp(Application):
         reach = hi + self.n // 2
         return [j % self.n for j in range(lo, reach)]
 
-    def contributors(self, j: int, nprocs: int) -> List[int]:
-        return [p for p in range(nprocs)
-                if j in set(self.update_targets(p, nprocs))]
+    def contributor_table(self, nprocs: int) -> List[List[int]]:
+        """Per molecule, the processors whose update targets include it,
+        in processor order (each processor once)."""
+        table: List[List[int]] = [[] for _ in range(self.n)]
+        for p in range(nprocs):
+            for j in set(self.update_targets(p, nprocs)):
+                table[j].append(p)
+        return table
 
-    def expected_force(self, j: int, nprocs: int) -> float:
+    def contributors(self, j: int, nprocs: int) -> List[int]:
+        return self.contributor_table(nprocs)[j]
+
+    def expected_force(self, j: int, contributors: List[int]) -> float:
+        """Molecule ``j``'s final force: every step's contributions,
+        summed in processor order."""
         total = 0.0
         for step in range(self.steps):
-            for p in self.contributors(j, nprocs):
+            for p in contributors:
                 total += _contribution(p, j, step)
         return total
 
@@ -158,10 +168,10 @@ class WaterNsquaredApp(Application):
     # ---- validation -----------------------------------------------------------------
 
     def check(self, results: List[List]) -> None:
-        nprocs = len(results)
+        table = self.contributor_table(len(results))
         for per_proc in results:
             for j, got in per_proc:
-                expected = self.expected_force(j, nprocs)
+                expected = self.expected_force(j, table[j])
                 assert got == expected, \
                     f"molecule {j}: force {got} != {expected}"
 

@@ -20,6 +20,7 @@ Key protocol behaviours implemented here, in the paper's terms:
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.aec.state import AECPageMeta, LockSessionState, PendingUpdate
 from repro.core.lap.state import LockPredictionState
 from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
-from repro.memory.diff import Diff, merge_diffs
+from repro.memory.diff import BYTES_PER_ENTRY, Diff, merge_diffs
 from repro.memory.write_notice import WriteNotice
 from repro.network.message import Message
 from repro.protocols.base import PeerLostError, ProtocolNode, World
@@ -58,7 +59,10 @@ class AECNode(AECReconfiguration, ProtocolNode):
         # ---- program-side state
         self.step = 0
         self.lock_stack: List[int] = []
-        self.sessions: Dict[int, LockSessionState] = {}
+        #: lock -> this node's session state; indexing creates the entry,
+        #: ``get`` and ``in`` never do
+        self.sessions: Dict[int, LockSessionState] = defaultdict(
+            LockSessionState)
         self.pending_updates: Dict[int, PendingUpdate] = {}
         #: (lock, sender, counter) the acquirer is blocked on, with future
         self._upset_expect: Optional[Tuple[int, int, int, Future]] = None
@@ -70,6 +74,8 @@ class AECNode(AECReconfiguration, ProtocolNode):
         self.others_accessed_prev: Set[int] = set()
         self.requests_seen: Dict[int, int] = {}
         self.homes: Dict[int, int] = {}
+        #: pages whose ``cs_diff_source`` ``_await_cs_diffs`` set this step
+        self._cs_sourced: Set[int] = set()
         # ---- barrier exchange bookkeeping
         self._bar_instr: Optional[BarrierInstructions] = None
         self._bar_recv_diffs = 0
@@ -103,13 +109,6 @@ class AECNode(AECReconfiguration, ProtocolNode):
         })
 
     # ===================================================== helpers
-
-    def session(self, lock_id: int) -> LockSessionState:
-        s = self.sessions.get(lock_id)
-        if s is None:
-            s = LockSessionState()
-            self.sessions[lock_id] = s
-        return s
 
     def _lock_home(self, lock_id: int) -> int:
         """The lock's manager node, following crash-recovery re-homing."""
@@ -238,7 +237,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
             yield from self._make_valid(pn)
         if self.lock_stack:
             lock = self.lock_stack[-1]
-            sess = self.session(lock)
+            sess = self.sessions[lock]
             if meta.twin is not None and meta.inside_lock is None:
                 # modified outside before entering the CS: the outside diff
                 # must be created now and the twin eliminated (Section 3.4)
@@ -376,12 +375,18 @@ class AECNode(AECReconfiguration, ProtocolNode):
         self.lost_valid.discard(pn)
 
     def _absorb_lock_diff(self, lock: int, diff: Diff) -> None:
-        """Fold a fetched/buffered CS diff into our per-lock history."""
-        sess = self.session(lock)
+        """Fold a fetched/buffered CS diff into our per-lock history.
+
+        Received CS diffs are frozen and shared (DESIGN §11.10): a page
+        with no history keeps the received diff itself."""
+        sess = self.sessions[lock]
+        pn = diff.page_number
         if diff.origin >= 0:
-            sess.writers.setdefault(diff.page_number, set()).add(diff.origin)
-        sess.diff_store[diff.page_number] = merge_diffs(
-            sess.diff_store.get(diff.page_number), diff)
+            sess.writers.setdefault(pn, set()).add(diff.origin)
+        old = sess.diff_store.get(pn)
+        if old is not None and old.nwords:
+            diff = merge_diffs(old, diff).freeze()
+        sess.diff_store[pn] = diff
 
     # ===================================================== locks (program side)
 
@@ -394,7 +399,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                                      "requester": self.node_id,
                                      "step": self.step}, 4),
             overlap=lambda fut: self._acquire_overlap(lock_id, fut))
-        sess = self.session(lock_id)
+        sess = self.sessions[lock_id]
         sess.acquire_counter = grant.acquire_counter
         sess.last_owner = grant.last_owner
         sess.owned_this_step = True
@@ -464,7 +469,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         # --- overlap phase 1: apply buffered update-set diffs to valid pages
         pu = self.pending_updates.get(lock_id)
         if pu is not None and pu.acquire_counter <= \
-                self.session(lock_id).acquire_counter:
+                self.sessions[lock_id].acquire_counter:
             # pushed before (or during) our own last tenure of the lock:
             # necessarily stale — applying it would roll our data back
             self.pending_updates.pop(lock_id, None)
@@ -509,7 +514,8 @@ class AECNode(AECReconfiguration, ProtocolNode):
         """
         self.invalidate(pg)
         self.pages[pg].cs_diff_source = (lock_id, modifier)
-        sess = self.session(lock_id)
+        self._cs_sourced.add(pg)
+        sess = self.sessions[lock_id]
         sess.diff_store.pop(pg, None)
         sess.step_mods.discard(pg)
         sess.writers.pop(pg, None)
@@ -556,7 +562,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 f"node {self.node_id}: release of {lock_id} but stack is "
                 f"{self.lock_stack}"
             )
-        sess = self.session(lock_id)
+        sess = self.sessions[lock_id]
         # 1. create diffs for pages modified inside the CS (not overlappable:
         #    the next acquirer must not see stale data)
         for pn in sorted(sess.current_cs_mods):
@@ -566,13 +572,17 @@ class AECNode(AECReconfiguration, ProtocolNode):
             diff = yield from self.create_diff_timed(pn, "synch", None)
             diff.acquire_counter = sess.acquire_counter
             old = sess.diff_store.get(pn)
-            merged = merge_diffs(old, diff)
-            merged.acquire_counter = sess.acquire_counter
-            if old is not None and not old.empty:
+            if old is None or not old.nwords:
+                # no history: the fresh diff is the merged diff
+                merged = diff
+            else:
+                # stamped with the fresh diff's counter and origin
+                merged = merge_diffs(old, diff)
                 # merge cost: list processing over the words merged
                 yield self._list_delay(merged.nwords, "synch")
                 self.world.diff_stats.record_merge(merged.size_bytes)
-            sess.diff_store[pn] = merged
+            # pushed, stored and served by reference from here on
+            sess.diff_store[pn] = merged.freeze()
             sess.writers.setdefault(pn, set()).add(self.node_id)
             sess.step_mods.add(pn)
             meta.twin = None
@@ -584,17 +594,18 @@ class AECNode(AECReconfiguration, ProtocolNode):
         #    Subclasses may gate individual pages out of the push (ADSM);
         #    the coverage reported to the manager must match what was
         #    actually pushed, so non-pushed pages still get invalidated.
+        #    Every member gets the same frozen diffs (DESIGN §11.10).
         pushed = {pn: d for pn, d in sess.diff_store.items()
                   if self._push_filter(lock_id, sess, pn)}
+        nbytes = (BYTES_PER_ENTRY * sum(d.nwords for d in pushed.values())
+                  + 8 * len(pushed)) or 4
+        payload = {
+            "lock": lock_id,
+            "counter": sess.acquire_counter,
+            "sender": self.node_id,
+            "diffs": pushed,
+        }
         for q in sess.update_set:
-            diffs = {pn: d.copy() for pn, d in pushed.items()}
-            nbytes = sum(d.size_bytes + 8 for d in diffs.values()) or 4
-            payload = {
-                "lock": lock_id,
-                "counter": sess.acquire_counter,
-                "sender": self.node_id,
-                "diffs": diffs,
-            }
             self.world.diff_stats.record_push(nbytes)
             yield Send(q, Message("aec.upset_diffs", payload, nbytes),
                        "synch")
@@ -683,8 +694,11 @@ class AECNode(AECReconfiguration, ProtocolNode):
         for lock, pu in self.pending_updates.items():
             self._discard_update(pu, "barrier")
         self.pending_updates.clear()
-        for meta in self.pages.values():
-            meta.cs_diff_source = None
+        # only ``_await_cs_diffs`` sets a source: clear the pages it marked
+        pages = self.pages
+        for pn in self._cs_sourced:
+            pages[pn].cs_diff_source = None
+        self._cs_sourced.clear()
         self.accessed_step.clear()
         instr = self._bar_instr
         if instr is not None:
@@ -699,36 +713,44 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     # ---- lock manager role
 
-    def _on_lock_req(self, msg: Message):
-        yield self._list_delay(self.machine.num_procs, "ipc")
-        yield from self._manage("req", msg.payload)
+    # the manager role returns tuples of primitives, not generators: its
+    # state never reads the time a primitive consumes, so running it before
+    # the engine charges the list-processing delay changes nothing
+    # (DESIGN §11.10)
 
-    def _on_lock_release(self, msg: Message):
+    def _on_lock_req(self, msg: Message) -> Tuple:
+        return (self._list_delay(self.machine.num_procs, "ipc"),
+                *self._manage("req", msg.payload))
+
+    def _on_lock_release(self, msg: Message) -> Tuple:
         p = msg.payload
-        yield self._list_delay(len(p["covered"]) + len(p["modified"]), "ipc")
-        yield from self._manage("rel", p)
+        return (self._list_delay(len(p["covered"]) + len(p["modified"]),
+                                 "ipc"),
+                *self._manage("rel", p))
 
-    def _manage(self, op: str, p: Dict[str, Any]) -> Generator:
+    def _manage(self, op: str, p: Dict[str, Any]) -> Tuple[Send, ...]:
         """Run a lock request (``req``) or release (``rel``) through the
-        manager role and send the grant it produces, if any."""
+        manager role; returns the grant it produces, if any, as a send."""
         if self._mgr_remap and self._deferred_for_rebuild(op, p):
-            return  # adopted lock still under rebuild (recovery/aec.py)
+            return ()  # adopted lock still under rebuild (recovery/aec.py)
         if op == "req":
             dst = p["requester"]
             result = self.lock_mgr.request(p["lock"], dst, p["step"])
-            if result is not None:
-                yield from self._send_grant(dst, *result)
-        else:
-            result = self.lock_mgr.release(p["lock"], p["releaser"],
-                                           p["covered"], p["modified"],
-                                           p["step"])
-            if result is not None:
-                yield from self._send_grant(*result)
+            if result is None:
+                return ()
+            return (self._send_grant(dst, *result),)
+        result = self.lock_mgr.release(p["lock"], p["releaser"],
+                                       p["covered"], p["modified"],
+                                       p["step"])
+        if result is None:
+            return ()
+        return (self._send_grant(*result),)
 
     def lap_state(self, lock_id: int) -> LockPredictionState:
         return self.lock_mgr.lock(lock_id).pred
 
-    def _send_grant(self, dst: int, grant: GrantInfo, predictions) -> Generator:
+    def _send_grant(self, dst: int, grant: GrantInfo, predictions) -> Send:
+        """Score the grant and return its send."""
         self._score_grant(grant.lock_id, dst, grant.last_owner, predictions)
         nbytes = 16 + 8 * len(grant.invalidate) + 4 * len(grant.update_set)
         if self.sim.transport is not None:
@@ -736,13 +758,16 @@ class AECNode(AECReconfiguration, ProtocolNode):
             # grant also names the pages the push covered, so a lost push
             # can be recovered page-by-page
             nbytes += 4 * len(grant.covered)
-        yield Send(dst, Message("aec.lock_grant", grant, nbytes), "ipc")
+        return Send(dst, Message("aec.lock_grant", grant, nbytes), "ipc")
 
     # ---- lock client side
 
-    def _on_upset_diffs(self, msg: Message):
+    def _on_upset_diffs(self, msg: Message) -> Tuple:
+        # a tuple of primitives: nothing here reads the time the list
+        # processing consumes, and the resolve comes after it
         p = msg.payload
         lock_id, counter, sender = p["lock"], p["counter"], p["sender"]
+        delay = Delay(self.machine.list_cycles(len(p["diffs"])), "ipc")
         old = self.pending_updates.get(lock_id)
         if old is not None and old.acquire_counter >= counter:
             # outdated set: discard (the acquire-counter stamp decides)
@@ -751,8 +776,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
             wasted = sum(d.size_bytes for d in p["diffs"].values())
             if wasted:
                 stats.record_waste("outdated", wasted)
-            yield Delay(self.machine.list_cycles(len(p["diffs"])), "ipc")
-            return
+            return (delay,)
         if old is not None:
             self._discard_update(old, "superseded")
         pu = PendingUpdate(
@@ -766,12 +790,12 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 self.sim.now, lock=lock_id, sender=sender,
                 pages=len(p["diffs"]))
         self.pending_updates[lock_id] = pu
-        yield Delay(self.machine.list_cycles(len(p["diffs"])), "ipc")
         expect = self._upset_expect
         if (expect is not None and expect[0] == lock_id
                 and expect[1] == sender and expect[2] == counter
                 and not expect[3].done):  # may have timed out (faulty mode)
-            yield Resolve(expect[3], None)
+            return (delay, Resolve(expect[3], None))
+        return (delay,)
 
     # ---- diff / page servicing
 
@@ -781,7 +805,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         sess = self.sessions.get(lock_id)
         diffs: List[Diff] = []
         if sess is not None and pn in sess.diff_store:
-            diffs = [sess.diff_store[pn].copy()]
+            diffs = [sess.diff_store[pn]]  # frozen: served by reference
         if not diffs:
             raise RuntimeError(
                 f"node {self.node_id}: no CS diff history for lock {lock_id} "
@@ -857,7 +881,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
             diffs = {}
             for pn in pages:
                 if sess is not None and pn in sess.diff_store:
-                    diffs[pn] = sess.diff_store[pn].copy()
+                    diffs[pn] = sess.diff_store[pn]  # frozen, shared
             nbytes = sum(d.size_bytes + 8 for d in diffs.values()) or 8
             for d in dests:
                 yield Send(d, Message("aec.bar_diffs",

@@ -10,46 +10,47 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 
 class AffinityMatrix:
-    """Transfer-count matrix for one lock variable."""
+    """Transfer-count matrix for one lock variable.
+
+    Rows are plain Python lists: every lock grant reads one row of 16 or
+    so counts, which a list serves without NumPy temporaries or a
+    ``tolist()`` per call.  The diagonal stays zero (a processor never
+    transfers a lock to itself).
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.num_procs = num_procs
-        self._counts = np.zeros((num_procs, num_procs), dtype=np.int64)
+        #: ``rows[src][dst]``: transfers from ``src`` to ``dst``
+        self.rows: List[List[int]] = [[0] * num_procs
+                                      for _ in range(num_procs)]
 
     def record_transfer(self, src: int, dst: int) -> None:
         if src == dst:
             return
-        self._counts[src, dst] += 1
+        self.rows[src][dst] += 1
 
     def affinity(self, src: int, dst: int) -> int:
-        return int(self._counts[src, dst])
-
-    def row(self, src: int) -> np.ndarray:
-        return self._counts[src]
+        return self.rows[src][dst]
 
     def affinity_set(self, src: int, threshold: float) -> List[int]:
         """Processors with affinity > (1 + threshold) * mean, best first."""
-        # called on every lock grant (manager + shadow predictors): work on
-        # a plain list, no numpy temporaries for a 16-element row
-        row = self._counts[src].tolist()
-        row[src] = 0
+        row = self.rows[src]
         total = sum(row)
         if self.num_procs <= 1 or total == 0:
             return []
-        mean = total / (self.num_procs - 1)
-        cut = (1.0 + threshold) * mean
+        cut = (1.0 + threshold) * (total / (self.num_procs - 1))
         candidates = [q for q, v in enumerate(row)
                       if q != src and v >= cut and v > 0]
-        candidates.sort(key=lambda q: (-row[q], q))
+        # a stable sort of ascending ids by descending count: ties stay in
+        # id order
+        candidates.sort(key=row.__getitem__, reverse=True)
         return candidates
 
     def positive_set(self, src: int) -> List[int]:
         """Processors with any past transfer from ``src``, best first."""
-        row = self._counts[src].tolist()
+        row = self.rows[src]
         candidates = [q for q, v in enumerate(row) if q != src and v > 0]
-        candidates.sort(key=lambda q: (-row[q], q))
+        candidates.sort(key=row.__getitem__, reverse=True)
         return candidates

@@ -31,34 +31,60 @@ class LapPredictor:
         """Update set for ``releaser``'s next release of this lock."""
         if state.waiting_queue:
             return [state.waiting_queue[0]]
-        upset: List[int] = []
+        return self._combine(
+            state, releaser,
+            state.affinity.affinity_set(releaser, AFFINITY_THRESHOLD))
 
-        def fill(candidates: List[int]) -> bool:
+    def _combine(self, state: LockPredictionState, releaser: int,
+                 aset: List[int]) -> List[int]:
+        """Steps 2-4 of the combination, given the affinity set ``aset``
+        (distinct, never ``releaser``); the positive-affinity set is
+        computed only if step 2 falls short."""
+        size = self.size
+        upset = aset[:size]
+        if len(upset) >= size:
+            return upset
+        positive = state.affinity.positive_set(releaser)
+        members = set(positive)
+        vq = state.virtual_queue
+        for candidates in ([q for q in vq if q in members], vq, positive):
             for q in candidates:
                 if q != releaser and q not in upset:
                     upset.append(q)
-                    if len(upset) >= self.size:
-                        return True
-            return False
-
-        if fill(state.affinity.affinity_set(releaser, AFFINITY_THRESHOLD)):
-            return upset
-        positive = set(state.affinity.positive_set(releaser))
-        if fill([q for q in state.virtual_queue if q in positive]):
-            return upset
-        if fill(list(state.virtual_queue)):
-            return upset
-        fill(state.affinity.positive_set(releaser))
+                    if len(upset) >= size:
+                        return upset
         return upset
+
+    def _first(self, candidates: List[int], releaser: int) -> List[int]:
+        """The first ``size`` distinct candidates other than ``releaser``."""
+        out: List[int] = []
+        for q in candidates:
+            if q != releaser and q not in out:
+                out.append(q)
+            if len(out) >= self.size:
+                break
+        return out
 
     def score(self, state: LockPredictionState,
               owner: int) -> Dict[str, List[int]]:
         """All four Table 3 predictions for the new ``owner``, keyed by
-        :data:`repro.core.lap.stats.VARIANTS` (what ``LapStats`` scores)."""
-        return {"lap": self.predict(state, owner),
-                "waitq": self.predict_waitq(state, owner),
-                "waitq_affinity": self.predict_waitq_affinity(state, owner),
-                "waitq_virtualq": self.predict_waitq_virtualq(state, owner)}
+        :data:`repro.core.lap.stats.VARIANTS` (what ``LapStats`` scores).
+
+        One pass: a non-empty waiting queue decides all four, otherwise
+        the affinity set is computed once for ``lap`` and
+        ``waitq_affinity``.  Each entry equals what the variant's own
+        ``predict*`` method returns; the lists are shared and read-only.
+        """
+        wq = state.waiting_queue
+        if wq:
+            head = [wq[0]]
+            return {"lap": head, "waitq": head, "waitq_affinity": head,
+                    "waitq_virtualq": head}
+        aset = state.affinity.affinity_set(owner, AFFINITY_THRESHOLD)
+        return {"lap": self._combine(state, owner, aset),
+                "waitq": [],
+                "waitq_affinity": aset[:self.size],
+                "waitq_virtualq": self._first(state.virtual_queue, owner)}
 
     # ---- low-level technique variants (Table 3 columns) -------------------
 
@@ -69,22 +95,11 @@ class LapPredictor:
                                releaser: int) -> List[int]:
         if state.waiting_queue:
             return [state.waiting_queue[0]]
-        out: List[int] = []
-        for q in state.affinity.affinity_set(releaser, AFFINITY_THRESHOLD):
-            if q != releaser and q not in out:
-                out.append(q)
-            if len(out) >= self.size:
-                break
-        return out
+        return state.affinity.affinity_set(
+            releaser, AFFINITY_THRESHOLD)[:self.size]
 
     def predict_waitq_virtualq(self, state: LockPredictionState,
                                releaser: int) -> List[int]:
         if state.waiting_queue:
             return [state.waiting_queue[0]]
-        out: List[int] = []
-        for q in state.virtual_queue:
-            if q != releaser and q not in out:
-                out.append(q)
-            if len(out) >= self.size:
-                break
-        return out
+        return self._first(state.virtual_queue, releaser)

@@ -1,6 +1,6 @@
 """Engine primitives yielded by program tasks and interrupt handlers.
 
-The engine understands exactly three primitives:
+The engine understands four primitives:
 
 ``Delay``
     occupy this node's processor for a number of cycles, accounted to a
@@ -11,7 +11,11 @@ The engine understands exactly three primitives:
 ``Wait``
     block until a :class:`~repro.engine.future.Future` resolves; the elapsed
     time (minus any interrupt servicing that overlapped it) is accounted to
-    the given category.
+    the given category (programs only: an interrupt handler must not block);
+``Resolve``
+    resolve a future at the current simulated instant, at no cost; this is
+    how a handler tells a blocked program that its reply, grant or barrier
+    release arrived.
 
 Higher layers (the application API, the DSM protocols) are written as
 generators that yield these primitives, composed with ``yield from``.

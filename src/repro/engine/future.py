@@ -14,7 +14,8 @@ class Future:
     behind a wait) can be computed exactly.
     """
 
-    __slots__ = ("_done", "_value", "_resolve_time", "_callbacks", "label")
+    __slots__ = ("_done", "_value", "_resolve_time", "_callbacks", "label",
+                 "waiter")
 
     def __init__(self, label: Any = "") -> None:
         self._done = False
@@ -24,6 +25,9 @@ class Future:
         #: a string, or a ``(node, what, serial)`` tuple that is formatted
         #: only when the future is printed (futures are made per request)
         self.label = label
+        #: node id of the program blocked on this future (set by the engine
+        #: when a program's ``Wait`` blocks; -1 while nobody waits)
+        self.waiter = -1
 
     @property
     def done(self) -> bool:

@@ -2,9 +2,10 @@
 
 Each simulated node runs one *program task* (a generator yielding engine
 primitives) and services incoming messages with *interrupt service routines*
-(ISRs): what the node's message handler returns for a message, a generator
-of primitives or any other iterable of them (a handler that only resolves a
-future returns it in a tuple), or None.  ISRs run to
+(ISRs): what the handler that the node's handler table names for the
+message's kind returns, a generator of primitives or any other iterable of
+them (a handler that only resolves a future returns it in a tuple), or
+None.  ISRs run to
 completion on the node's timeline, stealing cycles from whatever the program
 task was doing — an in-progress ``Delay`` is stretched by the service time,
 exactly like an interrupt on a real workstation.
@@ -62,6 +63,8 @@ class SimulationError(RuntimeError):
 
 
 Handler = Callable[[Message], Optional[Iterable]]
+#: message kind -> the handler the engine runs for it
+HandlerTable = Dict[str, Handler]
 Program = Generator
 
 
@@ -72,13 +75,14 @@ class _NodeRuntime:
         "node_id", "gen", "state", "clock", "delay_end", "delay_seq",
         "isr_busy_until", "isr_cycles_total", "breakdown",
         "wait_start", "wait_isr_snapshot", "wait_category", "done_time",
-        "handler", "dead", "result",
+        "handlers", "dead", "result",
     )
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.gen: Optional[Program] = None
-        self.handler: Optional[Handler] = None
+        #: the node's handler table; the engine dispatches on it directly
+        self.handlers: HandlerTable = {}
         # "dead" is the terminal state of a permanently-crashed node; the
         # transient crash-stop window is the ``dead`` flag instead
         self.state = "ready"  # ready | delaying | blocked | done | dead
@@ -132,6 +136,8 @@ class Simulator:
         #: the ``ReliableTransport`` that ``World`` installs when
         #: ``config.faults`` is set (it owns injection and crash guards)
         self.transport: Optional[ReliableTransport] = None
+        #: the one callback a blocked program's future wakes it through
+        self._wake_on_resolve = self._schedule_wake
 
     # ------------------------------------------------------------------ API
 
@@ -141,8 +147,12 @@ class Simulator:
             raise SimulationError(f"node {node_id} already has a program")
         node.gen = program
 
-    def set_handler(self, node_id: int, handler: Handler) -> None:
-        self.nodes[node_id].handler = handler
+    def set_handler(self, node_id: int, table: HandlerTable) -> None:
+        """Install ``node_id``'s handler table (message kind -> handler).
+
+        The engine keeps the table itself, so kinds added to it later are
+        dispatched too."""
+        self.nodes[node_id].handlers = table
 
     def run(self) -> float:
         """Run to completion; returns the simulated execution time (cycles)."""
@@ -306,10 +316,14 @@ class Simulator:
                 node.wait_start = node.clock
                 node.wait_isr_snapshot = node.isr_cycles_total
                 node.wait_category = op.category
-                fut.on_resolve(
-                    lambda f, nid=node.node_id: self._push(
-                        max(f._resolve_time, self.now), EV_WAKE, nid, f)
-                )
+                # the future names its waiter, so one bound callback wakes
+                # every blocked program (no closure per ``Wait``)
+                fut.waiter = node.node_id
+                callbacks = fut._callbacks
+                if callbacks is None:
+                    fut._callbacks = [self._wake_on_resolve]
+                else:
+                    callbacks.append(self._wake_on_resolve)
                 return
             elif cls is Resolve:
                 op.future.resolve(op.value, node.clock)
@@ -333,6 +347,10 @@ class Simulator:
                 # we bind injection to nominal end: acceptable approximation
                 self._inject(node.node_id, op.dst, msg, end)
             return
+
+    def _schedule_wake(self, fut: Future) -> None:
+        """``fut`` resolved: wake the program blocked on it."""
+        self._push(max(fut._resolve_time, self.now), EV_WAKE, fut.waiter, fut)
 
     def _wake(self, node: _NodeRuntime, fut: Future) -> None:
         if node.state == "dead":
@@ -415,9 +433,10 @@ class Simulator:
             # — suppressed below the CPU, so no interrupt cost
             return
         node = self.nodes[msg.dst]
-        handler = node.handler
+        handler = node.handlers.get(msg.kind)
         if handler is None:
-            raise SimulationError(f"node {msg.dst} has no message handler")
+            raise SimulationError(
+                f"node {msg.dst} has no handler for message {msg.kind!r}")
         breakdown = node.breakdown
         vstart = self.now
         busy_until = node.isr_busy_until

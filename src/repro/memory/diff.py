@@ -13,13 +13,15 @@ runs — so the implementations are allocation-lean:
 * :func:`create_diff` encodes with exactly the two arrays it returns (fancy
   indexing already allocates; no extra defensive copy);
 * :func:`merge_diffs` builds the last-writer-wins union with one stable
-  sort and a run-boundary mask instead of an ``np.isin`` membership scan;
+  sort and a run-boundary mask instead of an ``np.isin`` membership scan,
+  and returns ``newer`` itself when both diffs cover the same words;
 * :func:`apply_diffs` scatters a whole batch of diffs into a page with a
   single fancy-index assignment (NumPy assigns duplicate indices in order,
   so later diffs win — exactly the sequential semantics).
 
-Offsets within one diff are unique (``create_diff`` and ``merge_diffs``
-both guarantee this); the merge fast path relies on that invariant.
+Offsets within one diff are unique and ascending (``create_diff`` and
+``merge_diffs`` both guarantee this); the merge fast paths rely on that
+invariant.
 """
 from __future__ import annotations
 
@@ -36,15 +38,18 @@ class Diff:
     created and copied on the protocol hot path)."""
 
     __slots__ = ("page_number", "offsets", "values", "acquire_counter",
-                 "origin")
+                 "origin", "nwords")
 
     def __init__(self, page_number: int, offsets: np.ndarray,
                  values: np.ndarray, acquire_counter: int = 0,
                  origin: int = -1) -> None:
-        if len(offsets) != len(values):
+        nwords = len(offsets)
+        if nwords != len(values):
             raise ValueError("offsets/values length mismatch")
+        #: number of encoded words (the arrays are never resized)
+        self.nwords = nwords
         self.page_number = page_number
-        #: int32 word offsets within the page (unique)
+        #: int32 word offsets within the page (unique, ascending)
         self.offsets = offsets
         #: float64 new values
         self.values = values
@@ -71,20 +76,24 @@ class Diff:
     __hash__ = None  # type: ignore[assignment]
 
     @property
-    def nwords(self) -> int:
-        return len(self.offsets)
-
-    @property
     def size_bytes(self) -> int:
-        return BYTES_PER_ENTRY * len(self.offsets)
+        return BYTES_PER_ENTRY * self.nwords
 
     @property
     def empty(self) -> bool:
-        return len(self.offsets) == 0
+        return self.nwords == 0
 
     def apply(self, page: np.ndarray) -> None:
-        if len(self.offsets):
+        if self.nwords:
             page[self.offsets] = self.values
+
+    def freeze(self) -> "Diff":
+        """Make the arrays read-only, so the diff can be shared by
+        reference: an in-place write raises ``ValueError``.  Returns the
+        diff itself."""
+        self.offsets.setflags(write=False)
+        self.values.setflags(write=False)
+        return self
 
     def copy(self) -> "Diff":
         return Diff(self.page_number, self.offsets.copy(), self.values.copy(),
@@ -113,16 +122,27 @@ def merge_diffs(older: Optional[Diff], newer: Diff) -> Diff:
     The AEC releaser merges the diffs it received from the last lock owner
     with the diffs it just created, producing a single diff per page that
     describes *all* modifications ever made inside the critical section.
+
+    When ``newer`` covers exactly ``older``'s words (the common case of a
+    critical section that rewrites the same record), the union is
+    ``newer`` and it is returned itself, not a copy: callers treat merged
+    diffs as immutable (DESIGN §11.10).
     """
-    if older is None or older.empty:
+    if older is None or not older.nwords:
         return newer.copy()
     if older.page_number != newer.page_number:
         raise ValueError("cannot merge diffs of different pages")
-    if newer.empty:
+    if not newer.nwords:
         out = older.copy()
         out.acquire_counter = newer.acquire_counter
         out.origin = newer.origin
         return out
+    if (older.nwords == newer.nwords
+            and older.offsets.tobytes() == newer.offsets.tobytes()):
+        # the same unique offsets in the same order (create_diff and this
+        # merge both emit them sorted): the union below would rebuild
+        # ``newer`` word for word
+        return newer
     # Concatenate older + newer and stable-sort by offset: entries from
     # ``newer`` land after colliding ``older`` entries, so keeping the last
     # entry of each equal-offset run implements newer-wins without the

@@ -21,7 +21,9 @@ AEC-without-LAP on write-shared data — the adaptation ADSM is named for.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
+
+import numpy as np
 
 from repro.core.aec.protocol import AECNode
 from repro.core.aec.state import LockSessionState
@@ -41,11 +43,20 @@ class ConsumerSetPredictor(LapPredictor):
 
     def predict(self, state: LockPredictionState,
                 releaser: int) -> List[int]:
-        counts = state.affinity._counts
+        # int64: argsort's order among tied consumers depends on the dtype
+        counts = np.array(state.affinity.rows, dtype=np.int64)
         involvement = counts.sum(axis=0) + counts.sum(axis=1)
         consumers = [int(q) for q in involvement.argsort()[::-1]
                      if involvement[q] > 0 and q != releaser]
         return consumers[:self.size]
+
+    def score(self, state: LockPredictionState,
+              owner: int) -> Dict[str, List[int]]:
+        # the update set is the consumer set; the Table-3 shadow columns
+        # stay LAP's
+        predictions = super().score(state, owner)
+        predictions["lap"] = self.predict(state, owner)
+        return predictions
 
 
 class AdsmNode(AECNode):

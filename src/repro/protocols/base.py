@@ -4,7 +4,8 @@
 segment layout, synchronization registry, the engine, shared statistics).
 ``ProtocolNode`` is the per-node protocol object: the application driver
 calls its generator methods (``read``/``write``/``acquire``/...), and the
-engine runs its ``handle_message`` as the node's interrupt service routine.
+engine runs, as the node's interrupt service routine, the handler that the
+node's ``_handlers`` table names for each message kind.
 """
 from __future__ import annotations
 
@@ -324,7 +325,7 @@ class World:
     def register(self, node: "ProtocolNode") -> None:
         assert node.node_id == len(self.nodes)
         self.nodes.append(node)
-        self.sim.set_handler(node.node_id, node.handle_message)
+        self.sim.set_handler(node.node_id, node._handlers)
 
     def count_acquire(self, lock_id: int) -> None:
         self.lock_acquires[lock_id] = self.lock_acquires.get(lock_id, 0) + 1
@@ -418,6 +419,8 @@ class ProtocolNode:
         self.fault_stats = AccessFaultStats()
         self.locks_held: Set[int] = set()
         self._futures = 0
+        #: message kind -> handler; the engine dispatches on this table
+        #: itself, so protocols ``update`` it and never rebind it
         self._handlers: Dict[str, Callable[[Message], Optional[Iterable]]] = {}
         # ---- request/reply plumbing
         self._req_seq = 0
@@ -459,13 +462,6 @@ class ProtocolNode:
     def span_end(self, span_id: int, **args: Any) -> None:
         if span_id:
             self.spans.end(span_id, self.now(), **args)
-
-    def handle_message(self, msg: Message) -> Optional[Iterable]:
-        fn = self._handlers.get(msg.kind)
-        if fn is None:
-            raise RuntimeError(f"{self.name} node {self.node_id}: "
-                               f"no handler for message {msg.kind!r}")
-        return fn(msg)
 
     # ----------------------------------------------------- request / reply
 
@@ -593,17 +589,19 @@ class ProtocolNode:
             self.world.lap_stats = LapStats(self.sync.num_locks)
         return self.predictor_class(self.world.config.update_set_size)
 
-    def acquire_notice(self, lock_id: int) -> Generator:
-        """Virtual-queue hint (zero cost without ``notice_kind``)."""
-        if self.notice_kind is not None:
-            yield Send(self._lock_home(lock_id),
-                       Message(self.notice_kind,
-                               {"lock": lock_id, "proc": self.node_id}, 4),
-                       "busy")
+    def acquire_notice(self, lock_id: int) -> Tuple[Send, ...]:
+        """Virtual-queue hint (zero cost without ``notice_kind``), as the
+        primitives to yield."""
+        if self.notice_kind is None:
+            return ()
+        return (Send(self._lock_home(lock_id),
+                     Message(self.notice_kind,
+                             {"lock": lock_id, "proc": self.node_id}, 4),
+                     "busy"),)
 
-    def _on_notice(self, msg: Message):
+    def _on_notice(self, msg: Message) -> Tuple[Delay]:
         self.lap_state(msg.payload["lock"]).add_notice(msg.payload["proc"])
-        yield Delay(self.machine.list_cycles(1), "ipc")
+        return (Delay(self.machine.list_cycles(1), "ipc"),)
 
     def lap_state(self, lock_id: int) -> LockPredictionState:
         st = self._lap_states.get(lock_id)
@@ -674,13 +672,20 @@ class ProtocolNode:
         # determine the encoding first (bookkeeping), then charge the
         # word-proportional creation cost of the paper's Table 1
         diff = create_diff(pn, meta.twin, self.store.page(pn), origin=self.node_id)
-        start = self.now()
+        timeline = self.timeline
+        start = timeline.clock
+        isr_before = timeline.isr_cycles_total
         cycles = self.machine.diff_create_cycles(diff.nwords)
         yield Delay(cycles, category)
-        end = self.now()
-        # re-scan: the page may have changed while the creation was in
-        # progress (an ISR applied a diff); capture the final state
-        diff = create_diff(pn, meta.twin, self.store.page(pn), origin=self.node_id)
+        end = timeline.clock
+        if timeline.isr_cycles_total != isr_before:
+            # re-scan: an interrupt serviced during the creation may have
+            # changed the page (an ISR applied a diff); capture the final
+            # state.  Nothing else runs while this node is suspended, so
+            # without an interrupt the first scan is already final
+            # (DESIGN §11.10)
+            diff = create_diff(pn, meta.twin, self.store.page(pn),
+                               origin=self.node_id)
         hidden = self._hidden_portion(start, end, cycles, hidden_behind)
         self.world.diff_stats.record_create(diff.size_bytes, cycles, hidden)
         spans = self.spans

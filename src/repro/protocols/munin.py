@@ -74,7 +74,7 @@ class MuninNode(ProtocolNode):
         self._sharer_acks_got = 0
         # barrier manager (node 0) state
         self._bar_count = 0
-        self._handlers = {
+        self._handlers.update({
             "mun.lock_req": self._on_lock_req,
             "mun.lock_rel": self._on_lock_rel,
             "mun.lock_grant": self._on_lock_grant,
@@ -87,7 +87,7 @@ class MuninNode(ProtocolNode):
             self.reply_kind: self._on_reply,
             "mun.bar_arrive": self._on_bar_arrive,
             "mun.bar_release": self._on_bar_release,
-        }
+        })
 
     # ------------------------------------------------------------- plumbing
 

@@ -77,7 +77,7 @@ class TreadMarksNode(ProtocolNode):
         #: our vector clock as of the last records shipment to the manager
         self._mgr_seen_vc: List[int] = [0] * P
         self._lap_predictor = self._make_predictor()
-        self._handlers = {
+        self._handlers.update({
             "tmk.lock_req": self._on_lock_req,
             "tmk.lock_fwd": self._on_lock_fwd,
             "tmk.lock_grant": self._on_lock_grant,
@@ -88,7 +88,7 @@ class TreadMarksNode(ProtocolNode):
             self.reply_kind: self._on_reply,
             "tmk.bar_arrive": self._on_bar_arrive,
             "tmk.bar_release": self._on_bar_release,
-        }
+        })
 
     # ------------------------------------------------------------ intervals
 
@@ -225,8 +225,7 @@ class TreadMarksNode(ProtocolNode):
             return
         self.lamport += 1
         diff.acquire_counter = self.lamport
-        diff.offsets.flags.writeable = False
-        diff.values.flags.writeable = False
+        diff.freeze()
         # TreadMarks exposes diff creation: nothing is hidden
         self.world.diff_stats.record_create(diff.size_bytes, cycles, 0.0)
         if not diff.empty:

@@ -82,7 +82,7 @@ class AECReconfiguration:
         rec.stats.tokens_regenerated += regen
         rec.stats.waiters_purged += purged
         for result in grants:
-            yield from self._send_grant(*result)
+            yield self._send_grant(*result)
         # follow the manager's home reassignments, also in the pending
         # exchange's instructions: they predate the death, and the
         # post-barrier cleanup would re-home pages to the dead node (the
@@ -162,7 +162,7 @@ class AECReconfiguration:
         serviceable: List[Tuple[int, int, int]] = []
         for lk in rehomed:
             if lk in self.locks_held:
-                holds.append((lk, self.session(lk).acquire_counter))
+                holds.append((lk, self.sessions[lk].acquire_counter))
             fut = self._grant_futs.get(lk)
             if fut is not None and not fut.done:
                 wants.append(lk)
@@ -252,7 +252,7 @@ class AECReconfiguration:
             for w in wants.get(lk, []):
                 result = self.lock_mgr.request(lk, w, step)
                 if result is not None:
-                    yield from self._send_grant(w, *result)
+                    yield self._send_grant(w, *result)
         # traffic that raced the rebuild replays in arrival order
         for op, p in deferred:
             yield from self._manage(op, p)

@@ -2,9 +2,10 @@
 
 The engine's per-event objects (events, messages, primitives, futures,
 diffs) are ``__slots__`` classes precisely so the event loop does not churn
-a ``__dict__`` per object.  This test runs a tiny ``is``/``sc`` simulation
-with ``tracemalloc`` armed around the simulator loop only (setup excluded)
-and pins the transient allocation peak per processed event.  If slots are
+a ``__dict__`` per object.  This test runs a tiny ``is`` simulation under
+SC, AEC and TreadMarks with ``tracemalloc`` armed around the simulator loop
+only (setup excluded) and pins the transient allocation peak per processed
+event.  If slots are
 dropped somewhere hot — or a per-event code path starts allocating
 wholesale — the peak jumps well past the budget and this fails.
 """
@@ -23,8 +24,9 @@ from repro.protocols.base import World
 from repro.sync.objects import SyncRegistry
 
 #: transient peak bytes allocated per processed event, measured ~370 B/event
-#: on CPython 3.11 (heap tuples + generator frames + numpy scratch + the
-#: result payloads the tiny scenario keeps alive); the budget leaves ~2.5x
+#: under SC, ~230 under AEC and ~160 under TreadMarks on CPython 3.11 (heap
+#: tuples + generator frames + numpy scratch + the result payloads the tiny
+#: scenario keeps alive); the budget leaves at least ~2.5x
 #: headroom for interpreter/platform variance while still catching
 #: ``__dict__``-creep on the hot objects, which shows up as hundreds of
 #: extra bytes per event.
@@ -46,7 +48,7 @@ def _build_world(app_name: str, protocol: str):
     return world
 
 
-@pytest.mark.parametrize("protocol", ["sc"])
+@pytest.mark.parametrize("protocol", ["sc", "aec", "tmk"])
 def test_sim_loop_allocation_peak_per_event(protocol):
     # warm run: import costs, numpy internals, memo tables
     warm = _build_world("is", protocol)

@@ -72,8 +72,8 @@ class TestDelays:
             yield Delay(50, "data")
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         assert sim.run() == 150
         b = sim.breakdowns()[0]
         assert b["busy"] == 100 and b["data"] == 50
@@ -85,8 +85,8 @@ class TestDelays:
             yield Delay(0, "busy")
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         assert sim.run() == 0
 
     def test_programs_run_concurrently(self):
@@ -97,8 +97,8 @@ class TestDelays:
 
         sim.add_program(0, prog(100))
         sim.add_program(1, prog(300))
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         assert sim.run() == 300
         assert sim.nodes[0].done_time == 100
         assert sim.nodes[1].done_time == 300
@@ -119,8 +119,8 @@ class TestWait:
 
         sim.add_program(0, waiter())
         sim.add_program(1, resolver())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         assert sim.run() == 500
         assert sim.breakdowns()[0]["synch"] == 500
 
@@ -135,8 +135,8 @@ class TestWait:
             yield Delay(10, "busy")
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         assert sim.run() == 10
         assert sim.breakdowns()[0]["synch"] == 0
 
@@ -147,8 +147,8 @@ class TestWait:
             yield Wait(Future("never"), "synch")
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run()
 
@@ -166,8 +166,8 @@ class TestMessaging:
             return None
 
         sim.add_program(0, sender())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {"ping": handler})
         sim.run()
         assert got and got[0][0] == "ping"
         # sender paid messaging overhead
@@ -183,8 +183,8 @@ class TestMessaging:
             yield Send(1, Message("big", payload_bytes=4096), "ipc")
 
         sim.add_program(0, sender())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {"big": null_handler})
         sim.run()
         assert sim.breakdowns()[0]["ipc"] == 400 + m.io_transfer_cycles(4096)
 
@@ -196,8 +196,8 @@ class TestMessaging:
 
         handled = []
         sim.add_program(0, sender())
-        sim.set_handler(0, lambda msg: handled.append(msg) or None)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {"self": lambda msg: handled.append(msg) or None})
+        sim.set_handler(1, {})
         sim.run()
         assert handled
         assert sim.network.messages == 0
@@ -220,8 +220,8 @@ class TestMessaging:
             yield Resolve(fut, msg.payload)
 
         sim.add_program(0, requester())
-        sim.set_handler(0, resp_handler)
-        sim.set_handler(1, handler)
+        sim.set_handler(0, {"resp": resp_handler})
+        sim.set_handler(1, {"req": handler})
         sim.run()
         assert fut.done
 
@@ -243,8 +243,8 @@ class TestInterruptSemantics:
 
         sim.add_program(0, busy_prog())
         sim.add_program(1, sender())
-        sim.set_handler(0, handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {"poke": handler})
+        sim.set_handler(1, {})
         sim.run()
         # node 0's compute finished late: 100000 + interrupt + 5000 service
         assert sim.nodes[0].done_time > 100000 + 4000 + 5000 - 1
@@ -270,8 +270,8 @@ class TestInterruptSemantics:
 
         sim.add_program(0, waiter())
         sim.add_program(1, other())
-        sim.set_handler(0, handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {"poke": handler})
+        sim.set_handler(1, {})
         sim.run()
         b = sim.breakdowns()[0]
         assert b["ipc"] == pytest.approx(7000 + sim.machine.io_transfer_cycles(0))
@@ -288,8 +288,8 @@ class TestInterruptSemantics:
             yield Wait(Future(), "synch")
 
         sim.add_program(0, sender())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, bad_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {"go": bad_handler})
         with pytest.raises(SimulationError, match="must not block"):
             sim.run()
 
@@ -300,16 +300,19 @@ class TestInterruptSemantics:
             yield Send(1, Message("go"), "busy")
 
         sim.add_program(0, sender())
-        sim.set_handler(0, null_handler)
-        with pytest.raises(SimulationError, match="no message handler"):
+        sim.set_handler(0, {})
+        sim.set_handler(1, {"stop": null_handler})
+        # the error names the receiving node and the unhandled kind
+        with pytest.raises(SimulationError,
+                           match="node 1 has no handler for message 'go'"):
             sim.run()
 
 
 class TestGuards:
     def test_cannot_run_twice(self):
         sim = make_sim()
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         sim.run()
         with pytest.raises(SimulationError):
             sim.run()
@@ -332,8 +335,8 @@ class TestGuards:
                 yield Delay(1, "busy")
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         with pytest.raises(SimulationError, match="max_events"):
             sim.run()
 
@@ -344,8 +347,8 @@ class TestGuards:
             yield "not an op"
 
         sim.add_program(0, prog())
-        sim.set_handler(0, null_handler)
-        sim.set_handler(1, null_handler)
+        sim.set_handler(0, {})
+        sim.set_handler(1, {})
         with pytest.raises(SimulationError, match="unknown op"):
             sim.run()
 
@@ -364,7 +367,7 @@ class TestDeterminism:
 
             for i in range(4):
                 sim.add_program(i, prog(i))
-                sim.set_handler(i, handler)
+                sim.set_handler(i, {"token": handler})
             return sim.run(), sim.breakdowns()
 
         r1, b1 = build()

@@ -431,11 +431,17 @@ def _grants(events):
             and ev.message.kind == "aec.lock_grant"]
 
 
+def isr(node, msg):
+    """Run ``node``'s handler for ``msg`` outside the simulator, the way
+    the engine looks it up; its sends are never delivered."""
+    return node._handlers[msg.kind](msg)
+
+
 class TestLockRebuildDeferral:
     """Lock traffic for a lock adopted from a dead manager waits until
     every survivor has reported, then replays in arrival order.
 
-    Node 0's handlers run outside the simulator: ``list(handler(msg))``
+    Node 0's handlers run outside the simulator: ``list(isr(n0, msg))``
     collects the events an ISR yields, and its sends are never delivered.
     """
 
@@ -454,23 +460,22 @@ class TestLockRebuildDeferral:
         world, (n0, n1, _n2, n3) = self._world()
         # 1. the coordinator's verdict starts the rebuild on node 0, which
         #    files its own report and waits for nodes 1 and 3
-        events = list(n0.handle_message(Message(
+        events = list(isr(n0, Message(
             RECONFIG_KIND, {"dead": self.DEAD, "origin": "coordinator"}, 16)))
         assert sorted(ev.dst for ev in events if isinstance(ev, Send)
                       and ev.message.kind == RECONFIG_KIND) == [1, 3]
         assert n0._lockrep_wait == (self.DEAD, {1, 3})
         # node 1 reports that it holds the lock
         n1.locks_held.add(self.LOCK)
-        n1.session(self.LOCK).acquire_counter = 5
-        list(n0.handle_message(Message(
+        n1.sessions[self.LOCK].acquire_counter = 5
+        list(isr(n0, Message(
             "recovery.lock_report", n1._lock_report_for([self.LOCK]), 12)))
         # 2. node 0 requests the lock, then node 1 releases it
         req = {"lock": self.LOCK, "requester": 0, "step": 0}
         rel = {"lock": self.LOCK, "releaser": 1, "step": 0,
                "covered": [], "modified": []}
-        events = list(n0.handle_message(Message("aec.lock_req", req, 4)))
-        events += list(n0.handle_message(
-            Message("aec.lock_release", rel, 0)))
+        events = list(isr(n0, Message("aec.lock_req", req, 4)))
+        events += list(isr(n0, Message("aec.lock_release", rel, 0)))
         # 3. both are held back: no grant while node 3 has not reported
         assert _grants(events) == []
         assert n0._lockrep_deferred == [("req", req), ("rel", rel)]
@@ -485,7 +490,7 @@ class TestLockRebuildDeferral:
             return manage(op, p)
 
         n0._manage = spy
-        events = list(n0.handle_message(Message(
+        events = list(isr(n0, Message(
             "recovery.lock_report", n3._lock_report_for([self.LOCK]), 4)))
         assert replayed == ["req", "rel"]
         assert _grants(events) == [0]
