@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 
-
 @dataclass
 class ArrivalInfo:
     """What one node reports when it reaches the barrier."""
@@ -31,14 +30,16 @@ class ArrivalInfo:
     #: validity deltas since the previous barrier
     gained_valid: List[int]
     lost_valid: List[int]
+    #: list elements of the arrival (sizes its message and the list
+    #: processing on both ends); counted once, the lists never change
+    element_count: int = field(init=False)
 
-    @property
-    def element_count(self) -> int:
+    def __post_init__(self) -> None:
         n = len(self.outside_mod_pages) + len(self.accessed_pages)
         n += len(self.gained_valid) + len(self.lost_valid)
-        for _, (_, mod, cov) in sorted(self.lock_sessions.items()):
+        for _counter, mod, cov in self.lock_sessions.values():
             n += 1 + len(mod) + len(cov)
-        return n
+        self.element_count = n
 
 
 @dataclass
@@ -60,16 +61,18 @@ class BarrierInstructions:
     #: pages whose stale local copy cannot be lazily repaired (CS mods went
     #: to valid holders only): drop local recovery info, refetch on fault
     stale_pages: Set[int] = field(default_factory=set)
+    #: list elements of the instructions; set by :meth:`count_elements`
+    #: once the manager has filled the lists
+    element_count: int = 0
 
-    @property
-    def element_count(self) -> int:
+    def count_elements(self) -> None:
         n = len(self.homes) * 2 + len(self.others_accessed)
         n += len(self.stale_pages)
         for _, pages, dests in self.cs_sends:
             n += 1 + len(pages) + len(dests)
         for _, _, dests in self.wn_sends:
             n += 2 + len(dests)
-        return n
+        self.element_count = n
 
 
 class AECBarrierManager:
@@ -201,6 +204,7 @@ class AECBarrierManager:
         touched: Set[int] = set(writers)
         for pages in lock_pages.values():
             touched.update(pages)
+        homes: Dict[int, int] = {}
         for pg in sorted(touched):
             valid = self.validset.setdefault(pg, set())
             if valid:
@@ -210,18 +214,30 @@ class AECBarrierManager:
                 home = min(copy) if copy else 0
             if self.homes.get(pg, 0) != home:
                 self.homes[pg] = home
-            for p in instr:
-                instr[p].homes[pg] = home
+            homes[pg] = home
 
-        # 5. pages accessed by others (eager-diff filter for the next step)
-        accessed_by: Dict[int, Set[int]] = {}
+        # 5. pages accessed by others (eager-diff filter for the next step):
+        #    every accessed page but those only the node itself accessed
+        #    (page -> its one accessor, -1 once a second node accessed it)
+        accessor: Dict[int, int] = {}
         for info in arrivals.values():
+            node = info.node
             for pg in info.accessed_pages:
-                accessed_by.setdefault(pg, set()).add(info.node)
+                if accessor.setdefault(pg, node) != node:
+                    accessor[pg] = -1
+        accessed = set(accessor)
+        alone: Dict[int, Set[int]] = {}
+        for pg, node in accessor.items():
+            if node >= 0:
+                alone.setdefault(node, set()).add(pg)
+
+        # each node gets its own homes dict: crash recovery amends one
+        # node's copy in place (recovery/aec.py)
         for p, ins in instr.items():
-            ins.others_accessed = {
-                pg for pg, who in accessed_by.items() if who - {p}
-            }
+            ins.homes = dict(homes)
+            mine = alone.get(p)
+            ins.others_accessed = accessed - mine if mine else set(accessed)
+            ins.count_elements()
 
         self._phase = "exchange"
         self._last_instr = instr

@@ -20,7 +20,9 @@ Key protocol behaviours implemented here, in the paper's terms:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
+from operator import attrgetter
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -32,11 +34,16 @@ from repro.core.aec.state import AECPageMeta, LockSessionState, PendingUpdate
 from repro.core.lap.state import LockPredictionState
 from repro.engine.events import Delay, Resolve, Send, Wait
 from repro.engine.future import Future
-from repro.memory.diff import BYTES_PER_ENTRY, Diff, merge_diffs
+from repro.memory.diff import Diff, merge_diffs, wire_bytes
 from repro.memory.write_notice import WriteNotice
 from repro.network.message import Message
 from repro.protocols.base import PeerLostError, ProtocolNode, World
 from repro.recovery.aec import AECReconfiguration
+
+#: a frozen diff's stamp, the order of ``AECPageMeta.frozen_outside``
+_STAMP = attrgetter("acquire_counter")
+#: the global apply order of fetched outside diffs: epoch, then writer
+_APPLY_ORDER = attrgetter("acquire_counter", "origin")
 
 
 class AECNode(AECReconfiguration, ProtocolNode):
@@ -191,18 +198,13 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     def _commit_frozen(self, meta: AECPageMeta, diff: Diff) -> None:
         """Record a frozen diff and stamp our own words so that stale diffs
-        arriving later cannot overwrite what we just wrote."""
+        arriving later cannot overwrite what we just wrote.  The diff is
+        immutable from here on: write-notice holders are served the stored
+        object itself (DESIGN §11.11)."""
         if diff.empty:
             return
-        meta.frozen_outside.append(diff)
+        meta.frozen_outside.append(diff.freeze())
         self.stamp_words(meta, diff.offsets, diff.acquire_counter)
-
-    def _serve_outside_diffs(self, pn: int, floor: int) -> Generator:
-        """On-demand freeze + serve, used in ISRs (cost exposed, ipc)."""
-        meta: AECPageMeta = self.pages[pn]
-        if pn in self.outside_dirty_set and meta.twin is not None:
-            yield from self._freeze_outside_diff(pn, "ipc")
-        return [d for d in meta.frozen_outside if d.acquire_counter > floor]
 
     def _apply_cs_diff(self, pn: int, diff: Diff, category: str,
                        hidden_behind: Optional[Future] = None) -> Generator:
@@ -229,7 +231,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
     # ===================================================== fault handling
 
     def handle_read_fault(self, pn: int) -> Generator:
-        yield from self._make_valid(pn)
+        return self._make_valid(pn)
 
     def handle_write_fault(self, pn: int) -> Generator:
         meta: AECPageMeta = self.pages[pn]
@@ -352,11 +354,11 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 meta.needs_refetch = True
                 yield from self._make_valid(pn)
                 return
-            for d in reply["diffs"]:
-                d.origin = writer
-                collected.append(d)
+            # shared with the writer: its diffs already carry
+            # ``origin == writer`` (``create_diff_timed`` set it)
+            collected.extend(reply["diffs"])
             self.fault_stats.remote_resolutions += 1
-        collected.sort(key=lambda d: (d.acquire_counter, d.origin))
+        collected.sort(key=_APPLY_ORDER)
         for diff in collected:
             yield from self.apply_diff_stamped(pn, diff)
             prev = meta.applied_outside.get(diff.origin, -1)
@@ -597,8 +599,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
         #    Every member gets the same frozen diffs (DESIGN §11.10).
         pushed = {pn: d for pn, d in sess.diff_store.items()
                   if self._push_filter(lock_id, sess, pn)}
-        nbytes = (BYTES_PER_ENTRY * sum(d.nwords for d in pushed.values())
-                  + 8 * len(pushed)) or 4
+        nbytes = wire_bytes(pushed.values()) or 4
         payload = {
             "lock": lock_id,
             "counter": sess.acquire_counter,
@@ -658,13 +659,21 @@ class AECNode(AECReconfiguration, ProtocolNode):
         self.gained_valid.clear()
         self.lost_valid.clear()
         yield self._list_delay(info.element_count, "synch")
+        # only pages modified outside can be frozen behind the wait (the
+        # set cannot grow while this program is suspended)
         payload, bar_span = yield from self._wait_barrier(
             mgr, Message("aec.bar_arrive", info,
                          4 * max(info.element_count, 1)),
-            f"barrier.step{self.step}", overlap=self._barrier_overlap,
+            f"barrier.step{self.step}",
+            overlap=self._barrier_overlap if self.outside_mod_set else None,
             step=self.step)
-        self.span_end(bar_span, step=payload["step"])
-        yield from self._post_barrier_cleanup(payload)
+        if bar_span:
+            self.span_end(bar_span, step=payload["step"])
+        self.step = payload["step"]
+        # re-protect pages modified outside so next step's writes are caught
+        if self.outside_mod_set:
+            yield self._list_delay(len(self.outside_mod_set), "synch")
+        self._post_barrier_cleanup()
 
     def _barrier_overlap(self, fut: Future) -> Generator:
         """Create outside diffs for pages other processors used in the
@@ -677,11 +686,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
                 yield from self._freeze_outside_diff(
                     pn, "synch", hidden_behind=fut)
 
-    def _post_barrier_cleanup(self, payload: dict) -> Generator:
-        self.step = payload["step"]
-        # re-protect pages modified outside so next step's writes are caught
-        if self.outside_mod_set:
-            yield self._list_delay(len(self.outside_mod_set), "synch")
+    def _post_barrier_cleanup(self) -> None:
         for pn in self.outside_mod_set:
             self.write_protect(pn)
         self.outside_mod_set.clear()
@@ -705,7 +710,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
             # cumulative union: the filter's purpose is "never create diffs
             # of pages nobody else uses"; phase-structured programs touch
             # shared data several barriers before modifying it again
-            self.others_accessed_prev |= set(instr.others_accessed)
+            self.others_accessed_prev |= instr.others_accessed
             self.homes.update(instr.homes)
         self._bar_instr = None
 
@@ -810,7 +815,7 @@ class AECNode(AECReconfiguration, ProtocolNode):
             raise RuntimeError(
                 f"node {self.node_id}: no CS diff history for lock {lock_id} "
                 f"page {pn} (requested by node {msg.payload['requester']})")
-        nbytes = sum(d.size_bytes + 8 for d in diffs)
+        nbytes = wire_bytes(diffs)
         yield Delay(self.machine.list_cycles(len(diffs)), "ipc")
         yield Send(msg.payload["requester"],
                    self._reply(msg, {"diffs": diffs}, nbytes), "ipc")
@@ -818,11 +823,26 @@ class AECNode(AECReconfiguration, ProtocolNode):
     def _on_wn_diff_req(self, msg: Message):
         pn = msg.payload["pn"]
         self.requests_seen[pn] = self.requests_seen.get(pn, 0) + 1
-        diffs = yield from self._serve_outside_diffs(pn, msg.payload["floor"])
-        diffs = [d.copy() for d in diffs]
-        nbytes = sum(d.size_bytes + 8 for d in diffs) or 4
-        yield Send(msg.payload["requester"],
-                   self._reply(msg, {"diffs": diffs}, nbytes), "ipc")
+        meta: AECPageMeta = self.pages[pn]
+        if pn in self.outside_dirty_set and meta.twin is not None:
+            # unfrozen modifications: freeze them first, in the ISR (the
+            # creation cost is exposed, ipc)
+            return self._freeze_and_serve(msg, pn, meta)
+        return (self._outside_diffs_reply(msg, meta),)
+
+    def _freeze_and_serve(self, msg: Message, pn: int,
+                          meta: AECPageMeta) -> Generator:
+        yield from self._freeze_outside_diff(pn, "ipc")
+        yield self._outside_diffs_reply(msg, meta)
+
+    def _outside_diffs_reply(self, msg: Message, meta: AECPageMeta) -> Send:
+        """The reply to ``aec.wn_diff_req``: the frozen outside diffs newer
+        than the requester's floor, served by reference."""
+        frozen = meta.frozen_outside
+        diffs = frozen[bisect_right(frozen, msg.payload["floor"], key=_STAMP):]
+        nbytes = wire_bytes(diffs) or 4
+        return Send(msg.payload["requester"],
+                    self._reply(msg, {"diffs": diffs}, nbytes), "ipc")
 
     def _on_page_req(self, msg: Message):
         pn = msg.payload["pn"]
@@ -846,27 +866,35 @@ class AECNode(AECReconfiguration, ProtocolNode):
 
     # ---- barrier roles
 
-    def _on_bar_arrive(self, msg: Message):
+    # the barrier handlers return tuples of primitives, not generators: ISR
+    # time is fixed while a handler runs, so nothing they do depends on
+    # the time a primitive consumes; a ``Send``'s injection time and a
+    # ``Resolve`` keep their places in the tuple (DESIGN §11.11)
+
+    def _on_bar_arrive(self, msg: Message) -> Tuple:
         info: ArrivalInfo = msg.payload
         assert self.bar_mgr is not None, "bar_arrive at non-manager node"
-        yield self._list_delay(info.element_count, "ipc")
+        delay = self._list_delay(info.element_count, "ipc")
         if self.bar_mgr.arrive(info):
-            yield from self._bar_broadcast_instructions()
+            return (delay, *self._bar_broadcast_instructions())
+        return (delay,)
 
-    def _bar_broadcast_instructions(self) -> Generator:
+    def _bar_broadcast_instructions(self) -> Tuple:
         """Every live node arrived: compute and push the exchange lists."""
         instructions = self.bar_mgr.compute()
-        total = sum(i.element_count for i in instructions.values())
-        yield self._list_delay(total, "ipc")
+        total = 0
+        sends = []
         for node, instr in sorted(instructions.items()):
-            yield Send(node, Message("aec.bar_lists", instr,
-                                     4 * max(instr.element_count, 1)),
-                       "ipc")
+            n = instr.element_count
+            total += n
+            sends.append(Send(node, Message("aec.bar_lists", instr,
+                                            4 * max(n, 1)), "ipc"))
+        return (self._list_delay(total, "ipc"), *sends)
 
-    def _on_bar_lists(self, msg: Message):
+    def _on_bar_lists(self, msg: Message) -> Tuple:
         instr: BarrierInstructions = msg.payload
         self._bar_instr = instr
-        yield self._list_delay(instr.element_count, "ipc")
+        ops: List[Any] = [self._list_delay(instr.element_count, "ipc")]
         # stale copies that lazy recovery cannot repair: drop recovery state
         # so the next fault refetches the page from its home
         for pn in sorted(instr.stale_pages):
@@ -875,34 +903,33 @@ class AECNode(AECReconfiguration, ProtocolNode):
             meta.cs_diff_source = None
             meta.needs_refetch = True
             self.invalidate(pn)
-        # push CS diffs we are responsible for
+        # push CS diffs we are responsible for (frozen, shared)
         for lock, pages, dests in instr.cs_sends:
             sess = self.sessions.get(lock)
-            diffs = {}
-            for pn in pages:
-                if sess is not None and pn in sess.diff_store:
-                    diffs[pn] = sess.diff_store[pn]  # frozen, shared
-            nbytes = sum(d.size_bytes + 8 for d in diffs.values()) or 8
+            store = sess.diff_store if sess is not None else {}
+            diffs = {pn: store[pn] for pn in pages if pn in store}
+            nbytes = wire_bytes(diffs.values()) or 8
             for d in dests:
-                yield Send(d, Message("aec.bar_diffs",
-                                      {"lock": lock, "diffs": dict(diffs)},
-                                      nbytes), "ipc")
+                ops.append(Send(d, Message("aec.bar_diffs",
+                                           {"lock": lock, "diffs": diffs},
+                                           nbytes), "ipc"))
         # push write notices
         for pn, epoch, dests in instr.wn_sends:
             wn = WriteNotice(pn, self.node_id, epoch)
             for d in dests:
-                yield Send(d, Message("aec.bar_wn", {"notices": [wn]}, 8),
-                           "ipc")
+                ops.append(Send(d, Message("aec.bar_wn", {"notices": [wn]},
+                                           8), "ipc"))
         self._bar_sends_done = True
-        yield from self._maybe_barrier_done()
+        return (*ops, *self._maybe_barrier_done())
 
-    def _on_bar_diffs(self, msg: Message):
+    def _on_bar_diffs(self, msg: Message) -> Tuple:
         self._bar_recv_diffs += 1
         self._bar_recv_from.setdefault(msg.src, [0, 0])[0] += 1
+        ops = []
         for pn, diff in sorted(msg.payload["diffs"].items()):
             if self.store.has(pn):
                 cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
-                yield Delay(cycles, "ipc")
+                ops.append(Delay(cycles, "ipc"))
                 diff.apply(self.store.page(pn))
                 meta: AECPageMeta = self.pages[pn]
                 if meta.twin is not None:
@@ -915,47 +942,46 @@ class AECNode(AECReconfiguration, ProtocolNode):
                                           diff.origin, self.sim.now)
                 # the program task is blocked at the barrier: fully hidden
                 self.world.diff_stats.record_apply(cycles, cycles)
-        yield from self._maybe_barrier_done()
+        return (*ops, *self._maybe_barrier_done())
 
-    def _on_bar_wn(self, msg: Message):
+    def _on_bar_wn(self, msg: Message) -> Tuple:
         self._bar_recv_wns += 1
         self._bar_recv_from.setdefault(msg.src, [0, 0])[1] += 1
-        for wn in msg.payload["notices"]:
-            meta: AECPageMeta = self.pages[wn.page_number]
-            if wn.writer == self.node_id:
-                continue
-            if not self.store.has(wn.page_number):
+        notices = msg.payload["notices"]
+        for wn in notices:
+            pn = wn.page_number
+            if wn.writer == self.node_id or not self.store.has(pn):
                 continue
             # a notice already pending keeps its place in arrival order
-            meta.pending_notices[wn] = None
-            self.invalidate(wn.page_number)
-        yield Delay(self.machine.list_cycles(len(msg.payload["notices"])),
-                    "ipc")
-        yield from self._maybe_barrier_done()
+            self.pages[pn].pending_notices[wn] = None
+            self.invalidate(pn)
+        return (Delay(self.machine.list_cycles(len(notices)), "ipc"),
+                *self._maybe_barrier_done())
 
-    def _maybe_barrier_done(self) -> Generator:
+    def _maybe_barrier_done(self) -> Tuple:
         instr = self._bar_instr
         if (instr is None or self._bar_done_sent or not self._bar_sends_done
                 or self._bar_recv_diffs < instr.expect_diff_msgs
                 or self._bar_recv_wns < instr.expect_wn_msgs):
-            return
+            return ()
         self._bar_done_sent = True
-        yield Send(0, Message("aec.bar_done", {"node": self.node_id}, 4),
-                   "ipc")
+        return (Send(0, Message("aec.bar_done", {"node": self.node_id}, 4),
+                     "ipc"),)
 
-    def _on_bar_done(self, msg: Message):
+    def _on_bar_done(self, msg: Message) -> Tuple:
         assert self.bar_mgr is not None
-        yield Delay(self.machine.list_cycles(1), "ipc")
+        delay = Delay(self.machine.list_cycles(1), "ipc")
         if self.bar_mgr.node_done(msg.payload["node"]):
-            yield from self._bar_finish()
+            return (delay, *self._bar_finish())
+        return (delay,)
 
-    def _bar_finish(self) -> Generator:
+    def _bar_finish(self) -> Tuple:
         """Every live node finished the exchange: release the barrier."""
         new_step = self.bar_mgr.complete()
         self.world.note_barrier_complete()
-        for node in sorted(self.bar_mgr.live):
-            yield Send(node, Message("aec.bar_complete",
-                                     {"step": new_step}, 4), "ipc")
+        return tuple([Send(node, Message("aec.bar_complete",
+                                         {"step": new_step}, 4), "ipc")
+                      for node in sorted(self.bar_mgr.live)])
 
     def _on_bar_complete(self, msg: Message):
         # enter the new step in the manager role *now* (unless a newer-step

@@ -12,9 +12,13 @@ pre-access tag state either way):
 * accesses covering one or two lines (single-word and small-block
   references, the bulk of app inner loops) run a scalar path with no NumPy
   temporaries at all;
-* larger ranges reuse memoized ``(lines, sets)`` index arrays per
+* larger ranges reuse memoized ``(lines, sets)`` per
   ``(first_line, last_line)`` shape — app loops touch the same block
   shapes over and over, so the ``np.arange``/modulo work is paid once.
+  ``sets`` is a slice when the range's sets do not wrap past the last
+  line (a whole page never wraps), so the tag check runs on a view of
+  the tag array instead of gathering and scattering through an index
+  array.
 
 Protocols invalidate a whole page every time a diff or a fetch changes it,
 and most of those pages have no line cached.  The cache therefore keeps
@@ -27,7 +31,7 @@ never remove pages, so they only leave the set conservative.
 """
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Set, Tuple, Union
 
 import numpy as np
 
@@ -47,19 +51,28 @@ class DirectMappedCache:
         self._tags = np.full(self.num_lines, -1, dtype=np.int64)
         self.hits = 0
         self.misses = 0
-        #: (first, last) -> (lines, sets) index arrays, shared and read-only
-        self._range_cache: Dict[Tuple[int, int], Tuple[np.ndarray,
-                                                       np.ndarray]] = {}
+        #: (first, last) -> (lines, sets) of ``_line_range``, shared and
+        #: read-only
+        self._range_cache: Dict[Tuple[int, int], Tuple[
+            np.ndarray, Union[slice, np.ndarray]]] = {}
         self._line_fill_cycles = machine.mem_access_cycles(
             self.words_per_line)
 
     def _line_range(self, first: int,
-                    last: int) -> Tuple[np.ndarray, np.ndarray]:
+                    last: int) -> Tuple[np.ndarray, Union[slice, np.ndarray]]:
+        """``(lines, sets)`` of lines ``first..last``: ``sets`` is a slice
+        of the tag array when the sets do not wrap past the last line (so
+        ``tags[sets]`` is a view, with no index array to gather through),
+        else the index array."""
         key = (first, last)
         cached = self._range_cache.get(key)
         if cached is None:
             lines = np.arange(first, last + 1, dtype=np.int64)
-            cached = (lines, lines % self.num_lines)
+            start = first % self.num_lines
+            if start + len(lines) <= self.num_lines:
+                cached = (lines, slice(start, start + len(lines)))
+            else:
+                cached = (lines, lines % self.num_lines)
             self._range_cache[key] = cached
         return cached
 
@@ -90,10 +103,14 @@ class DirectMappedCache:
             self.misses += nmiss
             return nmiss
         lines, sets = self._line_range(first, last)
-        miss_mask = tags[sets] != lines
-        nmiss = int(miss_mask.sum())
+        cached = tags[sets]
+        miss_mask = cached != lines
+        nmiss = int(np.count_nonzero(miss_mask))
         if nmiss:
-            tags[sets[miss_mask]] = lines[miss_mask]
+            if type(sets) is slice:
+                cached[miss_mask] = lines[miss_mask]  # writes through the view
+            else:
+                tags[sets[miss_mask]] = lines[miss_mask]
             self._note_resident(first, last)
         self.hits += len(lines) - nmiss
         self.misses += nmiss
@@ -135,8 +152,12 @@ class DirectMappedCache:
                     tags[s] = -1
             return
         lines, sets = self._line_range(first, last)
-        match = tags[sets] == lines
-        tags[sets[match]] = -1
+        cached = tags[sets]
+        match = cached == lines
+        if type(sets) is slice:
+            cached[match] = -1  # writes through the view
+        else:
+            tags[sets[match]] = -1
 
     def line_fill_cycles(self) -> float:
         return self._line_fill_cycles

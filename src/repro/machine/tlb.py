@@ -51,7 +51,7 @@ class TLB:
             self._range_cache[key] = cached
         pages, slots = cached
         miss_mask = tags[slots] != pages
-        nmiss = int(miss_mask.sum())
+        nmiss = int(np.count_nonzero(miss_mask))
         if nmiss:
             tags[slots[miss_mask]] = pages[miss_mask]
         return nmiss

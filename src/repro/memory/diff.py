@@ -25,12 +25,15 @@ invariant.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Collection, Iterable, List, Optional
 
 import numpy as np
 
 #: encoded bytes per modified word (offset + value)
 BYTES_PER_ENTRY = 8
+
+_NWORDS = attrgetter("nwords")
 
 
 class Diff:
@@ -98,6 +101,12 @@ class Diff:
     def copy(self) -> "Diff":
         return Diff(self.page_number, self.offsets.copy(), self.values.copy(),
                     self.acquire_counter, self.origin)
+
+
+def wire_bytes(diffs: Collection["Diff"]) -> int:
+    """Wire size of a batch of diffs: each diff's entries plus its 8-byte
+    header (a C-level sum, no per-diff property call)."""
+    return BYTES_PER_ENTRY * sum(map(_NWORDS, diffs)) + 8 * len(diffs)
 
 
 def create_diff(page_number: int, twin: np.ndarray, current: np.ndarray,

@@ -279,6 +279,11 @@ class ReliableTransport:
     def unacked(self) -> int:
         return len(self._pending)
 
+    def pending(self, msg: Message) -> bool:
+        """Whether reliable message ``msg`` still awaits its destination
+        NIC's acknowledgement (False once acked or cancelled)."""
+        return (msg.src, msg.dst, msg.kind, msg.seq) in self._pending
+
 
 class World:
     """Global context of one simulation run."""
@@ -788,7 +793,12 @@ class ProtocolNode:
             offs = offsets[mask]
             updated = len(offs) > 0
             if updated:
-                values = diff.values[mask]
+                if len(offs) == len(offsets):
+                    # every word wins: write through the diff's own arrays
+                    # (a masked gather would copy them)
+                    offs, values = offsets, diff.values
+                else:
+                    values = diff.values[mask]
                 page[offs] = values
                 stamps[offs] = counter
                 if twin is not None:

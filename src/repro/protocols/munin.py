@@ -59,6 +59,10 @@ class MuninNode(ProtocolNode):
         #: are always served from current data even after LAP-restricted
         #: updates invalidated arbitrary sharers
         self._sharers: Dict[int, Set[int]] = {}
+        #: directory role, faulty network only: page -> node dropped from
+        #: its sharer set and not served a fetch since -> the last
+        #: invalidation sent to it (see ``_on_update``)
+        self._lagging: Dict[int, Dict[int, Message]] = {}
         for pn in range(self.layout.total_pages):
             if self.directory_of(pn) == node_id:
                 self.store.ensure(pn)  # every page starts zeroed
@@ -173,6 +177,10 @@ class MuninNode(ProtocolNode):
             sharers.add(0)
         yield Delay(self.machine.list_cycles(len(sharers) + 1), "ipc")
         sharers.add(requester)
+        lagging = self._lagging.get(pn)
+        if lagging:
+            # the served copy is current, and later updates reach it
+            lagging.pop(requester, None)
         content = self.store.page(pn).copy()
         yield Delay(self.machine.mem_access_cycles(self.words_per_page), "ipc")
         yield Send(requester, self._reply(msg, {"content": content},
@@ -242,6 +250,23 @@ class MuninNode(ProtocolNode):
             targets = sorted(set(targets) & keep)
             for d in dropped:
                 sharers.discard(d)
+        transport = self.sim.transport
+        lagging: Optional[Dict[int, Message]] = None
+        if transport is not None:
+            # faulty network only (fault-free timing untouched): an
+            # invalidation can be lost and wait for its retransmission,
+            # while its target still reads its old copy as valid.  Its
+            # ack goes to the writer that caused it, so a later writer of
+            # the page would not wait for it: a dropped node whose last
+            # invalidation this NIC has not seen acknowledged yet is
+            # invalidated again, and this writer waits for that ack
+            lagging = self._lagging.setdefault(pn, {})
+            again = [d for d, inval in lagging.items()
+                     if d not in dropped and transport.pending(inval)]
+            if again:
+                for d in again:
+                    sharers.discard(d)
+                dropped = sorted(again + dropped)
         yield Delay(self.machine.list_cycles(len(sharers) + 1), "ipc")
         # the home copy absorbs every update inline (it is never dropped,
         # so it can always serve fetches with current data)
@@ -252,8 +277,10 @@ class MuninNode(ProtocolNode):
                                    "writer": writer},
                                   diff.size_bytes + 8), "ipc")
         for d in dropped:
-            yield Send(d, Message("mun.inval",
-                                  {"pn": pn, "writer": writer}, 4), "ipc")
+            inval = Message("mun.inval", {"pn": pn, "writer": writer}, 4)
+            if lagging is not None:
+                lagging[d] = inval
+            yield Send(d, inval, "ipc")
         # tell the writer how many acks to expect for this page (the
         # directory ack carries the fan-out; sharers — including the
         # invalidated ones, so the flush orders before the lock moves —
@@ -278,10 +305,10 @@ class MuninNode(ProtocolNode):
             if checker is not None:
                 checker.note_transfer("diff", self.node_id, pn, diff.origin,
                                       self.sim.now)
-        # no local content: the update raced with our in-flight fetch — and
-        # home->us delivery is FIFO, so the fetch reply (sent later) already
-        # includes this update; dropping it is correct, reapplying it after
-        # the content arrived could roll newer words back
+        # no local content: the home served our fetch before this update
+        # and the reply is still in flight (the reliable transport keeps
+        # no order across message kinds); the bumped ``upd_epoch`` makes
+        # ``_fetch_page`` fetch again, so dropping the update is correct
         self.world.diff_stats.record_apply(cycles, cycles)
 
     def _on_fwd_update(self, msg: Message):

@@ -8,7 +8,7 @@ from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.engine.events import Delay, Send
-from repro.memory.diff import BYTES_PER_ENTRY, Diff, create_diff
+from repro.memory.diff import Diff, create_diff, wire_bytes
 from repro.network.message import Message
 from repro.protocols.base import PageMeta, ProtocolNode, World
 from repro.protocols.treadmarks.interval import (IntervalLog, IntervalRecord,
@@ -18,14 +18,6 @@ _COUNTER = attrgetter("acquire_counter")
 #: application order of collected diffs: global stamp, ties by writer
 _APPLY_ORDER = attrgetter("acquire_counter", "origin")
 _WRITER = itemgetter(0)
-_OFFSETS = attrgetter("offsets")
-
-
-def _diffs_bytes(diffs: List[Diff]) -> int:
-    """Wire size of a diff batch: each diff's entries plus its 8-byte
-    header (a C-level sum, no per-diff property call)."""
-    return (BYTES_PER_ENTRY * sum(map(len, map(_OFFSETS, diffs)))
-            + 8 * len(diffs))
 
 
 @dataclass
@@ -247,7 +239,7 @@ class TreadMarksNode(ProtocolNode):
             yield from self._freeze_page_diff(pn, "ipc")
         frozen = meta.frozen
         diffs = frozen[bisect_right(frozen, floor, key=_COUNTER):]
-        nbytes = _diffs_bytes(diffs) or 4
+        nbytes = wire_bytes(diffs) or 4
         yield Delay(self.machine.list_cycles(max(len(diffs), 1)), "ipc")
         yield Send(msg.payload["requester"],
                    self._reply(msg, {"diffs": diffs}, nbytes), "ipc")
@@ -347,7 +339,7 @@ class TreadMarksNode(ProtocolNode):
                 if meta.dirty:
                     yield from self._freeze_page_diff(pn, category)
                 piggyback.extend(meta.frozen)
-            nbytes += _diffs_bytes(piggyback)
+            nbytes += wire_bytes(piggyback)
         yield Send(requester, Message("tmk.lock_grant", {
             "lock": lock_id,
             "records": records,

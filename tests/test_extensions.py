@@ -75,6 +75,81 @@ class TestMuninBehaviour:
         cfg = SimConfig(machine=MachineParams(num_procs=4))
         run_app(make_app("fft", "test"), "munin", config=cfg)
 
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_dropped_sharer_invalidated_until_acked(self, faulty):
+        """A LAP-restricted update drops node 3 from page 1's sharers and
+        sends it an invalidation.  On a faulty network that invalidation
+        can be lost and wait for its retransmission while node 3 still
+        reads its old copy, so a later update of the page invalidates
+        node 3 again (and its writer waits for the ack) until node 3's
+        NIC acknowledged an invalidation or node 3 fetched the page; the
+        lossless network is left as it was."""
+        import numpy as np
+
+        from repro.engine.events import Send
+        from repro.faults import get_plan
+        from repro.memory.diff import Diff
+        from repro.network.message import Message
+        from repro.protocols.base import ACK_BYTES, ACK_KIND
+        from repro.protocols.munin import MuninLapNode
+        from tests.conftest import make_world
+
+        config = SimConfig(machine=MachineParams(num_procs=4),
+                           faults=get_plan("lossy-1pct") if faulty else None)
+        world = make_world(num_procs=4, config=config)
+        home = [MuninLapNode(world, i) for i in range(4)][1]  # page 1's
+        transport = world.sim.transport
+        seq = iter(range(100))
+        unacked = []
+
+        def fetch(node):
+            msg = Message("mun.fetch", {"pn": 1, "requester": node,
+                                        "req_id": (node, next(seq))}, 8)
+            list(home._on_fetch(msg))
+
+        def update(writer, restrict):
+            diff = Diff(1, np.array([next(seq)], dtype=np.int32),
+                        np.array([1.0]), origin=writer)
+            msg = Message("mun.update", {"pn": 1, "diff": diff,
+                                         "writer": writer,
+                                         "restrict": restrict}, 24)
+            sends = [op for op in home._on_update(msg)
+                     if isinstance(op, Send)]
+            invals = [op for op in sends if op.message.kind == "mun.inval"]
+            if transport is not None:
+                for op in invals:  # what the engine's injection does
+                    op.message.src, op.message.dst = 1, op.dst
+                    transport.on_send(op.message, 0.0)
+                    unacked.append(op.message)
+            fanout, = [op.message.payload["fanout"] for op in sends
+                       if op.message.payload.get("kind") == "dir"]
+            return sorted(op.dst for op in invals), fanout
+
+        def ack_all():
+            while unacked:
+                inval = unacked.pop()
+                ack = Message(ACK_KIND, {"kind": inval.kind,
+                                         "seq": inval.seq}, ACK_BYTES)
+                ack.src, ack.dst = inval.dst, inval.src
+                assert not transport.on_arrival(ack)
+
+        fetch(2)
+        fetch(3)
+        # node 3 is outside the update set: dropped and invalidated
+        assert update(2, [0]) == ([3], 2)
+        # a later writer of the page while that invalidation is unacked
+        assert update(0, [2]) == (([3], 2) if faulty else ([], 1))
+        assert update(2, [0]) == (([3], 2) if faulty else ([], 1))
+        if faulty:
+            ack_all()
+        assert update(0, [2]) == ([], 1)
+        # dropped again; a fetch then makes node 3 a sharer with a
+        # current copy, which the next update reaches as a target
+        fetch(3)
+        assert update(0, [2]) == ([3], 2)
+        fetch(3)
+        assert update(2, [3]) == ([0], 2)  # node 3 updated, not invalidated
+
 
 class TestLazyHybridBehaviour:
     def test_alternating_owners_skip_fault(self):

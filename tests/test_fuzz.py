@@ -417,6 +417,7 @@ class TestCorpus:
         # bugs filed against real protocols replay on them too
         assert ("seed42027-aec-lossy-1pct.json", "aec") in replayed
         assert ("seed42-adsm-lossy-1pct.json", "adsm") in replayed
+        assert ("seed7-munin-lap-lossy-1pct.json", "munin-lap") in replayed
 
     def test_corpus_still_reproduces_on_found_protocol(self):
         broken = [(name, run) for name, _doc, run in self._runs()

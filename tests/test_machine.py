@@ -184,6 +184,103 @@ class TestResidentPageSkip:
         assert skipped > 100, "the stream never exercised the skip"
 
 
+class LineLoopCache(FullInvalidationCache):
+    """Reference model: every access checks and fills its lines one by
+    one (no scalar/vector split, no memoized index arrays, no
+    resident-page skip)."""
+
+    def access(self, addr, nwords):
+        if nwords <= 0:
+            return 0
+        wpl = self.words_per_line
+        nmiss = 0
+        for line in range(addr // wpl, (addr + nwords - 1) // wpl + 1):
+            s = line % self.num_lines
+            if self._tags[s] == line:
+                self.hits += 1
+            else:
+                self._tags[s] = line
+                self.misses += 1
+                nmiss += 1
+        return nmiss
+
+
+class PageLoopTLB(TLB):
+    """Reference model: every access checks and fills its pages one by
+    one."""
+
+    def access(self, addr, nwords):
+        if nwords <= 0:
+            return 0
+        wpp = self._words_per_page
+        nmiss = 0
+        for page in range(addr // wpp, (addr + nwords - 1) // wpp + 1):
+            s = page % self.entries
+            if self._tags[s] != page:
+                self._tags[s] = page
+                nmiss += 1
+        return nmiss
+
+
+class TestVectorPaths:
+    """Ranges of three or more lines (pages) take the vector path, which
+    counts misses with ``np.count_nonzero``; they must match a line-by-line
+    (page-by-page) loop, also when their sets wrap past the last line (the
+    last TLB slot).  No range spans the whole cache or TLB, so sets within
+    one access are distinct, as the vector path assumes."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cache_matches_line_loop(self, seed):
+        m = MachineParams(cache_bytes=1024, page_bytes=256)  # 32 lines
+        rng = random.Random(7300 + seed)
+        cache, ref = DirectMappedCache(m), LineLoopCache(m)
+        wpl, lines = m.words_per_line, m.cache_lines
+        wrapped = 0
+        for step in range(3000):
+            if rng.random() < 0.3:
+                # sets wrap: from the last few lines of one cache-sized
+                # stretch into the first lines of the next
+                first = rng.randrange(8) * lines + lines - rng.randint(1, 4)
+                nlines = rng.randint(3, lines - 1)
+            else:
+                first = rng.randrange(8 * lines)
+                nlines = rng.randint(1, lines - 1)
+            wrapped += (first % lines) + nlines > lines
+            addr = first * wpl + rng.randrange(wpl)
+            n = max(1, (first + nlines) * wpl - addr - rng.randrange(wpl))
+            assert cache.access(addr, n) == ref.access(addr, n), step
+            if rng.random() < 0.2:
+                pn = rng.randrange(8 * lines * wpl // m.words_per_page)
+                cache.invalidate_range(pn * m.words_per_page,
+                                       m.words_per_page)
+                ref.invalidate_range(pn * m.words_per_page,
+                                     m.words_per_page)
+            assert np.array_equal(cache._tags, ref._tags), step
+            assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert wrapped > 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tlb_matches_page_loop(self, seed):
+        m = MachineParams(tlb_entries=16, page_bytes=64)
+        rng = random.Random(7400 + seed)
+        tlb, ref = TLB(m), PageLoopTLB(m)
+        wpp, entries = m.words_per_page, m.tlb_entries
+        wrapped = 0
+        for step in range(2000):
+            first = rng.randrange(6 * entries)
+            npages = rng.randint(1, entries - 1)
+            wrapped += (first % entries) + npages > entries
+            addr = first * wpp + rng.randrange(wpp)
+            n = max(1, (first + npages) * wpp - addr)
+            assert tlb.access(addr, n) == ref.access(addr, n), step
+            if rng.random() < 0.2:
+                page = rng.randrange(6 * entries)
+                tlb.flush_page(page)
+                ref.flush_page(page)
+            assert np.array_equal(tlb._tags, ref._tags), step
+        assert wrapped > 100
+
+
 class TestNodeHardware:
     def test_read_cost_components(self):
         hw = NodeHardware(MachineParams())
