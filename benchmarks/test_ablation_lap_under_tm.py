@@ -9,10 +9,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_robustness
 
 
-def test_ablation_lap_under_tm(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: ex.ablation_lap_robustness(scale),
-        rounds=1, iterations=1)
+def test_ablation_lap_under_tm(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.ablation_lap_robustness, (results, scale))
     print()
     print(render_robustness(rows))
 

@@ -10,10 +10,9 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_sensitivity
 
 
-def test_ablation_network_sensitivity(benchmark):
-    rows = benchmark.pedantic(
-        lambda: ex.ablation_network_sensitivity("test"),
-        rounds=1, iterations=1)
+def test_ablation_network_sensitivity(benchmark, results):
+    rows = benchmark.pedantic(ex.ablation_network_sensitivity,
+                              (results, "test"))
     print()
     print(render_sensitivity(rows))
     table = {}

@@ -7,9 +7,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_scalability
 
 
-def test_ablation_scalability(benchmark):
-    rows = benchmark.pedantic(
-        lambda: ex.ablation_scalability("test"), rounds=1, iterations=1)
+def test_ablation_scalability(benchmark, results):
+    rows = benchmark.pedantic(ex.ablation_scalability, (results, "test"))
     print()
     print(render_scalability(rows))
     table = {}

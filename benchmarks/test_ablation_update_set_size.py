@@ -8,10 +8,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_update_set
 
 
-def test_ablation_update_set_size(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: ex.ablation_update_set_size(scale),
-        rounds=1, iterations=1)
+def test_ablation_update_set_size(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.ablation_update_set_size, (results, scale))
     print()
     print(render_update_set(rows))
 

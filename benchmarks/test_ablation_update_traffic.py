@@ -15,9 +15,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_traffic
 
 
-def test_ablation_update_traffic(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: ex.ablation_update_traffic(scale), rounds=1, iterations=1)
+def test_ablation_update_traffic(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.ablation_update_traffic, (results, scale))
     print()
     print(render_traffic(rows))
     by = {(r.app, r.protocol): r for r in rows}

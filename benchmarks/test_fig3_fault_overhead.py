@@ -8,9 +8,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_compare
 
 
-def test_fig3_fault_overhead(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.figure3(scale),
-                              rounds=1, iterations=1)
+def test_fig3_fault_overhead(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.figure3, (results, scale))
     print()
     print(render_compare(
         "Figure 3: access-fault overhead, AEC-noLAP=100 vs AEC.", rows))

@@ -9,9 +9,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_compare
 
 
-def test_fig4_lap_speedup(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.figure4(scale),
-                              rounds=1, iterations=1)
+def test_fig4_lap_speedup(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.figure4, (results, scale))
     print()
     print(render_compare(
         "Figure 4: execution time, AEC-noLAP=100 vs AEC.", rows))

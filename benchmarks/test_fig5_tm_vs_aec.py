@@ -7,13 +7,12 @@ margin is smallest for the most barrier-intensive application (Ocean in
 the paper's testbed).
 """
 from repro.harness import experiments as ex
-from repro.harness.sweep import get_result, make_spec
+from repro.harness.sweep import make_spec
 from repro.harness.tables import render_compare
 
 
-def test_fig5_tm_vs_aec(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.figure5(scale),
-                              rounds=1, iterations=1)
+def test_fig5_tm_vs_aec(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.figure5, (results, scale))
     print()
     print(render_compare(
         "Figure 5: execution time, TreadMarks=100 vs AEC.", rows))
@@ -24,6 +23,6 @@ def test_fig5_tm_vs_aec(benchmark, scale):
     # AEC's eager barrier traffic: more messages than TM for FFT, as the
     # paper reports ("it requires more messages than TreadMarks at barrier
     # events")
-    tm = get_result(make_spec("fft", scale, "tmk"))
-    aec = get_result(make_spec("fft", scale, "aec"))
+    tm = results[make_spec("fft", scale, "tmk").key]
+    aec = results[make_spec("fft", scale, "aec").key]
     assert aec.messages_total > tm.messages_total

@@ -10,9 +10,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_compare
 
 
-def test_fig6_tm_vs_aec(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.figure6(scale),
-                              rounds=1, iterations=1)
+def test_fig6_tm_vs_aec(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.figure6, (results, scale))
     print()
     print(render_compare(
         "Figure 6: execution time, TreadMarks=100 vs AEC.", rows))

@@ -8,10 +8,7 @@ from repro.harness.tables import render_table1
 
 
 def test_table1_params(benchmark):
-    def build():
-        return MachineParams()
-
-    machine = benchmark.pedantic(build, rounds=1, iterations=1)
+    machine = benchmark.pedantic(MachineParams)
     assert machine.num_procs == 16
     assert machine.page_bytes == 4096
     assert machine.messaging_overhead_cycles == 400

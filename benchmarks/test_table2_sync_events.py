@@ -9,9 +9,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_table2
 
 
-def test_table2_sync_events(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.table2(scale),
-                              rounds=1, iterations=1)
+def test_table2_sync_events(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.table2, (results, scale))
     byapp = {r.app: r for r in rows}
 
     # structural identities that hold at any scale

@@ -17,9 +17,8 @@ def _row(rows, app, group):
     raise AssertionError(f"no Table 3 row for {app}/{group}")
 
 
-def test_table3_lap_success(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.table3(scale),
-                              rounds=1, iterations=1)
+def test_table3_lap_success(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.table3, (results, scale))
     print()
     print(render_table3(rows))
 

@@ -12,9 +12,8 @@ from repro.harness import experiments as ex
 from repro.harness.tables import render_table4
 
 
-def test_table4_diff_stats(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ex.table4(scale),
-                              rounds=1, iterations=1)
+def test_table4_diff_stats(benchmark, results, scale):
+    rows = benchmark.pedantic(ex.table4, (results, scale))
     print()
     print(render_table4(rows))
     by = {r.app: r for r in rows}

@@ -237,8 +237,7 @@ def certify(cells: Sequence[Tuple[str, str, SimConfig]], *,
     exception.  Its oracle is the SC run of the same app and config:
     checker off, fault-free, app check on, run once per distinct key
     however many cells share it.  Every run goes through
-    :func:`~repro.harness.sweep.run_sweep` (memo, ``cache_dir``,
-    ``jobs``).  Returns the verdicts in cell order and the sweep's
+    :func:`~repro.harness.sweep.run_sweep` (``cache_dir``, ``jobs``).  Returns the verdicts in cell order and the sweep's
     report; a cell whose own or SC run raised fails ``error: ...``.
     """
     from repro.apps.registry import make_app

@@ -196,7 +196,7 @@ def run_campaign(seeds: Sequence[int],
                             plans=tuple(plans),
                             seeds=tuple(sorted(specs)),
                             executed=sweep.executed,
-                            cached=sweep.hits_memory + sweep.hits_disk,
+                            cached=sweep.hits_disk,
                             wall_seconds=sweep.wall_seconds)
     for (seed, protocol, plan_name), verdict in zip(grid, verdicts):
         result = verdict.result

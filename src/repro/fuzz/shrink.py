@@ -19,8 +19,9 @@ budget is exhausted):
    extra reads, compute cycles,
 5. drop locks from locked phases, then normalize lock/barrier ids dense.
 
-Every candidate evaluation is one full simulation plus the SC run that
-gives its oracle image, so the budget is counted in *runs*, not edits.
+Each distinct candidate is certified once per shrink, and every
+certification is one full simulation plus the SC run that gives its
+oracle image, so the budget is counted in *runs*, not edits.
 """
 from __future__ import annotations
 
@@ -153,14 +154,17 @@ def shrink_spec(spec: WorkloadSpec, protocol: str,
             f"spec (seed {spec.seed}) does not fail under {protocol!r}; "
             "nothing to shrink")
     current, current_failure = spec, first
+    # every candidate certified so far: the passes propose some twice
+    tried = {spec}
 
     def budget() -> bool:
         return runs[0] < max_runs
 
     def try_accept(cand: WorkloadSpec) -> bool:
         nonlocal current, current_failure
-        if cand == current:
+        if cand in tried:
             return False
+        tried.add(cand)
         try:
             sig = failing(cand)
         except Exception:  # noqa: BLE001 - invalid candidate: reject

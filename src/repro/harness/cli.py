@@ -488,14 +488,14 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    """Sweep the named experiments' cells, then render from the memo."""
+    """Sweep the named experiments' cells, then render from that sweep."""
     names = list(ex.EXPERIMENTS) if args.name == "all" else [args.name]
     report = sw.run_sweep(ex.experiment_cells(names, args.scale),
                           jobs=args.jobs, cache_dir=args.cache_dir)
     if _report_failures(report):
         return 1
     for name in names:
-        print(ex.EXPERIMENTS[name].render(args.scale))
+        print(ex.EXPERIMENTS[name].render(report.results, args.scale))
         print()
     return 0
 

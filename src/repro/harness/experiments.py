@@ -6,27 +6,32 @@ functions of the scale:
 * ``cells(scale)`` returns the immutable
   :class:`~repro.harness.sweep.RunSpec` cells it needs — the unit the
   parallel sweep fans out over (``repro sweep``, :func:`experiment_cells`);
-* ``render(scale)`` returns its text: a row builder (``table2`` etc.)
-  iterates the cells of its own declaration through
-  :func:`~repro.harness.sweep.get_result` and a
-  :mod:`~repro.harness.tables` renderer prints the rows.
+* ``render(results, scale)`` returns its text: a row builder
+  (``table2`` etc.) looks the cells of its own declaration up in
+  ``results``, the :attr:`~repro.harness.sweep.SweepReport.results` of
+  the sweep that ran them, and a :mod:`~repro.harness.tables` renderer
+  prints the rows.  A cell missing from ``results`` raises.
 
-``repro experiment`` sweeps the cells, then renders from the memo.  See
-DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured
-discussion.
+``repro experiment`` sweeps the cells, then renders from that sweep's
+results.  See DESIGN.md's experiment index and EXPERIMENTS.md for
+paper-vs-measured discussion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from repro.apps.registry import APP_NAMES
 from repro.config import MachineParams, SimConfig
 from repro.core.lap.stats import VARIANTS
 from repro.harness import tables
-from repro.harness.sweep import RunSpec, get_result, make_spec
+from repro.harness.sweep import RunSpec, make_spec
 from repro.stats.breakdown import Breakdown
+from repro.stats.run_result import RunResult
+
+#: spec key -> result: the ``results`` of the sweep that ran the cells
+Results = Mapping[str, RunResult]
 
 #: the paper's lock-intensive applications (Figures 3/4 and 6)
 LOCK_APPS = ("is", "raytrace", "water-ns")
@@ -43,6 +48,15 @@ MACHINE_APPS = ("is", "water-sp")
 MACHINE_PROTOCOLS = ("tmk", "aec")
 SCALING_PROCS = (4, 8, 16)
 SENSITIVITY_OVERHEADS = (100, 400, 1600)
+
+
+def _swept(results: Results, cells: List[RunSpec]):
+    """``(spec, result)`` for each of ``cells``, from ``results``."""
+    for spec in cells:
+        try:
+            yield spec, results[spec.key]
+        except KeyError:
+            raise LookupError(f"{spec.name} was not swept") from None
 
 
 # ---------------------------------------------------------------- Table 2
@@ -63,11 +77,10 @@ def table2_cells(scale: str = "bench") -> List[RunSpec]:
 table3_cells = table4_cells = table2_cells
 
 
-def table2(scale: str = "bench") -> List[Table2Row]:
+def table2(results: Results, scale: str = "bench") -> List[Table2Row]:
     """Synchronization events per application (paper Table 2)."""
     rows = []
-    for spec in table2_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, table2_cells(scale)):
         rows.append(Table2Row(spec.app, len(r.extra["lock_vars"]),
                               r.total_lock_acquires, r.barrier_events))
     return rows
@@ -91,11 +104,10 @@ def _lock_groups(result) -> Dict[str, List[int]]:
     return groups
 
 
-def table3(scale: str = "bench") -> List[Table3Row]:
+def table3(results: Results, scale: str = "bench") -> List[Table3Row]:
     """LAP success rates per lock-variable group (paper Table 3, |U|=2)."""
     rows: List[Table3Row] = []
-    for spec in table3_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, table3_cells(scale)):
         if r.lap_stats is None:
             continue
         total = max(r.lap_stats.total_acquires(), 1)
@@ -123,11 +135,10 @@ class Table4Row:
     hidden_apply_pct: float
 
 
-def table4(scale: str = "bench") -> List[Table4Row]:
+def table4(results: Results, scale: str = "bench") -> List[Table4Row]:
     """Diff statistics under AEC (paper Table 4)."""
     rows = []
-    for spec in table4_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, table4_cells(scale)):
         d = r.diff_stats
         rows.append(Table4Row(
             spec.app,
@@ -168,13 +179,13 @@ def _compare_cells(apps, scale: str, base_protocol: str,
             for protocol in (base_protocol, other_protocol)]
 
 
-def _compare_rows(cells: List[RunSpec], base_label: str, other_label: str,
-                  value) -> List[CompareRow]:
+def _compare_rows(results: Results, cells: List[RunSpec], base_label: str,
+                  other_label: str, value) -> List[CompareRow]:
+    swept = list(_swept(results, cells))
     rows = []
-    for base_spec, other_spec in zip(cells[::2], cells[1::2]):
-        base, other = get_result(base_spec), get_result(other_spec)
+    for (spec, base), (_spec, other) in zip(swept[::2], swept[1::2]):
         rows.append(CompareRow(
-            base_spec.app, base_label, other_label,
+            spec.app, base_label, other_label,
             value(base), value(other),
             base.breakdown, other.breakdown))
     return rows
@@ -184,18 +195,18 @@ def figure3_cells(scale: str = "bench") -> List[RunSpec]:
     return _compare_cells(LOCK_APPS, scale, "aec-nolap", "aec")
 
 
-def figure3(scale: str = "bench") -> List[CompareRow]:
+def figure3(results: Results, scale: str = "bench") -> List[CompareRow]:
     """Access-fault overhead: AEC-without-LAP (=100) vs AEC (Figure 3)."""
-    return _compare_rows(figure3_cells(scale), "noLAP", "LAP",
+    return _compare_rows(results, figure3_cells(scale), "noLAP", "LAP",
                          lambda r: r.breakdown["data"])
 
 
 figure4_cells = figure3_cells
 
 
-def figure4(scale: str = "bench") -> List[CompareRow]:
+def figure4(results: Results, scale: str = "bench") -> List[CompareRow]:
     """Execution time: AEC-without-LAP (=100) vs AEC (Figure 4)."""
-    return _compare_rows(figure4_cells(scale), "noLAP", "LAP",
+    return _compare_rows(results, figure4_cells(scale), "noLAP", "LAP",
                          lambda r: r.execution_time)
 
 
@@ -203,9 +214,9 @@ def figure5_cells(scale: str = "bench") -> List[RunSpec]:
     return _compare_cells(BARRIER_APPS, scale, "tmk", "aec")
 
 
-def figure5(scale: str = "bench") -> List[CompareRow]:
+def figure5(results: Results, scale: str = "bench") -> List[CompareRow]:
     """Execution time: TreadMarks (=100) vs AEC, barrier apps (Figure 5)."""
-    return _compare_rows(figure5_cells(scale), "TM", "AEC",
+    return _compare_rows(results, figure5_cells(scale), "TM", "AEC",
                          lambda r: r.execution_time)
 
 
@@ -213,9 +224,9 @@ def figure6_cells(scale: str = "bench") -> List[RunSpec]:
     return _compare_cells(LOCK_APPS, scale, "tmk", "aec")
 
 
-def figure6(scale: str = "bench") -> List[CompareRow]:
+def figure6(results: Results, scale: str = "bench") -> List[CompareRow]:
     """Execution time: TreadMarks (=100) vs AEC, lock apps (Figure 6)."""
-    return _compare_rows(figure6_cells(scale), "TM", "AEC",
+    return _compare_rows(results, figure6_cells(scale), "TM", "AEC",
                          lambda r: r.execution_time)
 
 
@@ -234,11 +245,11 @@ def ablation_update_set_cells(scale: str = "bench") -> List[RunSpec]:
             for app in LOCK_APPS for size in UPSET_SIZES]
 
 
-def ablation_update_set_size(scale: str = "bench") -> List[UpdateSetRow]:
+def ablation_update_set_size(results: Results, scale: str = "bench"
+                             ) -> List[UpdateSetRow]:
     """|U| sweep (Section 5.1: '|U|=2 seems to be the best size')."""
     rows = []
-    for spec in ablation_update_set_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, ablation_update_set_cells(scale)):
         rate = None
         if r.lap_stats is not None:
             all_locks = [lv[0] for lv in r.extra["lock_vars"]]
@@ -262,7 +273,8 @@ def ablation_traffic_cells(scale: str = "bench") -> List[RunSpec]:
             for app in TRAFFIC_APPS for protocol in TRAFFIC_PROTOCOLS]
 
 
-def ablation_update_traffic(scale: str = "bench") -> List[TrafficRow]:
+def ablation_update_traffic(results: Results, scale: str = "bench"
+                            ) -> List[TrafficRow]:
     """Communication volume across the update/invalidate spectrum.
 
     Section 1 of the paper: Munin updates *all* sharers; LAP can restrict
@@ -272,8 +284,7 @@ def ablation_update_traffic(scale: str = "bench") -> List[TrafficRow]:
     variant of the related work).
     """
     rows = []
-    for spec in ablation_traffic_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, ablation_traffic_cells(scale)):
         rows.append(TrafficRow(spec.app, spec.protocol, r.messages_total,
                                r.network_bytes / 1024.0,
                                r.execution_time))
@@ -295,11 +306,11 @@ def ablation_scalability_cells(scale: str = "test") -> List[RunSpec]:
             for p in SCALING_PROCS]
 
 
-def ablation_scalability(scale: str = "test") -> List[ScalingRow]:
+def ablation_scalability(results: Results, scale: str = "test"
+                         ) -> List[ScalingRow]:
     """Protocol behaviour as the machine grows (the paper fixes 16)."""
     rows = []
-    for spec in ablation_scalability_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, ablation_scalability_cells(scale)):
         rows.append(ScalingRow(spec.app, spec.protocol,
                                spec.config.machine.num_procs,
                                r.execution_time))
@@ -322,15 +333,14 @@ def ablation_sensitivity_cells(scale: str = "test") -> List[RunSpec]:
             for overhead in SENSITIVITY_OVERHEADS]
 
 
-def ablation_network_sensitivity(scale: str = "test"
+def ablation_network_sensitivity(results: Results, scale: str = "test"
                                  ) -> List[SensitivityRow]:
     """Sweep the per-message software overhead (the paper's 400-cycle NOW
     constant): AEC's win comes from removing messages/round trips from the
     critical path, so the gap should widen with costlier messaging and
     narrow as the interconnect gets cheap."""
     rows = []
-    for spec in ablation_sensitivity_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, ablation_sensitivity_cells(scale)):
         rows.append(SensitivityRow(
             spec.app, spec.protocol,
             spec.config.machine.messaging_overhead_cycles,
@@ -350,12 +360,12 @@ def ablation_robustness_cells(scale: str = "bench") -> List[RunSpec]:
             for app in LOCK_APPS for protocol in ("aec", "tmk")]
 
 
-def ablation_lap_robustness(scale: str = "bench") -> List[RobustnessRow]:
+def ablation_lap_robustness(results: Results, scale: str = "bench"
+                            ) -> List[RobustnessRow]:
     """LAP success under AEC vs under TreadMarks (Section 5.1: rates vary
     by less than ~10% between DSMs for lock-intensive applications)."""
     rows = []
-    for spec in ablation_robustness_cells(scale):
-        r = get_result(spec)
+    for spec, r in _swept(results, ablation_robustness_cells(scale)):
         if r.lap_stats is None:
             continue
         all_locks = [lv[0] for lv in r.extra["lock_vars"]]
@@ -371,20 +381,21 @@ class Experiment(NamedTuple):
     """One paper artifact: the cells it needs and its rendered text."""
 
     cells: Callable[[str], List[RunSpec]]
-    render: Callable[[str], str]
+    render: Callable[[Results, str], str]
 
 
 def _experiment(cells: Callable[[str], List[RunSpec]],
-                rows: Callable[[str], list],
+                rows: Callable[[Results, str], list],
                 render: Callable[[list], str]) -> Experiment:
-    return Experiment(cells, lambda scale: render(rows(scale)))
+    return Experiment(cells,
+                      lambda results, scale: render(rows(results, scale)))
 
 
 #: ``repro experiment|sweep NAME`` -> its experiment, in the order
 #: ``repro experiment all`` prints them
 EXPERIMENTS: Dict[str, Experiment] = {
     "table1": Experiment(lambda scale: [],
-                         lambda scale: tables.render_table1()),
+                         lambda results, scale: tables.render_table1()),
     "table2": _experiment(table2_cells, table2, tables.render_table2),
     "table3": _experiment(table3_cells, table3, tables.render_table3),
     "table4": _experiment(table4_cells, table4, tables.render_table4),

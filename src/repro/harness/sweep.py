@@ -4,15 +4,12 @@ The paper reproduction is a sweep over ``(app, scale, protocol, config)``
 cells.  This module gives every cell an immutable identity — a
 :class:`RunSpec` whose key is a canonical SHA-256 hash of the app,
 scale, protocol, ``check`` flag and *full* configuration (machine
-parameters, seed, fault plan, ...) — and executes sets of cells through
-a three-level store:
-
-1. an in-process memo (``dict`` keyed by spec key),
-2. the on-disk content-addressed cache a :func:`run_sweep` call was given
-   (pickle payload + JSON metadata sidecar, see :class:`DiskCache`); it
-   belongs to that call, and :func:`get_result` reads the memo only,
-3. actual simulation, either inline or fanned out across a
-   ``multiprocessing`` pool.
+parameters, seed, fault plan, ...) — and materializes a set of cells in
+one :func:`run_sweep` call: each distinct cell is read from the on-disk
+content-addressed cache the call was given (pickle payload + JSON
+metadata sidecar, see :class:`DiskCache`), else simulated, inline or
+fanned out across a ``multiprocessing`` pool.  There is no process-wide
+store: a result lives as long as the :class:`SweepReport` that holds it.
 
 Keying by the full config fixes, by construction, the historical
 under-keyed memo (which dropped ``check`` and every config field other
@@ -160,7 +157,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
 # ------------------------------------------------------------- DiskCache
 
 class DiskCache:
-    """Content-addressed on-disk memo of :class:`RunResult` payloads.
+    """Content-addressed on-disk cache of :class:`RunResult` payloads.
 
     Layout, under ``root``::
 
@@ -271,50 +268,6 @@ class DiskCache:
         return len(keys)
 
 
-# -------------------------------------------------------- the run store
-
-#: in-process memo, spec key -> RunResult
-_MEMORY: Dict[str, RunResult] = {}
-
-
-def clear_memory() -> None:
-    _MEMORY.clear()
-
-
-def memory_size() -> int:
-    return len(_MEMORY)
-
-
-def _lookup(spec: RunSpec, disk: Optional[DiskCache]
-            ) -> Tuple[Optional[RunResult], bool]:
-    """``spec``'s stored result — the memo's, else ``disk``'s (which the
-    memo then keeps) — and whether it came from ``disk``."""
-    result = _MEMORY.get(spec.key)
-    if result is not None or disk is None:
-        return result, False
-    result = disk.load(spec.key)
-    if result is not None:
-        _MEMORY[spec.key] = result
-    return result, result is not None
-
-
-def _store(spec: RunSpec, result: RunResult,
-           disk: Optional[DiskCache]) -> RunResult:
-    """Keep a fresh ``result`` in the memo and in ``disk``."""
-    _MEMORY[spec.key] = result
-    if disk is not None:
-        disk.store(spec, result)
-    return result
-
-
-def get_result(spec: RunSpec) -> RunResult:
-    """The result for ``spec``: the memo's, else a run (then memoized).
-    Only :func:`run_sweep` reads or writes a disk cache."""
-    result, _from_disk = _lookup(spec, None)
-    return result if result is not None else _store(
-        spec, execute_spec(spec), None)
-
-
 # ------------------------------------------------------------ the sweep
 
 @dataclass
@@ -323,7 +276,6 @@ class SweepReport:
 
     specs: List[RunSpec]
     results: Dict[str, RunResult]  # spec key -> result
-    hits_memory: int = 0
     hits_disk: int = 0
     executed: int = 0
     wall_seconds: float = 0.0
@@ -402,7 +354,6 @@ class SweepReport:
     def summary(self) -> str:
         parts = [f"{self.total} cells", f"{self.executed} executed",
                  f"{self.hits_disk} disk hits",
-                 f"{self.hits_memory} memo hits",
                  f"jobs={self.jobs}", f"{self.wall_seconds:.1f}s wall"]
         if self.duplicates:
             parts.insert(1, f"{self.duplicates} duplicate requests folded")
@@ -430,16 +381,15 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
               ) -> SweepReport:
     """Materialize every cell in ``specs``, in parallel, through the cache.
 
-    ``jobs <= 1`` runs misses inline (still through the cache); ``jobs > 1``
-    fans misses out over a ``multiprocessing`` pool.  Workers return
-    results that are stored to both cache layers, so a warm re-run
-    executes zero simulations.  Because each cell's seed and config
-    are frozen in its spec, scheduling order cannot affect any result and
-    the parallel path is identical to the serial one.
+    A cell requested more than once runs once.  ``jobs <= 1`` runs
+    misses inline; ``jobs > 1`` fans them out over a ``multiprocessing``
+    pool.  Because each cell's seed and config are frozen in its spec,
+    scheduling order cannot affect any result and the parallel path is
+    identical to the serial one.
 
-    ``cache_dir`` opens a disk cache for this call only: a cell is looked
-    up in the memo, then on disk, then run, and a run is stored in both.
-    Later lookups see the memo, never the directory.
+    ``cache_dir`` opens a disk cache for this call only: a cell is read
+    from it, else run and stored in it, so a warm re-run executes zero
+    simulations.
     """
     disk = DiskCache(cache_dir) if cache_dir is not None else None
 
@@ -462,16 +412,15 @@ def run_sweep(specs: Iterable[RunSpec], jobs: int = 1,
                          duplicates=duplicates)
     missing: List[RunSpec] = []
     for spec in unique:
-        result, from_disk = _lookup(spec, disk)
+        result = disk.load(spec.key) if disk is not None else None
         if result is None:
             missing.append(spec)
-            continue
-        report.results[spec.key] = result
-        report.hits_disk += from_disk
-        report.hits_memory += not from_disk
+        else:
+            report.results[spec.key] = result
+            report.hits_disk += 1
 
-    say(f"{len(unique)} cells: {report.hits_memory + report.hits_disk} "
-        f"cached, {len(missing)} to run (jobs={report.jobs})")
+    say(f"{len(unique)} cells: {report.hits_disk} cached, "
+        f"{len(missing)} to run (jobs={report.jobs})")
 
     by_key = {spec.key: spec for spec in missing}
     if report.jobs > 1 and len(missing) > 1:
@@ -496,7 +445,9 @@ def _finish_cell(report: SweepReport, spec: RunSpec,
         report.failures.append((spec, error or "unknown error"))
         say(f"FAILED {spec.name}: {error}")
         return
-    report.results[spec.key] = _store(spec, result, disk)
+    report.results[spec.key] = result
+    if disk is not None:
+        disk.store(spec, result)
     report.executed += 1
     say(f"ran {spec.label} "
         f"(T={result.execution_time / 1e6:.2f}Mcy, "

@@ -244,17 +244,6 @@ class TestAppsAreClean:
 # detects it.
 
 
-@pytest.fixture
-def fresh_memo():
-    """Certifying under a name registered at runtime starts and ends with
-    an empty sweep memo: the memo is keyed by app and protocol name, so a
-    result cached under one test's ``counter`` or ``aec-raises`` must
-    not answer another's."""
-    sw.clear_memory()
-    yield
-    sw.clear_memory()
-
-
 class CounterApp(Application):
     """P procs increment one lock-protected counter; monotonic by design,
     so a lost diff guarantees a value mismatch at the next ordered read."""
@@ -284,7 +273,7 @@ class CounterApp(Application):
 
 
 @pytest.fixture
-def counter_app(monkeypatch, fresh_memo):
+def counter_app(monkeypatch):
     """Register ``counter`` as an app id; yields the instances it builds."""
     built = []
 
@@ -463,7 +452,7 @@ class TestCheckCli:
         assert kinds == {"stale-read"}
 
     def test_check_reports_a_protocol_exception_as_a_failed_cell(
-            self, tmp_path, capsys, monkeypatch, fresh_memo):
+            self, tmp_path, capsys, monkeypatch):
         # a handler that raises must not abort the command with a
         # traceback: the cell fails, the report says why, the next runs
         from repro.core.aec.protocol import AECNode
@@ -502,7 +491,6 @@ class TestCheckCli:
             sizes.append(result.num_procs)
             return result
 
-        sw.clear_memory()
         monkeypatch.setattr(sw, "execute_spec", spy)
         assert cli_main(["check", "fuzz:3", "--protocols", "aec"]) == 0
         assert sizes == [generate_spec(3, "test").num_procs] * 2

@@ -375,8 +375,7 @@ class TestSurvivesBuiltinPlans:
     fault-free SC oracle."""
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
-    def test_checker_clean_and_sc_word_identical(self, app_name,
-                                                 _isolated_sweep_caches):
+    def test_checker_clean_and_sc_word_identical(self, app_name):
         cells = [(app_name, protocol,
                   SimConfig(seed=42, check_consistency=True,
                             faults=get_plan(plan_name)))
@@ -444,13 +443,6 @@ class TestBrokenVariantFailsLoudly:
 # ========================================= determinism across the sweep
 
 
-@pytest.fixture()
-def _isolated_sweep_caches():
-    sw.clear_memory()
-    yield
-    sw.clear_memory()
-
-
 class TestSweepDeterminism:
     CELLS = (("is", "aec"), ("is", "tmk"), ("fft", "aec"), ("fft", "tmk"))
 
@@ -458,12 +450,10 @@ class TestSweepDeterminism:
         return [sw.make_spec(app, "test", protocol, faults=plan)
                 for app, protocol in self.CELLS]
 
-    def test_serial_and_parallel_byte_identical(self, tmp_path,
-                                                _isolated_sweep_caches):
+    def test_serial_and_parallel_byte_identical(self, tmp_path):
         specs = self._specs(get_plan("lossy-1pct"))
         serial = sw.run_sweep(specs, jobs=1,
                               cache_dir=str(tmp_path / "serial"))
-        sw.clear_memory()
         parallel = sw.run_sweep(specs, jobs=4,
                                 cache_dir=str(tmp_path / "parallel"))
         assert not serial.failures and not parallel.failures

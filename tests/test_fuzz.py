@@ -75,13 +75,6 @@ AEC_FIXED_HIDDEN_COPY = WorkloadSpec(
                       cs_per_proc=5, span=2, extra_reads=3)))
 
 
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    sw.clear_memory()
-    yield
-    sw.clear_memory()
-
-
 # ------------------------------------------------------------- generator
 
 class TestGenerator:
@@ -355,9 +348,23 @@ class TestShrink:
         with pytest.raises(ValueError, match="does not fail"):
             shrink_spec(generate_spec(0, "test"), "aec", max_runs=10)
 
-    def test_shrinks_broken_aec_to_tiny_reproducer(self):
-        spec = generate_spec(24, "test")
-        res = shrink_spec(spec, "aec-broken", max_runs=120)
+    def test_shrinks_broken_aec_to_tiny_reproducer(self, monkeypatch):
+        """Seed 24 is the original of the broken-aec-stale-read corpus
+        entry.  Its shrink proposes some candidates more than once (the
+        fixpoint rounds retry their rejects) and certifies each distinct
+        spec once."""
+        from repro.fuzz import shrink
+        certified = []
+        real = shrink.spec_failure
+
+        def spy(cand, protocol, faults=None):
+            certified.append(cand)
+            return real(cand, protocol, faults=faults)
+
+        monkeypatch.setattr(shrink, "spec_failure", spy)
+        res = shrink_spec(generate_spec(24, "test"), "aec-broken",
+                          max_runs=120)
+        assert res.runs == len(certified) == len(set(certified))
         m = res.minimal
         assert res.minimal_failure.startswith("check:")
         assert m.num_procs <= 2
@@ -462,7 +469,6 @@ class TestCampaign:
         assert rep.clean
         assert len(rep.cells) == 3
         assert rep.executed > 0
-        sw.clear_memory()
         again = run_campaign(range(3), protocols=("aec",), plans=("none",),
                              cache_dir=cache)
         assert again.clean
@@ -471,7 +477,6 @@ class TestCampaign:
     def test_campaign_identical_across_jobs(self, tmp_path):
         serial = run_campaign(range(2), protocols=("aec",), plans=("none",),
                               cache_dir=str(tmp_path / "c1"))
-        sw.clear_memory()
         parallel = run_campaign(range(2), protocols=("aec",),
                                 plans=("none",), jobs=2,
                                 cache_dir=str(tmp_path / "c2"))

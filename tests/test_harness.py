@@ -65,20 +65,22 @@ class TestRunner:
             assert node.name == key
 
 
-class TestCache:
-    def test_hit_returns_same_object(self):
-        sweep.clear_memory()
-        a = sweep.get_result(sweep.make_spec("fft", "test", "aec"))
-        b = sweep.get_result(sweep.make_spec("fft", "test", "aec"))
-        assert a is b
-        assert sweep.memory_size() == 1
+@pytest.fixture(scope="module")
+def results():
+    """One sweep of every cell the row builders below read."""
+    report = sweep.run_sweep(ex.experiment_cells(
+        ["table2", "fig3", "fig5", "fig6", "ablation-upset",
+         "ablation-robustness"], "test"))
+    assert not report.failures
+    return report.results
 
+
+class TestCache:
     def test_distinct_keys_distinct_runs(self):
-        sweep.clear_memory()
-        sweep.get_result(sweep.make_spec("fft", "test", "aec"))
-        sweep.get_result(sweep.make_spec("fft", "test", "aec",
-                                         update_set_size=3))
-        assert sweep.memory_size() == 2
+        report = sweep.run_sweep([
+            sweep.make_spec("fft", "test", "aec"),
+            sweep.make_spec("fft", "test", "aec", update_set_size=3)])
+        assert report.executed == len(report.results) == 2
 
     def test_check_flag_is_part_of_the_key(self, monkeypatch):
         """Regression: the memo key used to omit ``check``, so a
@@ -90,71 +92,67 @@ class TestCache:
         monkeypatch.setattr(
             FFTApp, "check",
             lambda self, results: (calls.append(1), orig(self, results)))
-        sweep.clear_memory()
-        sweep.get_result(sweep.make_spec("fft", "test", "aec", check=False))
-        assert calls == []
-        sweep.get_result(sweep.make_spec("fft", "test", "aec", check=True))
+        report = sweep.run_sweep([
+            sweep.make_spec("fft", "test", "aec", check=False),
+            sweep.make_spec("fft", "test", "aec", check=True)])
+        assert report.executed == 2
         assert calls == [1]
 
 
 class TestExperiments:
-    @classmethod
-    def setup_class(cls):
-        sweep.clear_memory()
-
-    def test_table2_rows(self):
-        rows = ex.table2("test")
+    def test_table2_rows(self, results):
+        rows = ex.table2(results, "test")
         byapp = {r.app: r for r in rows}
         assert byapp["is"].locks == 1
         assert byapp["fft"].acquires == 16
         assert byapp["fft"].barriers == 7
         assert byapp["raytrace"].locks == 18
 
-    def test_table3_rows(self):
-        rows = ex.table3("test")
+    def test_table3_rows(self, results):
+        rows = ex.table3(results, "test")
         assert rows
         for r in rows:
             for variant, rate in r.rates.items():
                 assert rate is None or 0.0 <= rate <= 1.0
             assert r.events > 0
 
-    def test_table3_waitq_never_beats_lap_much(self):
+    def test_table3_waitq_never_beats_lap_much(self, results):
         """LAP combines waitQ with more sources; grouped over locks it
         should not lose to plain waitQ by a wide margin."""
-        for r in ex.table3("test"):
+        for r in ex.table3(results, "test"):
             lap, wq = r.rates["lap"], r.rates["waitq"]
             if lap is not None and wq is not None:
                 assert lap >= wq - 0.05
 
-    def test_table4_rows(self):
-        rows = ex.table4("test")
+    def test_table4_rows(self, results):
+        rows = ex.table4(results, "test")
         assert {r.app for r in rows} == {"is", "raytrace", "water-ns",
                                          "fft", "ocean", "water-sp"}
         for r in rows:
             assert r.avg_diff_bytes >= 0
             assert 0 <= r.hidden_create_pct <= 100
 
-    def test_figure3_lap_reduces_fault_overhead(self):
-        for row in ex.figure3("test"):
+    def test_figure3_lap_reduces_fault_overhead(self, results):
+        for row in ex.figure3(results, "test"):
             assert row.normalized <= 105.0  # LAP should not hurt
 
-    def test_figure4_lap_improves_runtime(self):
-        rows = ex.figure4("test")
+    def test_figure4_lap_improves_runtime(self, results):
+        rows = ex.figure4(results, "test")
         assert all(r.normalized < 100.0 for r in rows), \
             [(r.app, r.normalized) for r in rows]
 
-    def test_figures_5_6_aec_beats_tm_overall(self):
-        rows = ex.figure5("test") + ex.figure6("test")
+    def test_figures_5_6_aec_beats_tm_overall(self, results):
+        rows = ex.figure5(results, "test") + ex.figure6(results, "test")
         wins = sum(1 for r in rows if r.normalized < 100.0)
         assert wins >= 5, [(r.app, r.normalized) for r in rows]
 
-    def test_ablation_upset_sizes(self):
-        rows = ex.ablation_update_set_size("test")
+    def test_ablation_upset_sizes(self, results):
+        rows = ex.ablation_update_set_size(results, "test")
         assert len(rows) == 9
         assert {r.size for r in rows} == {1, 2, 3}
 
-    def test_ablation_robustness(self):
-        rows = ex.ablation_lap_robustness("test")
+    def test_ablation_robustness(self, results):
+        rows = ex.ablation_lap_robustness(results, "test")
         protos = {r.protocol for r in rows}
         assert protos == {"aec", "tmk"}
 
@@ -164,16 +162,17 @@ class TestTables:
         text = tables.render_table1()
         assert "Messaging overhead" in text and "400 cycles" in text
 
-    def test_table_renderers_smoke(self):
-        assert "IS".lower() in tables.render_table2(ex.table2("test")).lower()
-        assert "LAP" in tables.render_table3(ex.table3("test"))
-        assert "Diff" in tables.render_table4(ex.table4("test"))
-        out = tables.render_compare("Figure 4", ex.figure4("test"))
+    def test_table_renderers_smoke(self, results):
+        assert "IS".lower() in tables.render_table2(
+            ex.table2(results, "test")).lower()
+        assert "LAP" in tables.render_table3(ex.table3(results, "test"))
+        assert "Diff" in tables.render_table4(ex.table4(results, "test"))
+        out = tables.render_compare("Figure 4", ex.figure4(results, "test"))
         assert "noLAP=100.0" in out
         assert "|U|" in tables.render_update_set(
-            ex.ablation_update_set_size("test"))
+            ex.ablation_update_set_size(results, "test"))
         assert "robustness" in tables.render_robustness(
-            ex.ablation_lap_robustness("test"))
+            ex.ablation_lap_robustness(results, "test"))
 
 
 class TestBreakdown:

@@ -501,24 +501,15 @@ class TestLockRebuildDeferral:
 # ========================================= determinism across the sweep
 
 
-@pytest.fixture()
-def _isolated_sweep_caches():
-    sw.clear_memory()
-    yield
-    sw.clear_memory()
-
-
 class TestSweepDeterminismUnderCrashes:
     CELLS = (("is", "aec"), ("is", "tmk"), ("fft", "aec"), ("fft", "tmk"))
 
-    def test_serial_and_parallel_byte_identical(self, tmp_path,
-                                                _isolated_sweep_caches):
+    def test_serial_and_parallel_byte_identical(self, tmp_path):
         specs = [sw.make_spec(app, "test", protocol,
                               faults=get_plan("crash-one-node"))
                  for app, protocol in self.CELLS]
         serial = sw.run_sweep(specs, jobs=1,
                               cache_dir=str(tmp_path / "serial"))
-        sw.clear_memory()
         parallel = sw.run_sweep(specs, jobs=4,
                                 cache_dir=str(tmp_path / "parallel"))
         assert not serial.failures and not parallel.failures

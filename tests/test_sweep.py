@@ -11,18 +11,19 @@ from repro.harness import sweep as sw
 from repro.harness.cli import build_parser, main
 
 
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A disk cache that one plain ``repro sweep`` filled with every
+    experiment cell at test scale."""
+    cache_dir = str(tmp_path_factory.mktemp("warm") / "cache")
+    assert main(["sweep", "--scale", "test", "--cache-dir", cache_dir]) == 0
+    return cache_dir
+
+
 def _subparser(parser, name):
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices[name]
-
-
-@pytest.fixture(autouse=True)
-def _isolated_caches():
-    """Each test starts with an empty memo."""
-    sw.clear_memory()
-    yield
-    sw.clear_memory()
 
 
 def assert_results_equal(a, b):
@@ -100,13 +101,29 @@ class TestRunSpec:
 
 
 class TestDeterminismAndCache:
-    def test_same_spec_twice_hits_memo_with_equal_result(self, tmp_path):
+    def test_same_spec_twice_equal_result(self):
         spec = sw.make_spec("fft", "test", "aec")
-        first = sw.execute_spec(spec)
-        again = sw.execute_spec(spec)
-        assert_results_equal(first, again)
-        cached = sw.get_result(spec)
-        assert sw.get_result(spec) is cached
+        assert_results_equal(sw.execute_spec(spec), sw.execute_spec(spec))
+
+    def test_reregistered_protocol_name_runs_its_new_class(self,
+                                                           monkeypatch):
+        """A cell names its protocol by string: after the name is
+        registered to another class, the cell runs that class instead of
+        answering with the first class's result."""
+        from repro.harness.runner import PROTOCOLS
+        built = []
+
+        def tmk_counted(world, node_id):
+            built.append(node_id)
+            return PROTOCOLS["tmk"](world, node_id)
+
+        spec = sw.make_spec("is", "test", "swapped")
+        monkeypatch.setitem(PROTOCOLS, "swapped", PROTOCOLS["aec"])
+        first = sw.run_sweep([spec]).result_for(spec)
+        monkeypatch.setitem(PROTOCOLS, "swapped", tmk_counted)
+        second = sw.run_sweep([spec]).result_for(spec)
+        assert built == list(range(16))
+        assert second.messages_total != first.messages_total
 
     def test_disk_round_trip_preserves_everything(self, tmp_path):
         cache = sw.DiskCache(str(tmp_path))
@@ -126,7 +143,6 @@ class TestDeterminismAndCache:
         specs = small_specs()
         cold = sw.run_sweep(specs, jobs=1, cache_dir=str(tmp_path))
         assert cold.executed == len(specs) and not cold.failures
-        sw.clear_memory()
         warm = sw.run_sweep(specs, jobs=1, cache_dir=str(tmp_path))
         assert warm.executed == 0
         assert warm.hits_disk == len(specs)
@@ -138,7 +154,6 @@ class TestDeterminismAndCache:
         specs = small_specs()
         serial = sw.run_sweep(specs, jobs=1,
                               cache_dir=str(tmp_path / "serial"))
-        sw.clear_memory()
         parallel = sw.run_sweep(specs, jobs=4,
                                 cache_dir=str(tmp_path / "parallel"))
         assert serial.executed == parallel.executed == len(specs)
@@ -154,7 +169,6 @@ class TestDeterminismAndCache:
         pkl, _meta = sw.DiskCache(str(tmp_path))._paths(spec.key)
         with open(pkl, "wb") as fh:
             fh.write(b"\x80\x05 this is not a pickle")
-        sw.clear_memory()
         rerun = sw.run_sweep([spec], cache_dir=str(tmp_path))
         assert rerun.executed == 1  # corrupt entry evicted, cell re-ran
         assert_results_equal(reference, rerun.result_for(spec))
@@ -195,13 +209,13 @@ class TestDeterminismAndCache:
         assert "update_set_size=3" in names[1]
 
     def test_disk_cache_belongs_to_one_call(self, tmp_path):
-        """A sweep's cache_dir is not attached to later lookups: neither
-        a later sweep without one nor get_result writes to it."""
+        """A sweep's cache_dir is not attached to later sweeps: one
+        without a cache_dir neither reads nor writes it."""
         cache_dir = str(tmp_path / "cache")
-        sw.run_sweep([sw.make_spec("is", "test", "aec")],
-                     cache_dir=cache_dir)
-        sw.run_sweep([sw.make_spec("fft", "test", "aec")])
-        sw.get_result(sw.make_spec("fft", "test", "tmk"))
+        spec = sw.make_spec("is", "test", "aec")
+        sw.run_sweep([spec], cache_dir=cache_dir)
+        again = sw.run_sweep([spec, sw.make_spec("fft", "test", "aec")])
+        assert again.executed == 2 and again.hits_disk == 0
         assert len(sw.DiskCache(cache_dir).keys()) == 1
 
 
@@ -218,18 +232,19 @@ class TestExperimentCells:
         with pytest.raises(ValueError):
             ex.experiment_cells(["tableX"], "test")
 
-    def test_cells_cover_row_builders(self, tmp_path):
-        """Pre-warming the declared cells renders tables with zero extra
-        simulations — the two layers enumerate the same specs."""
+    def test_cells_cover_row_builders(self, warm_cache):
+        """The declared cells are exactly what the row builders read:
+        rendering from their sweep finds every cell, and a builder asked
+        for a cell its sweep did not run raises instead of running it."""
         report = sw.run_sweep(ex.experiment_cells(["table2", "fig4"],
-                                                  "test"))
-        assert report.executed > 0
-        rows2 = ex.table2("test")
-        rows4 = ex.figure4("test")
-        assert rows2 and rows4
-        again = sw.run_sweep(ex.experiment_cells(["table2", "fig4"],
-                                                 "test"))
-        assert again.executed == 0
+                                                  "test"),
+                              cache_dir=warm_cache)
+        assert report.hits_disk == len(report.specs) and not report.failures
+        assert ex.table2(report.results, "test")
+        assert ex.figure4(report.results, "test")
+        with pytest.raises(LookupError, match="aec-nolap.* not swept"):
+            ex.figure3({k: r for k, r in report.results.items()
+                        if r.protocol != "aec-nolap"}, "test")
 
     def test_scalability_cells_carry_custom_machines(self):
         cells = ex.ablation_scalability_cells("test")
@@ -245,7 +260,6 @@ class TestSweepCLI:
                      "--jobs", "1", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "6 executed" in out
-        sw.clear_memory()
         assert main(["sweep", "table2", "--scale", "test",
                      "--jobs", "1", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
@@ -277,22 +291,16 @@ class TestSweepCLI:
         accepted = ast.literal_eval(err[err.index("["):err.rindex("]") + 1])
         assert rendered == set(accepted)
 
-    def test_experiment_all_renders_a_warm_sweep(self, tmp_path, capsys,
+    def test_experiment_all_renders_a_warm_sweep(self, warm_cache, capsys,
                                                 monkeypatch):
         """Every cell ``experiment all`` renders is one ``sweep`` ran:
         after a full sweep into a cache it runs no simulation."""
-        cache_dir = str(tmp_path / "cache")
-        assert main(["sweep", "--scale", "test",
-                     "--cache-dir", cache_dir]) == 0
-        sw.clear_memory()
-        capsys.readouterr()
-
         def no_runs(spec):
             raise AssertionError(f"{spec.name} was simulated")
 
         monkeypatch.setattr(sw, "execute_spec", no_runs)
         assert main(["experiment", "all", "--scale", "test",
-                     "--cache-dir", cache_dir]) == 0
+                     "--cache-dir", warm_cache]) == 0
         out = capsys.readouterr().out
         for title in ("Table 1", "Table 4", "Figure 6", "update set size",
                       "update/invalidate spectrum", "machine grows",
@@ -325,7 +333,6 @@ class TestSweepMetricsMerge:
     """``sweep --metrics`` sums the cells' results; it changes no cell."""
 
     def _report(self, jobs=1):
-        sw.clear_memory()
         specs = [sw.make_spec("is", "test", p) for p in ("aec", "tmk")]
         return sw.run_sweep(specs, jobs=jobs), specs
 
@@ -385,19 +392,16 @@ class TestSweepMetricsMerge:
         summary = report.metrics_summary()
         assert "retransmissions" in summary and "node crashes" in summary
 
-    def test_no_metrics_means_none(self, capsys):
-        assert main(["sweep", "table2", "--scale", "test"]) == 0
+    def test_no_metrics_means_none(self, warm_cache, capsys):
+        assert main(["sweep", "table2", "--scale", "test",
+                     "--cache-dir", warm_cache]) == 0
         assert "sweep aggregates" not in capsys.readouterr().out
 
-    def test_cli_metrics_flag(self, capsys, tmp_path):
+    def test_cli_metrics_flag(self, warm_cache, capsys):
         """--metrics reads the cells a plain sweep cached: a warm re-run
         executes nothing and still prints the aggregates."""
-        cache = str(tmp_path / "cache")
-        argv = ["sweep", "table2", "--scale", "test", "--cache-dir", cache]
-        assert main(argv) == 0
-        assert " 0 executed" not in capsys.readouterr().out
-        sw.clear_memory()
-        assert main(argv + ["--metrics"]) == 0
+        assert main(["sweep", "table2", "--scale", "test", "--cache-dir",
+                     warm_cache, "--metrics"]) == 0
         out = capsys.readouterr().out
         assert " 0 executed" in out
         assert "sweep aggregates" in out
