@@ -6,29 +6,23 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.memory.diff import Diff
 from repro.memory.write_notice import WriteNotice
-from repro.protocols.base import PageMeta
+from repro.protocols.lazy import LazyPageMeta
 
 
 @dataclass
-class AECPageMeta(PageMeta):
+class AECPageMeta(LazyPageMeta):
     """AEC-specific coherence state of one page at one node.
 
     ``twin`` (inherited) tracks modifications since the last diff point.
     The twin serves *either* outside-of-CS tracking or inside-CS tracking;
-    ``inside_lock`` says which.
+    ``inside_lock`` says which.  ``frozen`` and ``applied`` (inherited)
+    hold the outside-of-CS diffs: our own per-epoch diffs, each stamped
+    ``(epoch, sequence)``, and the per-writer fetch floors.
     """
 
     #: lock whose critical section the current twin is tracking (None =
     #: the twin tracks outside-of-CS modifications)
     inside_lock: Optional[int] = None
-    #: frozen per-epoch diffs of our outside-of-CS modifications, oldest
-    #: first (served on demand to processors holding our write notices);
-    #: each diff's ``acquire_counter`` is an (epoch, sequence) stamp
-    frozen_outside: List[Diff] = field(default_factory=list)
-    #: newest outside-diff stamp applied per writer (fetch floor); the
-    #: inherited ``word_stamps`` arbitrate per word, since outside diffs
-    #: can arrive out of epoch order across faults
-    applied_outside: Dict[int, int] = field(default_factory=dict)
     #: barrier step of the oldest write not yet frozen into a diff (-1 =
     #: clean); freezing stamps the diff with this epoch, so lazily created
     #: diffs spanning several steps order *conservatively* (they lose

@@ -15,9 +15,9 @@ runs — so the implementations are allocation-lean:
 * :func:`merge_diffs` builds the last-writer-wins union with one stable
   sort and a run-boundary mask instead of an ``np.isin`` membership scan,
   and returns ``newer`` itself when both diffs cover the same words;
-* :func:`apply_diffs` scatters a whole batch of diffs into a page with a
-  single fancy-index assignment (NumPy assigns duplicate indices in order,
-  so later diffs win — exactly the sequential semantics).
+* :meth:`Diff.apply` is one fancy-index scatter; protocols apply diffs one
+  at a time because each apply is charged and, stamped, arbitrated per
+  word.
 
 Offsets within one diff are unique and ascending (``create_diff`` and
 ``merge_diffs`` both guarantee this); the merge fast paths rely on that
@@ -26,7 +26,7 @@ invariant.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Collection, Iterable, List, Optional
+from typing import Any, Collection, Optional
 
 import numpy as np
 
@@ -167,22 +167,3 @@ def merge_diffs(older: Optional[Diff], newer: Diff) -> Diff:
     return Diff(newer.page_number, offsets[keep], values[order][keep],
                 newer.acquire_counter, newer.origin)
 
-
-def apply_diffs(page: np.ndarray, diffs: Iterable[Diff]) -> None:
-    """Apply ``diffs`` to ``page`` in order (later diffs win on overlap).
-
-    Batches the whole sequence into a single scatter: NumPy fancy-index
-    assignment stores duplicate indices in order, so the last write to an
-    offset — the latest diff's — is the one that sticks, exactly as if the
-    diffs were applied one by one.
-    """
-    nonempty: List[Diff] = [d for d in diffs if len(d.offsets)]
-    if not nonempty:
-        return
-    if len(nonempty) == 1:
-        d = nonempty[0]
-        page[d.offsets] = d.values
-        return
-    offsets = np.concatenate([d.offsets for d in nonempty])
-    values = np.concatenate([d.values for d in nonempty])
-    page[offsets] = values

@@ -45,12 +45,6 @@ class PageStore:
             arr[:] = content
         return arr
 
-    def replace(self, page_number: int, content: np.ndarray) -> np.ndarray:
-        return self.ensure(page_number, content)
-
-    def drop(self, page_number: int) -> None:
-        self._pages.pop(page_number, None)
-
     def pages_held(self) -> Iterable[int]:
         return self._pages.keys()
 

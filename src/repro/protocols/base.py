@@ -525,13 +525,35 @@ class ProtocolNode:
         reply = yield from self._request(home, kind, {"pn": pn}, nbytes=8,
                                          category="data", retarget=retarget)
         self.span_end(span)
+        self._install_page(pn, home, reply)
+        return reply
+
+    def _install_page(self, pn: int, src: int, reply: dict) -> None:
+        """Install the page copy and word stamps that ``src`` served (see
+        :meth:`_page_reply`; the stamps are already a copy)."""
         self.store.ensure(pn, reply["content"])
+        self.pages[pn].word_stamps = reply["word_stamps"]
         wpp = self.words_per_page
         self.cache.invalidate_range(pn * wpp, wpp)
         checker = self.world.checker
         if checker is not None:
-            checker.note_transfer("page", self.node_id, pn, home, self.now())
-        return reply
+            checker.note_transfer("page", self.node_id, pn, src, self.now())
+
+    def _page_reply(self, msg: Message, pn: int, payload: dict,
+                    entries: int = 0) -> Tuple[Delay, Send]:
+        """Serve a copy of page ``pn`` and its word stamps: the memory-copy
+        delay and the reply, which carries ``payload`` (the protocol's own
+        state, ``entries`` 8-byte elements on the wire) plus the copies.
+        A server without a copy fails in ``PageStore.page``."""
+        stamps = self.pages[pn].word_stamps
+        payload["content"] = self.store.page(pn).copy()
+        payload["word_stamps"] = None if stamps is None else stamps.copy()
+        return (Delay(self.machine.mem_access_cycles(self.words_per_page),
+                      "ipc"),
+                Send(msg.payload["requester"],
+                     self._reply(msg, payload,
+                                 self.machine.page_bytes + 8 * entries),
+                     "ipc"))
 
     def _fail_requests_to(self, dead: int) -> Generator:
         """Fail the requests blocked on a declared-dead peer: each blocked
@@ -721,6 +743,25 @@ class ProtocolNode:
         if spans is not None:
             spans.record(self.node_id, "diff.apply", f"diff.apply p{pn}",
                          start, end, page=pn, hidden=hidden > 0)
+
+    def _apply_in_isr(self, pn: int, diff: Diff) -> Delay:
+        """Apply ``diff`` to our copy of page ``pn`` and its twin from an
+        interrupt handler; returns the delay to charge.  The program waits
+        meanwhile (at a barrier or a release flush), so the apply is fully
+        hidden."""
+        cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
+        diff.apply(self.store.page(pn))
+        twin = self.pages[pn].twin
+        if twin is not None:
+            diff.apply(twin)
+        wpp = self.words_per_page
+        self.cache.invalidate_range(pn * wpp, wpp)
+        checker = self.world.checker
+        if checker is not None:
+            checker.note_transfer("diff", self.node_id, pn, diff.origin,
+                                  self.sim.now)
+        self.world.diff_stats.record_apply(cycles, cycles)
+        return Delay(cycles, "ipc")
 
     def invalidate(self, pn: int) -> bool:
         """Drop the local copy's access rights; True if it was valid."""

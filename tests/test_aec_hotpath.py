@@ -405,7 +405,7 @@ class RefBarrierNode(AECNode):
         meta = self.pages[pn]
         if pn in self.outside_dirty_set and meta.twin is not None:
             yield from self._freeze_outside_diff(pn, "ipc")
-        diffs = [d.copy() for d in meta.frozen_outside
+        diffs = [d.copy() for d in meta.frozen
                  if d.acquire_counter > msg.payload["floor"]]
         nbytes = sum(d.size_bytes + 8 for d in diffs) or 4
         yield Send(msg.payload["requester"],
@@ -842,22 +842,22 @@ def _wn_diff_req(floor):
 
 def test_served_outside_diffs_are_the_stored_frozen_objects():
     node, meta = _outside_writer()
-    stored = list(meta.frozen_outside)
+    stored = list(meta.frozen)
     # unfrozen writes: the ISR freezes them first, as a generator
     ops = node._on_wn_diff_req(_wn_diff_req(-1))
     assert not isinstance(ops, tuple)
     ops = list(ops)
-    assert len(meta.frozen_outside) == 3
+    assert len(meta.frozen) == 3
     served = ops[-1].message.payload["diffs"]
-    assert [d is s for d, s in zip(served, meta.frozen_outside)] == [True] * 3
+    assert [d is s for d, s in zip(served, meta.frozen)] == [True] * 3
     assert served[2].offsets.tolist() == [9]
     # clean page: one Send in a tuple, the stored diffs by reference
     floor = stored[0].acquire_counter
     ops = node._on_wn_diff_req(_wn_diff_req(floor))
     assert isinstance(ops, tuple) and len(ops) == 1
     served = ops[0].message.payload["diffs"]
-    assert served == meta.frozen_outside[1:]
-    assert all(d is s for d, s in zip(served, meta.frozen_outside[1:]))
+    assert served == meta.frozen[1:]
+    assert all(d is s for d, s in zip(served, meta.frozen[1:]))
     assert ops[0].message.payload_bytes == sum(d.size_bytes + 8
                                                for d in served)
     for d in served:
@@ -868,7 +868,7 @@ def test_served_outside_diffs_are_the_stored_frozen_objects():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_outside_diff_suffix_matches_the_filter(seed):
-    # ``frozen_outside`` is in stamp order: the bisected suffix is the
+    # ``frozen`` is in stamp order: the bisected suffix is the
     # linear filter it replaced
     rng = random.Random(6300 + seed)
     node, meta = _outside_writer()
@@ -881,9 +881,9 @@ def test_outside_diff_suffix_matches_the_filter(seed):
         node.outside_dirty_set.add(2)
         meta.dirty_since_step = node.step
         list(node._freeze_outside_diff(2, "synch"))
-    stamps = [d.acquire_counter for d in meta.frozen_outside]
+    stamps = [d.acquire_counter for d in meta.frozen]
     assert stamps == sorted(stamps)
     for floor in [-1] + stamps + [s + 1 for s in stamps]:
         ops = node._on_wn_diff_req(_wn_diff_req(floor))
-        want = [d for d in meta.frozen_outside if d.acquire_counter > floor]
+        want = [d for d in meta.frozen if d.acquire_counter > floor]
         assert ops[0].message.payload["diffs"] == want

@@ -1,7 +1,7 @@
 """Property tests: vectorized diff paths vs a scalar reference model.
 
 The diff data plane (`repro.memory.diff`) is optimized with concatenate +
-stable-sort merges and single-scatter batched applies.  These tests pin the
+stable-sort merges and single-scatter applies.  These tests pin the
 optimized implementations word-for-word against a deliberately naive
 dict-based reference implementation kept here, across seeded random page
 sizes, overlap patterns, and empty-diff edge cases.
@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.memory.diff import (Diff, apply_diffs, create_diff, merge_diffs)
+from repro.memory.diff import Diff, create_diff, merge_diffs
 
 
 # ---------------------------------------------------------------- reference
@@ -127,42 +127,6 @@ def test_merge_disjoint_keeps_both_sorted():
     merged = merge_diffs(older, newer)
     np.testing.assert_array_equal(merged.offsets, [2, 5, 8])
     np.testing.assert_array_equal(merged.values, [2.0, 5.0, 8.0])
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_batched_apply_matches_sequential_reference(seed):
-    rng = random.Random(3000 + seed)
-    page_words = rng.choice([1, 8, 128, 1024])
-    ndiffs = rng.randint(0, 6)
-    diffs = [random_diff(rng, 0, page_words, max_words=page_words // 2 or 1)
-             for _ in range(ndiffs)]
-    base = np.array([rng.uniform(-10, 10) for _ in range(page_words)])
-    got_page = base.copy()
-    want_page = base.copy()
-    apply_diffs(got_page, diffs)
-    ref_apply_many(want_page, diffs)
-    np.testing.assert_array_equal(got_page, want_page)
-
-
-def test_batched_apply_overlap_later_diff_wins():
-    page = np.zeros(8)
-    diffs = [Diff(0, np.array([1, 3], dtype=np.int32), np.array([1.0, 1.0])),
-             Diff(0, np.array([3, 5], dtype=np.int32), np.array([2.0, 2.0])),
-             Diff(0, np.array([3], dtype=np.int32), np.array([9.0]))]
-    apply_diffs(page, diffs)
-    assert page.tolist() == [0.0, 1.0, 0.0, 9.0, 0.0, 2.0, 0.0, 0.0]
-
-
-def test_batched_apply_empty_cases():
-    page = np.arange(4, dtype=np.float64)
-    apply_diffs(page, [])  # no diffs at all
-    np.testing.assert_array_equal(page, np.arange(4))
-    empty = Diff(0, np.empty(0, dtype=np.int32), np.empty(0))
-    apply_diffs(page, [empty, empty])  # only empty diffs
-    np.testing.assert_array_equal(page, np.arange(4))
-    one = Diff(0, np.array([2], dtype=np.int32), np.array([7.0]))
-    apply_diffs(page, [empty, one, empty])  # single non-empty fast path
-    assert page[2] == 7.0
 
 
 def test_single_diff_apply_matches_reference():

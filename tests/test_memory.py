@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.memory.diff import (BYTES_PER_ENTRY, Diff, apply_diffs,
-                               create_diff, merge_diffs)
+from repro.memory.diff import (BYTES_PER_ENTRY, Diff, create_diff,
+                               merge_diffs)
 from repro.memory.layout import Layout
 from repro.memory.pagestore import PageStore
 from repro.memory.write_notice import WriteNotice
@@ -96,23 +96,9 @@ class TestPageStore:
         assert ps.page(0)[WPP - 1] == 4
         assert ps.page(1)[0] == 5
 
-    def test_replace(self):
-        ps = PageStore(WPP)
-        ps.ensure(0)
-        ps.replace(0, np.ones(WPP))
-        assert ps.page(0)[123] == 1.0
-
     def test_wrong_size_content_rejected(self):
         with pytest.raises(ValueError):
             PageStore(WPP).ensure(0, np.zeros(10))
-
-    def test_drop(self):
-        ps = PageStore(WPP)
-        ps.ensure(0)
-        ps.drop(0)
-        assert not ps.has(0)
-        ps.drop(0)  # idempotent
-
 
 class TestDiff:
     def test_create_empty_when_identical(self):
@@ -189,15 +175,6 @@ class TestDiff:
         c = d.copy()
         c.values[0] = 42.0
         assert d.values[0] == 1.0
-
-    def test_helpers(self):
-        ds = [Diff(0, np.array([0], dtype=np.int32), np.array([1.0])),
-              Diff(0, np.array([1, 2], dtype=np.int32),
-                   np.array([2.0, 3.0]))]
-        page = np.zeros(WPP)
-        apply_diffs(page, ds)
-        assert page[2] == 3.0
-
 
 class TestWriteNotice:
     def test_fields(self):
