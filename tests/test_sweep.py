@@ -11,15 +11,6 @@ from repro.harness import sweep as sw
 from repro.harness.cli import build_parser, main
 
 
-@pytest.fixture(scope="module")
-def warm_cache(tmp_path_factory):
-    """A disk cache that one plain ``repro sweep`` filled with every
-    experiment cell at test scale."""
-    cache_dir = str(tmp_path_factory.mktemp("warm") / "cache")
-    assert main(["sweep", "--scale", "test", "--cache-dir", cache_dir]) == 0
-    return cache_dir
-
-
 def _subparser(parser, name):
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
