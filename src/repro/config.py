@@ -22,8 +22,10 @@ if TYPE_CHECKING:  # runtime import would cycle: faults.injector imports config
 class MachineParams:
     """Hardware cost model of the simulated network of workstations.
 
-    Every field corresponds to one row of Table 1 in the paper; derived
-    quantities (words per page, line counts) are exposed as properties.
+    Every field is one row of Table 1 in the paper, except the word size
+    and the cycle time the table's units assume; derived quantities (words
+    per page, line counts) are exposed as properties.  The fault layer's
+    and crash recovery's timers are constants of the modules that own them.
     """
 
     num_procs: int = 16
@@ -44,33 +46,6 @@ class MachineParams:
     switch_cycles: int = 4
     wire_cycles: int = 2
     list_cycles_per_element: int = 6
-    # ---- reliable transport (active only when SimConfig.faults is set) ----
-    #: base NIC retransmission timeout; roughly 2-3x the worst-case RTT of a
-    #: page-sized transfer on a contended 16-node mesh (~15-20k cycles)
-    retrans_timeout_cycles: int = 50_000
-    #: exponential backoff factor between successive retransmissions
-    retrans_backoff: float = 2.0
-    #: retry budget: attempts before the transport fails the run loudly
-    retrans_max_retries: int = 10
-    #: how long an AEC acquirer waits for an eagerly-pushed update set
-    #: before degrading to a LAP miss (fetch the diffs on demand)
-    upset_wait_timeout_cycles: int = 100_000
-    # ---- crash recovery (active only when the fault plan schedules crashes) ----
-    #: NIC-level heartbeat period (every node -> node 0, the hub)
-    heartbeat_cycles: int = 50_000
-    #: passive lease: a peer silent longer than this is *suspected* dead
-    lease_cycles: int = 150_000
-    #: once a peer's lease has expired, pendings to it are probed at this
-    #: constant rate instead of backing off exponentially into the void
-    peer_probe_cycles: int = 50_000
-    #: hub silence after which the coordinator *declares* a node dead and
-    #: reconfigures; must comfortably exceed any scheduled restart outage
-    crash_declare_cycles: int = 500_000
-    #: restoring one page from the local checkpoint image on restart
-    ckpt_restore_cycles_per_page: int = 2_000
-    #: deterministic replay from the last checkpoint runs this much faster
-    #: than original execution (no misses, no lock waits)
-    crash_replay_speedup: float = 2.0
     #: page twinning: 5 cycles/word + memory accesses
     twin_cycles_per_word: int = 5
     #: diff application / creation: 7 cycles/word + memory accesses

@@ -1,7 +1,7 @@
 """Completion futures used to block program tasks on protocol events."""
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class Future:
@@ -14,14 +14,16 @@ class Future:
     behind a wait) can be computed exactly.
     """
 
-    __slots__ = ("_done", "_value", "_resolve_time", "_callbacks", "label",
+    __slots__ = ("_done", "_value", "_resolve_time", "_wake", "label",
                  "waiter")
 
     def __init__(self, label: Any = "") -> None:
         self._done = False
         self._value: Any = None
         self._resolve_time: Optional[float] = None
-        self._callbacks: Optional[List[Callable[["Future"], None]]] = None
+        #: the engine's wake callback while a program is blocked on this
+        #: future (a future has at most one waiter), else None
+        self._wake: Optional[Callable[["Future"], None]] = None
         #: a string, or a ``(node, what, serial)`` tuple that is formatted
         #: only when the future is printed (futures are made per request)
         self.label = label
@@ -58,20 +60,10 @@ class Future:
         self._done = True
         self._value = value
         self._resolve_time = time
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for cb in callbacks:
-                cb(self)
-
-    def on_resolve(self, callback: Callable[["Future"], None]) -> None:
-        """Run ``callback(self)`` when resolved (immediately if already done)."""
-        if self._done:
-            callback(self)
-        elif self._callbacks is None:
-            self._callbacks = [callback]
-        else:
-            self._callbacks.append(callback)
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"done@{self._resolve_time}" if self._done else "pending"

@@ -319,11 +319,7 @@ class Simulator:
                 # the future names its waiter, so one bound callback wakes
                 # every blocked program (no closure per ``Wait``)
                 fut.waiter = node.node_id
-                callbacks = fut._callbacks
-                if callbacks is None:
-                    fut._callbacks = [self._wake_on_resolve]
-                else:
-                    callbacks.append(self._wake_on_resolve)
+                fut._wake = self._wake_on_resolve
                 return
             elif cls is Resolve:
                 op.future.resolve(op.value, node.clock)

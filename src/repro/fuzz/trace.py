@@ -12,7 +12,7 @@ sim-side number (execution cycles, messages, bytes, events).
 
 File format (one JSON object per line):
 
-* line 1 — header: ``{"format": "repro-app-trace", "version": 3, "app",
+* line 1 — header: ``{"format": "repro-app-trace", "version": 4, "app",
   "protocol", "num_procs", "volatile_segments", "segments": [[name,
   nwords], ...], "locks": [[name, group], ...], "barriers": [name, ...],
   "config": <canonical config dict>, "baseline": {execution_time,
@@ -38,8 +38,9 @@ from repro.sync.objects import SyncRegistry
 
 TRACE_FORMAT = "repro-app-trace"
 #: v2: ``config`` no longer carries the trace's own output path.
-#: v3: the machine dict lost ``topology`` (every run is on the mesh)
-TRACE_VERSION = 3
+#: v3: the machine dict lost ``topology`` (every run is on the mesh).
+#: v4: it lost the fault-layer and recovery timers (module constants now)
+TRACE_VERSION = 4
 
 
 class TraceRecorder:

@@ -57,7 +57,7 @@ def _make_config(app_id: str, args, **overrides) -> SimConfig:
     (whichever shared options the subcommand took; ``overrides`` win).
     Generated and recorded workloads also fix the machine size."""
     kwargs: Dict[str, Any] = {}
-    for name in ("update_set_size", "seed", "check_consistency"):
+    for name in ("update_set_size", "check_consistency"):
         if getattr(args, name, None) is not None:
             kwargs[name] = getattr(args, name)
     kwargs["faults"] = resolve_plan(getattr(args, "faults", None))
@@ -157,7 +157,7 @@ def _cmd_check(args) -> int:
     cells = [(app_id, protocol, config) for app_id, config in configs
              for protocol in args.protocols]
     verdicts, _sweep = certify(cells, scale=args.scale)
-    doc = {"scale": args.scale, "seed": args.seed, "runs": []}
+    doc = {"scale": args.scale, "runs": []}
     failed = 0
     for (app_id, protocol, _config), (_cell, result, div, failure) in zip(
             cells, verdicts):
@@ -525,7 +525,6 @@ def _shared_options() -> Dict[str, Arg]:
              default=["aec", "tmk"]),
         _arg("--scale", choices=SCALES, default="test"),
         _arg("--update-set-size", type=int, default=2),
-        _arg("--seed", type=int, default=42),
         _arg("--faults", metavar="PLAN", type=_fault_plan_arg,
              help="inject network faults per a built-in plan "
                   "(NAME or NAME@SEED; see 'repro faults list')"),
@@ -540,7 +539,7 @@ def _shared_options() -> Dict[str, Arg]:
 
 
 #: the shared options of every command that simulates one app
-_RUN = ["--app", "--protocol", "--scale", "--update-set-size", "--seed"]
+_RUN = ["--app", "--protocol", "--scale", "--update-set-size"]
 
 #: subcommand path -> (help, handler, arguments); a command group maps to
 #: (help, dest of its sub-command) and precedes its members.  An argument
@@ -562,7 +561,7 @@ COMMANDS: Dict[str, tuple] = {
         _arg("apps", nargs="*", metavar="APP",
              help=f"apps to certify (default: all of "
                   f"{', '.join(APP_NAMES)})"),
-        "--protocols", "--scale", "--update-set-size", "--seed",
+        "--protocols", "--scale", "--update-set-size",
         _arg("--json", help="write the full violation report as JSON"),
         _arg("--verbose",
              help="print every violation, not just the first few"),
@@ -571,7 +570,7 @@ COMMANDS: Dict[str, tuple] = {
     ]),
     "compare": ("one app under several protocols", _cmd_compare, [
         "--app", _arg("--protocols", default=["tmk", "aec-nolap", "aec"]),
-        "--scale", "--update-set-size", "--seed",
+        "--scale", "--update-set-size",
     ]),
     "explain": ("run once with spans and report where its simulated time "
                 "went (nonzero exit if the attribution fails to sum to "

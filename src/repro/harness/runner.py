@@ -93,8 +93,6 @@ def run_app(app: Application, protocol: str = "aec",
 
     # each program's return value, kept by the engine when it finished
     results: List[Any] = [n.result for n in world.sim.nodes]
-    for node in nodes:
-        node.finalize()
     check_report = None if world.checker is None else world.checker.finish()
     if world.app_tap is not None:
         # written before app.check so a semantically-failing run still

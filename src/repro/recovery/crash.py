@@ -24,11 +24,19 @@ from typing import Dict, Set, Tuple
 
 from repro.network.message import Message
 from repro.recovery.checkpoint import CheckpointStore
-from repro.recovery.detector import FailureDetector
+from repro.recovery.detector import LEASE_CYCLES, FailureDetector
 from repro.recovery.stats import RecoveryStats
 
 #: loopback kind that delivers the coordinator's verdict into node 0's ISR
 RECONFIG_KIND = "recovery.reconfig"
+#: hub silence after which the coordinator *declares* a node dead and
+#: reconfigures; must comfortably exceed any scheduled restart outage
+CRASH_DECLARE_CYCLES = 500_000
+#: restoring one page from the local checkpoint image on restart
+CKPT_RESTORE_CYCLES_PER_PAGE = 2_000
+#: deterministic replay from the last checkpoint runs this much faster
+#: than original execution (no misses, no lock waits)
+CRASH_REPLAY_SPEEDUP = 2.0
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,7 @@ class CrashController:
         self.detector.start()
         if any(not c.restart for c in self.crashes):
             # the coordinator scan only matters for permanent deaths
-            sim.schedule_call(float(self.machine.lease_cycles) * 2,
-                             self._scan)
+            sim.schedule_call(float(LEASE_CYCLES) * 2, self._scan)
 
     def is_permanently_dead(self, node: int) -> bool:
         return node in self._declared
@@ -131,10 +138,9 @@ class CrashController:
         spans = self.world.spans
         if c.restart:
             restore_pages = self.checkpoints.pages_for(c.node)
-            restore = restore_pages * \
-                float(self.machine.ckpt_restore_cycles_per_page)
+            restore = restore_pages * float(CKPT_RESTORE_CYCLES_PER_PAGE)
             replay = max(0.0, sim.now - self.checkpoints.taken_at) \
-                / self.machine.crash_replay_speedup
+                / CRASH_REPLAY_SPEEDUP
             # one busy window covers the whole incident: outage, then
             # checkpoint restore, then deterministic replay to the point
             # of the crash (identical machinery to a scheduled stall)
@@ -170,7 +176,7 @@ class CrashController:
         if all(n.state in ("done", "dead") for n in sim.nodes):
             return
         now = sim.now
-        declare_after = float(self.machine.crash_declare_cycles)
+        declare_after = float(CRASH_DECLARE_CYCLES)
         for p in range(1, self.machine.num_procs):
             if p in self._declared or sim.nodes[p].state == "done":
                 continue
@@ -181,7 +187,7 @@ class CrashController:
             if silence > declare_after and \
                     self._active_restart.get(p) is False:
                 self._declare(p)
-        sim.schedule_call(now + float(self.machine.lease_cycles), self._scan)
+        sim.schedule_call(now + float(LEASE_CYCLES), self._scan)
 
     def _declare(self, p: int) -> None:
         sim = self.sim

@@ -21,6 +21,10 @@ from repro.network.message import Message
 #: NIC-level heartbeat frames (filtered before the CPU, like acks)
 HEARTBEAT_KIND = "net.heartbeat"
 HEARTBEAT_BYTES = 8
+#: NIC-level heartbeat period (every node -> node 0, the hub)
+HEARTBEAT_CYCLES = 50_000
+#: passive lease: a peer silent longer than this is *suspected* dead
+LEASE_CYCLES = 150_000
 
 
 class FailureDetector:
@@ -30,7 +34,7 @@ class FailureDetector:
         self.sim = sim
         self.machine = machine
         self.stats = stats
-        self.lease_cycles = float(machine.lease_cycles)
+        self.lease_cycles = float(LEASE_CYCLES)
         #: (observer, peer) -> last simulated time observer heard peer
         self.last_heard: Dict[Tuple[int, int], float] = {}
         #: (observer, peer) pairs currently past their lease (transition
@@ -68,7 +72,7 @@ class FailureDetector:
     def start(self) -> None:
         """Arm one staggered heartbeat loop per non-hub node."""
         sim = self.sim
-        period = float(self.machine.heartbeat_cycles)
+        period = float(HEARTBEAT_CYCLES)
         for n in range(1, self.machine.num_procs):
             # stagger first beats so the hub's NIC is not hit in lockstep
             first = period * (1.0 + n / self.machine.num_procs)
@@ -86,5 +90,5 @@ class FailureDetector:
             sim.transmit(msg, sim.now)
         # keep the loop alive even while down: a revived node must resume
         # beating without any protocol action on its part
-        sim.schedule_call(sim.now + float(self.machine.heartbeat_cycles),
-                         lambda: self._beat(n))
+        sim.schedule_call(sim.now + float(HEARTBEAT_CYCLES),
+                          lambda: self._beat(n))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.apps.registry import make_app
 from repro.apps.water_nsquared import WaterNsquaredApp, _contribution
-from repro.config import MachineParams, SimConfig
+from repro.config import SimConfig
 from repro.core.aec.barrier_manager import (AECBarrierManager, ArrivalInfo,
                                             BarrierInstructions)
 from repro.core.aec.protocol import AECNode
@@ -38,6 +38,7 @@ from repro.memory.write_notice import WriteNotice
 from repro.network.message import Message
 from repro.protocols import base
 from repro.protocols.adsm import ConsumerSetPredictor
+from repro.recovery import crash as crash_mod
 from repro.recovery.crash import RECONFIG_KIND
 from tests.conftest import make_world
 
@@ -574,12 +575,11 @@ def _recording(cls, log):
     return Recorded
 
 
-def _perm_crash(at):
+def _perm_crash(at, monkeypatch):
     plan = FaultPlan(name="perm", seed=1, crashes=(NodeCrash(
         node=1, at=at, down_cycles=150_000.0, restart=False),))
-    machine = dataclasses.replace(MachineParams(),
-                                  crash_declare_cycles=200_000)
-    return SimConfig(seed=42, machine=machine, faults=plan)
+    monkeypatch.setattr(crash_mod, "CRASH_DECLARE_CYCLES", 200_000)
+    return SimConfig(seed=42, faults=plan)
 
 
 #: (app, crash time, what recovery's reconfiguration must send): the
@@ -595,7 +595,8 @@ BARRIER_CELLS = [("ocean", None, None), ("fft", None, None),
 @pytest.mark.parametrize("app,crash,recovery_sends", BARRIER_CELLS)
 def test_barrier_isrs_match_the_generators(monkeypatch, app, crash,
                                            recovery_sends):
-    config = SimConfig() if crash is None else _perm_crash(crash)
+    config = (SimConfig() if crash is None
+              else _perm_crash(crash, monkeypatch))
     logs, results = {}, {}
     for name, cls in (("ref", RefBarrierNode), ("new", AECNode)):
         logs[name] = []

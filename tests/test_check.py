@@ -11,7 +11,6 @@ Covers the acceptance contract of the checker subsystem:
 * checker flags flow into the canonical config / cache keys,
 * the ``repro check`` CLI and cache provenance stamping.
 """
-import dataclasses
 import json
 import pickle
 
@@ -389,6 +388,7 @@ class TestObservedOperations:
 class TestPermanentDeath:
     def test_no_barrier_episode_outlives_a_dead_node(self, monkeypatch):
         import repro.check.checker
+        import repro.recovery.crash
         made = []
 
         class Spy(ConsistencyChecker):
@@ -400,10 +400,9 @@ class TestPermanentDeath:
         plan = FaultPlan(name="perm", seed=1, crashes=(
             NodeCrash(node=3, at=300_000.0, down_cycles=150_000.0,
                       restart=False),))
-        machine = dataclasses.replace(MachineParams(),
-                                      crash_declare_cycles=200_000)
-        config = SimConfig(seed=42, machine=machine, faults=plan,
-                           check_consistency=True)
+        monkeypatch.setattr(repro.recovery.crash, "CRASH_DECLARE_CYCLES",
+                            200_000)
+        config = SimConfig(seed=42, faults=plan, check_consistency=True)
         result = run_app(make_app("ocean", "test"), "aec", config,
                          check=False)
         assert result.recovery.peers_declared_dead == 1

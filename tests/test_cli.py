@@ -48,7 +48,6 @@ SURFACE = {
         '--json': ('json', None, None, None, False),
         '--protocols': ('protocols', ['aec', 'tmk'], PROTOS, '+', False),
         '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
         '--verbose -v': ('verbose', False, None, 0, False),
         'apps': ('apps', None, None, '*', True),
@@ -58,7 +57,6 @@ SURFACE = {
         '--protocols':
             ('protocols', ['tmk', 'aec-nolap', 'aec'], PROTOS, '+', False),
         '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
     },
     'experiment': {
@@ -78,7 +76,6 @@ SURFACE = {
         '--json': ('json', None, None, None, False),
         '--protocol': ('protocol', 'aec', PROTOS, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
         '--trace-out': ('trace_out', None, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
     },
@@ -132,7 +129,6 @@ SURFACE = {
         '--faults': ('faults', None, None, None, False),
         '--protocol': ('protocol', 'aec', PROTOS, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
         '--verbose -v': ('verbose', False, None, 0, False),
     },
@@ -155,7 +151,6 @@ SURFACE = {
         '--faults': ('faults', None, None, None, False),
         '--protocol': ('protocol', 'aec', PROTOS, None, False),
         '--scale': ('scale', 'test', SCALES, None, False),
-        '--seed': ('seed', 42, None, None, False),
         '--update-set-size': ('update_set_size', 2, None, None, False),
         'out': ('out', None, None, None, True),
     },

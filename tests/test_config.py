@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.config import SimConfig
+from repro.config import MachineParams, SimConfig
 from repro.core.lap import AFFINITY_THRESHOLD
+from repro.harness.tables import render_table1
 
 
 class TestTable1Defaults:
@@ -29,6 +30,21 @@ class TestTable1Defaults:
         assert machine.list_cycles_per_element == 6
         assert machine.twin_cycles_per_word == 5
         assert machine.diff_cycles_per_word == 7
+
+    def test_every_field_is_a_table1_row_or_its_unit(self):
+        # the fault layer's and recovery's timers are constants of the
+        # modules that read them, not machine parameters
+        rows = []
+
+        class Reader:
+            def __getattr__(self, name):
+                rows.append(name)
+                return getattr(MachineParams(), name)
+
+        render_table1(Reader())
+        assert len(rows) == len(set(rows)) == 19
+        assert {f.name for f in dataclasses.fields(MachineParams)} == \
+            {*rows, "word_bytes", "cycle_ns"}
 
     def test_derived_quantities(self, machine):
         assert machine.words_per_page == 1024

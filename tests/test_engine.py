@@ -34,21 +34,6 @@ class TestFuture:
         with pytest.raises(RuntimeError):
             Future().value
 
-    def test_callback_after_resolve_runs_immediately(self):
-        f = Future()
-        f.resolve(1, 0.0)
-        seen = []
-        f.on_resolve(lambda fut: seen.append(fut.value))
-        assert seen == [1]
-
-    def test_callbacks_run_in_order(self):
-        f = Future()
-        seen = []
-        f.on_resolve(lambda _: seen.append("a"))
-        f.on_resolve(lambda _: seen.append("b"))
-        f.resolve(None, 0.0)
-        assert seen == ["a", "b"]
-
 
 class TestEventValidation:
     def test_negative_delay_rejected(self):
