@@ -182,7 +182,8 @@ class MuninNode(ProtocolNode):
     def _flush_updates(self, category: str,
                        restrict_to: Optional[List[int]] = None) -> Generator:
         """Create diffs for every dirty page and push them to all sharers
-        (via the page's directory), waiting for the acknowledgements.
+        (via the page's directory), then wait until every directory ack
+        and every sharer ack those updates caused is in.
 
         ``restrict_to``: LAP restriction — pages dirtied inside the lock
         being released update only these nodes; other sharers are
@@ -192,8 +193,6 @@ class MuninNode(ProtocolNode):
             return
         dirty = sorted(self._dirty)
         self._dirty.clear()
-        fut = self.new_future("flush")
-        self._flush_fut = fut
         self._dir_acks_pending = 0
         self._sharer_acks_needed = 0
         self._sharer_acks_got = 0
@@ -219,9 +218,12 @@ class MuninNode(ProtocolNode):
             yield Send(self.directory_of(pn),
                        Message("mun.update", payload, diff.size_bytes + 16),
                        category)
-        if self._dir_acks_pending:
-            yield Wait(fut, category)
-        self._flush_fut = None
+        # acks handled during the sends above only counted: the future
+        # exists from here on, so it resolves when the last ack is in
+        if self._dir_acks_pending \
+                or self._sharer_acks_got < self._sharer_acks_needed:
+            self._flush_fut = self.new_future("flush")
+            yield Wait(self._flush_fut, category)
 
     def _on_update(self, msg: Message):
         """Directory role: forward the diff to every other sharer; under the

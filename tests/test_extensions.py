@@ -179,6 +179,26 @@ class TestMuninBehaviour:
             diff.values[0] = 0.0
         assert home.store.page(1)[5] == 7.0
 
+    @pytest.mark.parametrize("app", ["ocean", "raytrace", "water-ns"])
+    def test_flush_returns_only_after_every_ack(self, app, monkeypatch):
+        """A release or barrier flush returns only once every directory
+        ack and every sharer ack its updates caused is in, also when some
+        arrived while the flush was still sending."""
+        from repro.protocols.munin import MuninNode
+
+        original = MuninNode._flush_updates
+        early = []
+
+        def checked(self, category, restrict_to=None):
+            yield from original(self, category, restrict_to)
+            if self._dir_acks_pending \
+                    or self._sharer_acks_got < self._sharer_acks_needed:
+                early.append(self.node_id)
+
+        monkeypatch.setattr(MuninNode, "_flush_updates", checked)
+        run_app(make_app(app, "test"), "munin")
+        assert early == []
+
 
 class TestLazyHybridBehaviour:
     def test_alternating_owners_skip_fault(self):
