@@ -194,6 +194,15 @@ class TestRunWithObs:
         assert counts["lock.wait"] > 0
         assert counts["barrier"] > 0
 
+    def test_lazy_diff_pulls_are_page_fetches(self):
+        """TreadMarks resolves most water-ns faults by pulling writers'
+        diffs: that time is a page fetch, not compute."""
+        from repro.tools import attribute_result
+        spans = SpanRecorder()
+        result = run_app(make_app("water-ns", "test"), "tmk", spans=spans)
+        totals = attribute_result(result, spans).totals()
+        assert totals["page.fetch"] > totals["compute"]
+
     def test_world_spans_follow_config(self):
         """The world records into the recorder it is handed, else into
         none; no config field switches spans on."""
@@ -221,15 +230,17 @@ def _report_rows(text):
 
 
 #: sha256 of the files ``repro explain --app is --protocol aec --scale
-#: test`` writes; they are byte-identical to what the commands it replaced
-#: wrote (``bench attr --json``, ``bench flame``, ``run --trace-out``)
+#: test`` writes; re-recorded when the lazy-diff pulls got ``page.fetch``
+#: spans and stamped applies ``diff.apply`` spans (before that they were
+#: byte-identical to what ``bench attr --json``, ``bench flame`` and
+#: ``run --trace-out`` wrote)
 EXPLAIN_FILE_SHA256 = {
-    "--json": "9cc730599111712d5f997604d04b51d7"
-              "7f76de46dcbeaf9b3636b5c4793e64bf",
-    "--folded": "76d1cf1a8de5b1c6052a1f769e765037"
-                "fba7afaf59d10e8849b9ce7cc761553c",
-    "--trace-out": "7545f4ac196d4fb51d83906b4e3cd2d6"
-                   "9c8240b1faa743d4d3f0604a5c86b3d9",
+    "--json": "d7f9ae5e348281584f39bf282e8a46ba"
+              "4f2f70cc1f12180985cd9fe7d56752e3",
+    "--folded": "3f80e313c6d0c6474abcc4f03bbe10b6"
+                "56438ac9557a6bf45a42cb64ada69543",
+    "--trace-out": "19de4f37a655f86fd112732e48a34588"
+                   "027ca30ed98d688a28dd2ff02bf28216",
 }
 
 

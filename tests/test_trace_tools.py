@@ -46,7 +46,9 @@ class TestTracedRuns:
         assert counts["lock.hold"] == traced.total_lock_acquires
         assert counts["barrier"] == 16 * traced.barrier_events
         assert counts["diff.create"] == traced.diff_stats.diffs_created
-        assert counts["page.fetch"] <= traced.fault_stats.total_faults
+        # each remote resolution of a fault (a page copy, or the diffs of
+        # one writer) is one page.fetch span
+        assert counts["page.fetch"] == traced.fault_stats.remote_resolutions
 
     def test_lock_chain_is_serialized(self, traced, spans):
         """A mutex's holds never overlap, so ownership strictly
